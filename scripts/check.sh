@@ -75,6 +75,24 @@ for e in build/examples/*; do
   echo "  $(basename "$e") ok"
 done
 
+echo "== benchmark link-time seams (short traced perfbench mesh_torus) =="
+# perfbench times the mesh by --wrap-ping mangled symbols (sendto/recvfrom,
+# the frame codec, mesh::LinkImpairer::next, Router::process_batch) through
+# weak __real_ references. A refactor that moves or inlines one of them
+# still links, but its traced metric then reads 0 (or the run crashes), so
+# every seam metric must be non-zero after a short traced run.
+seam_json=$(python3 perfbench/run.py --workload mesh_torus --seed 1 --seconds 4 --trace 1 | tail -n 1)
+python3 - "$seam_json" <<'PY'
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+seams = ["mesh.impair_ns", "mesh.frame.encode_ns", "mesh.frame.decode_ns",
+         "mesh.socket.send_ns", "mesh.socket.recv_ns", "mesh.burst_pkts_mean"]
+dead = [name for name in seams if not metrics.get(name, {}).get("value")]
+if dead:
+    sys.exit("perfbench seams read 0: " + ", ".join(dead))
+print("  all seams traced: " + ", ".join(f"{n}={metrics[n]['value']:.4g}" for n in seams))
+PY
+
 echo "== sanitizer build (ASan + UBSan) =="
 cmake -B build-san -G Ninja -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \

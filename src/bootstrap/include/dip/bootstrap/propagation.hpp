@@ -34,7 +34,9 @@ class AsGraph {
 
   [[nodiscard]] const CapabilitySet* capabilities(AsNumber asn) const;
 
-  /// Shortest AS path (BFS hop count), or empty if unreachable.
+  /// Shortest AS path (hop count), or empty if unreachable. Ties follow
+  /// the SPF rule (spf.hpp): each AS on the path forwards to its
+  /// smallest-numbered neighbour on some shortest path to `to`.
   [[nodiscard]] std::vector<AsNumber> shortest_path(AsNumber from, AsNumber to) const;
 
   /// Capabilities usable along an explicit AS path: the intersection of

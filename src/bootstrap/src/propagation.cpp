@@ -1,7 +1,8 @@
 #include "dip/bootstrap/propagation.hpp"
 
 #include <algorithm>
-#include <deque>
+
+#include "dip/bootstrap/spf.hpp"
 
 namespace dip::bootstrap {
 
@@ -25,31 +26,19 @@ const CapabilitySet* AsGraph::capabilities(AsNumber asn) const {
 
 std::vector<AsNumber> AsGraph::shortest_path(AsNumber from, AsNumber to) const {
   if (!nodes_.contains(from) || !nodes_.contains(to)) return {};
-  if (from == to) return {from};
-
-  std::unordered_map<AsNumber, AsNumber> parent;
-  std::deque<AsNumber> queue{from};
-  parent.emplace(from, from);
-
-  while (!queue.empty()) {
-    const AsNumber current = queue.front();
-    queue.pop_front();
-    for (AsNumber next : nodes_.at(current).neighbors) {
-      if (parent.contains(next)) continue;
-      parent.emplace(next, current);
-      if (next == to) {
-        std::vector<AsNumber> path{to};
-        for (AsNumber hop = to; hop != from;) {
-          hop = parent.at(hop);
-          path.push_back(hop);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      queue.push_back(next);
-    }
+  const auto neighbors = [this](AsNumber as, auto&& visit) {
+    for (const AsNumber n : nodes_.at(as).neighbors) visit(n);
+  };
+  // Hop by hop, each AS forwards to its SPF first hop toward `to`.
+  std::vector<AsNumber> path{from};
+  for (AsNumber at = from; at != to;) {
+    const auto hops = first_hops(at, neighbors);
+    const auto next = hops.find(to);
+    if (next == hops.end()) return {};
+    at = next->second;
+    path.push_back(at);
   }
-  return {};
+  return path;
 }
 
 std::optional<CapabilitySet> AsGraph::path_capabilities(

@@ -9,7 +9,9 @@
 //
 // Scope deliberately matches the experiments: destinations are IPv4
 // prefixes anchored at a node (the paper's eval traffic), link metric is
-// hop count, tie-breaks are by node id so the computation is deterministic.
+// hop count, and next hops follow the shared SPF rule (bootstrap/spf.hpp:
+// the smallest-id neighbour on some shortest path), so the computation is
+// deterministic and matches the mesh's for the same topology.
 // The machinery underneath (journal, snapshots, QSBR) is protocol-agnostic.
 //
 // Convergence accounting: when a poll observes a link transition, the

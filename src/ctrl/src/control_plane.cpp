@@ -1,8 +1,8 @@
 #include "dip/ctrl/control_plane.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
+
+#include "dip/bootstrap/spf.hpp"
 
 namespace dip::ctrl {
 
@@ -141,8 +141,8 @@ void ControlPlane::refresh(bool force) {
 void ControlPlane::recompute() {
   ++stats_.recomputes;
 
-  // Adjacency over usable managed-to-managed links, neighbors ascending by
-  // node id (deterministic tie-breaks).
+  // Adjacency over usable managed-to-managed links, sorted by (neighbor,
+  // face) so the first link toward a neighbour is its lowest face.
   std::map<netsim::NodeId, std::vector<std::pair<netsim::NodeId, netsim::FaceId>>> adj;
   for (const auto& [key, usable] : link_state_) {
     if (!usable) continue;
@@ -152,51 +152,29 @@ void ControlPlane::recompute() {
   }
   for (auto& [id, neighbors] : adj) std::sort(neighbors.begin(), neighbors.end());
 
-  // Desired route set per node across all destinations.
+  const auto neighbors = [&adj](std::uint32_t node, auto&& visit) {
+    const auto it = adj.find(node);
+    if (it == adj.end()) return;
+    for (const auto& [nb, face] : it->second) visit(nb);
+  };
+
+  // Desired route set per node across all destinations: the shared SPF's
+  // first hop toward each anchor, out this node's lowest face toward it.
   std::map<netsim::NodeId, std::map<fib::Prefix<32>, fib::NextHop>> desired;
-  constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
-  for (const Destination& dest : destinations_) {
-    if (!managed_.contains(dest.anchor)) continue;
-    // BFS from the anchor (hop-count metric).
-    std::map<netsim::NodeId, std::size_t> dist;
-    std::deque<netsim::NodeId> queue;
-    dist[dest.anchor] = 0;
-    queue.push_back(dest.anchor);
-    while (!queue.empty()) {
-      const netsim::NodeId at = queue.front();
-      queue.pop_front();
-      const auto it = adj.find(at);
-      if (it == adj.end()) continue;
-      for (const auto& [nb, face] : it->second) {
-        if (dist.contains(nb)) continue;
-        dist[nb] = dist[at] + 1;
-        queue.push_back(nb);
-      }
-    }
-    for (const auto& [id, m] : managed_) {
+  for (const auto& [id, m] : managed_) {
+    const auto hops = bootstrap::first_hops(id, neighbors);
+    for (const Destination& dest : destinations_) {
+      if (!managed_.contains(dest.anchor)) continue;
       if (id == dest.anchor) {
         desired[id][dest.prefix] = dest.delivery_face;
         continue;
       }
-      const auto dit = dist.find(id);
-      if (dit == dist.end()) continue;  // unreachable: no route (blackhole)
-      // Next hop: the lowest-id usable neighbor strictly closer to the
-      // anchor; the route's next hop is this node's face toward it.
-      netsim::NodeId best_nb = 0;
-      netsim::FaceId best_face = 0;
-      std::size_t best = kUnreached;
-      const auto ait = adj.find(id);
-      if (ait == adj.end()) continue;
-      for (const auto& [nb, face] : ait->second) {
-        const auto nit = dist.find(nb);
-        if (nit == dist.end() || nit->second + 1 != dit->second) continue;
-        if (best == kUnreached) {
-          best_nb = nb;
-          best_face = face;
-          best = nit->second;
-        }
-      }
-      if (best != kUnreached) desired[id][dest.prefix] = best_face;
+      const auto hop = hops.find(dest.anchor);
+      if (hop == hops.end()) continue;  // unreachable: no route (blackhole)
+      const auto& links = adj.at(id);
+      const auto link = std::lower_bound(links.begin(), links.end(),
+                                         std::make_pair(hop->second, netsim::FaceId{0}));
+      desired[id][dest.prefix] = link->second;
     }
   }
 

@@ -1,24 +1,20 @@
 // MeshCustodyFleet — the custody overlay over a scale-out UDP mesh.
 //
-// The torus-soak counterpart of CustodyRouterNode: every MeshRouter in a
-// MeshNet becomes a custody-capable node. The fleet
+// Every MeshRouter in a MeshNet becomes a custody-capable node: the fleet
 //   * extends the module registry with CustodyOp/BundleFragOp (pass
 //     make_registry() into MeshConfig.registry before building the mesh);
-//   * hangs one bounded CustodyStore off each router's RouterEnv;
-//   * observes forwarded bundles through MeshRouter's ForwardTap: a
-//     forwarded packet whose rewritten tag names this router as custodian is
-//     committed to the store, a retry timer is armed on the MeshEventLoop,
-//     and a custody ACK is routed to the previous custodian (the prev field
-//     of the rewritten tag);
-//   * terminates bundles at their destination router via the MeshNet
-//     delivery handler: fragments are deduplicated, ACKed, and reassembled;
-//     custody ACKs addressed to this router release its store.
+//   * installs one CustodyOverlay (overlay.hpp) on each router's runtime —
+//     the same overlay dtn::CustodyRouterNode runs in netsim: commit, ACK
+//     back out the ingress face, retry timers on the MeshEventLoop, and
+//     store-full refusal that vetoes the forward;
+//   * plays the hosts: fragments a bundle and injects it at the source
+//     router (re-offering a fragment the source store refused), and at the
+//     destination router's local face deduplicates, reassembles and ACKs
+//     the delivering custodian.
 //
-// Custody hops ride the mesh's own routed fabric — ACKs are ordinary
-// dip32+custody packets forwarded by SPF routes — so blackouts, failed
-// links, and reroutes exercise exactly the wire path the ledger audits.
-// Retransmissions replay stored bytes through MeshRouter::transmit (the
-// ledgered egress path) paced by the DPS-priced RetxScheduler.
+// Custody hops ride the mesh's own wire path — every ACK and retransmission
+// goes through the ledgered egress (impair → frame → send), so blackouts
+// and failed links exercise exactly the path the ledger audits.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +23,7 @@
 #include <set>
 #include <vector>
 
-#include "dip/dtn/custody.hpp"
-#include "dip/dtn/retx_sched.hpp"
-#include "dip/dtn/store.hpp"
-#include "dip/host/retry.hpp"
+#include "dip/dtn/overlay.hpp"
 #include "dip/mesh/mesh_net.hpp"
 
 namespace dip::dtn {
@@ -57,8 +50,11 @@ class MeshCustodyFleet {
 
   /// Fragment `payload` and inject it at router `src` addressed to router
   /// `dst` (mesh::addr_of identities). The source router is the initial
-  /// custodian: its store holds every fragment until the next custodian (or
-  /// the destination) ACKs. Returns the bundle id.
+  /// custodian: its store holds every fragment until the next custodian
+  /// ACKs. A fragment the source store refuses is re-offered on the
+  /// `retry` backoff, like a host awaiting its first custodian's ACK; one
+  /// still refused after retry.max_retries re-offers counts in
+  /// send_failures(). Returns the bundle id.
   std::uint32_t send(std::size_t src, std::size_t dst,
                      std::span<const std::uint8_t> payload);
 
@@ -70,8 +66,12 @@ class MeshCustodyFleet {
   [[nodiscard]] std::size_t bundles_completed() const noexcept { return rx_complete_.size(); }
   [[nodiscard]] std::uint64_t fragments_delivered() const noexcept { return fragments_delivered_; }
   [[nodiscard]] std::uint64_t duplicate_fragments() const noexcept { return duplicates_; }
-  [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_sent_; }
-  [[nodiscard]] std::uint64_t custody_drops() const noexcept { return custody_drops_; }
+  /// Custody ACKs sent by routers plus destination ACKs.
+  [[nodiscard]] std::uint64_t acks_sent() const noexcept;
+  /// Forwards the routers' overlays vetoed (refusals plus duplicates).
+  [[nodiscard]] std::uint64_t custody_drops() const noexcept;
+  /// Fragments the source store refused through every re-offer.
+  [[nodiscard]] std::uint64_t send_failures() const noexcept { return send_failures_; }
 
   /// (send time, completion time) in loop-clock ns; completion 0 until the
   /// last fragment assembled. Recovery latency = completed - sent.
@@ -79,7 +79,9 @@ class MeshCustodyFleet {
       std::uint32_t bundle) const;
 
   // ---- custody-store status ---------------------------------------------
-  [[nodiscard]] const CustodyStore& store(std::size_t i) const { return *nodes_.at(i).store; }
+  [[nodiscard]] const CustodyStore& store(std::size_t i) const {
+    return overlays_.at(i)->store();
+  }
   /// True when every store drained — each committed fragment was ACKed by
   /// the next custodian or the destination (the 100%-recovery audit).
   [[nodiscard]] bool stores_empty() const;
@@ -91,10 +93,6 @@ class MeshCustodyFleet {
   void write_stats(telemetry::StatsWriter& w) const;
 
  private:
-  struct NodeState {
-    std::shared_ptr<CustodyStore> store;
-    RetxScheduler retx;
-  };
   struct RxBundle {
     std::uint16_t total = 0;
     std::set<std::uint16_t> got;
@@ -104,21 +102,16 @@ class MeshCustodyFleet {
     return static_cast<std::uint32_t>(i + 1);  // MeshNet's id = index + 1
   }
 
-  void on_forward(std::size_t i, mesh::FaceId ingress, mesh::FaceId egress,
-                  std::span<const std::uint8_t> packet);
+  /// Inject one fragment at its source router; re-offer it later if the
+  /// source store refused it.
+  void offer(std::size_t src, std::uint64_t key, const mesh::PacketBytes& packet,
+             std::uint32_t attempt);
   void on_delivery(std::size_t i, std::span<const std::uint8_t> packet,
                    std::uint64_t now);
-  /// Route a custody ACK for (`tag`, `frag`) from router `i` to node
-  /// `prev_custodian`, via a deferred inject (never re-enters the router
-  /// from inside its own verdict path).
-  void ack_from(std::size_t i, CustodyTag tag, FragInfo frag,
-                std::uint32_t prev_custodian);
-  void arm_retry(std::size_t i, std::uint64_t key);
-  void on_retry(std::size_t i, std::uint64_t key, std::uint32_t expected_attempts);
 
   mesh::MeshNet& mesh_;
   Config config_;
-  std::vector<NodeState> nodes_;
+  std::vector<std::unique_ptr<CustodyOverlay>> overlays_;
   std::map<std::uint32_t, RxBundle> rx_pending_;
   std::set<std::uint32_t> rx_complete_;
   std::set<std::uint64_t> rx_frags_;  ///< delivered fragment keys (dedup)
@@ -126,8 +119,8 @@ class MeshCustodyFleet {
   std::uint32_t next_bundle_ = 1;
   std::uint64_t fragments_delivered_ = 0;
   std::uint64_t duplicates_ = 0;
-  std::uint64_t acks_sent_ = 0;
-  std::uint64_t custody_drops_ = 0;  ///< store refusals under pressure
+  std::uint64_t delivery_acks_ = 0;
+  std::uint64_t send_failures_ = 0;
 };
 
 }  // namespace dip::dtn

@@ -14,9 +14,9 @@
 //     custodian keeps retrying until space frees up.
 //   * release() on a custody ACK; duplicate ACKs (chaos links duplicate
 //     packets) are counted and ignored.
-//   * retry bookkeeping (attempts, timer ids) lives in the entry; the
-//     actual timers belong to the owning node wrapper's event loop
-//     (netsim::EventLoop or mesh::MeshEventLoop).
+//   * retry bookkeeping (attempts) lives in the entry; the timers belong
+//     to the CustodyOverlay that owns the store (dtn/overlay.hpp), on the
+//     substrate's event loop.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +54,6 @@ class CustodyStore {
     std::uint32_t egress = 0;          ///< face the packet left through
     std::uint32_t attempts = 0;        ///< retransmissions so far
     std::uint64_t committed_at = 0;
-    std::uint64_t timer_id = 0;  ///< owner-managed retry timer handle
-    std::uint64_t ingress_hint = 0;  ///< owner use (ACK path, diagnostics)
   };
 
   CustodyStore() : CustodyStore(Limits{}) {}
@@ -69,6 +67,7 @@ class CustodyStore {
                 std::uint32_t egress, std::uint64_t now, bool* duplicate = nullptr);
 
   [[nodiscard]] Entry* find(std::uint64_t key);
+  [[nodiscard]] bool contains(std::uint64_t key) const { return entries_.contains(key); }
 
   /// ACK received: erase the entry. False (and a duplicate_acks count) when
   /// the key is unknown — already released by an earlier copy of the ACK.

@@ -1,44 +1,8 @@
 #include "dip/dtn/bundle.hpp"
 
-#include "dip/dtn/node.hpp"
+#include "dip/dtn/overlay.hpp"
 
 namespace dip::dtn {
-
-namespace {
-
-/// Parsed custody-plane view of an incoming packet: raw tag field (for MAC
-/// verification), fragment metadata, and the dip32 destination.
-struct CustodyView {
-  core::DipHeader header;
-  std::span<const std::uint8_t> tag_field;  ///< aliases header.locations
-  FragInfo frag;
-  std::optional<fib::Ipv4Addr> dst;
-};
-
-std::optional<CustodyView> parse_custody(std::span<const std::uint8_t> packet,
-                                         core::DipHeader& storage) {
-  auto parsed = core::DipHeader::parse(packet);
-  if (!parsed) return std::nullopt;
-  storage = std::move(*parsed);
-  const auto cf = find_custody_field(storage.fns);
-  if (!cf) return std::nullopt;
-  const std::size_t at = cf->bit_offset / 8;
-  if (storage.locations.size() < at + kCustodyTagBytes) return std::nullopt;
-  CustodyView view;
-  view.tag_field =
-      std::span<const std::uint8_t>(storage.locations).subspan(at, kCustodyTagBytes);
-  if (const auto ff = find_frag_field(storage.fns)) {
-    const std::size_t fat = ff->bit_offset / 8;
-    if (storage.locations.size() >= fat + kFragBytes) {
-      view.frag = FragInfo::read(
-          std::span<const std::uint8_t>(storage.locations).subspan(fat, kFragBytes));
-    }
-  }
-  view.dst = dip32_destination(storage);
-  return view;
-}
-
-}  // namespace
 
 std::uint32_t BundleSender::send(std::span<const std::uint8_t> payload) {
   const std::uint32_t bundle = next_bundle_++;
@@ -97,12 +61,10 @@ netsim::PacketBytes BundleSender::build_packet(
 }
 
 bool BundleSender::on_packet(std::span<const std::uint8_t> packet) {
-  core::DipHeader storage;
-  const auto view = parse_custody(packet, storage);
+  const auto view = CustodyView::parse(packet);
   if (!view) return false;
-  const CustodyTag raw = CustodyTag::read(view->tag_field);
-  if (!raw.is_ack()) return false;
-  if (!view->dst || !(*view->dst == config_.self)) return false;
+  if (!view->tag.is_ack()) return false;
+  if (!view->addressed_to(config_.self)) return false;
   const auto tag =
       verify_custody_tag(view->tag_field, config_.custody_key, config_.mac);
   if (!tag) return true;  // forged/corrupt ACK: consumed, ignored
@@ -126,12 +88,10 @@ std::uint64_t BundleSender::retransmissions() const noexcept {
 }
 
 bool BundleReceiver::on_packet(std::span<const std::uint8_t> packet) {
-  core::DipHeader storage;
-  const auto view = parse_custody(packet, storage);
+  const auto view = CustodyView::parse(packet);
   if (!view) return false;
-  const CustodyTag raw = CustodyTag::read(view->tag_field);
-  if (raw.is_ack()) return false;  // custody ACKs are sender business
-  if (!view->dst || !(*view->dst == config_.self)) return false;
+  if (view->tag.is_ack()) return false;  // custody ACKs are sender business
+  if (!view->addressed_to(config_.self)) return false;
 
   ++fragments_;
   const auto tag =
@@ -179,7 +139,7 @@ bool BundleReceiver::on_packet(std::span<const std::uint8_t> packet) {
     return true;
   }
 
-  const std::size_t header_size = storage.wire_size();
+  const std::size_t header_size = view->header.wire_size();
   bundle.frags.emplace(frag.index,
                        std::vector<std::uint8_t>(packet.begin() +
                                                      static_cast<std::ptrdiff_t>(

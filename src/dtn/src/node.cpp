@@ -1,208 +1,19 @@
 #include "dip/dtn/node.hpp"
 
-#include "dip/security/error_message.hpp"
-#include "dip/telemetry/telemetry.hpp"
-
 namespace dip::dtn {
-
-namespace {
-
-core::RouterEnv with_store(core::RouterEnv env, std::shared_ptr<CustodyStore> store) {
-  env.custody_store = std::move(store);
-  return env;
-}
-
-}  // namespace
-
-fib::Ipv4Addr custody_addr(std::uint32_t node) noexcept {
-  return fib::ipv4_from_u32((10u << 24) | ((node & 0xFFFFu) << 8) | 1u);
-}
-
-fib::Prefix<32> custody_prefix(std::uint32_t node) noexcept {
-  return {fib::ipv4_from_u32((10u << 24) | ((node & 0xFFFFu) << 8)), 24};
-}
 
 CustodyRouterNode::CustodyRouterNode(core::RouterEnv env,
                                      std::shared_ptr<const core::OpRegistry> registry,
-                                     Config config)
-    : registry_(std::move(registry)),
-      config_(config),
-      store_(std::make_shared<CustodyStore>(config.limits)),
-      retx_(config.retx),
-      router_(with_store(std::move(env), store_), registry_.get()) {}
-
-void CustodyRouterNode::on_packet(netsim::FaceId face, netsim::PacketBytes packet, SimTime now) {
-  // The custody plane wraps the engine: read the tag before processing (who
-  // held custody), let the op rewrite it, then compare afterwards. The
-  // engine itself stays custody-store-free.
-  std::optional<CustodyTag> pre_tag;
-  FragInfo frag{};
-  std::size_t tag_at = 0;  // tag field offset within the packet bytes
-  if (const auto header = core::DipHeader::parse(packet)) {
-    const std::size_t loc_start = core::BasicHeader::kWireSize +
-                                  header->fns.size() * core::FnTriple::kWireSize;
-    if (const auto ff = find_frag_field(header->fns)) {
-      const std::size_t at = ff->bit_offset / 8;
-      if (header->locations.size() >= at + kFragBytes) {
-        frag = FragInfo::read(std::span<const std::uint8_t>(header->locations)
-                                  .subspan(at, kFragBytes));
-      }
-    }
-    if (const auto cf = find_custody_field(header->fns)) {
-      const std::size_t at = cf->bit_offset / 8;
-      if (header->locations.size() >= at + kCustodyTagBytes) {
-        const auto field = std::span<const std::uint8_t>(header->locations)
-                               .subspan(at, kCustodyTagBytes);
-        pre_tag = CustodyTag::read(field);
-        tag_at = loc_start + at;
-        if (pre_tag->is_ack()) {
-          const auto dst = dip32_destination(*header);
-          if (dst && *dst == address()) {
-            // Terminal ACK: only a MAC-valid tag releases custody — a
-            // forged release would strand the bundle as surely as a drop.
-            if (const auto tag =
-                    verify_custody_tag(field, env().custody_key, env().mac_kind)) {
-              handle_ack(*tag, frag);
-            } else {
-              ++drop_counts_[static_cast<std::size_t>(core::DropReason::kAuthFailed) %
-                             drop_counts_.size()];
-            }
-            return;
-          }
-        }
-      }
-    }
-  }
-
-  const core::ProcessResult result = router_.process(packet, face, now);
-
-  const bool accept_window = pre_tag && pre_tag->requested() && !pre_tag->is_ack() &&
-                             env().accept_custody &&
-                             result.action == core::Action::kForward &&
-                             !result.respond_from_cache && !result.egress.empty();
-  if (accept_window) {
-    // The op only rewrote the tag if the MAC verified; the custodian field
-    // naming this node is the acceptance signal.
-    const CustodyTag post = CustodyTag::read(
-        std::span<const std::uint8_t>(packet).subspan(tag_at, kCustodyTagBytes));
-    if (post.requested() && post.custodian == env().node_id) {
-      const std::uint64_t key = frag_key(post.bundle_id, frag.index);
-      bool duplicate = false;
-      CustodyStore::Entry* entry =
-          store_->commit(key, packet, result.egress[0], now, &duplicate);
-      if (entry == nullptr) {
-        // Caps hit with only live custody inside: refuse. No ACK, no
-        // forward — the previous custodian keeps the bundle and retries.
-        ++custody_drops_;
-        return;
-      }
-      send_ack(post, frag, pre_tag->custodian, face);
-      if (duplicate) {
-        // Upstream retransmitted before our ACK landed: re-ACK (above),
-        // but never forward a second copy downstream.
-        ++custody_drops_;
-        return;
-      }
-      entry->ingress_hint = face;
-      retx_.on_primary(packet.size(), now);
-      arm_retry(key);
-      apply_verdict(face, packet, result);
-      return;
-    }
-  }
-
-  if (result.action == core::Action::kForward && !result.respond_from_cache) {
-    retx_.on_primary(packet.size(), now);
-  }
-  apply_verdict(face, packet, result);
-}
-
-void CustodyRouterNode::apply_verdict(netsim::FaceId face, netsim::PacketBytes& packet,
-                                      const core::ProcessResult& result) {
-  switch (result.action) {
-    case core::Action::kForward: {
-      for (std::size_t i = 0; i < result.egress.size(); ++i) {
-        if (i + 1 == result.egress.size()) {
-          network()->send(*this, result.egress[i], std::move(packet));
-        } else {
-          network()->send(*this, result.egress[i], packet);
-        }
-      }
-      return;
-    }
-    case core::Action::kDrop: {
-      ++drop_counts_[static_cast<std::size_t>(result.reason) % drop_counts_.size()];
-      return;
-    }
-    case core::Action::kError: {
-      ++drop_counts_[static_cast<std::size_t>(result.reason) % drop_counts_.size()];
-      // §2.4: notify the source back out the ingress face.
-      const auto header = core::DipHeader::parse(packet);
-      if (!header) return;
-      auto notification = security::make_fn_unsupported_packet(
-          *header, result.offending_key, env().node_id);
-      if (!notification) return;
-      network()->send(*this, face, std::move(*notification));
-      return;
-    }
-  }
-}
-
-void CustodyRouterNode::handle_ack(const CustodyTag& tag, const FragInfo& frag) {
-  // Duplicate ACKs (chaos links duplicate packets; upstream re-ACKs on
-  // duplicate commits) find the entry gone and are counted by the store.
-  store_->release(frag_key(tag.bundle_id, frag.index));
-}
-
-void CustodyRouterNode::send_ack(const CustodyTag& accepted, const FragInfo& frag,
-                                 std::uint32_t prev_custodian, netsim::FaceId ingress) {
-  auto ack = make_custody_ack_header(custody_addr(prev_custodian), address(),
-                                     accepted, frag, env().custody_key,
-                                     env().mac_kind);
-  if (!ack) return;
-  ++acks_sent_;
-  network()->send(*this, ingress, ack->serialize());
-}
-
-void CustodyRouterNode::arm_retry(std::uint64_t key) {
-  CustodyStore::Entry* entry = store_->find(key);
-  if (entry == nullptr) return;
-  // Backoff per the retry policy, plus the DPS-priced pacing gap: custody
-  // retransmissions drain at lower priority than first-transmission traffic.
-  const SimDuration delay = config_.retry.timeout_for(entry->attempts) +
-                            retx_.gap_for(entry->packet.size());
-  const std::uint32_t expected = entry->attempts;
-  network()->loop().schedule_in(delay,
-                                [this, key, expected] { on_retry(key, expected); });
-}
-
-void CustodyRouterNode::on_retry(std::uint64_t key, std::uint32_t expected_attempts) {
-  CustodyStore::Entry* entry = store_->find(key);
-  // Released (ACK arrived) or superseded by a newer timer generation.
-  if (entry == nullptr || entry->attempts != expected_attempts) return;
-  if (!store_->charge_retransmission(key)) return;  // exhausted: go quiet
-  network()->send(*this, entry->egress, entry->packet);
-  arm_retry(key);  // attempts advanced, so this timer's generation is fresh
-}
+                                     const Config& config)
+    : DipRouterNode(std::move(env), std::move(registry)),
+      overlay_(runtime(), config, [this](SimDuration delay, std::function<void()> fn) {
+        network()->loop().schedule_in(delay, std::move(fn));
+      }) {}
 
 void CustodyRouterNode::write_stats(telemetry::StatsWriter& w) const {
-  const std::string node_id = std::to_string(router_.env().node_id);
-  const telemetry::Label labels[] = {{"node", node_id}};
-  const auto namer = [](std::size_t slot) {
-    return core::op_key_name(static_cast<core::OpKey>(slot));
-  };
-  telemetry::write_counter_snapshot(w, router_.env().counters.snapshot(), labels,
-                                    +namer);
-  store_->write_stats(w, router_.env().node_id);
-  w.counter("dip_dtn_acks_total", labels, acks_sent_);
-  w.counter("dip_dtn_custody_drops_total", labels, custody_drops_);
-  for (std::size_t r = 0; r < drop_counts_.size(); ++r) {
-    if (drop_counts_[r] == 0) continue;
-    const telemetry::Label drop_labels[] = {
-        {"node", node_id},
-        {"reason", core::to_string(static_cast<core::DropReason>(r))}};
-    w.counter("dip_node_drops_total", drop_labels, drop_counts_[r]);
-  }
+  runtime().write_router_stats(w);
+  overlay_.write_stats(w);
+  runtime().write_drops(w, "dip_node_drops_total");
 }
 
 }  // namespace dip::dtn

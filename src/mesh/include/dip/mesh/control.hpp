@@ -2,9 +2,9 @@
 //
 // Each MeshRouter runs the PR-5 control machinery (ControlTables + a
 // coalescing RouteJournal); this header is the glue that turns the gossiped
-// link-state database into published FIB snapshots. Route computation is a
-// deterministic BFS (hop-count SPF, ties broken toward the smallest
-// next-hop node id), and an edge only exists when *both* endpoints
+// link-state database into published FIB snapshots. Route computation is
+// the shared hop-count SPF (bootstrap/spf.hpp: the smallest-id neighbour on
+// some shortest path), and an edge only exists when *both* endpoints
 // advertise it — an asymmetric view during link failure kills the edge
 // mesh-wide as soon as either side's new LSA lands.
 //
@@ -28,7 +28,7 @@ namespace dip::mesh {
 /// The /24 prefix node `n` originates (10.x.y.0/24).
 [[nodiscard]] fib::Prefix<32> prefix_of(std::uint32_t node) noexcept;
 
-/// BFS next hops from `self` over the LSDB: destination node -> neighbor
+/// SPF next hops from `self` over the LSDB: destination node -> neighbor
 /// node id of the first hop. Unreachable destinations (and `self`) are
 /// absent. Deterministic for a given LSDB.
 [[nodiscard]] std::map<std::uint32_t, std::uint32_t> compute_next_hops(

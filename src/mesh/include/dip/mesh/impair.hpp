@@ -1,14 +1,12 @@
-// LinkImpairer — netem for the UDP mesh, reusing netsim's FaultPlan.
+// LinkImpairer — netem for the UDP mesh over netsim's FaultPlan.
 //
 // The mesh sends real datagrams, so faults are injected at the socket send
-// path instead of inside a simulated link. The *decisions* keep netsim's
-// exact determinism contract: a private xoshiro256** stream seeded
-// `fault_seed ^ (0x9E3779B97F4A7C15 * (ordinal + 1))` per half-link, drawn
-// in the same fixed order per packet (blackout check first — pure function
-// of time, no PRNG — then drop, duplicate, corrupt, reorder). Two runs with
-// the same seed, topology, and traffic make identical per-packet decisions
-// regardless of wall-clock jitter; only reorder *placement* (an extra
-// hold-back delay served by loop timers) is timing-dependent.
+// path instead of inside a simulated link. The decisions come from the same
+// netsim::FaultStream a simulated half-link draws from (faults.hpp): one
+// seed mix, one draw order. Two runs with the same seed, topology, and
+// traffic make identical per-packet decisions regardless of wall-clock
+// jitter; only reorder *placement* (an extra hold-back delay served by loop
+// timers) is timing-dependent.
 //
 // Ledger semantics match netsim::Network (docs/FAULTS.md): drop and
 // blackout consume the packet before the wire; duplicate sends a second
@@ -19,47 +17,37 @@
 #include <cstdint>
 #include <span>
 
-#include "dip/crypto/random.hpp"
 #include "dip/netsim/faults.hpp"
 
 namespace dip::mesh {
 
-/// What the impairer decided for one packet. At most one of
-/// `blackout`/`drop` is set (the packet then never reaches the socket);
-/// the rest may combine.
-struct ImpairDecision {
-  bool blackout = false;
-  bool drop = false;
-  bool duplicate = false;
-  std::uint32_t corrupt_bytes = 0;   ///< flipped byte count (0 = untouched)
-  std::uint64_t extra_delay_ns = 0;  ///< reorder hold-back (0 = send now)
-};
+/// What the impairer decided for one packet.
+using ImpairDecision = netsim::FaultDecision;
 
-/// Per-half-link fault injector for one mesh face. Stateless apart from the
-/// PRNG stream and packet index, so it is trivially thread-confined along
+/// Per-half-link fault injector for one mesh face. Thread-confined along
 /// with its owning router.
 class LinkImpairer {
  public:
   LinkImpairer() = default;
   LinkImpairer(const netsim::FaultPlan& plan, std::uint64_t fault_seed,
                std::uint32_t ordinal) noexcept
-      : plan_(plan),
-        rng_(fault_seed ^ (0x9E3779B97F4A7C15ull * (ordinal + 1))) {}
+      : stream_(plan, fault_seed, ordinal) {}
 
-  [[nodiscard]] bool active() const noexcept { return plan_.active(); }
-  [[nodiscard]] const netsim::FaultPlan& plan() const noexcept { return plan_; }
+  [[nodiscard]] bool active() const noexcept { return stream_.plan().active(); }
+  [[nodiscard]] const netsim::FaultPlan& plan() const noexcept { return stream_.plan(); }
   /// Packets decided so far on this half-link (the FaultEvent index).
-  [[nodiscard]] std::uint64_t packet_index() const noexcept { return packets_; }
+  [[nodiscard]] std::uint64_t packet_index() const noexcept {
+    return stream_.packet_index();
+  }
 
-  /// Decide the fate of the next packet on this half-link. `packet` is
-  /// mutated in place when the corrupt draw hits (matching netsim: flips
-  /// happen before the wire, and the checksum catches them at the far end).
+  /// Decide the fate of the next packet on this half-link; `packet` is
+  /// mutated in place when the corrupt draw hits (the frame checksum covers
+  /// only the header, so router-level validation sees the flips). Defined
+  /// out of line: perfbench times the impairer by wrapping this symbol.
   ImpairDecision next(std::uint64_t now_ns, std::span<std::uint8_t> packet);
 
  private:
-  netsim::FaultPlan plan_{};
-  crypto::Xoshiro256 rng_{0};
-  std::uint64_t packets_ = 0;
+  netsim::FaultStream stream_;
 };
 
 }  // namespace dip::mesh

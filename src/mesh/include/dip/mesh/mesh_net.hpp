@@ -35,7 +35,6 @@ struct MeshConfig {
   MeshClock* clock = nullptr;
   std::uint64_t fault_seed = 1;
   core::ValidationMode validation = core::ValidationMode::kStrict;
-  core::DispatchStrategy strategy = core::DispatchStrategy::kLoop;
   bootstrap::CapabilitySet capabilities;  ///< advertised by every router
   /// Module registry shared by every router; nullptr = the default stack
   /// (netsim::make_default_registry()). Overlays extend it — the DTN soak

@@ -1,22 +1,23 @@
 // MeshRouter — one DIP router as a socket-attached mesh participant.
 //
-// The scale-out counterpart of netsim::DipRouterNode: the same core::Router
-// and verdict handling (forward/replicate, drop ledger, §2.4 error
-// notifications, footnote-2 cache responses), but faces are UDP endpoints
-// on loopback instead of simulated links. Each router is thread-confined
-// together with its event loop; routers in different threads or processes
-// share nothing but datagrams.
+// The scale-out adapter over netsim::NodeRuntime (runtime.hpp), the same
+// router runtime netsim::DipRouterNode drives: verdicts, the drop ledger,
+// §2.4 error notifications, footnote-2 cache answers and burst buckets all
+// live there. This class supplies the runtime's port — faces are UDP
+// endpoints on loopback instead of simulated links. Each router is
+// thread-confined together with its event loop; routers in different
+// threads or processes share nothing but datagrams.
 //
 // Wire path:
-//   egress — serialize → per-face LinkImpairer decides fate (netsim seed
-//   contract) → frame (kData, per-half-link seq) → nonblocking send;
-//   EAGAIN is the `dropped` ledger bucket (transmit queue full), reorder
-//   hold-backs ride event-loop timers.
-//   ingress — drain the socket to EAGAIN, decode frames, bucket kData
-//   payloads per ingress face, run each bucket through
-//   Router::process_batch, apply verdicts, announce ctrl quiescence.
+//   egress — per-face LinkImpairer decides fate (the netsim FaultStream) →
+//   frame (kData, per-half-link seq) → nonblocking send; EAGAIN is the
+//   `dropped` ledger bucket (transmit queue full), reorder hold-backs ride
+//   event-loop timers.
+//   ingress — drain the socket to EAGAIN, decode frames, hand kData
+//   payloads to the runtime's per-face burst buckets, flush them through
+//   Router::process_batch.
 //
-// Conservation ledger (aggregated by MeshNet, same equation as netsim):
+// Conservation ledger (netsim::TransportLedger, aggregated by MeshNet):
 //   transmitted + duplicated == delivered + lost + blackholed + dropped
 // `corrupted` stays informational — flipped payloads are still delivered
 // and surface as router-level drop reasons at the far end.
@@ -28,7 +29,6 @@
 // (mesh/control.hpp) and AS-graph capability queries.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -43,6 +43,7 @@
 #include "dip/mesh/frame.hpp"
 #include "dip/mesh/impair.hpp"
 #include "dip/mesh/socket.hpp"
+#include "dip/netsim/runtime.hpp"
 #include "dip/telemetry/exposition.hpp"
 
 namespace dip::mesh {
@@ -50,15 +51,9 @@ namespace dip::mesh {
 using PacketBytes = std::vector<std::uint8_t>;
 using FaceId = std::uint32_t;
 
-/// One node's wire-path conservation counters (catalogue above).
-struct WireLedger {
-  std::uint64_t transmitted = 0;  ///< data frames entering the send path
-  std::uint64_t duplicated = 0;   ///< extra copies injected by the impairer
-  std::uint64_t delivered = 0;    ///< data frames arriving at this node
-  std::uint64_t lost = 0;         ///< impairer drop decisions
-  std::uint64_t blackholed = 0;   ///< blackout windows + failed links
-  std::uint64_t dropped = 0;      ///< send-side EAGAIN (transmit queue full)
-  std::uint64_t corrupted = 0;    ///< informational: delivered with flips
+/// One node's wire-path counters: the conservation buckets (catalogue
+/// above) plus informational series outside the equation.
+struct WireLedger : netsim::TransportLedger {
   std::uint64_t decode_errors = 0;   ///< frames that failed decode_frame
   std::uint64_t seq_gaps = 0;        ///< per-face receive sequence breaks
   std::uint64_t unknown_source = 0;  ///< datagrams from unmapped endpoints
@@ -66,10 +61,12 @@ struct WireLedger {
   std::uint64_t hello_rx = 0;
 
   WireLedger& operator+=(const WireLedger& o) noexcept;
-  /// transmitted + duplicated - delivered - lost - blackholed - dropped.
-  /// Zero over a quiesced aggregate; per-node it is the in-flight skew.
-  [[nodiscard]] std::int64_t imbalance() const noexcept;
 };
+
+/// The `dip_mesh_*` ledger series, each with `labels` (per node or none for
+/// the mesh aggregate; catalogue in docs/OBSERVABILITY.md).
+void write_ledger(telemetry::StatsWriter& w, const WireLedger& ledger,
+                  std::span<const telemetry::Label> labels);
 
 /// One origin's link-state announcement as stored in the LSDB.
 struct Lsa {
@@ -82,7 +79,7 @@ struct Lsa {
 /// iteration for SPF and AS-graph construction).
 using LinkStateDb = std::map<std::uint32_t, Lsa>;
 
-class MeshRouter {
+class MeshRouter : private netsim::NodePort {
  public:
   /// Delivery callback for local (host-facing) faces: full DIP packet bytes
   /// plus the loop-clock receive time.
@@ -94,7 +91,6 @@ class MeshRouter {
     /// Mesh-wide fault seed; per-face streams mix in the link ordinal.
     std::uint64_t fault_seed = 0;
     bootstrap::CapabilitySet capabilities;
-    core::DispatchStrategy strategy = core::DispatchStrategy::kLoop;
   };
 
   /// `loop` and `registry` must outlive the router; the socket is owned.
@@ -110,8 +106,9 @@ class MeshRouter {
 
   [[nodiscard]] std::uint32_t node_id() const noexcept { return config_.node_id; }
   [[nodiscard]] Endpoint endpoint() const noexcept { return socket_->local_endpoint(); }
-  [[nodiscard]] core::Router& router() noexcept { return router_; }
-  [[nodiscard]] core::RouterEnv& env() noexcept { return router_.env(); }
+  [[nodiscard]] netsim::NodeRuntime& runtime() noexcept { return runtime_; }
+  [[nodiscard]] core::Router& router() noexcept { return runtime_.router(); }
+  [[nodiscard]] core::RouterEnv& env() noexcept { return runtime_.env(); }
   [[nodiscard]] ctrl::RouteJournal& journal() noexcept { return journal_; }
 
   /// Attach a wire face toward `peer`. `ordinal` is the mesh-wide
@@ -143,20 +140,6 @@ class MeshRouter {
   /// router with `ingress` (a local face) and applies the verdict.
   void inject(std::span<std::uint8_t> packet, FaceId ingress);
 
-  /// Observer of every forwarded data packet (after FN rewrites, before the
-  /// wire): (ingress, egress, packet bytes). The DTN overlay uses this to
-  /// commit custody copies of forwarded bundles (dtn/mesh_dtn.hpp).
-  using ForwardTap =
-      std::function<void(FaceId ingress, FaceId egress, std::span<const std::uint8_t>)>;
-  void set_forward_tap(ForwardTap tap) { forward_tap_ = std::move(tap); }
-
-  /// Transmit raw packet bytes out `face` through the ledgered egress path
-  /// (impair → frame → send). Local faces deliver locally. Overlay use:
-  /// custody retransmissions replay stored bytes without re-processing.
-  void transmit(FaceId face, std::span<const std::uint8_t> packet) {
-    send_data(face, packet);
-  }
-
   /// Data frames sent on hold-back timers that have not hit the socket yet
   /// (the quiesce condition before a ledger check).
   [[nodiscard]] std::size_t pending_holdbacks() const noexcept { return holdbacks_; }
@@ -164,11 +147,11 @@ class MeshRouter {
   [[nodiscard]] const WireLedger& ledger() const noexcept { return ledger_; }
   [[nodiscard]] std::uint64_t local_delivered() const noexcept { return local_delivered_; }
   [[nodiscard]] std::uint64_t drops(core::DropReason reason) const {
-    return drop_counts_[static_cast<std::size_t>(reason) % drop_counts_.size()];
+    return runtime_.drops(reason);
   }
 
-  /// `dip_mesh_*` per-node series plus the router's own counters, all
-  /// labelled node="<id>" (catalogue in docs/OBSERVABILITY.md).
+  /// `dip_mesh_*` per-node series, labelled node="<id>" (catalogue in
+  /// docs/OBSERVABILITY.md).
   void write_stats(telemetry::StatsWriter& w) const;
 
  private:
@@ -188,16 +171,16 @@ class MeshRouter {
   void on_readable();
   void handle_datagram(std::span<const std::uint8_t> datagram, Endpoint from);
   void handle_hello(const Frame& frame, FaceId ingress);
-  void flush_ingress_bursts(std::uint64_t now);
 
-  void apply_verdict(FaceId ingress, std::span<std::uint8_t> packet,
-                     const core::ProcessResult& result);
-  void emit_error(std::span<const std::uint8_t> original, core::OpKey offending,
-                  FaceId ingress);
-  void respond_from_cache(std::span<const std::uint8_t> interest, FaceId ingress);
+  // NodePort: the runtime's transmissions take the ledgered egress path.
+  using netsim::NodePort::send;
+  void send(FaceId face, std::span<const std::uint8_t> packet) override {
+    send_data(face, packet);
+  }
+  [[nodiscard]] SimTime now() const override { return loop_.now_ns(); }
 
   /// The ledgered egress path: impair, frame, send (or hold back on a
-  /// reorder timer). Entry point for every data transmission on a face.
+  /// reorder timer). Local faces deliver locally.
   void send_data(FaceId face, std::span<const std::uint8_t> packet);
   /// Frame + socket write + EAGAIN accounting for one (possibly delayed,
   /// possibly duplicate) copy.
@@ -208,9 +191,8 @@ class MeshRouter {
   MeshEventLoop& loop_;
   std::unique_ptr<DatagramSocket> socket_;
   MeshEventLoop::SocketId socket_id_ = 0;
-  std::shared_ptr<const core::OpRegistry> registry_;
   std::shared_ptr<ctrl::ControlTables> tables_;
-  core::Router router_;
+  netsim::NodeRuntime runtime_;
   ctrl::RouteJournal journal_;
 
   std::vector<Face> faces_;
@@ -220,21 +202,8 @@ class MeshRouter {
   std::uint16_t lsa_version_ = 0;
 
   WireLedger ledger_;
-  ForwardTap forward_tap_;
   std::uint64_t local_delivered_ = 0;
   std::size_t holdbacks_ = 0;
-  std::array<std::uint64_t, 16> drop_counts_{};
-
-  // Ingress burst buckets: per-face packet payloads collected during a
-  // drain, then run through process_batch. Kept across drains so the
-  // steady path reuses capacity.
-  struct Bucket {
-    FaceId face = 0;
-    std::vector<PacketBytes> packets;
-  };
-  std::vector<Bucket> buckets_;
-  std::vector<core::PacketRef> burst_refs_;
-  std::vector<core::ProcessResult> burst_results_;
   std::vector<std::uint8_t> recv_buf_;
 };
 

@@ -1,7 +1,8 @@
 #include "dip/mesh/control.hpp"
 
 #include <algorithm>
-#include <deque>
+
+#include "dip/bootstrap/spf.hpp"
 
 namespace dip::mesh {
 
@@ -33,27 +34,21 @@ namespace {
 
 std::map<std::uint32_t, std::uint32_t> compute_next_hops(const LinkStateDb& lsdb,
                                                          std::uint32_t self) {
-  std::map<std::uint32_t, std::uint32_t> first_hop;  // dest -> neighbor of self
-  if (!lsdb.contains(self)) return first_hop;
-
-  // BFS layer by layer; neighbors are stored sorted, so the first parent to
-  // claim a node is the one with the smallest first-hop id at minimal depth.
-  std::map<std::uint32_t, std::uint32_t> via;  // node -> first hop used
-  std::deque<std::uint32_t> frontier{self};
-  via[self] = self;
-  while (!frontier.empty()) {
-    const std::uint32_t u = frontier.front();
-    frontier.pop_front();
-    const auto it = lsdb.find(u);
-    if (it == lsdb.end()) continue;
-    for (const std::uint32_t v : it->second.neighbors) {
-      if (via.contains(v) || !symmetric_edge(lsdb, u, v)) continue;
-      via[v] = u == self ? v : via[u];
-      first_hop[v] = via[v];
-      frontier.push_back(v);
-    }
-  }
-  return first_hop;
+  if (!lsdb.contains(self)) return {};
+  return bootstrap::first_hops(
+      self,
+      [&lsdb](std::uint32_t u, auto&& visit) {
+        const auto it = lsdb.find(u);
+        if (it == lsdb.end()) return;
+        for (const std::uint32_t v : it->second.neighbors) visit(v);
+      },
+      // u advertises v; the edge counts only if v advertises u back.
+      [&lsdb](std::uint32_t u, std::uint32_t v) {
+        const auto back = lsdb.find(v);
+        if (back == lsdb.end()) return false;
+        const auto& nv = back->second.neighbors;
+        return std::binary_search(nv.begin(), nv.end(), u);
+      });
 }
 
 std::size_t publish_routes(MeshRouter& router, FaceId local_face) {

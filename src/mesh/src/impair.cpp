@@ -1,45 +1,9 @@
 #include "dip/mesh/impair.hpp"
 
-#include <algorithm>
-
 namespace dip::mesh {
 
-ImpairDecision LinkImpairer::next(std::uint64_t now_ns,
-                                  std::span<std::uint8_t> packet) {
-  ImpairDecision d;
-  ++packets_;
-  if (!plan_.active()) return d;
-
-  // Same draw order as netsim::Network::transmit: blackout (no PRNG),
-  // drop, duplicate, corrupt, reorder — early returns still keep streams
-  // aligned because skipped draws are gated on the same plan fields.
-  if (plan_.in_blackout(now_ns)) {
-    d.blackout = true;
-    return d;
-  }
-  if (plan_.drop_rate > 0 && rng_.uniform() < plan_.drop_rate) {
-    d.drop = true;
-    return d;
-  }
-  if (plan_.duplicate_rate > 0 && rng_.uniform() < plan_.duplicate_rate) {
-    d.duplicate = true;
-  }
-  if (plan_.corrupt_rate > 0 && rng_.uniform() < plan_.corrupt_rate &&
-      !packet.empty()) {
-    d.corrupt_bytes = static_cast<std::uint32_t>(
-        1 + rng_.below(std::max<std::uint32_t>(plan_.corrupt_max_bytes, 1)));
-  }
-  if (plan_.reorder_rate > 0 && rng_.uniform() < plan_.reorder_rate &&
-      plan_.reorder_window > 0) {
-    d.extra_delay_ns = 1 + rng_.below(plan_.reorder_window);
-  }
-  if (d.corrupt_bytes != 0) {
-    for (std::uint32_t k = 0; k < d.corrupt_bytes; ++k) {
-      packet[rng_.below(packet.size())] ^=
-          static_cast<std::uint8_t>(1 + rng_.below(255));
-    }
-  }
-  return d;
+ImpairDecision LinkImpairer::next(std::uint64_t now_ns, std::span<std::uint8_t> packet) {
+  return stream_.next(now_ns, packet);
 }
 
 }  // namespace dip::mesh

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "dip/core/header.hpp"
-#include "dip/ndn/ndn.hpp"
-#include "dip/security/error_message.hpp"
-
 namespace dip::mesh {
 
 namespace {
@@ -82,13 +78,7 @@ struct HelloImage {
 }  // namespace
 
 WireLedger& WireLedger::operator+=(const WireLedger& o) noexcept {
-  transmitted += o.transmitted;
-  duplicated += o.duplicated;
-  delivered += o.delivered;
-  lost += o.lost;
-  blackholed += o.blackholed;
-  dropped += o.dropped;
-  corrupted += o.corrupted;
+  netsim::TransportLedger::operator+=(o);
   decode_errors += o.decode_errors;
   seq_gaps += o.seq_gaps;
   unknown_source += o.unknown_source;
@@ -97,9 +87,20 @@ WireLedger& WireLedger::operator+=(const WireLedger& o) noexcept {
   return *this;
 }
 
-std::int64_t WireLedger::imbalance() const noexcept {
-  return static_cast<std::int64_t>(transmitted + duplicated) -
-         static_cast<std::int64_t>(delivered + lost + blackholed + dropped);
+void write_ledger(telemetry::StatsWriter& w, const WireLedger& ledger,
+                  std::span<const telemetry::Label> labels) {
+  w.counter("dip_mesh_transmitted_total", labels, ledger.transmitted);
+  w.counter("dip_mesh_duplicated_total", labels, ledger.duplicated);
+  w.counter("dip_mesh_delivered_total", labels, ledger.delivered);
+  w.counter("dip_mesh_lost_total", labels, ledger.lost);
+  w.counter("dip_mesh_blackholed_total", labels, ledger.blackholed);
+  w.counter("dip_mesh_dropped_total", labels, ledger.dropped);
+  w.counter("dip_mesh_corrupted_total", labels, ledger.corrupted);
+  w.counter("dip_mesh_decode_errors_total", labels, ledger.decode_errors);
+  w.counter("dip_mesh_seq_gaps_total", labels, ledger.seq_gaps);
+  w.counter("dip_mesh_unknown_source_total", labels, ledger.unknown_source);
+  w.counter("dip_mesh_hello_tx_total", labels, ledger.hello_tx);
+  w.counter("dip_mesh_hello_rx_total", labels, ledger.hello_rx);
 }
 
 MeshRouter::MeshRouter(Config config, MeshEventLoop& loop,
@@ -108,11 +109,10 @@ MeshRouter::MeshRouter(Config config, MeshEventLoop& loop,
     : config_(std::move(config)),
       loop_(loop),
       socket_(std::move(socket)),
-      registry_(std::move(registry)),
       tables_(std::make_shared<ctrl::ControlTables>()),
-      router_(make_env(config_.node_id, tables_), registry_.get(), config_.strategy),
+      runtime_(*this, make_env(config_.node_id, tables_), std::move(registry)),
       journal_(tables_) {
-  router_.set_validation(config_.validation);
+  runtime_.router().set_validation(config_.validation);
   recv_buf_.resize(FrameHeader::kWireSize + FrameHeader::kMaxPayload + 64);
   socket_id_ = loop_.add_socket(*socket_, [this] { on_readable(); });
 }
@@ -202,7 +202,7 @@ void MeshRouter::on_readable() {
     const std::size_t have = std::min(out.size, recv_buf_.size());
     handle_datagram(std::span(recv_buf_.data(), have), out.from);
   }
-  flush_ingress_bursts(loop_.now_ns());
+  runtime_.flush(loop_.now_ns());
 }
 
 void MeshRouter::handle_datagram(std::span<const std::uint8_t> datagram,
@@ -238,15 +238,7 @@ void MeshRouter::handle_datagram(std::span<const std::uint8_t> datagram,
       }
       face.rx_seen = true;
       face.rx_next_seq = frame.header.seq + 1;
-      Bucket* bucket = nullptr;
-      for (Bucket& b : buckets_) {
-        if (b.face == face_id) bucket = &b;
-      }
-      if (bucket == nullptr) {
-        buckets_.push_back({face_id, {}});
-        bucket = &buckets_.back();
-      }
-      bucket->packets.emplace_back(frame.payload.begin(), frame.payload.end());
+      runtime_.enqueue(face_id, frame.payload);
       return;
     }
     case FrameType::kHello: {
@@ -283,79 +275,8 @@ void MeshRouter::handle_hello(const Frame& frame, FaceId ingress) {
   }
 }
 
-void MeshRouter::flush_ingress_bursts(std::uint64_t now) {
-  for (Bucket& bucket : buckets_) {
-    if (bucket.packets.empty()) continue;
-    burst_refs_.assign(bucket.packets.begin(), bucket.packets.end());
-    burst_results_.resize(bucket.packets.size());
-    router_.process_batch(burst_refs_, bucket.face, now, burst_results_);
-    for (std::size_t i = 0; i < bucket.packets.size(); ++i) {
-      apply_verdict(bucket.face, bucket.packets[i], burst_results_[i]);
-    }
-    bucket.packets.clear();
-  }
-}
-
 void MeshRouter::inject(std::span<std::uint8_t> packet, FaceId ingress) {
-  const core::ProcessResult result =
-      router_.process(packet, ingress, loop_.now_ns());
-  apply_verdict(ingress, packet, result);
-}
-
-void MeshRouter::apply_verdict(FaceId ingress, std::span<std::uint8_t> packet,
-                               const core::ProcessResult& result) {
-  switch (result.action) {
-    case core::Action::kForward: {
-      if (result.respond_from_cache) {
-        respond_from_cache(packet, ingress);
-        return;
-      }
-      for (std::size_t i = 0; i < result.egress.size(); ++i) {
-        if (forward_tap_) forward_tap_(ingress, result.egress[i], packet);
-        send_data(result.egress[i], packet);
-      }
-      return;
-    }
-    case core::Action::kDrop: {
-      ++drop_counts_[static_cast<std::size_t>(result.reason) % drop_counts_.size()];
-      return;
-    }
-    case core::Action::kError: {
-      ++drop_counts_[static_cast<std::size_t>(result.reason) % drop_counts_.size()];
-      emit_error(packet, result.offending_key, ingress);
-      return;
-    }
-  }
-}
-
-void MeshRouter::emit_error(std::span<const std::uint8_t> original,
-                            core::OpKey offending, FaceId ingress) {
-  // §2.4: notify the source out the face the offending packet arrived on.
-  const auto header = core::DipHeader::parse(original);
-  if (!header) return;
-  const auto notification =
-      security::make_fn_unsupported_packet(*header, offending, config_.node_id);
-  if (!notification) return;  // no F_source: nobody to notify
-  send_data(ingress, *notification);
-}
-
-void MeshRouter::respond_from_cache(std::span<const std::uint8_t> interest,
-                                    FaceId ingress) {
-  // Footnote 2: answer the interest from the content store, back out the
-  // ingress face (mirrors netsim::DipRouterNode).
-  auto& store = env().content_store;
-  if (!store) return;
-  const auto header = core::DipHeader::parse(interest);
-  if (!header) return;
-  const auto name_code = ndn::extract_name_code(*header);
-  if (!name_code) return;
-  const auto payload = store->lookup(*name_code);
-  if (!payload) return;
-  const auto data_header = ndn::make_data_header32(*name_code, core::NextHeader::kNone);
-  if (!data_header) return;
-  PacketBytes data = data_header->serialize();
-  data.insert(data.end(), payload->begin(), payload->end());
-  send_data(ingress, data);
+  runtime_.process(ingress, packet, loop_.now_ns());
 }
 
 void MeshRouter::send_data(FaceId face_id, std::span<const std::uint8_t> packet) {
@@ -415,25 +336,9 @@ void MeshRouter::emit_frame(FaceId face_id, PacketBytes frame_bytes, bool duplic
 void MeshRouter::write_stats(telemetry::StatsWriter& w) const {
   const std::string node_id = std::to_string(config_.node_id);
   const telemetry::Label labels[] = {{"node", node_id}};
-  w.counter("dip_mesh_transmitted_total", labels, ledger_.transmitted);
-  w.counter("dip_mesh_duplicated_total", labels, ledger_.duplicated);
-  w.counter("dip_mesh_delivered_total", labels, ledger_.delivered);
-  w.counter("dip_mesh_lost_total", labels, ledger_.lost);
-  w.counter("dip_mesh_blackholed_total", labels, ledger_.blackholed);
-  w.counter("dip_mesh_dropped_total", labels, ledger_.dropped);
-  w.counter("dip_mesh_corrupted_total", labels, ledger_.corrupted);
-  w.counter("dip_mesh_decode_errors_total", labels, ledger_.decode_errors);
-  w.counter("dip_mesh_seq_gaps_total", labels, ledger_.seq_gaps);
-  w.counter("dip_mesh_hello_tx_total", labels, ledger_.hello_tx);
-  w.counter("dip_mesh_hello_rx_total", labels, ledger_.hello_rx);
+  write_ledger(w, ledger_, labels);
   w.counter("dip_mesh_local_delivered_total", labels, local_delivered_);
-  for (std::size_t r = 0; r < drop_counts_.size(); ++r) {
-    if (drop_counts_[r] == 0) continue;
-    const telemetry::Label drop_labels[] = {
-        {"node", node_id},
-        {"reason", core::to_string(static_cast<core::DropReason>(r))}};
-    w.counter("dip_mesh_verdict_drops_total", drop_labels, drop_counts_[r]);
-  }
+  runtime_.write_drops(w, "dip_mesh_verdict_drops_total");
 }
 
 }  // namespace dip::mesh

@@ -62,13 +62,9 @@ struct LinkParams {
 
 class Network {
  public:
-  explicit Network(std::uint64_t seed = 1) : rng_(seed), fault_seed_(seed) {}
-
-  /// Seed for every link's fault PRNG (defaults to the network seed). Must
-  /// be set before the first packet is transmitted; re-seeding afterwards
-  /// would fork the trace mid-run.
-  void set_fault_seed(std::uint64_t seed) noexcept { fault_seed_ = seed; }
-  [[nodiscard]] std::uint64_t fault_seed() const noexcept { return fault_seed_; }
+  /// `seed` drives LinkParams::loss_rate and, mixed with each half-link's
+  /// ordinal, every link's FaultStream.
+  explicit Network(std::uint64_t seed = 1) : rng_(seed), seed_(seed) {}
 
   /// Attach a node; the network does not own it.
   NodeId add_node(Node& node);
@@ -107,22 +103,12 @@ class Network {
   /// Run the simulation to quiescence (or deadline).
   std::size_t run(SimTime deadline = ~SimTime{0}) { return loop_.run(deadline); }
 
-  /// Transport ledger. Every transmitted packet (plus every injected
-  /// duplicate) ends in exactly one terminal bucket:
-  ///   transmitted + duplicated == delivered + lost + blackholed + queue_dropped
-  /// `corrupted` is informational — it counts *delivered* packets whose
-  /// bytes were mutated; a corrupted-then-dropped packet counts once, in
-  /// its drop bucket only (chaos_test pins both invariants).
-  struct Stats {
-    std::uint64_t transmitted = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t lost = 0;           ///< loss_rate + FaultPlan::drop_rate drops
-    std::uint64_t queue_dropped = 0;  ///< tail drops at full transmit queues
+  /// The transport ledger (faults.hpp) plus two series outside its
+  /// equation. `lost` counts loss_rate and FaultPlan::drop_rate drops;
+  /// `dropped` counts tail drops at full transmit queues.
+  struct Stats : TransportLedger {
     std::uint64_t dead_faced = 0;  ///< sent on an unconnected face
     std::uint64_t bytes = 0;
-    std::uint64_t duplicated = 0;  ///< extra copies injected by FaultPlan
-    std::uint64_t corrupted = 0;   ///< delivered with flipped bytes
-    std::uint64_t blackholed = 0;  ///< transmitted into a blackout window
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -153,13 +139,7 @@ class Network {
     LinkParams params;
     bool connected = false;
     SimTime busy_until = 0;  ///< serialization: in-order, back-to-back
-    // Fault state: a private PRNG (seeded lazily from the fault seed and
-    // the half-link ordinal) and this half-link's packet counter, so one
-    // link's fault draws never perturb another's.
-    std::uint64_t ordinal = 0;
-    std::uint64_t packet_index = 0;
-    crypto::Xoshiro256 fault_rng{0};
-    bool fault_rng_seeded = false;
+    FaultStream faults;      ///< seeded from (network seed, half-link ordinal)
   };
 
   HalfLink* half(NodeId node, FaceId face);
@@ -171,7 +151,7 @@ class Network {
   // faces_[node][face] -> half link.
   std::vector<std::vector<HalfLink>> faces_;
   crypto::Xoshiro256 rng_;
-  std::uint64_t fault_seed_;
+  std::uint64_t seed_;
   std::uint64_t next_link_ordinal_ = 0;
   std::vector<FaultEvent> fault_trace_;
   std::uint64_t fault_events_ = 0;

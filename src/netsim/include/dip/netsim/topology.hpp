@@ -28,8 +28,7 @@ struct LinearPath {
 [[nodiscard]] std::unique_ptr<LinearPath> make_linear_path(
     Network& net, std::size_t hops, std::shared_ptr<const core::OpRegistry> registry,
     const std::function<core::RouterEnv(std::size_t)>& make_env,
-    LinkParams link = {},
-    core::DispatchStrategy strategy = core::DispatchStrategy::kLoop);
+    LinkParams link = {});
 
 /// A RouterEnv with Patricia FIBs, a PIT, and node id/secret derived from
 /// `node_id` — the baseline environment most tests want.

@@ -4,17 +4,6 @@
 
 namespace dip::netsim {
 
-std::string_view to_string(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kReorder: return "reorder";
-    case FaultKind::kBlackout: return "blackout";
-  }
-  return "unknown";
-}
-
 NodeId Network::add_node(Node& node) {
   const auto id = static_cast<NodeId>(nodes_.size());
   node.id_ = id;
@@ -30,10 +19,10 @@ std::pair<FaceId, FaceId> Network::connect(Node& a, Node& b, LinkParams params) 
   auto& fb = faces_[b.id()];
   const auto face_a = static_cast<FaceId>(fa.size());
   const auto face_b = static_cast<FaceId>(fb.size());
-  HalfLink half_a{b.id(), face_b, params, true, 0, next_link_ordinal_++,
-                  0, crypto::Xoshiro256{0}, false};
-  HalfLink half_b{a.id(), face_a, params, true, 0, next_link_ordinal_++,
-                  0, crypto::Xoshiro256{0}, false};
+  HalfLink half_a{b.id(), face_b, params, true, 0,
+                  FaultStream(params.faults, seed_, next_link_ordinal_++)};
+  HalfLink half_b{a.id(), face_a, params, true, 0,
+                  FaultStream(params.faults, seed_, next_link_ordinal_++)};
   fa.push_back(std::move(half_a));
   fb.push_back(std::move(half_b));
   return {face_a, face_b};
@@ -78,60 +67,30 @@ void Network::send(const Node& from, FaceId face, PacketBytes packet) {
     return;
   }
 
-  // FaultPlan decisions. Each half-link consumes its own PRNG stream in a
-  // fixed order per packet (drop, duplicate, corrupt, reorder), so the
-  // fault trace is a pure function of (fault seed, topology, traffic).
-  const FaultPlan& plan = link->params.faults;
-  bool duplicate = false;
-  std::uint32_t corrupt_bytes = 0;
-  SimDuration extra_delay = 0;
+  // FaultPlan decisions: the half-link's own stream, in the fixed draw
+  // order (faults.hpp), so the fault trace is a pure function of (seed,
+  // topology, traffic). Corruption mutates the bytes now but is *counted*
+  // only if the packet actually delivers — a corrupted-then-queue-dropped
+  // packet lands in exactly one ledger bucket (dropped).
   const NodeId from_node = from.id();
-  if (plan.active()) {
-    const std::uint64_t pkt_idx = link->packet_index++;
-    if (!link->fault_rng_seeded) {
-      // SplitMix-style ordinal mix keeps sibling links' streams unrelated.
-      link->fault_rng = crypto::Xoshiro256(
-          fault_seed_ ^ (0x9E3779B97F4A7C15ull * (link->ordinal + 1)));
-      link->fault_rng_seeded = true;
-    }
-    if (plan.in_blackout(loop_.now())) {
-      ++stats_.blackholed;
-      record_fault(FaultKind::kBlackout, from_node, face, pkt_idx, 0);
-      return;
-    }
-    if (plan.drop_rate > 0 && link->fault_rng.uniform() < plan.drop_rate) {
-      ++stats_.lost;
-      record_fault(FaultKind::kDrop, from_node, face, pkt_idx, 0);
-      return;
-    }
-    if (plan.duplicate_rate > 0 &&
-        link->fault_rng.uniform() < plan.duplicate_rate) {
-      duplicate = true;
-    }
-    if (plan.corrupt_rate > 0 && link->fault_rng.uniform() < plan.corrupt_rate &&
-        !packet.empty()) {
-      corrupt_bytes =
-          1 + static_cast<std::uint32_t>(
-                  link->fault_rng.below(std::max<std::uint32_t>(plan.corrupt_max_bytes, 1)));
-    }
-    if (plan.reorder_rate > 0 && link->fault_rng.uniform() < plan.reorder_rate &&
-        plan.reorder_window > 0) {
-      extra_delay = 1 + link->fault_rng.below(plan.reorder_window);
-    }
-    // Corruption mutates the bytes now but is *counted* only if the packet
-    // actually delivers — a corrupted-then-queue-dropped packet lands in
-    // exactly one ledger bucket (queue_dropped).
-    if (corrupt_bytes != 0) {
-      for (std::uint32_t k = 0; k < corrupt_bytes; ++k) {
-        packet[link->fault_rng.below(packet.size())] ^=
-            static_cast<std::uint8_t>(1 + link->fault_rng.below(255));
-      }
-      record_fault(FaultKind::kCorrupt, from_node, face, pkt_idx, corrupt_bytes);
-    }
-    if (duplicate) record_fault(FaultKind::kDuplicate, from_node, face, pkt_idx, 0);
-    if (extra_delay != 0) {
-      record_fault(FaultKind::kReorder, from_node, face, pkt_idx, extra_delay);
-    }
+  const std::uint64_t pkt_idx = link->faults.packet_index();
+  const FaultDecision fault = link->faults.next(loop_.now(), packet);
+  if (fault.blackout) {
+    ++stats_.blackholed;
+    record_fault(FaultKind::kBlackout, from_node, face, pkt_idx, 0);
+    return;
+  }
+  if (fault.drop) {
+    ++stats_.lost;
+    record_fault(FaultKind::kDrop, from_node, face, pkt_idx, 0);
+    return;
+  }
+  if (fault.corrupt_bytes != 0) {
+    record_fault(FaultKind::kCorrupt, from_node, face, pkt_idx, fault.corrupt_bytes);
+  }
+  if (fault.duplicate) record_fault(FaultKind::kDuplicate, from_node, face, pkt_idx, 0);
+  if (fault.extra_delay_ns != 0) {
+    record_fault(FaultKind::kReorder, from_node, face, pkt_idx, fault.extra_delay_ns);
   }
 
   // Serialization: the face transmits packets back to back, in order.
@@ -142,17 +101,17 @@ void Network::send(const Node& from, FaceId face, PacketBytes packet) {
   const SimTime start = std::max(loop_.now(), link->busy_until);
   if (link->params.max_queue_delay != 0 &&
       start - loop_.now() > link->params.max_queue_delay) {
-    ++stats_.queue_dropped;  // finite buffer: tail drop
+    ++stats_.dropped;  // finite buffer: tail drop
     return;
   }
-  const SimTime arrive = start + tx_time + link->params.latency + extra_delay;
+  const SimTime arrive = start + tx_time + link->params.latency + fault.extra_delay_ns;
   link->busy_until = start + tx_time;
 
   const NodeId to_node = link->peer_node;
   const FaceId to_face = link->peer_face;
-  const bool was_corrupted = corrupt_bytes != 0;
+  const bool was_corrupted = fault.corrupt_bytes != 0;
 
-  if (duplicate) {
+  if (fault.duplicate) {
     // The copy rides back to back behind the original: it occupies the link
     // for another tx_time and skips the queue check the original passed.
     ++stats_.duplicated;
@@ -179,7 +138,7 @@ void Network::write_stats(telemetry::StatsWriter& w) const {
   w.counter("dip_net_transmitted_total", {}, stats_.transmitted);
   w.counter("dip_net_delivered_total", {}, stats_.delivered);
   w.counter("dip_net_lost_total", {}, stats_.lost);
-  w.counter("dip_net_queue_dropped_total", {}, stats_.queue_dropped);
+  w.counter("dip_net_queue_dropped_total", {}, stats_.dropped);
   w.counter("dip_net_dead_faced_total", {}, stats_.dead_faced);
   w.counter("dip_net_bytes_total", {}, stats_.bytes);
   w.counter("dip_net_duplicated_total", {}, stats_.duplicated);

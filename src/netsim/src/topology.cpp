@@ -7,13 +7,12 @@ namespace dip::netsim {
 
 std::unique_ptr<LinearPath> make_linear_path(
     Network& net, std::size_t hops, std::shared_ptr<const core::OpRegistry> registry,
-    const std::function<core::RouterEnv(std::size_t)>& make_env, LinkParams link,
-    core::DispatchStrategy strategy) {
+    const std::function<core::RouterEnv(std::size_t)>& make_env, LinkParams link) {
   auto path = std::make_unique<LinearPath>();
   net.add_node(path->source);
   for (std::size_t i = 0; i < hops; ++i) {
     path->routers.push_back(
-        std::make_unique<DipRouterNode>(make_env(i), registry, strategy));
+        std::make_unique<DipRouterNode>(make_env(i), registry));
     net.add_node(*path->routers.back());
   }
   net.add_node(path->destination);

@@ -19,6 +19,7 @@
 #include "dip/host/host_engine.hpp"
 #include "dip/host/ndn_app.hpp"
 #include "dip/host/retry.hpp"
+#include "dip/mesh/impair.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/topology.hpp"
 #include "dip/opt/opt.hpp"
@@ -125,6 +126,37 @@ TEST(Chaos, FaultStreamsArePerLink) {
       << "link B's schedule must be independent of link A's traffic volume";
 }
 
+TEST(Chaos, NetsimFaultTraceMatchesMeshImpairerPacketByPacket) {
+  // The netsim link and the mesh's LinkImpairer share one fault contract:
+  // for the same plan, seed and half-link ordinal they make the same
+  // decision for every packet. Replay the netsim send schedule through an
+  // impairer and rebuild the FaultEvents it implies.
+  constexpr std::uint64_t kSeed = 29;
+  constexpr std::size_t kPackets = 600;
+  const LinkParams link = all_faults_link();
+  FaultyPair pair(kSeed, link);  // the sender's half-link is ordinal 0
+  pair.send_burst(kPackets);
+
+  mesh::LinkImpairer impairer(link.faults, kSeed, /*ordinal=*/0);
+  std::vector<netsim::FaultEvent> expected;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    const SimTime at = static_cast<SimTime>(i) * kMicrosecond;
+    std::vector<std::uint8_t> packet =
+        dip32_packet(0x0A000000 + static_cast<std::uint32_t>(i));
+    const mesh::ImpairDecision d = impairer.next(at, packet);
+    const auto event = [&](FaultKind kind, std::uint64_t detail) {
+      expected.push_back({kind, pair.sender.id(), pair.face, i, at, detail});
+    };
+    if (d.blackout) event(FaultKind::kBlackout, 0);
+    if (d.drop) event(FaultKind::kDrop, 0);
+    if (d.corrupt_bytes != 0) event(FaultKind::kCorrupt, d.corrupt_bytes);
+    if (d.duplicate) event(FaultKind::kDuplicate, 0);
+    if (d.extra_delay_ns != 0) event(FaultKind::kReorder, d.extra_delay_ns);
+  }
+  EXPECT_EQ(pair.net.fault_trace(), expected);
+  EXPECT_EQ(impairer.packet_index(), kPackets);
+}
+
 // ---------- the transport ledger ----------
 
 TEST(Chaos, StatsLedgerBalancesUnderAllFaultKinds) {
@@ -135,7 +167,7 @@ TEST(Chaos, StatsLedgerBalancesUnderAllFaultKinds) {
   // Every packet (and every injected duplicate) lands in exactly one
   // terminal bucket.
   EXPECT_EQ(s.transmitted + s.duplicated,
-            s.delivered + s.lost + s.blackholed + s.queue_dropped);
+            s.delivered + s.lost + s.blackholed + s.dropped);
   EXPECT_GT(s.delivered, 0u);
   EXPECT_GT(s.lost, 0u);
   EXPECT_GT(s.duplicated, 0u);
@@ -146,7 +178,7 @@ TEST(Chaos, StatsLedgerBalancesUnderAllFaultKinds) {
 
 TEST(Chaos, CorruptedThenDroppedCountsOnce) {
   // Regression (PR 3 satellite): a packet that is corrupted and *then* tail
-  // dropped at the queue must count once — in queue_dropped, not corrupted.
+  // dropped at the queue must count once — in dropped, not corrupted.
   LinkParams link;
   link.faults.corrupt_rate = 1.0;
   link.bandwidth_bps = 1'000'000;          // 1 Mb/s: ~160us per packet
@@ -160,12 +192,12 @@ TEST(Chaos, CorruptedThenDroppedCountsOnce) {
   }
   pair.net.run();
   const auto& s = pair.net.stats();
-  EXPECT_GT(s.queue_dropped, 0u);
+  EXPECT_GT(s.dropped, 0u);
   EXPECT_GT(s.delivered, 0u);
   // corrupt_rate=1: every *delivered* packet is corrupted; queue-dropped
   // ones are not double counted anywhere.
   EXPECT_EQ(s.corrupted, s.delivered);
-  EXPECT_EQ(s.transmitted, s.delivered + s.queue_dropped);
+  EXPECT_EQ(s.transmitted, s.delivered + s.dropped);
 }
 
 TEST(Chaos, BlackoutWindowsAreTimeScheduled) {
@@ -196,7 +228,7 @@ TEST(Chaos, ReorderedAndDuplicatedPacketsAllDeliver) {
   EXPECT_GT(s.duplicated, 0u);
   EXPECT_EQ(s.delivered, s.transmitted + s.duplicated);
   EXPECT_EQ(pair.receiver.received(), s.delivered);
-  EXPECT_EQ(s.lost + s.blackholed + s.queue_dropped, 0u);
+  EXPECT_EQ(s.lost + s.blackholed + s.dropped, 0u);
 }
 
 TEST(Chaos, NetworkStatsExpositionCarriesFaultKinds) {
@@ -611,7 +643,7 @@ TEST(Chaos, CustodyRecoveryKeepsConservationLedgerBalanced) {
   EXPECT_GT(s.blackholed, 0u) << "the blackout must actually eat packets";
   EXPECT_GT(s.lost, 0u) << "the drop_rate must actually eat packets";
   EXPECT_EQ(s.transmitted + s.duplicated,
-            s.delivered + s.lost + s.blackholed + s.queue_dropped);
+            s.delivered + s.lost + s.blackholed + s.dropped);
   EXPECT_GT(s.transmitted, s.delivered)
       << "recovery happens by fresh transmits, not resurrected ones";
 }

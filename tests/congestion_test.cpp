@@ -42,9 +42,9 @@ TEST(FiniteQueue, BurstBeyondBufferTailDrops) {
   pipe.net.run();
 
   const auto& stats = pipe.net.stats();
-  EXPECT_GT(stats.queue_dropped, 0u) << "burst must overflow the buffer";
-  EXPECT_LT(stats.queue_dropped, 100u) << "but the head of the burst fits";
-  EXPECT_EQ(stats.delivered + stats.lost + stats.queue_dropped, stats.transmitted)
+  EXPECT_GT(stats.dropped, 0u) << "burst must overflow the buffer";
+  EXPECT_LT(stats.dropped, 100u) << "but the head of the burst fits";
+  EXPECT_EQ(stats.delivered + stats.lost + stats.dropped, stats.transmitted)
       << "conservation with the tail-drop class";
   EXPECT_EQ(pipe.sink.received, stats.delivered);
 }
@@ -64,7 +64,7 @@ TEST(FiniteQueue, PacedTrafficNeverDrops) {
   source.start(100 * kMillisecond);
   pipe.net.run();
 
-  EXPECT_EQ(pipe.net.stats().queue_dropped, 0u);
+  EXPECT_EQ(pipe.net.stats().dropped, 0u);
   EXPECT_EQ(pipe.sink.received, source.packets_sent());
 }
 
@@ -77,7 +77,7 @@ TEST(FiniteQueue, ZeroMeansInfinite) {
     pipe.net.send(pipe.sender, pipe.sender_face, PacketBytes(100));
   }
   pipe.net.run();
-  EXPECT_EQ(pipe.net.stats().queue_dropped, 0u);
+  EXPECT_EQ(pipe.net.stats().dropped, 0u);
   EXPECT_EQ(pipe.sink.received, 1000u);
 }
 
@@ -160,7 +160,7 @@ TEST(FiniteQueue, AimdBeatsOpenLoopGoodputUnderRealQueue) {
     out.goodput = static_cast<double>(sink.received) * kPacket / seconds;
     const auto& stats = net.stats();
     out.drop_ratio = stats.transmitted
-                         ? static_cast<double>(stats.queue_dropped) /
+                         ? static_cast<double>(stats.dropped) /
                                static_cast<double>(stats.transmitted)
                          : 0.0;
     return out;

@@ -8,8 +8,10 @@
 // clean (scripts/check.sh runs this binary in the TSan leg).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dip/core/ip.hpp"
@@ -17,7 +19,9 @@
 #include "dip/ctrl/control_plane.hpp"
 #include "dip/ctrl/journal.hpp"
 #include "dip/ctrl/snapshot.hpp"
+#include "dip/crypto/random.hpp"
 #include "dip/fib/address.hpp"
+#include "dip/mesh/control.hpp"
 #include "dip/netsim/topology.hpp"
 
 namespace dip {
@@ -365,6 +369,148 @@ TEST(ControlPlane, PublishIntervalRateLimitsButConverges) {
   const ctrl::JournalStats& js = cp.journal(routers[0]->id())->stats();
   EXPECT_GT(js.ops_coalesced, 0u)
       << "flaps inside the publish window must coalesce in the journal";
+}
+
+// ---------------------------------------------------------------------------
+// SPF next-hop rule: the mesh's LSDB routes and the routes ControlPlane
+// installs both pick, toward every destination, the smallest-id neighbour on
+// some shortest path. Seeded random graphs with ties, parallel links and one
+// failed edge, checked against a brute-force oracle.
+// ---------------------------------------------------------------------------
+
+struct RandomGraph {
+  std::size_t nodes = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  ///< may repeat
+  std::pair<std::uint32_t, std::uint32_t> failed{0, 0};        ///< one of `edges`
+};
+
+RandomGraph random_graph(std::uint64_t seed) {
+  crypto::Xoshiro256 rng(seed);
+  RandomGraph g;
+  g.nodes = 5 + rng.below(6);
+  const std::size_t edges = g.nodes + rng.below(g.nodes);
+  while (g.edges.size() < edges) {
+    const auto a = static_cast<std::uint32_t>(rng.below(g.nodes));
+    const auto b = static_cast<std::uint32_t>(rng.below(g.nodes));
+    if (a == b) continue;
+    g.edges.emplace_back(a, b);
+    if (rng.below(5) == 0) g.edges.emplace_back(b, a);  // a parallel link
+  }
+  g.failed = g.edges[rng.below(g.edges.size())];
+  return g;
+}
+
+/// Usable adjacency (the failed edge and its parallels removed) and the
+/// brute-force next hop: smallest neighbour one hop closer to `dst`.
+struct SpfOracle {
+  explicit SpfOracle(const RandomGraph& g) : adj(g.nodes) {
+    for (const auto& [a, b] : g.edges) {
+      if (std::minmax(a, b) == std::minmax(g.failed.first, g.failed.second)) continue;
+      adj[a].push_back(b);
+      adj[b].push_back(a);
+    }
+    constexpr std::size_t kInf = ~std::size_t{0};
+    dist.assign(g.nodes, std::vector<std::size_t>(g.nodes, kInf));
+    for (std::size_t s = 0; s < g.nodes; ++s) {
+      dist[s][s] = 0;
+      for (std::size_t round = 0; round < g.nodes; ++round) {
+        for (std::size_t u = 0; u < g.nodes; ++u) {
+          if (dist[s][u] == kInf) continue;
+          for (const std::uint32_t v : adj[u]) {
+            dist[s][v] = std::min(dist[s][v], dist[s][u] + 1);
+          }
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] std::optional<std::uint32_t> next_hop(std::uint32_t u,
+                                                      std::uint32_t dst) const {
+    std::optional<std::uint32_t> best;
+    for (const std::uint32_t w : adj[u]) {
+      if (dist[dst][w] + 1 == dist[dst][u] && (!best || w < *best)) best = w;
+    }
+    return best;
+  }
+
+  std::vector<std::vector<std::uint32_t>> adj;
+  std::vector<std::vector<std::size_t>> dist;
+};
+
+TEST(SpfRule, MeshAndControlPlaneMatchSmallestIdShortestPathOracle) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const RandomGraph g = random_graph(seed);
+    const SpfOracle oracle(g);
+
+    // Mesh view: node n is LSDB origin n + 1 (0 is the mesh's unknown-peer
+    // sentinel). The failed edge is still advertised by one endpoint only.
+    mesh::LinkStateDb lsdb;
+    for (std::uint32_t u = 0; u < g.nodes; ++u) lsdb[u + 1].version = 1;
+    for (const auto& [a, b] : g.edges) {
+      const auto [lo, hi] = std::minmax(a, b);
+      lsdb[lo + 1].neighbors.push_back(hi + 1);
+      if (std::minmax(a, b) != std::minmax(g.failed.first, g.failed.second)) {
+        lsdb[hi + 1].neighbors.push_back(lo + 1);
+      }
+    }
+    for (auto& [origin, lsa] : lsdb) {
+      std::sort(lsa.neighbors.begin(), lsa.neighbors.end());
+      lsa.neighbors.erase(std::unique(lsa.neighbors.begin(), lsa.neighbors.end()),
+                          lsa.neighbors.end());
+    }
+
+    // Control-plane view: the failed edge (with its parallels) is dark.
+    netsim::Network net;
+    const auto registry = netsim::make_default_registry();
+    std::vector<std::unique_ptr<netsim::DipRouterNode>> routers;
+    for (std::uint32_t i = 0; i < g.nodes; ++i) {
+      auto env = netsim::make_basic_env(i);
+      env.default_egress.reset();
+      routers.push_back(std::make_unique<netsim::DipRouterNode>(std::move(env), registry));
+      net.add_node(*routers[i]);
+    }
+    netsim::LinkParams dark;
+    dark.faults.blackout_period = kSecond;
+    dark.faults.blackout_duration = kSecond / 2;
+    for (const auto& [a, b] : g.edges) {
+      const bool failed = std::minmax(a, b) == std::minmax(g.failed.first, g.failed.second);
+      net.connect(*routers[a], *routers[b], failed ? dark : netsim::LinkParams{});
+    }
+    ctrl::ControlPlane cp(net);
+    for (auto& r : routers) cp.manage(*r);
+    const auto prefix_of = [](std::uint32_t n) {
+      return fib::Prefix<32>{fib::ipv4_from_u32((10u << 24) | (n << 16)), 16};
+    };
+    for (std::uint32_t n = 0; n < g.nodes; ++n) cp.add_destination(prefix_of(n), n, 99);
+    cp.refresh(/*force=*/true);
+
+    for (std::uint32_t u = 0; u < g.nodes; ++u) {
+      const auto mesh_hops = mesh::compute_next_hops(lsdb, u + 1);
+      const fib::Ipv4Lpm* fib = routers[u]->env().control->fib32.read();
+      ASSERT_NE(fib, nullptr);
+      for (std::uint32_t dst = 0; dst < g.nodes; ++dst) {
+        if (dst == u) continue;
+        const auto want = oracle.next_hop(u, dst);
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " node " << u << " dst " << dst);
+
+        const auto mesh_hop = mesh_hops.find(dst + 1);
+        ASSERT_EQ(mesh_hop != mesh_hops.end(), want.has_value());
+        if (want) {
+          EXPECT_EQ(mesh_hop->second, *want + 1);
+        }
+
+        const auto face = fib->lookup(prefix_of(dst).addr);
+        ASSERT_EQ(face.has_value(), want.has_value());
+        if (!want) continue;
+        const auto peer = net.peer_of(*routers[u], *face);
+        ASSERT_TRUE(peer.has_value());
+        EXPECT_EQ(peer->first, *want);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 400u);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@
 //     recovery band);
 //   * netsim — a seeded multi-second blackout between two custody routers:
 //     100% of committed bundles recover; store-full refusals under chaos
-//     never lose committed custody;
+//     never lose committed custody; a custody router answers content-store
+//     hits exactly as a plain DipRouterNode does;
 //   * host reassembly — reordered, duplicated, corrupted, and
 //     geometry-conflicting fragments, strict vs lenient;
 //   * mesh — a 3x3 torus soak through a blackout window with the
-//     conservation ledger balanced at quiescence.
+//     conservation ledger balanced at quiescence, and a store-pressure line
+//     where refusals never leave an ACK pointing at a router without a copy.
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -37,10 +39,12 @@
 #include "dip/host/retry.hpp"
 #include "dip/mesh/event_loop.hpp"
 #include "dip/mesh/mesh_net.hpp"
+#include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
 #include "dip/netsim/network.hpp"
 #include "dip/netsim/topology.hpp"
 #include "dip/telemetry/exposition.hpp"
+#include "dip/telemetry/stats.hpp"
 
 namespace dip {
 namespace {
@@ -596,6 +600,52 @@ TEST(DtnNetsim, StoreFullRefusalsUnderChaosNeverLoseCommittedBundles) {
             0u);
 }
 
+/// host -- router with `name` cached; returns what the host hears back after
+/// it asks for `name`.
+std::vector<netsim::PacketBytes> cache_answers(netsim::Network& net, netsim::Node& router,
+                                               core::RouterEnv& env, std::uint32_t name) {
+  netsim::HostNode consumer;
+  std::vector<netsim::PacketBytes> heard;
+  consumer.set_receiver([&heard](netsim::FaceId, netsim::PacketBytes p, SimTime) {
+    heard.push_back(std::move(p));
+  });
+  net.add_node(consumer);
+  net.add_node(router);
+  const netsim::FaceId face = net.connect(consumer, router).first;
+  const std::vector<std::uint8_t> content{'c', 'a', 'c', 'h', 'e', 'd'};
+  env.content_store.emplace(16);
+  env.content_store->insert(name, content);
+  consumer.send(face, ndn::make_interest_header32(name)->serialize());
+  net.run();
+  return heard;
+}
+
+TEST(DtnNetsim, ContentStoreHitAnswersWithTheSameDataAsAPlainRouter) {
+  // Footnote 2 on a custody router: a cache hit is answered with the data
+  // packet, exactly as netsim::DipRouterNode answers it — not by sending the
+  // interest back out the ingress face.
+  constexpr std::uint32_t kName = 0x00C0FFEE;
+  netsim::Network plain_net(3);
+  netsim::DipRouterNode plain(custody_env(1, test_key()), custody_registry());
+  const auto expected = cache_answers(plain_net, plain, plain.env(), kName);
+  ASSERT_EQ(expected.size(), 1u);
+  const auto data = core::DipHeader::parse(expected[0]);
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(ndn::extract_name_code(*data), kName);
+
+  netsim::Network custody_net(3);
+  dtn::CustodyRouterNode custody(custody_env(1, test_key()), custody_registry());
+  EXPECT_EQ(cache_answers(custody_net, custody, custody.env(), kName), expected);
+  EXPECT_EQ(custody.store().bundles(), 0u) << "a cache answer takes no custody";
+
+  // The custody node also renders the router histograms a DipRouterNode
+  // renders when RouterEnv::stats is installed.
+  custody.env().stats = std::make_unique<telemetry::RouterStats>();
+  telemetry::StatsWriter w;
+  custody.write_stats(w);
+  EXPECT_NE(w.text().find("dip_trace_sampled_total"), std::string::npos);
+}
+
 // ---- host reassembly ------------------------------------------------------
 
 struct ReceiverRig {
@@ -774,6 +824,59 @@ TEST(DtnMesh, TorusCustodySoakRecoversEveryBundleThroughBlackout) {
   fleet.write_stats(w);
   EXPECT_NE(w.text().find("dip_dtn_fragments_delivered_total"), std::string::npos);
   EXPECT_NE(w.text().find("dip_dtn_bundles_completed"), std::string::npos);
+}
+
+TEST(DtnMesh, StorePressureRefusesWithoutAckingAndStillRecoversEveryBundle) {
+  // Tiny stores, clean links: every router on a 5-router line sees more
+  // fragments at once than it can hold. A refused fragment is dropped
+  // un-ACKed at a transit router and re-offered by the source, so no ACK
+  // ever reaches a router that does not hold the fragment it names, nothing
+  // is evicted, and every bundle still completes. All flows run the same
+  // way down the line: custody waits form no cycle (crossing flows through
+  // full stores wait on each other until retries run out — docs/DTN.md).
+  mesh::ManualClock clock;
+  mesh::MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  cfg.fault_seed = 77;
+  cfg.registry = dtn::MeshCustodyFleet::make_registry();
+  mesh::MeshNet net(cfg);
+  net.build_line(5);
+  ASSERT_TRUE(net.discover(kSecond));
+  ASSERT_GT(net.recompute_routes(), 0u);
+
+  dtn::MeshCustodyFleet::Config fleet_cfg;
+  fleet_cfg.custody_key = test_key();
+  fleet_cfg.frag_payload = 32;
+  fleet_cfg.limits.max_bundles = 2;
+  fleet_cfg.retry.max_retries = 16;
+  fleet_cfg.retry.initial_timeout = 20 * kMillisecond;
+  dtn::MeshCustodyFleet fleet(net, fleet_cfg);
+
+  const std::pair<std::size_t, std::size_t> pairs[] = {{0, 4}, {1, 4}, {0, 3}, {2, 4}, {1, 3}};
+  std::vector<std::uint32_t> bundles;
+  std::vector<std::uint8_t> payload(192);  // 6 fragments per bundle
+  for (const auto& [src, dst] : pairs) {
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 3 + src + dst);
+    }
+    bundles.push_back(fleet.send(src, dst, payload));
+  }
+  net.loop().run_until_idle();
+  EXPECT_TRUE(net.drain(clock, 60 * kSecond));
+
+  EXPECT_EQ(fleet.bundles_completed(), bundles.size());
+  for (const std::uint32_t b : bundles) EXPECT_TRUE(fleet.bundle_complete(b)) << b;
+  EXPECT_TRUE(fleet.stores_empty());
+  EXPECT_EQ(fleet.send_failures(), 0u);
+
+  const dtn::CustodyStoreStats stats = fleet.aggregate_store_stats();
+  EXPECT_GT(stats.refused_full, 0u) << "the caps must actually bite";
+  EXPECT_GT(fleet.custody_drops(), 0u) << "refusals veto the forward";
+  EXPECT_EQ(stats.evicted, 0u) << "refusal, never eviction of live custody";
+  EXPECT_EQ(stats.duplicate_acks, 0u)
+      << "an ACK reached a router that never took custody of the fragment";
+  EXPECT_TRUE(net.ledger_balanced());
 }
 
 }  // namespace

@@ -4,13 +4,15 @@
 //     EAGAIN / spurious wakeup / truncated-datagram handling, all against
 //     ManualClock + MockFabric (no real sleeps, fixed seeds);
 //   * MeshRouter/MeshNet — in-band discovery, SPF route publication,
-//     end-to-end forwarding, failed-link convergence;
+//     end-to-end forwarding, failed-link convergence, the §2.4
+//     FN-unsupported notification;
 //   * soak/chaos — seeded FaultPlan impairments with the conservation
 //     ledger checked exactly (transmitted + duplicated == delivered + lost
 //     + blackholed + dropped) and bit-identical replay under the same seed;
 //   * NDN recovery-through-loss over an impaired mesh link;
 //   * a two-thread real-UDP exchange (the TSan lane's race probe: routers
 //     are thread-confined, datagrams are the only channel).
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dip/core/builder.hpp"
 #include "dip/core/ip.hpp"
 #include "dip/mesh/control.hpp"
 #include "dip/mesh/event_loop.hpp"
@@ -31,6 +34,7 @@
 #include "dip/mesh/traffic.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
+#include "dip/security/error_message.hpp"
 #include "dip/telemetry/exposition.hpp"
 
 namespace dip::mesh {
@@ -335,6 +339,36 @@ TEST(MeshRouterLedger, UnknownSourcesAndDecodeErrorsAreCounted) {
   EXPECT_EQ(router.ledger().unknown_source, 1u);
 }
 
+TEST(MeshRouterLedger, UnknownSourcesAreExportedPerNodeAndInAggregate) {
+  ManualClock clock;
+  MeshEventLoop loop(&clock);
+  MockFabric fabric;
+  auto sock = fabric.create(1);
+  auto rogue = fabric.create(9);  // never registered as a face
+
+  MeshRouter::Config cfg;
+  cfg.node_id = 1;
+  MeshRouter router(cfg, loop, std::move(sock), netsim::make_default_registry());
+  ASSERT_EQ(rogue->send_to({.port = 1}, PacketBytes{1, 2, 3}), IoStatus::kOk);
+  ASSERT_EQ(rogue->send_to({.port = 1}, PacketBytes{4, 5, 6}), IoStatus::kOk);
+  loop.run_until_idle();
+
+  telemetry::StatsWriter node;
+  router.write_stats(node);
+  EXPECT_NE(node.text().find("dip_mesh_unknown_source_total{node=\"1\"} 2\n"),
+            std::string::npos);
+
+  // The mesh aggregate carries the series without labels.
+  MeshConfig mcfg;
+  mcfg.use_mock = true;
+  mcfg.clock = &clock;
+  MeshNet net(mcfg);
+  net.build_line(2);
+  telemetry::StatsWriter mesh;
+  net.write_stats(mesh);
+  EXPECT_NE(mesh.text().find("dip_mesh_unknown_source_total 0\n"), std::string::npos);
+}
+
 // ---- impairment determinism ----------------------------------------------
 
 TEST(MeshImpair, DecisionsAreDeterministicPerSeedAndOrdinal) {
@@ -467,6 +501,56 @@ TEST(MeshNetConvergence, LinkFailureReroutesAfterGossip) {
 
   const WireLedger total = net.aggregate_ledger();
   EXPECT_EQ(total.transmitted, 4u);  // 1 direct + 1 blackholed + 2 detour hops
+  EXPECT_EQ(total.imbalance(), 0);
+}
+
+TEST(MeshNetErrors, MissingPathCriticalFnNotifiesTheInjectingRouter) {
+  // §2.4 over the mesh: router 2 lacks F_MAC, so a DIP-32 + OPT packet from
+  // router 1 toward router 3 comes back as an FN-unsupported notification,
+  // sent out the ingress face and delivered on router 1's local face (the
+  // F_source address is router 1's own /24).
+  ManualClock clock;
+  MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  MeshNet net(cfg);
+  net.build_line(3);
+  ASSERT_TRUE(net.discover(kSecond));
+  ASSERT_GT(net.recompute_routes(), 0u);
+  net.router(1).env().disabled_keys.insert(core::OpKey::kMac);
+
+  std::vector<std::pair<std::size_t, PacketBytes>> delivered;
+  net.set_delivery([&](std::size_t node, std::span<const std::uint8_t> packet,
+                       std::uint64_t) {
+    delivered.emplace_back(node, PacketBytes(packet.begin(), packet.end()));
+  });
+
+  core::HeaderBuilder b;
+  b.add_router_fn(core::OpKey::kMatch32, addr_of(3).bytes);
+  b.add_router_fn(core::OpKey::kSource, addr_of(1).bytes);
+  std::array<std::uint8_t, 68> opt_block{};
+  const std::uint16_t loc = b.add_location(opt_block);
+  b.add_fn(core::FnTriple::router(loc + 128, 128, core::OpKey::kParm));
+  b.add_fn(core::FnTriple::router(loc, 416, core::OpKey::kMac));
+  b.add_fn(core::FnTriple::router(loc + 288, 128, core::OpKey::kMark));
+  PacketBytes pkt = b.build()->serialize();
+  net.router(0).inject(pkt, net.local_face_of(0));
+  net.loop().run_until_idle();
+
+  ASSERT_EQ(delivered.size(), 1u) << "only the notification arrives anywhere";
+  EXPECT_EQ(delivered[0].first, 0u) << "delivered on the injecting router's local face";
+  const auto header = core::DipHeader::parse(delivered[0].second);
+  ASSERT_TRUE(header.has_value());
+  ASSERT_TRUE(security::is_fn_unsupported(*header));
+  const auto body = security::FnUnsupportedError::parse(
+      std::span<const std::uint8_t>(delivered[0].second).subspan(header->wire_size()));
+  ASSERT_TRUE(body.has_value());
+  EXPECT_EQ(body->offending_key, core::OpKey::kMac);
+  EXPECT_EQ(body->reporter_node, net.router(1).node_id());
+  EXPECT_EQ(net.router(1).drops(core::DropReason::kUnsupportedFn), 1u);
+
+  const WireLedger total = net.aggregate_ledger();
+  EXPECT_EQ(total.transmitted, 2u);  // the packet out, the notification back
   EXPECT_EQ(total.imbalance(), 0);
 }
 
