@@ -1,10 +1,11 @@
-// A1 — dispatch-style ablation (§4.1 compromise #1).
+// A1 — dispatch cost per FN count (§4.1 compromise #1).
 //
 // Tofino could not loop over FN[], so the paper unrolled dispatch into an
-// if-else ladder on FN_Num. In software we have both: measure loop vs
-// unrolled across FN counts. (The interesting result is that in software
-// the two are nearly identical — the hardware constraint, not performance,
-// forced the ladder.)
+// if-else ladder on FN_Num. In software the ladder measured the same as the
+// loop (EXPERIMENTS.md A1): the hardware constraint, not performance, forced
+// it, so the router keeps only the loop and the ladder lives on as the PISA
+// model's max_unrolled_fns rule. BM_Loop measures the loop's per-packet cost
+// as FNs are added.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -24,10 +25,10 @@ std::vector<std::uint8_t> packet_with_n_fns(std::size_t fn_count) {
   return b.build()->serialize();
 }
 
-void run(benchmark::State& state, core::DispatchStrategy strategy) {
+void BM_Loop(benchmark::State& state) {
   core::RouterEnv env = bench_env();
   env.limits.per_packet_budget = 1000;  // don't let the budget interfere
-  core::Router router(std::move(env), shared_registry().get(), strategy);
+  core::Router router(std::move(env), shared_registry().get());
 
   const auto base = packet_with_n_fns(static_cast<std::size_t>(state.range(0)));
   std::vector<std::uint8_t> packet = base;
@@ -38,13 +39,7 @@ void run(benchmark::State& state, core::DispatchStrategy strategy) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_Loop(benchmark::State& state) { run(state, core::DispatchStrategy::kLoop); }
-void BM_Unrolled(benchmark::State& state) {
-  run(state, core::DispatchStrategy::kUnrolled);
-}
-
 BENCHMARK(BM_Loop)->DenseRange(1, 16, 3);
-BENCHMARK(BM_Unrolled)->DenseRange(1, 16, 3);
 
 }  // namespace
 }  // namespace dip::bench

@@ -17,9 +17,11 @@
 // Flow cache is OFF in the forwarding legs so every packet actually reaches
 // the FIB lookup being measured (the cache would mask the indirection).
 //
-// JSON trajectory: BENCH_control_plane.json, refreshed via
-//   build/bench/bench_control_plane --benchmark_min_time=0.2 \
-//     --benchmark_out=BENCH_control_plane.json --benchmark_out_format=json
+// JSON trajectory: bench/BENCH_control_plane.json, refreshed from a
+// Release tree via
+//   build/bench/bench_control_plane --benchmark_min_time=0.2
+//     --benchmark_context=commit=<sha>,build_type=Release,loadavg=<1-min>
+//     --benchmark_out=bench/BENCH_control_plane.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -122,7 +124,7 @@ void BM_Journal_Flush(benchmark::State& state) {
   const auto routes = static_cast<std::size_t>(state.range(0));
   auto tables = std::make_shared<ctrl::ControlTables>();
   ctrl::RouteJournal journal(tables);
-  const auto seed = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  const auto seed = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
   for (std::size_t i = 0; i < routes; ++i) {
     seed->insert({fib::ipv4_from_u32(static_cast<std::uint32_t>(i) << 12), 24},
                  static_cast<core::FaceId>(1 + i % 8));

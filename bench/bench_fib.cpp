@@ -1,5 +1,6 @@
-// A3 — LPM engine ablation: binary trie vs Patricia vs DIR-24-8 across
-// table sizes (the cost inside F_32_match and F_FIB).
+// A3 — LPM engine ablation: the binary-trie oracle vs the production tree
+// bitmap vs the DIR-24-8 flat-table reference across table sizes (the cost
+// inside F_32_match and F_FIB).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -64,13 +65,13 @@ void run_lookup(benchmark::State& state, LpmEngine engine) {
 void BM_LookupBinaryTrie(benchmark::State& state) {
   run_lookup(state, LpmEngine::kBinaryTrie);
 }
-void BM_LookupPatricia(benchmark::State& state) {
-  run_lookup(state, LpmEngine::kPatricia);
+void BM_LookupTreeBitmap(benchmark::State& state) {
+  run_lookup(state, LpmEngine::kTreeBitmap);
 }
 void BM_LookupDir24(benchmark::State& state) { run_lookup(state, LpmEngine::kDir24); }
 
 BENCHMARK(BM_LookupBinaryTrie)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_LookupPatricia)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_LookupTreeBitmap)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupDir24)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void run_insert(benchmark::State& state, LpmEngine engine) {
@@ -91,13 +92,13 @@ void run_insert(benchmark::State& state, LpmEngine engine) {
 void BM_InsertBinaryTrie(benchmark::State& state) {
   run_insert(state, LpmEngine::kBinaryTrie);
 }
-void BM_InsertPatricia(benchmark::State& state) {
-  run_insert(state, LpmEngine::kPatricia);
+void BM_InsertTreeBitmap(benchmark::State& state) {
+  run_insert(state, LpmEngine::kTreeBitmap);
 }
 void BM_InsertDir24(benchmark::State& state) { run_insert(state, LpmEngine::kDir24); }
 
 BENCHMARK(BM_InsertBinaryTrie)->Arg(10000);
-BENCHMARK(BM_InsertPatricia)->Arg(10000);
+BENCHMARK(BM_InsertTreeBitmap)->Arg(10000);
 BENCHMARK(BM_InsertDir24)->Arg(10000);
 
 // IPv6 lookup (F_128_match cost).
@@ -126,11 +127,11 @@ void run_lookup6(benchmark::State& state, LpmEngine engine) {
 void BM_Lookup6BinaryTrie(benchmark::State& state) {
   run_lookup6(state, LpmEngine::kBinaryTrie);
 }
-void BM_Lookup6Patricia(benchmark::State& state) {
-  run_lookup6(state, LpmEngine::kPatricia);
+void BM_Lookup6TreeBitmap(benchmark::State& state) {
+  run_lookup6(state, LpmEngine::kTreeBitmap);
 }
 BENCHMARK(BM_Lookup6BinaryTrie);
-BENCHMARK(BM_Lookup6Patricia);
+BENCHMARK(BM_Lookup6TreeBitmap);
 
 // Name FIB (control-plane F_FIB).
 void BM_NameFibLookup(benchmark::State& state) {

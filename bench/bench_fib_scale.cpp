@@ -30,8 +30,9 @@
 // routes the builds (Dir24's block refreshes especially) dominate process
 // startup, not the measured loops.
 //
-// JSON trajectory: BENCH_fib_scale.json, refreshed via
+// JSON trajectory: BENCH_fib_scale.json, refreshed from a Release tree via
 //   build/bench/bench_fib_scale --benchmark_min_time=0.2
+//     --benchmark_context=commit=<sha>,build_type=Release,loadavg=<1-min>
 //     --benchmark_out=BENCH_fib_scale.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
@@ -117,9 +118,6 @@ void run_scale_lookup(benchmark::State& state, LpmEngine engine) {
 void BM_ScaleLookupBinaryTrie(benchmark::State& state) {
   run_scale_lookup(state, LpmEngine::kBinaryTrie);
 }
-void BM_ScaleLookupPatricia(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kPatricia);
-}
 void BM_ScaleLookupDir24(benchmark::State& state) {
   run_scale_lookup(state, LpmEngine::kDir24);
 }
@@ -128,7 +126,6 @@ void BM_ScaleLookupTreeBitmap(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ScaleLookupBinaryTrie)->Arg(10'000)->Arg(100'000);
-BENCHMARK(BM_ScaleLookupPatricia)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 BENCHMARK(BM_ScaleLookupDir24)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 BENCHMARK(BM_ScaleLookupTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
@@ -144,14 +141,10 @@ void run_scale_lookup6(benchmark::State& state, LpmEngine engine) {
   report_shape(state, table, probes);
 }
 
-void BM_ScaleLookup6Patricia(benchmark::State& state) {
-  run_scale_lookup6(state, LpmEngine::kPatricia);
-}
 void BM_ScaleLookup6TreeBitmap(benchmark::State& state) {
   run_scale_lookup6(state, LpmEngine::kTreeBitmap);
 }
 
-BENCHMARK(BM_ScaleLookup6Patricia)->Arg(200'000);
 BENCHMARK(BM_ScaleLookup6TreeBitmap)->Arg(200'000);
 
 // ---------------------------------------------------------------------------
@@ -170,9 +163,6 @@ void run_scale_build(benchmark::State& state, LpmEngine engine) {
                           static_cast<std::int64_t>(count));
 }
 
-void BM_ScaleBuildPatricia(benchmark::State& state) {
-  run_scale_build(state, LpmEngine::kPatricia);
-}
 void BM_ScaleBuildDir24(benchmark::State& state) {
   run_scale_build(state, LpmEngine::kDir24);
 }
@@ -180,7 +170,6 @@ void BM_ScaleBuildTreeBitmap(benchmark::State& state) {
   run_scale_build(state, LpmEngine::kTreeBitmap);
 }
 
-BENCHMARK(BM_ScaleBuildPatricia)->Arg(100'000);
 BENCHMARK(BM_ScaleBuildDir24)->Arg(100'000);
 BENCHMARK(BM_ScaleBuildTreeBitmap)->Arg(100'000);
 
@@ -228,14 +217,10 @@ void run_churn_publish(benchmark::State& state, LpmEngine engine) {
   }
 }
 
-void BM_ChurnPublishPatricia(benchmark::State& state) {
-  run_churn_publish(state, LpmEngine::kPatricia);
-}
 void BM_ChurnPublishTreeBitmap(benchmark::State& state) {
   run_churn_publish(state, LpmEngine::kTreeBitmap);
 }
 
-BENCHMARK(BM_ChurnPublishPatricia)->Arg(10'000)->Arg(100'000);
 BENCHMARK(BM_ChurnPublishTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // How much does "obviously correct" cost? The executable-spec reference
 // model (src/refmodel/) trades every production optimisation — flow cache,
-// dense dispatch, Patricia tries — for linear scans and allocations. This
+// dense dispatch, tree bitmaps — for linear scans and allocations. This
 // bench puts a number on that gap per Table-1 composition: the refmodel is
 // the conformance oracle, so its throughput bounds how big the property
 // streams in tests/conformance_test.cpp can affordably get.

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
 
   // --- Pool: 2 workers sharing one route table, stats on every worker. ---
   auto registry = netsim::make_default_registry();
-  std::shared_ptr<fib::Ipv4Lpm> fib32 = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  std::shared_ptr<fib::Ipv4Lpm> fib32 = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
   for (std::size_t i = 0; i < kPrefixes; ++i) {
     fib32->insert(
         {fib::ipv4_from_u32(0x0A000000u | (static_cast<std::uint32_t>(i) << 8)), 24},
@@ -341,7 +341,6 @@ int main(int argc, char** argv) {
   };
   std::vector<FibEngineRow> fib_engines;
   fib_engines.push_back({"binary_trie", fib::LpmEngine::kBinaryTrie, nullptr});
-  fib_engines.push_back({"patricia", fib::LpmEngine::kPatricia, nullptr});
   fib_engines.push_back({"dir24", fib::LpmEngine::kDir24, nullptr});
   fib_engines.push_back({"tree_bitmap", fib::LpmEngine::kTreeBitmap, nullptr});
   {

@@ -2,14 +2,14 @@
 # Full verification pipeline: release build + tests + benches, then an
 # ASan/UBSan build + tests. This is what CI should run.
 #
-#   --fast   docs check + release build + the unit/property/ctrl/fib/mesh/
-#            pisa/dtn test tiers only (see docs/TESTING.md): the inner-loop
-#            lane, no benches, no sanitizer rebuilds. `ctest -L fib` alone
-#            slices just the FIB-engine lane (docs/FIB.md); `ctest -L mesh`
-#            the UDP mesh lane (docs/MESH.md); `ctest -L pisa` the
-#            stage-budget compiler + switch-model lane (docs/PISA.md);
-#            `ctest -L dtn` the custody/disruption-tolerance lane
-#            (docs/DTN.md).
+#   --fast   docs + no-getenv checks + release build + the unit/property/
+#            ctrl/fib/mesh/pisa/dtn test tiers only (see docs/TESTING.md):
+#            the inner-loop lane, no benches, no sanitizer rebuilds.
+#            `ctest -L fib` alone slices just the FIB-engine lane
+#            (docs/FIB.md); `ctest -L mesh` the UDP mesh lane
+#            (docs/MESH.md); `ctest -L pisa` the stage-budget compiler +
+#            switch-model lane (docs/PISA.md); `ctest -L dtn` the
+#            custody/disruption-tolerance lane (docs/DTN.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +45,16 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "  all links resolve"
+
+echo "== the program reads no environment =="
+# A knob in src/ would make the benchmark measure whatever the caller's
+# environment selects instead of the program's defaults. Test and bench
+# variables (DIP_REGEN_VECTORS, DIP_BENCH_ALLOW_DEBUG) live outside src/.
+if grep -rn 'getenv' src/; then
+  echo "getenv under src/ FAILED"
+  exit 1
+fi
+echo "  no getenv under src/"
 
 echo "== release build =="
 # Bench lanes depend on this being a real Release tree (-O3, NDEBUG):
@@ -135,9 +145,12 @@ echo "== chaos clean-path overhead (BENCH_chaos.json refresh: run manually) =="
 #   build/bench/bench_chaos --benchmark_min_time=0.2 \
 #     --benchmark_out=BENCH_chaos.json --benchmark_out_format=json
 # The smoke loop above already executes bench_chaos once per run.
-# BENCH_control_plane.json (snapshot read overhead vs static FIB) is
-# refreshed the same way from bench_control_plane, and
+# bench/BENCH_control_plane.json (snapshot read overhead vs static FIB)
+# is refreshed the same way from bench_control_plane,
 # BENCH_fib_scale.json (Internet-scale FIB sweep + zero-blackhole churn
-# leg, docs/FIB.md) from bench_fib_scale.
+# leg, docs/FIB.md) from bench_fib_scale, and BENCH_batch_pipeline.json
+# from bench_batch_pipeline. Each also takes
+#   --benchmark_context=commit=<sha>,build_type=Release,loadavg=<1-min load>
+# so the file names its commit and host load next to the CPU count.
 
 echo "ALL CHECKS PASSED"

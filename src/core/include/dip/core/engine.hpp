@@ -36,7 +36,6 @@ struct EngineConfig {
   std::size_t pool_workers = 4;
   std::size_t pool_ring_capacity = 1024;
   ValidationMode validation = ValidationMode::kStrict;
-  DispatchStrategy strategy = DispatchStrategy::kLoop;
 };
 
 class RouterEngine {

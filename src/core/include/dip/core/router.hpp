@@ -7,20 +7,21 @@
 //   4. for each FN: skip host-tagged; otherwise slice the target field and
 //      dispatch on the operation key
 //
-// Two dispatch strategies are provided (ablation A1):
-//   * kLoop      — the natural for-loop over FN[] (what the paper wanted);
-//   * kUnrolled  — a fixed if-else ladder on FN_Num mirroring the Tofino
-//                  compromise of §4.1 ("the simple if-else statement with
-//                  FN_Num to determine how many field operations to perform").
+// Dispatch is the natural for-loop over FN[] (what the paper wanted). The
+// Tofino compromise of §4.1 — a fixed if-else ladder on FN_Num — is a
+// hardware constraint; the PISA model enforces it (max_unrolled_fns in
+// pisa/dip_program.hpp).
 //
 // The fast path is process_batch: a run-to-completion, two-phase burst
 // pipeline. Phase one binds every HeaderView and validates structure for
 // the whole burst (branch-predictable, cache friendly); phase two
-// dispatches FNs packet by packet. process() is a thin batch-of-one
-// wrapper, so both paths share one semantics. Per-FN module lookup goes
-// through a dense, registry-epoch-validated table instead of the hash map,
-// and the match FNs consult the RouterEnv flow cache before walking the
-// FIB (see flow_cache.hpp).
+// dispatches FNs in module-major waves, with a per-packet path for the
+// packets waves cannot take (DESIGN.md §10). Waves and software prefetch
+// are always on. process() is a thin batch-of-one wrapper, so both paths
+// share one semantics. Per-FN module lookup goes through a dense,
+// registry-epoch-validated table instead of the hash map, and the match FNs
+// consult the RouterEnv flow cache before walking the FIB (see
+// flow_cache.hpp).
 //
 // Observability: when RouterEnv::stats is installed, process_batch records
 // bind/validate/dispatch phase latencies (sampled per burst), per-OpKey
@@ -48,8 +49,6 @@
 
 namespace dip::core {
 
-enum class DispatchStrategy : std::uint8_t { kLoop, kUnrolled };
-
 /// How the router treats structurally damaged packets (chaos links flip
 /// bytes; see docs/FAULTS.md).
 ///   * kStrict  — bind failures drop as kMalformed (historical behaviour).
@@ -72,9 +71,8 @@ struct PacketRef {
 
 class Router {
  public:
-  Router(RouterEnv env, const OpRegistry* registry,
-         DispatchStrategy strategy = DispatchStrategy::kLoop)
-      : env_(std::move(env)), registry_(registry), strategy_(strategy) {}
+  Router(RouterEnv env, const OpRegistry* registry)
+      : env_(std::move(env)), registry_(registry) {}
 
   /// Process one DIP packet in place (tag fields may be rewritten).
   /// `packet` is the full DIP packet: header + payload. Thin wrapper over a
@@ -95,23 +93,8 @@ class Router {
 
   [[nodiscard]] RouterEnv& env() noexcept { return env_; }
   [[nodiscard]] const RouterEnv& env() const noexcept { return env_; }
-  [[nodiscard]] DispatchStrategy strategy() const noexcept { return strategy_; }
-  void set_strategy(DispatchStrategy s) noexcept { strategy_ = s; }
   [[nodiscard]] ValidationMode validation() const noexcept { return validation_; }
   void set_validation(ValidationMode m) noexcept { validation_ = m; }
-
-  /// Module-major (wave) burst dispatch toggle: phase 2 executes each FN
-  /// position across the whole burst, key-grouped, instead of packet by
-  /// packet (DESIGN.md §10). Defaults from the DIP_VECTOR environment knob
-  /// ("0" disables); only the kLoop strategy uses it.
-  [[nodiscard]] bool vector_dispatch() const noexcept { return vector_dispatch_; }
-  void set_vector_dispatch(bool on) noexcept { vector_dispatch_ = on; }
-
-  /// Software-prefetch toggle (header bytes one packet ahead, flow-cache
-  /// slots, FIB root slabs). Defaults from the DIP_PREFETCH environment
-  /// knob ("0" disables).
-  [[nodiscard]] bool prefetch_enabled() const noexcept { return prefetch_; }
-  void set_prefetch(bool on) noexcept { prefetch_ = on; }
 
  private:
   /// Dense module table size; OpKey values live well below this.
@@ -197,14 +180,9 @@ class Router {
                       std::uint8_t* alive, const std::uint8_t* sampled,
                       std::span<ProcessResult> results);
 
-  /// Environment boolean knob: unset -> `dflt`, "0" -> false, else true.
-  [[nodiscard]] static bool env_flag(const char* name, bool dflt) noexcept;
-
+  /// Per-packet dispatch: the FN loop in header order, or the relaxed
+  /// schedule when the parallel bit is set and safe.
   void dispatch(HeaderView& view, FaceId ingress, SimTime now, ProcessResult& result);
-  void dispatch_loop(HeaderView& view, FaceId ingress, SimTime now,
-                     ProcessResult& result);
-  void dispatch_unrolled(HeaderView& view, FaceId ingress, SimTime now,
-                         ProcessResult& result);
   /// Relaxed-order schedule for the §2.2 parallel bit (any order is legal;
   /// we run the FN list back to front).
   void dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
@@ -220,16 +198,12 @@ class Router {
 
   RouterEnv env_;
   const OpRegistry* registry_;
-  DispatchStrategy strategy_;
   ValidationMode validation_ = ValidationMode::kStrict;
 
   // Dense key->module table rebuilt when the registry epoch moves (the §5
   // runtime-upgrade path keeps working; steady-state lookups are one load).
   std::array<OpModule*, kModuleTableSize> module_table_{};
   std::uint64_t module_epoch_ = ~std::uint64_t{0};
-
-  bool vector_dispatch_ = env_flag("DIP_VECTOR", true);
-  bool prefetch_ = env_flag("DIP_PREFETCH", true);
 
   // Batch scratch, kept across bursts so the steady path never allocates.
   std::vector<HeaderView> views_;

@@ -54,7 +54,6 @@ struct RouterPoolConfig {
   /// latency for fewer wakeups — a throughput-oriented dispatcher that
   /// submits a chunk and drains can set this to the chunk size.
   std::size_t wake_batch = 0;
-  DispatchStrategy strategy = DispatchStrategy::kLoop;
   OverloadPolicy overload = OverloadPolicy::kBlock;
 };
 

@@ -15,7 +15,7 @@ class ScalarEngine final : public RouterEngine {
  public:
   ScalarEngine(const OpRegistry* registry, const EnvFactory& env_factory,
                EngineConfig config)
-      : router_(env_factory(0), registry, config.strategy) {
+      : router_(env_factory(0), registry) {
     router_.set_validation(config.validation);
   }
 
@@ -41,7 +41,7 @@ class BatchEngine final : public RouterEngine {
  public:
   BatchEngine(const OpRegistry* registry, const EnvFactory& env_factory,
               EngineConfig config)
-      : router_(env_factory(0), registry, config.strategy),
+      : router_(env_factory(0), registry),
         batch_size_(config.batch_size == 0 ? 1 : config.batch_size) {
     router_.set_validation(config.validation);
   }
@@ -99,7 +99,6 @@ class PoolEngine final : public RouterEngine {
     pool_config.workers = workers;
     pool_config.ring_capacity = config_.pool_ring_capacity;
     pool_config.max_batch = config_.batch_size;
-    pool_config.strategy = config_.strategy;
     RouterPool pool(
         registry_, env_factory_, pool_config,
         [&](std::size_t worker, RouterPool::Item& item, ProcessResult& result) {

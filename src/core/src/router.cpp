@@ -1,7 +1,6 @@
 #include "dip/core/router.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -15,12 +14,6 @@
 #endif
 
 namespace dip::core {
-
-bool Router::env_flag(const char* name, bool dflt) noexcept {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return dflt;
-  return !(v[0] == '0' && v[1] == '\0');
-}
 
 ProcessResult Router::process(std::span<std::uint8_t> packet, FaceId ingress,
                               SimTime now) {
@@ -60,9 +53,7 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   // Waves pay per-burst setup (classification, group lists) that a batch
   // of one cannot amortize, so singletons keep the per-packet engine; work
   // items index packets in 16 bits, bounding the burst at 64k.
-  const bool waves_allowed = vector_dispatch_ &&
-                             strategy_ == DispatchStrategy::kLoop && n >= 2 &&
-                             n <= 0xFFFF;
+  const bool waves_allowed = n >= 2 && n <= 0xFFFF;
 
   // Uniform-program detection rides phase 1: line-rate traffic is
   // overwhelmingly homogeneous (every packet carries the same FN triples;
@@ -103,7 +94,7 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   const bool lenient = validation_ == ValidationMode::kLenient;
   if (!burst_timed) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (prefetch_ && i + 1 < n && !packets[i + 1].bytes.empty()) {
+      if (i + 1 < n && !packets[i + 1].bytes.empty()) {
         DIP_PREFETCH_R(packets[i + 1].bytes.data());
         if (packets[i + 1].bytes.size() > 64) {
           DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
@@ -143,7 +134,7 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   } else {
     // Phase 1a: bind.
     for (std::size_t i = 0; i < n; ++i) {
-      if (prefetch_ && i + 1 < n && !packets[i + 1].bytes.empty()) {
+      if (i + 1 < n && !packets[i + 1].bytes.empty()) {
         DIP_PREFETCH_R(packets[i + 1].bytes.data());
         if (packets[i + 1].bytes.size() > 64) {
           DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
@@ -656,7 +647,7 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
     slices[k] = slice;
     hashes[k] = FlowCache::hash({slice, want_bytes});
     fast[k] = 1;
-    if (prefetch_) cache->prefetch(hashes[k]);
+    cache->prefetch(hashes[k]);
   }
 
   // Pass B, in arrival order (a miss's insert must be visible to the next
@@ -699,9 +690,9 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
       continue;
     }
     ++misses;
-    if (prefetch_ && f32 != nullptr) {
-      // Pull the FIB's first dependent load (DIR-24-8 base slab) while the
-      // module sets up its walk.
+    if (f32 != nullptr) {
+      // Pull the FIB's first dependent load (the tree bitmap's level-1
+      // child) while the module sets up its walk.
       fib::Ipv4Addr addr{};
       std::memcpy(addr.bytes.data(), slices[k], 4);
       f32->prefetch(addr);
@@ -921,10 +912,9 @@ void Router::dispatch(HeaderView& view, FaceId ingress, SimTime now,
     }
     ++env_.counters.parallel_fallback;
   }
-  if (strategy_ == DispatchStrategy::kLoop) {
-    dispatch_loop(view, ingress, now, result);
-  } else {
-    dispatch_unrolled(view, ingress, now, result);
+  FnRunState state{env_.limits.per_packet_budget, {}};
+  for (const FnTriple& fn : view.fns()) {
+    if (!run_fn(fn, view, ingress, now, state, result)) return;
   }
 }
 
@@ -1100,14 +1090,6 @@ bool Router::run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
   return result.action == Action::kForward;
 }
 
-void Router::dispatch_loop(HeaderView& view, FaceId ingress, SimTime now,
-                           ProcessResult& result) {
-  FnRunState state{env_.limits.per_packet_budget, {}};
-  for (const FnTriple& fn : view.fns()) {
-    if (!run_fn(fn, view, ingress, now, state, result)) return;
-  }
-}
-
 void Router::dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
                               ProcessResult& result) {
   // Relaxed ordering: any schedule is legal for independent FNs. Running
@@ -1119,40 +1101,6 @@ void Router::dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
   for (std::size_t i = fns.size(); i-- > 0;) {
     if (!run_fn(fns[i], view, ingress, now, state, result)) return;
   }
-}
-
-void Router::dispatch_unrolled(HeaderView& view, FaceId ingress, SimTime now,
-                               ProcessResult& result) {
-  // Mirrors the Tofino compromise: a fixed ladder testing FN_Num, with the
-  // per-position FN handling fully written out (no data-dependent loop).
-  // Functionally identical to dispatch_loop for fn_num <= kMaxFns.
-  FnRunState state{env_.limits.per_packet_budget, {}};
-  const auto fns = view.fns();
-  const std::size_t n = fns.size();
-
-#define DIP_STAGE(i)                                                            \
-  do {                                                                          \
-    if (n <= (i)) return;                                                       \
-    if (!run_fn(fns[(i)], view, ingress, now, state, result)) return;           \
-  } while (0)
-
-  DIP_STAGE(0);
-  DIP_STAGE(1);
-  DIP_STAGE(2);
-  DIP_STAGE(3);
-  DIP_STAGE(4);
-  DIP_STAGE(5);
-  DIP_STAGE(6);
-  DIP_STAGE(7);
-  DIP_STAGE(8);
-  DIP_STAGE(9);
-  DIP_STAGE(10);
-  DIP_STAGE(11);
-  DIP_STAGE(12);
-  DIP_STAGE(13);
-  DIP_STAGE(14);
-  DIP_STAGE(15);
-#undef DIP_STAGE
 }
 
 }  // namespace dip::core

@@ -67,7 +67,7 @@ RouterPool::RouterPool(const OpRegistry* registry,
     const std::size_t batch =
         config_.wake_batch != 0 ? config_.wake_batch : config_.max_batch;
     w->wake_threshold = std::max<std::size_t>(1, std::min(batch, w->ring.capacity()));
-    w->router = std::make_unique<Router>(env_factory(i), registry, config_.strategy);
+    w->router = std::make_unique<Router>(env_factory(i), registry);
     workers_.push_back(std::move(w));
   }
   // Start threads only after the vector is fully built.

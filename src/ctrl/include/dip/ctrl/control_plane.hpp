@@ -42,8 +42,6 @@ struct ControlPlaneConfig {
   /// inside the window stay pending (and coalesce) until it elapses. 0 =
   /// publish as soon as a recompute dirties a journal.
   SimDuration publish_interval = 0;
-  /// Engine for control-built IPv4 tables when a node has no seed FIB.
-  fib::LpmEngine engine32 = fib::LpmEngine::kPatricia;
 };
 
 struct ControlPlaneStats {

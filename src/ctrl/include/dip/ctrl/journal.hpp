@@ -29,13 +29,6 @@
 
 namespace dip::ctrl {
 
-struct JournalConfig {
-  /// Engines used when a table is built from scratch (no snapshot published
-  /// yet and no seed); clones inherit the seed's engine regardless.
-  fib::LpmEngine engine32 = fib::LpmEngine::kPatricia;
-  fib::LpmEngine engine128 = fib::LpmEngine::kPatricia;
-};
-
 struct JournalStats {
   std::uint64_t ops_enqueued = 0;    ///< every add_/remove_/set_ call
   std::uint64_t ops_coalesced = 0;   ///< ops absorbed by a pending same-key op
@@ -53,8 +46,9 @@ struct JournalStats {
 
 class RouteJournal {
  public:
-  explicit RouteJournal(std::shared_ptr<ControlTables> tables,
-                        JournalConfig config = {});
+  /// A table built from scratch (no snapshot published yet and no seed) is
+  /// a fib::TreeBitmap; clones inherit the seed's engine.
+  explicit RouteJournal(std::shared_ptr<ControlTables> tables);
 
   /// Publish initial snapshots cloned from existing (static) tables; null
   /// arguments are skipped. Call once before traffic if the node starts
@@ -94,7 +88,6 @@ class RouteJournal {
   void put(std::map<K, V>& map, K key, V value);
 
   std::shared_ptr<ControlTables> tables_;
-  JournalConfig config_;
   JournalStats stats_;
 
   // Pending delta maps: nullopt value = remove. Ordered keys make the apply

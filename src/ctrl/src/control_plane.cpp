@@ -11,8 +11,7 @@ ControlPlane::ControlPlane(netsim::Network& net, ControlPlaneConfig config)
 
 void ControlPlane::manage(netsim::DipRouterNode& node) {
   auto tables = std::make_shared<ControlTables>();
-  auto journal = std::make_unique<RouteJournal>(
-      tables, JournalConfig{config_.engine32, fib::LpmEngine::kPatricia});
+  auto journal = std::make_unique<RouteJournal>(tables);
 
   core::RouterEnv& env = node.env();
   // Carry the node's statically installed state into the first snapshots,

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <chrono>
 
+#include "dip/fib/tree_bitmap.hpp"
+
 namespace dip::ctrl {
 
-RouteJournal::RouteJournal(std::shared_ptr<ControlTables> tables,
-                           JournalConfig config)
-    : tables_(std::move(tables)), config_(config) {}
+RouteJournal::RouteJournal(std::shared_ptr<ControlTables> tables)
+    : tables_(std::move(tables)) {}
 
 void RouteJournal::seed(const fib::Ipv4Lpm* fib32, const fib::Ipv6Lpm* fib128,
                         const fib::XidTable* xid, const fib::NameFib* names) {
@@ -95,7 +96,7 @@ std::size_t RouteJournal::flush() {
   if (!pending32_.empty()) {
     const auto base = tables_->fib32.share();
     std::unique_ptr<fib::Ipv4Lpm> next =
-        base ? base->clone() : fib::make_lpm<32>(config_.engine32);
+        base ? base->clone() : std::make_unique<fib::TreeBitmap<32>>();
     for (const auto& [prefix, nh] : pending32_) {
       if (nh) {
         next->insert(prefix, *nh);
@@ -113,7 +114,7 @@ std::size_t RouteJournal::flush() {
   if (!pending128_.empty()) {
     const auto base = tables_->fib128.share();
     std::unique_ptr<fib::Ipv6Lpm> next =
-        base ? base->clone() : fib::make_lpm<128>(config_.engine128);
+        base ? base->clone() : std::make_unique<fib::TreeBitmap<128>>();
     for (const auto& [prefix, nh] : pending128_) {
       if (nh) {
         next->insert(prefix, *nh);

@@ -35,8 +35,8 @@ class BundleSender {
  public:
   struct Config {
     /// Source address; the receiver's final custody ACK is addressed to
-    /// custody_addr(node_id), so pick self = custody_addr(node_id) (and
-    /// route custody_prefix(node_id) back to this host) for end-to-end ACKs.
+    /// mesh::addr_of(node_id), so pick self = mesh::addr_of(node_id) (and
+    /// route mesh::prefix_of(node_id) back to this host) for end-to-end ACKs.
     fib::Ipv4Addr self{};
     fib::Ipv4Addr dst{};
     std::uint32_t node_id = 0;  ///< seeds the custody chain as first custodian

@@ -35,13 +35,6 @@
 
 namespace dip::dtn {
 
-/// The DTN overlay's address plan: node id -> routable /24 host address
-/// (10.<node>.1) — the same formula the mesh uses, so custody ACKs route in
-/// either harness once 10.<node>/24 is in the FIB.
-[[nodiscard]] fib::Ipv4Addr custody_addr(std::uint32_t node) noexcept;
-/// The /24 prefix covering custody_addr(node).
-[[nodiscard]] fib::Prefix<32> custody_prefix(std::uint32_t node) noexcept;
-
 /// The custody plane of a packet: its F_custody tag (not MAC-checked) and
 /// F_frag geometry (default when absent).
 struct CustodyView {
@@ -76,6 +69,9 @@ class CustodyOverlay final : public netsim::NodeOverlay {
   CustodyOverlay& operator=(const CustodyOverlay&) = delete;
 
   [[nodiscard]] const CustodyStore& store() const noexcept { return *store_; }
+  /// This node's custody address: the mesh address plan's
+  /// mesh::addr_of(node_id), so custody ACKs route in either harness once
+  /// mesh::prefix_of(node_id) is in the FIB.
   [[nodiscard]] fib::Ipv4Addr address() const noexcept;
   [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_sent_; }
   /// Forwards vetoed: store refusals plus duplicate copies.

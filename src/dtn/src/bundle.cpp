@@ -1,6 +1,7 @@
 #include "dip/dtn/bundle.hpp"
 
 #include "dip/dtn/overlay.hpp"
+#include "dip/mesh/control.hpp"
 
 namespace dip::dtn {
 
@@ -162,7 +163,7 @@ bool BundleReceiver::on_packet(std::span<const std::uint8_t> packet) {
 
 void BundleReceiver::send_ack(const CustodyTag& tag, const FragInfo& frag) {
   const auto ack =
-      make_custody_ack_header(custody_addr(tag.custodian), config_.self, tag, frag,
+      make_custody_ack_header(mesh::addr_of(tag.custodian), config_.self, tag, frag,
                               config_.custody_key, config_.mac);
   if (!ack) return;
   node_.send(face_, ack->serialize());

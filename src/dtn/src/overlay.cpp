@@ -1,14 +1,8 @@
 #include "dip/dtn/overlay.hpp"
 
+#include "dip/mesh/control.hpp"
+
 namespace dip::dtn {
-
-fib::Ipv4Addr custody_addr(std::uint32_t node) noexcept {
-  return fib::ipv4_from_u32((10u << 24) | ((node & 0xFFFFu) << 8) | 1u);
-}
-
-fib::Prefix<32> custody_prefix(std::uint32_t node) noexcept {
-  return {fib::ipv4_from_u32((10u << 24) | ((node & 0xFFFFu) << 8)), 24};
-}
 
 std::optional<CustodyView> CustodyView::parse(std::span<const std::uint8_t> packet) {
   auto parsed = core::DipHeader::parse(packet);
@@ -48,7 +42,7 @@ CustodyOverlay::CustodyOverlay(netsim::NodeRuntime& runtime, const Config& confi
 }
 
 fib::Ipv4Addr CustodyOverlay::address() const noexcept {
-  return custody_addr(runtime_.env().node_id);
+  return mesh::addr_of(runtime_.env().node_id);
 }
 
 bool CustodyOverlay::consume(netsim::FaceId /*ingress*/,
@@ -91,7 +85,7 @@ bool CustodyOverlay::admit(netsim::FaceId ingress, std::span<const std::uint8_t>
     return false;
   }
   if (view->tag.prev_custodian != static_cast<std::uint16_t>(env.node_id)) {
-    const auto ack = make_custody_ack_header(custody_addr(view->tag.prev_custodian),
+    const auto ack = make_custody_ack_header(mesh::addr_of(view->tag.prev_custodian),
                                              address(), view->tag, view->frag,
                                              env.custody_key, env.mac_kind);
     if (ack) {

@@ -1,9 +1,11 @@
 // Longest-prefix-match table interface.
 //
-// F_32_match, F_128_match and F_FIB all reduce to LPM over some key space;
-// the engines behind this interface are the subject of ablation A3
-// (bench_fib) and the scale sweep (bench_fib_scale): binary trie vs
-// Patricia trie vs DIR-24-8 vs tree bitmap. docs/FIB.md is the catalogue.
+// F_32_match, F_128_match and F_FIB all reduce to LPM over some key space.
+// The tree bitmap is the one production engine (make_basic_env and the
+// journal's from-scratch build construct it directly); the binary trie is
+// the test oracle and DIR-24-8 the flat-table reference of ablation A3
+// (bench_fib) and the scale sweep (bench_fib_scale). docs/FIB.md is the
+// catalogue.
 //
 // The base class tracks a route-table *generation*: every mutation bumps it,
 // and the router's flow cache stamps each memoized verdict with the
@@ -86,16 +88,19 @@ class LpmTable {
   std::atomic<std::uint64_t> generation_{0};
 };
 
+/// Engines behind the test and bench seam (make_lpm). Values are stable
+/// (tests seed their random workloads from them).
 enum class LpmEngine : std::uint8_t {
-  kBinaryTrie,   ///< one node per prefix bit — simple, slow, memory-hungry
-  kPatricia,     ///< path-compressed trie — the default at small scale
-  kDir24,        ///< DIR-24-8 flat lookup (IPv4 only) — fastest lookup, but a
-                 ///< fixed ~64 MiB slab and O(block) updates; clone cost makes
-                 ///< it a poor fit for the journal's copy-on-write churn path
-  kTreeBitmap,   ///< stride-4 bitmap-compressed trie — the Internet-scale
-                 ///< choice: lowest bytes/prefix, near-Dir24 lookups at 1M
-                 ///< routes, and memcpy-cheap clone() for churn publishing
-                 ///< (see docs/FIB.md for the selection guide)
+  kBinaryTrie = 0,  ///< one node per prefix bit — the oracle: simple, slow,
+                    ///< memory-hungry
+  kDir24 = 2,       ///< DIR-24-8 flat lookup (IPv4 only) — fastest lookup, but
+                    ///< a fixed ~64 MiB slab and O(block) updates; clone cost
+                    ///< makes it a poor fit for the journal's copy-on-write
+                    ///< churn path
+  kTreeBitmap = 3,  ///< stride-4 bitmap-compressed trie — the production
+                    ///< engine: lowest IPv4 bytes/prefix, near-Dir24 lookups
+                    ///< at 1M routes, and memcpy-cheap clone() for churn
+                    ///< publishing
 };
 
 /// Factory. kDir24 is only valid for W == 32.

@@ -1,4 +1,5 @@
-// Tree bitmap (Eatherton/Dixon/Varghese) compressed LPM — the scale engine.
+// Tree bitmap (Eatherton/Dixon/Varghese) compressed LPM — the production
+// engine behind every FIB the program builds.
 //
 // Multibit trie with stride 4 where each node is 12 bytes: a 15-bit
 // *internal* bitmap holding the prefixes that end inside the node (lengths
@@ -18,8 +19,8 @@
 //
 // Updates rewrite one child run and one result run per affected node
 // (allocate run of n±1, copy, recycle the old run through a per-size free
-// list). That makes inserts slower than Patricia's pointer splice but keeps
-// the arenas compact across flap-heavy workloads without a compaction pass.
+// list). That keeps the arenas compact across flap-heavy workloads without a
+// compaction pass.
 #pragma once
 
 #include <array>

@@ -2,7 +2,6 @@
 
 #include "dip/fib/binary_trie.hpp"
 #include "dip/fib/dir24.hpp"
-#include "dip/fib/patricia.hpp"
 #include "dip/fib/tree_bitmap.hpp"
 
 namespace dip::fib {
@@ -11,7 +10,6 @@ template <std::size_t W>
 std::unique_ptr<LpmTable<W>> make_lpm(LpmEngine engine) {
   switch (engine) {
     case LpmEngine::kBinaryTrie: return std::make_unique<BinaryTrie<W>>();
-    case LpmEngine::kPatricia: return std::make_unique<PatriciaTrie<W>>();
     case LpmEngine::kDir24:
       if constexpr (W == 32) {
         return std::make_unique<Dir24>();

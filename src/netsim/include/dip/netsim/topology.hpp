@@ -30,7 +30,7 @@ struct LinearPath {
     const std::function<core::RouterEnv(std::size_t)>& make_env,
     LinkParams link = {});
 
-/// A RouterEnv with Patricia FIBs, a PIT, and node id/secret derived from
+/// A RouterEnv with tree-bitmap FIBs, a PIT, and node id/secret derived from
 /// `node_id` — the baseline environment most tests want.
 [[nodiscard]] core::RouterEnv make_basic_env(std::uint32_t node_id);
 

@@ -8,7 +8,7 @@
 // axioms. Everything the production router does observably — verdicts, drop
 // reasons, egress sets, in-place header rewrites — this model must reproduce
 // byte for byte; everything it does for speed (flow cache, batch phases,
-// dense module tables, Patricia tries) this model deliberately omits and
+// dense module tables, tree bitmaps) this model deliberately omits and
 // replaces with the dumbest data structure that is obviously correct
 // (linear-scan FIBs, std::map PIT, std::list LRU).
 //

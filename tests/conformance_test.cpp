@@ -653,13 +653,9 @@ void run_churn_conformance(fib::LpmEngine lpm_engine) {
   }
 }
 
-TEST(Conformance, ChurnScheduleStaysConformantAcrossEngines) {
-  run_churn_conformance(fib::LpmEngine::kPatricia);
-}
-
-// Same schedule with the compressed tree-bitmap FIB swapped in via the
-// RouterEnv seed tables (ISSUE 7): certifies the scale engine's lookup and
-// copy-on-write clone semantics end to end under live churn.
+// The schedule on the production tree-bitmap FIB behind the RouterEnv seed
+// tables: certifies its lookup and copy-on-write clone semantics end to end
+// under live churn.
 TEST(Conformance, ChurnScheduleStaysConformantOnTreeBitmap) {
   run_churn_conformance(fib::LpmEngine::kTreeBitmap);
 }

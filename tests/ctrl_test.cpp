@@ -166,7 +166,7 @@ TEST(Journal, FlushPublishesOnlyDirtyTables) {
 }
 
 TEST(Journal, SeedClonesStaticTablesDeeply) {
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
 
   auto tables = std::make_shared<ControlTables>();
@@ -524,7 +524,7 @@ TEST(SpfRule, MeshAndControlPlaneMatchSmallestIdShortestPathOracle) {
 TEST(CtrlRace, ConcurrentChurnAndForwardingIsCleanAndReclaims) {
   auto tables = std::make_shared<ControlTables>();
   RouteJournal journal(tables);
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
   journal.seed(seed_fib.get());
 

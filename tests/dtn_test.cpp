@@ -37,6 +37,7 @@
 #include "dip/dtn/retx_sched.hpp"
 #include "dip/dtn/store.hpp"
 #include "dip/host/retry.hpp"
+#include "dip/mesh/control.hpp"
 #include "dip/mesh/event_loop.hpp"
 #include "dip/mesh/mesh_net.hpp"
 #include "dip/ndn/ndn.hpp"
@@ -87,7 +88,7 @@ std::vector<std::uint8_t> frag_packet(const fib::Ipv4Addr& dst, std::uint32_t bu
   frag.total = total;
   frag.bundle_id = bundle;
   const auto header = dtn::make_dip32_custody_header(
-      dst, dtn::custody_addr(custodian), fresh_tag(bundle, custodian), frag, key);
+      dst, mesh::addr_of(custodian), fresh_tag(bundle, custodian), frag, key);
   EXPECT_TRUE(header.has_value());
   std::vector<std::uint8_t> wire = header->serialize();
   wire.insert(wire.end(), payload.begin(), payload.end());
@@ -162,13 +163,13 @@ TEST(DtnWire, FragInfoRoundTripsAndKeysAreUnique) {
 }
 
 TEST(DtnWire, Dip32CustodyCompositionCarriesBothFields) {
-  const auto dst = dtn::custody_addr(100);
+  const auto dst = mesh::addr_of(100);
   dtn::FragInfo frag;
   frag.index = 2;
   frag.total = 5;
   frag.bundle_id = 9;
   const auto header = dtn::make_dip32_custody_header(
-      dst, dtn::custody_addr(42), fresh_tag(9, 42), frag, test_key());
+      dst, mesh::addr_of(42), fresh_tag(9, 42), frag, test_key());
   ASSERT_TRUE(header.has_value());
 
   ASSERT_TRUE(dtn::find_custody_field(header->fns).has_value());
@@ -204,7 +205,7 @@ TEST(DtnOps, CustodyOpAcceptsRewritesChainAndReMacs) {
   CustodyRig rig(/*node=*/7);
   std::vector<std::uint8_t> payload{'d', 't', 'n'};
   auto packet =
-      frag_packet(dtn::custody_addr(100), /*bundle=*/5, 0, 1, payload, test_key(), 42);
+      frag_packet(mesh::addr_of(100), /*bundle=*/5, 0, 1, payload, test_key(), 42);
 
   const auto result = rig.router->process(packet, 0, 0);
   EXPECT_EQ(result.action, core::Action::kForward);
@@ -240,7 +241,7 @@ TEST(DtnOps, CustodyOpAcceptsRewritesChainAndReMacs) {
 
 TEST(DtnOps, CustodyOpCarriesUntouchedOnNonAcceptingNode) {
   CustodyRig rig(/*node=*/7, /*accept=*/false);
-  auto packet = frag_packet(dtn::custody_addr(100), 5, 0, 1, {}, test_key(), 42);
+  auto packet = frag_packet(mesh::addr_of(100), 5, 0, 1, {}, test_key(), 42);
   const std::size_t at = tag_offset(packet);
   const std::vector<std::uint8_t> before(packet.begin() + static_cast<std::ptrdiff_t>(at),
                                          packet.begin() +
@@ -261,7 +262,7 @@ TEST(DtnOps, CustodyOpCarriesAcksWithoutRewriting) {
   dtn::FragInfo frag;
   frag.bundle_id = 5;
   const auto ack = dtn::make_custody_ack_header(
-      dtn::custody_addr(42), dtn::custody_addr(8), fresh_tag(5, 8), frag, test_key());
+      mesh::addr_of(42), mesh::addr_of(8), fresh_tag(5, 8), frag, test_key());
   ASSERT_TRUE(ack.has_value());
   auto packet = ack->serialize();
   const std::size_t at = tag_offset(packet);
@@ -278,7 +279,7 @@ TEST(DtnOps, CustodyOpCarriesAcksWithoutRewriting) {
 
 TEST(DtnOps, CustodyOpDropsForgedMacAsAuthFailed) {
   CustodyRig rig(/*node=*/7);
-  auto packet = frag_packet(dtn::custody_addr(100), 5, 0, 1, {}, test_key(), 42);
+  auto packet = frag_packet(mesh::addr_of(100), 5, 0, 1, {}, test_key(), 42);
   packet[tag_offset(packet) + 16] ^= 0x40;  // first MAC byte
 
   const auto result = rig.router->process(packet, 0, 0);
@@ -289,7 +290,7 @@ TEST(DtnOps, CustodyOpDropsForgedMacAsAuthFailed) {
 TEST(DtnOps, CustodyOpRejectsShortFieldAsMalformed) {
   CustodyRig rig(/*node=*/7);
   core::HeaderBuilder b;
-  b.add_router_fn(core::OpKey::kMatch32, dtn::custody_addr(100).bytes);
+  b.add_router_fn(core::OpKey::kMatch32, mesh::addr_of(100).bytes);
   const auto short_field = crypto::Xoshiro256(1).block();  // 16 < 32 bytes
   b.add_router_fn(core::OpKey::kCustody, short_field);
   const auto header = b.build();
@@ -305,7 +306,7 @@ TEST(DtnOps, BundleFragOpBoundsChecksGeometry) {
   // Good geometry forwards.
   {
     CustodyRig rig(7);
-    auto packet = frag_packet(dtn::custody_addr(100), 5, 3, 8, {}, test_key(), 42);
+    auto packet = frag_packet(mesh::addr_of(100), 5, 3, 8, {}, test_key(), 42);
     EXPECT_EQ(rig.router->process(packet, 0, 0).action, core::Action::kForward);
   }
   // total == 0 and index >= total are malformed.
@@ -315,7 +316,7 @@ TEST(DtnOps, BundleFragOpBoundsChecksGeometry) {
         std::pair<std::uint16_t, std::uint16_t>{9, 4}}) {
     CustodyRig rig(7);
     auto packet =
-        frag_packet(dtn::custody_addr(100), 5, index, total, {}, test_key(), 42);
+        frag_packet(mesh::addr_of(100), 5, index, total, {}, test_key(), 42);
     const auto result = rig.router->process(packet, 0, 0);
     EXPECT_EQ(result.action, core::Action::kDrop) << index << "/" << total;
     EXPECT_EQ(result.reason, core::DropReason::kMalformed) << index << "/" << total;
@@ -480,12 +481,12 @@ struct BlackoutRig {
     fb = fb_;
     // Route the receiver prefix forward; custody ACKs travel back out the
     // ingress face (the §2.4 reverse-path seam) and need no FIB entries.
-    r1.env().fib32->insert(dtn::custody_prefix(100), f12);
-    r2.env().fib32->insert(dtn::custody_prefix(100), f2b);
+    r1.env().fib32->insert(mesh::prefix_of(100), f12);
+    r2.env().fib32->insert(mesh::prefix_of(100), f2b);
 
     dtn::BundleSender::Config sc;
-    sc.self = dtn::custody_addr(99);
-    sc.dst = dtn::custody_addr(100);
+    sc.self = mesh::addr_of(99);
+    sc.dst = mesh::addr_of(100);
     sc.node_id = 99;
     sc.custody_key = test_key();
     sc.frag_payload = 48;
@@ -496,7 +497,7 @@ struct BlackoutRig {
     });
 
     dtn::BundleReceiver::Config bc;
-    bc.self = dtn::custody_addr(100);
+    bc.self = mesh::addr_of(100);
     bc.custody_key = test_key();
     receiver.emplace(b, fb, bc, [this](std::uint32_t id, std::vector<std::uint8_t> p) {
       delivered[id] = std::move(p);
@@ -654,7 +655,7 @@ struct ReceiverRig {
     net.add_node(sink);
     const auto [frx_, fs] = net.connect(rx, sink);
     dtn::BundleReceiver::Config cfg;
-    cfg.self = dtn::custody_addr(100);
+    cfg.self = mesh::addr_of(100);
     cfg.custody_key = test_key();
     cfg.strict = strict;
     receiver.emplace(rx, frx_, cfg, [this](std::uint32_t id, std::vector<std::uint8_t> p) {
@@ -665,7 +666,7 @@ struct ReceiverRig {
   std::vector<std::uint8_t> frag(std::uint32_t bundle, std::uint16_t index,
                                  std::uint16_t total,
                                  std::span<const std::uint8_t> payload) {
-    return frag_packet(dtn::custody_addr(100), bundle, index, total, payload,
+    return frag_packet(mesh::addr_of(100), bundle, index, total, payload,
                        test_key(), /*custodian=*/7);
   }
 

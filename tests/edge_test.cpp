@@ -8,7 +8,7 @@
 #include "dip/core/registry.hpp"
 #include "dip/core/ip.hpp"
 #include "dip/fib/dir24.hpp"
-#include "dip/fib/patricia.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/netfence/netfence.hpp"
 #include "dip/netsim/event_loop.hpp"
 #include "dip/netsim/topology.hpp"
@@ -52,17 +52,17 @@ TEST(Edge, EmptyLoopWithFiniteDeadlineAdvancesClock) {
   EXPECT_EQ(loop2.now(), 0u);
 }
 
-// ---------- Patricia structural collapse ----------
+// ---------- tree bitmap pruning along a nested chain ----------
 
-TEST(Edge, PatriciaMiddleRemovalCollapsesJunctions) {
-  fib::PatriciaTrie<32> trie;
+TEST(Edge, TreeBitmapMiddleRemovalPrunesNestedChain) {
+  fib::TreeBitmap<32> trie;
   // Nested chain: /8 -> /16 -> /24, then remove the middle.
   trie.insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
   trie.insert({fib::ipv4_from_u32(0x0A010000), 16}, 2);
   trie.insert({fib::ipv4_from_u32(0x0A010100), 24}, 3);
   EXPECT_EQ(trie.remove({fib::ipv4_from_u32(0x0A010000), 16}).value(), 2u);
   EXPECT_EQ(trie.size(), 2u);
-  // Both remaining routes still resolve through the collapsed structure.
+  // Both remaining routes still resolve through the pruned structure.
   EXPECT_EQ(trie.lookup(fib::ipv4_from_u32(0x0A010105)).value(), 3u);
   EXPECT_EQ(trie.lookup(fib::ipv4_from_u32(0x0A020000)).value(), 1u);
   // Removing siblings down to empty must leave a usable trie.

@@ -9,7 +9,6 @@
 #include "dip/fib/dir24.hpp"
 #include "dip/fib/lpm.hpp"
 #include "dip/fib/name_fib.hpp"
-#include "dip/fib/patricia.hpp"
 #include "dip/fib/synth.hpp"
 #include "dip/fib/tree_bitmap.hpp"
 #include "dip/fib/xid_table.hpp"
@@ -196,8 +195,8 @@ TEST_P(LpmEngineTest, AgreesWithOracleUnderRandomWorkload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, LpmEngineTest,
-                         ::testing::Values(LpmEngine::kBinaryTrie, LpmEngine::kPatricia,
-                                           LpmEngine::kDir24, LpmEngine::kTreeBitmap));
+                         ::testing::Values(LpmEngine::kBinaryTrie, LpmEngine::kDir24,
+                                           LpmEngine::kTreeBitmap));
 
 // ---------- IPv6 engines ----------
 
@@ -248,8 +247,7 @@ TEST_P(Lpm6EngineTest, OracleAgreement) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TrieEngines, Lpm6EngineTest,
-                         ::testing::Values(LpmEngine::kBinaryTrie, LpmEngine::kPatricia,
-                                           LpmEngine::kTreeBitmap));
+                         ::testing::Values(LpmEngine::kBinaryTrie, LpmEngine::kTreeBitmap));
 
 TEST(LpmFactory, Dir24IsIpv4Only) {
   EXPECT_EQ(make_lpm<128>(LpmEngine::kDir24), nullptr);
@@ -325,7 +323,7 @@ TEST(Dir24, RemoveFallsBackToNextLongestMatch) {
 // checking agreement at every step (the churn pattern src/ctrl/ drives).
 TEST(LpmEngines, RemoveParityAcrossEngines) {
   BinaryTrie<32> trie;
-  PatriciaTrie<32> patricia;
+  TreeBitmap<32> tree;
   Dir24 dir24;
   crypto::Xoshiro256 rng(0xD00DF1B);
 
@@ -335,7 +333,7 @@ TEST(LpmEngines, RemoveParityAcrossEngines) {
     p.normalize();
     const NextHop nh = static_cast<NextHop>(1 + rng.below(1000));
     trie.insert(p, nh);
-    patricia.insert(p, nh);
+    tree.insert(p, nh);
     dir24.insert(p, nh);
     installed.push_back(p);
   }
@@ -343,7 +341,7 @@ TEST(LpmEngines, RemoveParityAcrossEngines) {
     for (int j = 0; j < 64; ++j) {
       const Ipv4Addr addr = ipv4_from_u32(rng.u32());
       const auto want = trie.lookup(addr);
-      EXPECT_EQ(patricia.lookup(addr), want) << stage << " patricia diverged";
+      EXPECT_EQ(tree.lookup(addr), want) << stage << " tree bitmap diverged";
       EXPECT_EQ(dir24.lookup(addr), want) << stage << " dir24 diverged";
     }
   };
@@ -356,13 +354,13 @@ TEST(LpmEngines, RemoveParityAcrossEngines) {
   }
   for (std::size_t i = 0; i < installed.size(); ++i) {
     const auto want = trie.remove(installed[i]);
-    EXPECT_EQ(patricia.remove(installed[i]), want);
+    EXPECT_EQ(tree.remove(installed[i]), want);
     EXPECT_EQ(dir24.remove(installed[i]), want);
     if (i % 50 == 0) probe_all("mid-teardown");
   }
   probe_all("after teardown");
   EXPECT_EQ(trie.size(), 0u);
-  EXPECT_EQ(patricia.size(), 0u);
+  EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(dir24.size(), 0u);
 }
 
@@ -403,17 +401,15 @@ TEST_P(Lpm6EngineTest, CloneIsDeepV6) {
 // ---------- synthesized-scale parity (ISSUE 7) ----------
 //
 // The toy-scale suites above can't see density bugs: run/popcount
-// bookkeeping in the tree bitmap, extension-table churn in Dir24, junction
-// collapse in Patricia all only get exercised when prefixes nest and crowd
-// the way a real DFZ table does. synth::ipv4_table is the shared generator
-// bench_fib_scale sweeps with, so divergence here reproduces with the same
-// seed there.
+// bookkeeping in the tree bitmap and extension-table churn in Dir24 only get
+// exercised when prefixes nest and crowd the way a real DFZ table does.
+// synth::ipv4_table is the shared generator bench_fib_scale sweeps with, so
+// divergence here reproduces with the same seed there.
 
 TEST(LpmEngines, SynthesizedParityAt10kPrefixes) {
   const auto routes = synth::ipv4_table(10'000, 0xD1B);
   BinaryTrie<32> oracle;
-  const LpmEngine others[] = {LpmEngine::kPatricia, LpmEngine::kDir24,
-                              LpmEngine::kTreeBitmap};
+  const LpmEngine others[] = {LpmEngine::kDir24, LpmEngine::kTreeBitmap};
   std::vector<std::unique_ptr<Ipv4Lpm>> tables;
   for (const LpmEngine e : others) tables.push_back(make_lpm<32>(e));
 
@@ -465,16 +461,13 @@ TEST(LpmEngines, SynthesizedParityAt10kPrefixes) {
 TEST(Lpm6Engines, SynthesizedParityV6) {
   const auto routes = synth::ipv6_table(3'000, 0x6D1B);
   BinaryTrie<128> oracle;
-  PatriciaTrie<128> patricia;
   TreeBitmap<128> tree;
   for (const auto& r : routes) {
     const auto want = oracle.insert(r.prefix, r.nh);
-    EXPECT_EQ(patricia.insert(r.prefix, r.nh), want);
     EXPECT_EQ(tree.insert(r.prefix, r.nh), want);
   }
   for (const auto& a : synth::probes(routes, 4096, 0x6CAFE)) {
     const auto want = oracle.lookup(a);
-    ASSERT_EQ(patricia.lookup(a), want);
     ASSERT_EQ(tree.lookup(a), want);
   }
 }
@@ -542,23 +535,36 @@ TEST(TreeBitmap, ArenaReachesSteadyStateUnderFlap) {
 }
 
 TEST(TreeBitmap, MemoryAccountingIsCompressed) {
-  // The headline property: bytes/prefix at synthesized density must come in
-  // far below the pointer tries (exact numbers live in BENCH_fib_scale.json;
-  // this guards the order of magnitude).
-  TreeBitmap<32> tree;
-  PatriciaTrie<32> patricia;
+  // The headline property, on the tables production actually builds: the
+  // default environment's FIB and a journal's from-scratch flush must both
+  // spend well under the pointer trie's bytes/prefix at synthesized density
+  // (exact numbers live in BENCH_fib_scale.json; this guards the order of
+  // magnitude and pins the default engine).
   const auto routes = synth::ipv4_table(10'000, 0xBEEF);
+  BinaryTrie<32> trie;
+  for (const auto& r : routes) trie.insert(r.prefix, r.nh);
+
+  std::shared_ptr<Ipv4Lpm> env_fib = netsim::make_basic_env(1).fib32;
+  auto tables = std::make_shared<ctrl::ControlTables>();
+  ctrl::RouteJournal journal(tables);
   for (const auto& r : routes) {
-    tree.insert(r.prefix, r.nh);
-    patricia.insert(r.prefix, r.nh);
+    env_fib->insert(r.prefix, r.nh);
+    journal.add_route32(r.prefix, r.nh);
   }
-  const double tree_bpp = static_cast<double>(tree.memory_bytes()) /
-                          static_cast<double>(tree.size());
-  const double pat_bpp = static_cast<double>(patricia.memory_bytes()) /
-                         static_cast<double>(patricia.size());
-  EXPECT_LT(tree_bpp, 64.0) << "tree bitmap should spend tens of bytes/prefix";
-  EXPECT_LT(tree_bpp, pat_bpp) << "compression must beat the pointer trie";
-  EXPECT_GE(tree.lookup_depth(routes[0].prefix.addr), 1u);
+  journal.flush();
+  const Ipv4Lpm* flushed = tables->fib32.read();
+  ASSERT_NE(flushed, nullptr);
+
+  const auto bpp = [](const Ipv4Lpm& t) {
+    return static_cast<double>(t.memory_bytes()) / static_cast<double>(t.size());
+  };
+  const double trie_bpp = bpp(trie);
+  for (const Ipv4Lpm* built : {static_cast<const Ipv4Lpm*>(env_fib.get()), flushed}) {
+    ASSERT_EQ(built->size(), trie.size());
+    EXPECT_LT(bpp(*built), 32.0) << "the production FIB should be the compressed engine";
+    EXPECT_LT(bpp(*built), trie_bpp) << "compression must beat the pointer trie";
+    EXPECT_GE(built->lookup_depth(routes[0].prefix.addr), 1u);
+  }
 }
 
 // ---------- tree bitmap behind the RCU churn path (TSan leg) ----------

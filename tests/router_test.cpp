@@ -199,45 +199,6 @@ TEST(Router, MaxFnPerPacketEnforced) {
   EXPECT_EQ(result.reason, DropReason::kBudgetExhausted);
 }
 
-// ---------- dispatch-strategy equivalence (ablation A1 correctness leg) ----------
-
-class DispatchEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(DispatchEquivalence, LoopAndUnrolledAgree) {
-  const int fn_count = GetParam();
-
-  auto make_packet = [&] {
-    HeaderBuilder b;
-    const auto dst = fib::ipv4_from_u32(0x0A000001);
-    for (int i = 0; i < fn_count; ++i) {
-      if (i == 0) {
-        b.add_router_fn(OpKey::kMatch32, dst.bytes);
-      } else {
-        b.add_router_fn(OpKey::kSource, dst.bytes);
-      }
-    }
-    return b.build()->serialize();
-  };
-
-  Router loop_router(env_with_route(), registry().get(), DispatchStrategy::kLoop);
-  Router unrolled_router(env_with_route(), registry().get(),
-                         DispatchStrategy::kUnrolled);
-
-  auto p1 = make_packet();
-  auto p2 = make_packet();
-  const auto r1 = loop_router.process(p1, 3, 100);
-  const auto r2 = unrolled_router.process(p2, 3, 100);
-
-  EXPECT_EQ(r1.action, r2.action);
-  EXPECT_EQ(r1.reason, r2.reason);
-  EXPECT_EQ(r1.egress, r2.egress);
-  EXPECT_EQ(p1, p2) << "packet mutations must be identical";
-}
-
-INSTANTIATE_TEST_SUITE_P(FnCounts, DispatchEquivalence,
-                         ::testing::Values(0, 1, 2, 3, 5, 8, 12, 16));
-
-
 TEST(Router, PerFnExecutionCountersTrack) {
   Router router(env_with_route(), registry().get());
   auto p1 = dip32_packet();
