@@ -75,6 +75,33 @@ fi
 echo "== tests =="
 ctest --test-dir build -LE bench-smoke --output-on-failure
 
+echo "== hardware AES path is live =="
+# dip_crypto picks AES-NI at run time and falls back to the portable rounds
+# on a CPU without AES. A broken CPU check would fall back silently (about
+# 3x router_mix throughput, no test failure), so on a host that lists
+# `aes` every hardware-implementation case of crypto_test must run, not
+# skip.
+if grep -qw aes /proc/cpuinfo 2>/dev/null; then
+  aes_out=$(build/tests/crypto_test --gtest_filter='*Hardware*' 2>&1) || {
+    echo "$aes_out"
+    echo "hardware AES cases FAILED"
+    exit 1
+  }
+  if grep -q SKIPPED <<<"$aes_out"; then
+    grep SKIPPED <<<"$aes_out"
+    echo "hardware AES cases skipped on a CPU with AES FAILED"
+    exit 1
+  fi
+  aes_ran=$(sed -n 's/^\[  PASSED  \] \([0-9]*\) test.*/\1/p' <<<"$aes_out")
+  if [ "${aes_ran:-0}" -eq 0 ]; then
+    echo "no hardware AES case ran FAILED"
+    exit 1
+  fi
+  echo "  $aes_ran hardware AES cases ran on AES-NI"
+else
+  echo "  CPU lists no aes: portable rounds only"
+fi
+
 echo "== benches (smoke lane: ctest -L bench-smoke, ~1 iteration each) =="
 ctest --test-dir build -L bench-smoke --output-on-failure
 
@@ -112,13 +139,15 @@ cmake --build build-san
 echo "== tests under sanitizers =="
 # -LE keeps the full unit/property tiers; the burst-arena and multi-block
 # crypto coverage (allocation_test, crypto_test batch oracles, pipeline
-# burst suites) runs here under ASan/UBSan in addition to the TSan pass,
-# and so does the pisa lane (pisa_test's stage-budget property suite +
+# burst suites) runs here under ASan/UBSan in addition to the TSan pass, on
+# an AES CPU through the AES-NI rounds (crypto_test's hardware cases pin
+# them against the portable ones); and so does the pisa lane (pisa_test's
+# stage-budget property suite +
 # ndn_switch_test) — the placement compiler's shrinker and report
 # formatting are exactly the kind of index arithmetic ASan pays for.
 ctest --test-dir build-san -LE bench-smoke --output-on-failure
 
-echo "== bench smoke under sanitizers (arena + multi-block crypto) =="
+echo "== bench smoke under sanitizers (arena + multi-block crypto, AES-NI where present) =="
 ctest --test-dir build-san -L bench-smoke \
   -R "bench_smoke_bench_batch_pipeline|bench_smoke_bench_crypto|bench_smoke_bench_chaos" \
   --output-on-failure

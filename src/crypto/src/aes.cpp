@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <cstring>
 
-// DIP_SIMD_CRYPTO (cmake option, default OFF): hardware AES rounds for the
-// encrypt paths. The portable byte-oriented code below stays compiled and
-// remains the oracle — the known-answer vectors in tests/crypto_test pin
-// both builds to the same outputs.
-#if defined(DIP_SIMD_CRYPTO) && defined(__AES__) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define DIP_AESNI 1
+// Two implementations of the same cipher, chosen once per process from the
+// CPU: AES-NI rounds and key schedule where the CPU has them (x86 only,
+// compiled per function with target("aes") so the library still runs on a
+// CPU without AES), and the portable byte-oriented code everywhere else.
+// The portable code is also the reference: tests/crypto_test.cpp runs the
+// known-answer vectors and a seeded differential against both.
+#if defined(__x86_64__) || defined(__i386__)
+#define DIP_AES_HARDWARE 1
 #include <wmmintrin.h>
 #else
-#define DIP_AESNI 0
+#define DIP_AES_HARDWARE 0
 #endif
 
 namespace dip::crypto {
@@ -64,8 +65,7 @@ inline std::uint8_t gmul(std::uint8_t a, std::uint8_t b) noexcept {
   return p;
 }
 
-// One-block round primitives shared by the single- and multi-block encrypt
-// paths (state is column-major, s[col*4 + row]).
+// Portable round primitives (state is column-major, s[col*4 + row]).
 inline void add_round_key(Block& s, const std::uint8_t* rk) noexcept {
   for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
 }
@@ -89,13 +89,13 @@ inline void mix_columns(Block& s) noexcept {
   }
 }
 
-}  // namespace
+// ---- portable implementation (every CPU; the tests' reference) ----
 
-void Aes128::expand_key(const Block& key) noexcept {
-  std::memcpy(round_keys_.data(), key.data(), kKeySize);
-  for (int i = 4; i < 4 * (kRounds + 1); ++i) {
+void portable_expand_key(const Block& key, std::uint8_t* rk) noexcept {
+  std::memcpy(rk, key.data(), Aes128::kKeySize);
+  for (int i = 4; i < 4 * (Aes128::kRounds + 1); ++i) {
     std::uint8_t t[4];
-    std::memcpy(t, round_keys_.data() + 4 * (i - 1), 4);
+    std::memcpy(t, rk + 4 * (i - 1), 4);
     if (i % 4 == 0) {
       // RotWord + SubWord + Rcon.
       const std::uint8_t tmp = t[0];
@@ -104,73 +104,167 @@ void Aes128::expand_key(const Block& key) noexcept {
       t[2] = kSbox[t[3]];
       t[3] = kSbox[tmp];
     }
-    for (int j = 0; j < 4; ++j) {
-      round_keys_[4 * i + j] = round_keys_[4 * (i - 4) + j] ^ t[j];
-    }
+    for (int j = 0; j < 4; ++j) rk[4 * i + j] = rk[4 * (i - 4) + j] ^ t[j];
   }
 }
 
-void Aes128::encrypt(Block& s) const noexcept {
-#if DIP_AESNI
-  encrypt_blocks(&s, 1);
-#else
-  add_round_key(s, round_keys_.data());
-  for (int round = 1; round < kRounds; ++round) {
-    sub_shift(s);
-    mix_columns(s);
-    add_round_key(s, round_keys_.data() + 16 * round);
-  }
-  sub_shift(s);
-  add_round_key(s, round_keys_.data() + 16 * kRounds);
-#endif
-}
-
-void Aes128::encrypt_blocks(Block* blocks, std::size_t n) const noexcept {
-#if DIP_AESNI
-  __m128i rk[kRounds + 1];
-  for (int r = 0; r <= kRounds; ++r) {
-    rk[r] = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(round_keys_.data() + 16 * r));
-  }
-  for (std::size_t base = 0; base < n; base += kMaxLanes) {
-    const std::size_t lanes = std::min(kMaxLanes, n - base);
-    __m128i s[kMaxLanes];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      s[l] = _mm_xor_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[base + l].data())),
-          rk[0]);
-    }
-    for (int r = 1; r < kRounds; ++r) {
-      for (std::size_t l = 0; l < lanes; ++l) s[l] = _mm_aesenc_si128(s[l], rk[r]);
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      s[l] = _mm_aesenclast_si128(s[l], rk[kRounds]);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(blocks[base + l].data()), s[l]);
-    }
-  }
-#else
+void portable_encrypt_blocks(const std::uint8_t* rk, Block* blocks, std::size_t n) noexcept {
   // Round-major over a strip of lanes: the per-lane chains are independent
   // inside each round, so the out-of-order engine overlaps them — the
   // "straight-line interleaved rounds" structure without hardware AES.
-  for (std::size_t base = 0; base < n; base += kMaxLanes) {
-    const std::size_t lanes = std::min(kMaxLanes, n - base);
+  for (std::size_t base = 0; base < n; base += Aes128::kMaxLanes) {
+    const std::size_t lanes = std::min(Aes128::kMaxLanes, n - base);
     Block* s = blocks + base;
-    for (std::size_t l = 0; l < lanes; ++l) add_round_key(s[l], round_keys_.data());
-    for (int round = 1; round < kRounds; ++round) {
-      const std::uint8_t* rk = round_keys_.data() + 16 * round;
+    for (std::size_t l = 0; l < lanes; ++l) add_round_key(s[l], rk);
+    for (int round = 1; round < Aes128::kRounds; ++round) {
       for (std::size_t l = 0; l < lanes; ++l) {
         sub_shift(s[l]);
         mix_columns(s[l]);
-        add_round_key(s[l], rk);
+        add_round_key(s[l], rk + 16 * round);
       }
     }
-    const std::uint8_t* rk_last = round_keys_.data() + 16 * kRounds;
     for (std::size_t l = 0; l < lanes; ++l) {
       sub_shift(s[l]);
-      add_round_key(s[l], rk_last);
+      add_round_key(s[l], rk + 16 * Aes128::kRounds);
     }
   }
+}
+
+#if DIP_AES_HARDWARE
+// ---- AES-NI implementation (called only once the CPU check passed) ----
+
+[[gnu::target("aes")]] inline __m128i load(const std::uint8_t* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+[[gnu::target("aes")]] inline void store(std::uint8_t* p, __m128i v) noexcept {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+// The next AES-128 round key: aeskeygenassist puts SubWord(RotWord(w3)) ^
+// Rcon in the top word, which is folded into the prefix XOR of w0..w3.
+// Rcon is an immediate operand, hence the template.
+template <int kRcon>
+[[gnu::target("aes")]] inline __m128i next_round_key(__m128i key) noexcept {
+  const __m128i assist = _mm_shuffle_epi32(_mm_aeskeygenassist_si128(key, kRcon), 0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+[[gnu::target("aes")]] void hardware_expand_key(const Block& key, std::uint8_t* rk) noexcept {
+  __m128i k[Aes128::kRounds + 1];
+  k[0] = load(key.data());
+  k[1] = next_round_key<0x01>(k[0]);
+  k[2] = next_round_key<0x02>(k[1]);
+  k[3] = next_round_key<0x04>(k[2]);
+  k[4] = next_round_key<0x08>(k[3]);
+  k[5] = next_round_key<0x10>(k[4]);
+  k[6] = next_round_key<0x20>(k[5]);
+  k[7] = next_round_key<0x40>(k[6]);
+  k[8] = next_round_key<0x80>(k[7]);
+  k[9] = next_round_key<0x1b>(k[8]);
+  k[10] = next_round_key<0x36>(k[9]);
+  for (int r = 0; r <= Aes128::kRounds; ++r) store(rk + 16 * r, k[r]);
+}
+
+[[gnu::target("aes")]] void hardware_encrypt_blocks(const std::uint8_t* rk, Block* blocks,
+                                                    std::size_t n) noexcept {
+  __m128i keys[Aes128::kRounds + 1];
+  for (int r = 0; r <= Aes128::kRounds; ++r) keys[r] = load(rk + 16 * r);
+  for (std::size_t base = 0; base < n; base += Aes128::kMaxLanes) {
+    const std::size_t lanes = std::min(Aes128::kMaxLanes, n - base);
+    __m128i s[Aes128::kMaxLanes];
+    for (std::size_t l = 0; l < lanes; ++l) {
+      s[l] = _mm_xor_si128(load(blocks[base + l].data()), keys[0]);
+    }
+    for (int r = 1; r < Aes128::kRounds; ++r) {
+      for (std::size_t l = 0; l < lanes; ++l) s[l] = _mm_aesenc_si128(s[l], keys[r]);
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      store(blocks[base + l].data(), _mm_aesenclast_si128(s[l], keys[Aes128::kRounds]));
+    }
+  }
+}
 #endif
+
+// One implementation's entry points; Aes128 calls through the chosen one
+// (a single block is a strip of one).
+struct AesOps {
+  detail::AesImpl impl;
+  void (*expand_key)(const Block& key, std::uint8_t* rk) noexcept;
+  void (*encrypt_blocks)(const std::uint8_t* rk, Block* blocks, std::size_t n) noexcept;
+};
+
+constexpr AesOps kPortableOps{detail::AesImpl::kPortable, portable_expand_key,
+                              portable_encrypt_blocks};
+#if DIP_AES_HARDWARE
+constexpr AesOps kHardwareOps{detail::AesImpl::kHardware, hardware_expand_key,
+                              hardware_encrypt_blocks};
+#endif
+
+// The implementation this CPU runs, decided on first use.
+const AesOps& cpu_ops() noexcept {
+#if DIP_AES_HARDWARE
+  static const AesOps& chosen = []() -> const AesOps& {
+    // Aes128 objects can be built during static initialisation (the 2EM
+    // permutations are function-local statics), possibly before libgcc
+    // has read the CPU model, so initialise it here first.
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") ? kHardwareOps : kPortableOps;
+  }();
+  return chosen;
+#else
+  return kPortableOps;
+#endif
+}
+
+// Set by detail::ScopedAesImpl for the calling thread; null selects the
+// CPU's choice.
+thread_local const AesOps* t_forced_ops = nullptr;
+
+const AesOps& ops() noexcept {
+  if (const AesOps* forced = t_forced_ops) return *forced;
+  return cpu_ops();
+}
+
+}  // namespace
+
+namespace detail {
+
+bool hardware_aes_available() noexcept {
+  return cpu_ops().impl == AesImpl::kHardware;
+}
+
+AesImpl current_aes_impl() noexcept { return ops().impl; }
+
+ScopedAesImpl::ScopedAesImpl(AesImpl impl) noexcept : saved_(t_forced_ops) {
+  if (impl == AesImpl::kPortable) {
+    t_forced_ops = &kPortableOps;
+  } else if (hardware_aes_available()) {
+    t_forced_ops = &cpu_ops();
+  }
+}
+
+ScopedAesImpl::~ScopedAesImpl() { t_forced_ops = static_cast<const AesOps*>(saved_); }
+
+std::span<const std::uint8_t> aes128_round_keys(const Aes128& cipher) noexcept {
+  return cipher.round_keys_;
+}
+
+}  // namespace detail
+
+void Aes128::expand_key(const Block& key) noexcept {
+  ops().expand_key(key, round_keys_.data());
+}
+
+void Aes128::encrypt(Block& s) const noexcept {
+  ops().encrypt_blocks(round_keys_.data(), &s, 1);
+}
+
+void Aes128::encrypt_blocks(Block* blocks, std::size_t n) const noexcept {
+  ops().encrypt_blocks(round_keys_.data(), blocks, n);
 }
 
 void Aes128::decrypt(Block& s) const noexcept {

@@ -7,11 +7,16 @@
 // Keys are 64-bit name codes (the data plane carries a 32-bit compressed
 // name, § 4.1; 64 bits leaves headroom for wider name fields). Entries
 // expire after an interest lifetime; expiry is amortized via a lazy min-heap.
+//
+// Bounds on what packets can grow: at most Config::max_entries entries, and
+// an expiry heap of at most 2 x size() + 64 items between calls (so never
+// more than 2 x max_entries + 64). The heap keeps stale items for
+// refreshed and consumed entries; once they outnumber the live ones it is
+// rebuilt from the table, amortised O(1) per operation.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +62,9 @@ class Pit {
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
+  /// Items in the expiry heap, live and stale (see the bound above).
+  [[nodiscard]] std::size_t expiry_heap_size() const noexcept { return expiry_heap_.size(); }
+
  private:
   struct Entry {
     std::vector<FaceId> in_faces;
@@ -71,9 +79,12 @@ class Pit {
     }
   };
 
+  void push_expiry(SimTime expiry, std::uint64_t name_code);
+  void trim_expiry_heap();
+
   Config config_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> expiry_heap_;
+  std::vector<HeapItem> expiry_heap_;  ///< min-heap on expiry (std::greater)
 };
 
 }  // namespace dip::pit

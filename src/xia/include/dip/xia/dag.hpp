@@ -15,8 +15,13 @@
 // Header = 8 bytes, node record = 26 bytes; max 8 nodes. Edges are listed
 // highest priority first, as in XIA's fallback semantics. The virtual
 // source node's out-edges live in the header (src_edges).
+//
+// A Dag stores its nodes and edges inline, up to the kMaxNodes/kMaxEdges
+// the wire format allows, so F_DAG and F_intent parse a packet's DAG
+// without touching the heap.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -33,11 +38,35 @@ inline constexpr std::uint8_t kNoEdge = 0xff;
 inline constexpr std::size_t kHeaderBytes = 8;
 inline constexpr std::size_t kNodeBytes = 1 + 20 + 1 + kMaxEdges;  // 26
 
+/// Up to N items stored in place (no heap).
+template <typename T, std::size_t N>
+class InlineList {
+ public:
+  /// Append; false (and no change) when full.
+  [[nodiscard]] bool push_back(const T& item) noexcept {
+    if (size_ == N) return false;
+    items_[size_++] = item;
+    return true;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] const T& operator[](std::size_t i) const noexcept { return items_[i]; }
+  [[nodiscard]] T& operator[](std::size_t i) noexcept { return items_[i]; }
+  [[nodiscard]] const T* begin() const noexcept { return items_.data(); }
+  [[nodiscard]] const T* end() const noexcept { return items_.data() + size_; }
+  operator std::span<const T>() const noexcept { return {items_.data(), size_}; }
+
+ private:
+  std::array<T, N> items_{};
+  std::uint8_t size_ = 0;
+};
+
+/// Out-edges by node index, priority order (fallback = later entries).
+using EdgeList = InlineList<std::uint8_t, kMaxEdges>;
+
 struct DagNode {
   fib::XidType type = fib::XidType::kHid;
   fib::Xid xid;
-  /// Out-edges by node index, priority order (fallback = later entries).
-  std::vector<std::uint8_t> edges;
+  EdgeList edges;
 };
 
 class Dag {
@@ -60,12 +89,8 @@ class Dag {
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
   [[nodiscard]] const DagNode& node(std::size_t i) const { return nodes_[i]; }
 
-  /// Out-edges of the cursor position: the source's edges are the intent
-  /// chain entry points. We model the source's out-edges as those of a
-  /// virtual node whose edge list is `source_edges`.
-  void set_source_edges(std::vector<std::uint8_t> edges) {
-    source_edges_ = std::move(edges);
-  }
+  /// Out-edges of the virtual source node (the cursor before any real
+  /// node is visited): the entry points into the DAG.
   [[nodiscard]] std::span<const std::uint8_t> source_edges() const noexcept {
     return source_edges_;
   }
@@ -89,8 +114,8 @@ class Dag {
   friend struct ParsedDag;
   friend bytes::Result<struct ParsedDag> parse_dag(std::span<const std::uint8_t> data);
 
-  std::vector<DagNode> nodes_;
-  std::vector<std::uint8_t> source_edges_;
+  InlineList<DagNode, kMaxNodes> nodes_;
+  EdgeList source_edges_;
   std::uint8_t intent_ = 0;
 };
 

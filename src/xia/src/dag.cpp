@@ -7,21 +7,15 @@
 namespace dip::xia {
 
 std::optional<std::uint8_t> Dag::add_node(DagNode node) {
-  if (nodes_.size() >= kMaxNodes || node.edges.size() > kMaxEdges) return std::nullopt;
-  nodes_.push_back(std::move(node));
+  if (!nodes_.push_back(node)) return std::nullopt;
   return static_cast<std::uint8_t>(nodes_.size() - 1);
 }
 
 bool Dag::add_edge(std::uint8_t from, std::uint8_t to) {
   if (to >= nodes_.size()) return false;
-  if (from == kSourceCursor) {
-    if (source_edges_.size() >= kMaxEdges) return false;
-    source_edges_.push_back(to);
-    return true;
-  }
-  if (from >= nodes_.size() || nodes_[from].edges.size() >= kMaxEdges) return false;
-  nodes_[from].edges.push_back(to);
-  return true;
+  if (from == kSourceCursor) return source_edges_.push_back(to);
+  if (from >= nodes_.size()) return false;
+  return nodes_[from].edges.push_back(to);
 }
 
 std::span<const std::uint8_t> Dag::edges_of(std::uint8_t cursor) const {
@@ -31,11 +25,9 @@ std::span<const std::uint8_t> Dag::edges_of(std::uint8_t cursor) const {
 }
 
 bool Dag::validate() const {
-  if (nodes_.size() > kMaxNodes) return false;
   if (intent_ >= nodes_.size()) return false;
 
   auto edges_ok = [&](std::span<const std::uint8_t> edges) {
-    if (edges.size() > kMaxEdges) return false;
     for (std::uint8_t e : edges) {
       if (e >= nodes_.size()) return false;
     }
@@ -46,31 +38,34 @@ bool Dag::validate() const {
     if (!edges_ok(n.edges)) return false;
   }
 
-  // Acyclicity: DFS with colors over node indices.
+  // Acyclicity: iterative DFS with colors over node indices. Only white
+  // nodes are pushed and none turns white again, so kMaxNodes frames bound
+  // the stack.
   enum class Color : std::uint8_t { kWhite, kGray, kBlack };
-  std::vector<Color> color(nodes_.size(), Color::kWhite);
-  // Iterative DFS.
+  std::array<Color, kMaxNodes> color{};
   struct Frame {
-    std::uint8_t node;
+    std::uint8_t node = 0;
     std::size_t edge = 0;
   };
+  std::array<Frame, kMaxNodes> stack{};
   for (std::uint8_t start = 0; start < nodes_.size(); ++start) {
     if (color[start] != Color::kWhite) continue;
-    std::vector<Frame> stack{{start}};
+    std::size_t depth = 0;
+    stack[depth++] = {start};
     color[start] = Color::kGray;
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      const auto& edges = nodes_[f.node].edges;
+    while (depth > 0) {
+      Frame& f = stack[depth - 1];
+      const EdgeList& edges = nodes_[f.node].edges;
       if (f.edge < edges.size()) {
         const std::uint8_t next = edges[f.edge++];
         if (color[next] == Color::kGray) return false;  // back edge: cycle
         if (color[next] == Color::kWhite) {
           color[next] = Color::kGray;
-          stack.push_back({next});
+          stack[depth++] = {next};
         }
       } else {
         color[f.node] = Color::kBlack;
-        stack.pop_back();
+        --depth;
       }
     }
   }
@@ -124,8 +119,9 @@ bytes::Result<ParsedDag> parse_dag(std::span<const std::uint8_t> data) {
     return bytes::Err(bytes::Error::kTruncated);
   }
 
+  // The degree and count checks above keep every push_back in capacity.
   for (std::uint8_t i = 0; i < src_degree; ++i) {
-    out.dag.source_edges_.push_back(data[4 + i]);
+    (void)out.dag.source_edges_.push_back(data[4 + i]);
   }
 
   std::size_t off = kHeaderBytes;
@@ -137,9 +133,9 @@ bytes::Result<ParsedDag> parse_dag(std::span<const std::uint8_t> data) {
     const std::uint8_t degree = data[off + 21];
     if (degree > kMaxEdges) return bytes::Err(bytes::Error::kMalformed);
     for (std::uint8_t i = 0; i < degree; ++i) {
-      node.edges.push_back(data[off + 22 + i]);
+      (void)node.edges.push_back(data[off + 22 + i]);
     }
-    out.dag.nodes_.push_back(std::move(node));
+    (void)out.dag.nodes_.push_back(node);
     off += kNodeBytes;
   }
 

@@ -5,17 +5,22 @@
 // egress spill), a steady-state run of process_batch bursts must perform
 // exactly zero heap allocations — the property the burst arena and the
 // retained scratch vectors exist to provide. Any std::vector growth, trace
-// push, or accidental by-value copy on the hot path trips the counter.
+// push, or accidental by-value copy on the hot path trips the counter. The
+// bursts cover DIP-32, mixed DIP-32/DIP-128, OPT and XIA.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "dip/core/ip.hpp"
 #include "dip/core/router.hpp"
+#include "dip/crypto/random.hpp"
 #include "dip/netsim/topology.hpp"
+#include "dip/opt/opt.hpp"
+#include "dip/xia/xia.hpp"
 
 namespace {
 
@@ -66,6 +71,35 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 namespace dip::core {
 namespace {
 
+// Runs `warmup` then `measured` bursts of `burst` packets drawn round-robin
+// from `templates` and returns the heap allocations the measured bursts
+// made. Buffers, refs and result slots are allocated once and recycled
+// burst over burst (hop limits decrement in place, so each burst refreshes
+// the bytes from the templates).
+std::uint64_t steady_state_allocations(Router& router,
+                                       const std::vector<std::vector<std::uint8_t>>& templates,
+                                       std::size_t burst, int warmup, int measured) {
+  std::vector<std::vector<std::uint8_t>> bufs(burst);
+  std::vector<PacketRef> refs(burst);
+  std::vector<ProcessResult> results(burst);
+  for (std::size_t i = 0; i < burst; ++i) {
+    bufs[i] = templates[i % templates.size()];
+    refs[i] = PacketRef(bufs[i]);
+  }
+  SimTime now = 0;
+  auto run_burst = [&] {
+    for (std::size_t i = 0; i < burst; ++i) {
+      const auto& t = templates[i % templates.size()];
+      bufs[i].assign(t.begin(), t.end());  // same size: no regrowth
+    }
+    router.process_batch(refs, /*ingress=*/0, ++now, results);
+  };
+  for (int b = 0; b < warmup; ++b) run_burst();
+  const std::uint64_t before = g_allocations.load();
+  for (int b = 0; b < measured; ++b) run_burst();
+  return g_allocations.load() - before;
+}
+
 TEST(BatchAllocation, SteadyStateBurstsAllocateNothing) {
   RouterEnv env = netsim::make_basic_env(1);
   env.default_egress = 1;
@@ -75,10 +109,7 @@ TEST(BatchAllocation, SteadyStateBurstsAllocateNothing) {
   Router router(std::move(env), registry.get());
 
   // The bench's burst shape: 32 packets over a handful of flows, the flow
-  // cache hot after warmup. Buffers, refs, and result slots are allocated
-  // once here and recycled burst over burst (hop limits decrement in place,
-  // so each iteration refreshes the bytes from the templates).
-  constexpr std::size_t kBurst = 32;
+  // cache hot after warmup.
   std::vector<std::vector<std::uint8_t>> templates;
   for (std::size_t f = 0; f < 8; ++f) {
     const auto h = make_dip32_header(
@@ -86,34 +117,11 @@ TEST(BatchAllocation, SteadyStateBurstsAllocateNothing) {
         fib::ipv4_from_u32(0xC0A80001));
     templates.push_back(h->serialize());
   }
-  std::vector<std::vector<std::uint8_t>> bufs(kBurst);
-  std::vector<PacketRef> refs(kBurst);
-  std::vector<ProcessResult> results(kBurst);
-  for (std::size_t i = 0; i < kBurst; ++i) {
-    bufs[i] = templates[i % templates.size()];
-    refs[i] = PacketRef(bufs[i]);
-  }
-
-  auto run_burst = [&](SimTime now) {
-    for (std::size_t i = 0; i < kBurst; ++i) {
-      const auto& t = templates[i % templates.size()];
-      bufs[i].assign(t.begin(), t.end());  // same size: no regrowth
-    }
-    router.process_batch(refs, /*ingress=*/0, now, results);
-  };
-
-  SimTime now = 0;
-  for (int burst = 0; burst < 64; ++burst) run_burst(++now);  // warmup
-
-  const std::uint64_t before = g_allocations.load();
-  for (int burst = 0; burst < 256; ++burst) run_burst(++now);
-  const std::uint64_t after = g_allocations.load();
-
-  EXPECT_EQ(after - before, 0u)
-      << (after - before) << " heap allocations on the steady-state batch path";
+  const std::uint64_t allocs = steady_state_allocations(router, templates, 32, 64, 256);
+  EXPECT_EQ(allocs, 0u) << allocs << " heap allocations on the steady-state batch path";
 
   // Sanity: the run actually exercised the fast path.
-  EXPECT_EQ(router.env().counters.processed, (64u + 256u) * kBurst);
+  EXPECT_EQ(router.env().counters.processed, (64u + 256u) * 32u);
   EXPECT_EQ(router.env().counters.dropped, 0u);
   EXPECT_GT(router.env().counters.flow_cache_hits, 0u);
 }
@@ -129,7 +137,6 @@ TEST(BatchAllocation, MixedProgramBurstsAllocateNothingSteadyState) {
   auto registry = netsim::make_default_registry();
   Router router(std::move(env), registry.get());
 
-  constexpr std::size_t kBurst = 33;
   std::vector<std::vector<std::uint8_t>> templates;
   templates.push_back(make_dip32_header(fib::ipv4_from_u32(0x0A000005),
                                         fib::ipv4_from_u32(0xC0A80001))
@@ -138,27 +145,52 @@ TEST(BatchAllocation, MixedProgramBurstsAllocateNothingSteadyState) {
       make_dip128_header(fib::parse_ipv6("2001:db8::9").value(),
                          fib::parse_ipv6("2001:db8::1").value())
           ->serialize());
-  std::vector<std::vector<std::uint8_t>> bufs(kBurst);
-  std::vector<PacketRef> refs(kBurst);
-  std::vector<ProcessResult> results(kBurst);
-  for (std::size_t i = 0; i < kBurst; ++i) {
-    bufs[i] = templates[i % templates.size()];
-    refs[i] = PacketRef(bufs[i]);
+  EXPECT_EQ(steady_state_allocations(router, templates, 33, 64, 256), 0u);
+  EXPECT_EQ(router.env().counters.dropped, 0u);
+}
+
+// OPT's F_parm/F_MAC/F_mark waves: per-packet DRKey schedules and 2EM MAC
+// strips run on stack state only.
+TEST(BatchAllocation, OptBurstsAllocateNothingSteadyState) {
+  RouterEnv env = netsim::make_basic_env(1);
+  env.default_egress = 1;
+  const std::vector<crypto::Block> secrets{env.node_secret};
+  auto registry = netsim::make_default_registry();
+  Router router(std::move(env), registry.get());
+
+  crypto::Xoshiro256 rng(0x0A11);
+  const opt::Session session = opt::negotiate_session(rng.block(), secrets, rng.block());
+  const std::vector<std::uint8_t> payload = {'d', 'i', 'p'};
+  std::vector<std::vector<std::uint8_t>> templates;
+  for (std::uint32_t ts = 0; ts < 8; ++ts) {
+    templates.push_back(opt::make_opt_header(session, payload, 1000 + ts)->serialize());
   }
-  auto run_burst = [&](SimTime now) {
-    for (std::size_t i = 0; i < kBurst; ++i) {
-      const auto& t = templates[i % templates.size()];
-      bufs[i].assign(t.begin(), t.end());
-    }
-    router.process_batch(refs, 0, now, results);
-  };
+  EXPECT_EQ(steady_state_allocations(router, templates, 32, 16, 64), 0u);
+  EXPECT_EQ(router.env().counters.dropped, 0u);
+}
 
-  SimTime now = 0;
-  for (int burst = 0; burst < 64; ++burst) run_burst(++now);
+// XIA's F_DAG/F_intent: each parses the DAG off the wire, into inline
+// storage bounded by the wire format's kMaxNodes/kMaxEdges.
+TEST(BatchAllocation, XiaBurstsAllocateNothingSteadyState) {
+  RouterEnv env = netsim::make_basic_env(1);
+  env.default_egress = 1;
+  std::vector<std::vector<std::uint8_t>> templates;
+  for (int i = 0; i < 8; ++i) {
+    const std::string n = std::to_string(i);
+    const fib::Xid ad = xia::xid_from_label("ad-" + n);
+    const fib::Xid sid = xia::xid_from_label("sid-" + n);
+    env.xid_table->insert(fib::XidType::kAd, ad, 2);
+    // Half the services route on the intent, half fall back to the AD.
+    if (i % 2 == 0) env.xid_table->insert(fib::XidType::kSid, sid, 3);
+    templates.push_back(xia::make_xia_header(xia::make_service_dag(
+                                                 ad, xia::xid_from_label("hid-" + n),
+                                                 fib::XidType::kSid, sid))
+                            ->serialize());
+  }
+  auto registry = netsim::make_default_registry();
+  Router router(std::move(env), registry.get());
 
-  const std::uint64_t before = g_allocations.load();
-  for (int burst = 0; burst < 256; ++burst) run_burst(++now);
-  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(steady_state_allocations(router, templates, 32, 16, 64), 0u);
   EXPECT_EQ(router.env().counters.dropped, 0u);
 }
 

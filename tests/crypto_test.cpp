@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "dip/bytes/hex.hpp"
 #include "dip/crypto/aes.hpp"
 #include "dip/crypto/drkey.hpp"
@@ -20,27 +23,184 @@ Block block_of_hex(std::string_view hex) {
 }
 
 // ---------- AES-128 (FIPS-197 / SP 800-38A known answers) ----------
+//
+// The known-answer tests run once per implementation (detail::AesImpl);
+// the hardware cases skip on a CPU without AES, and scripts/check.sh fails
+// when they skip on one that has it.
 
-TEST(Aes128, Fips197AppendixBVector) {
+using detail::AesImpl;
+
+std::string impl_name(const ::testing::TestParamInfo<AesImpl>& info) {
+  return info.param == AesImpl::kHardware ? "Hardware" : "Portable";
+}
+
+class AesImplTest : public ::testing::TestWithParam<AesImpl> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == AesImpl::kHardware && !detail::hardware_aes_available()) {
+      GTEST_SKIP() << "CPU has no AES instructions";
+    }
+    impl_.emplace(GetParam());
+    ASSERT_EQ(detail::current_aes_impl(), GetParam());
+  }
+
+ private:
+  std::optional<detail::ScopedAesImpl> impl_;
+};
+
+TEST_P(AesImplTest, Fips197AppendixBVector) {
   const Block key = block_of_hex("2b7e151628aed2a6abf7158809cf4f3c");
   const Block plain = block_of_hex("3243f6a8885a308d313198a2e0370734");
   const Block expected = block_of_hex("3925841d02dc09fbdc118597196a0b32");
 
   Aes128 aes(key);
+  // FIPS-197 Appendix A.1: the last round key of this expansion.
+  const auto rk = detail::aes128_round_keys(aes);
+  EXPECT_TRUE(std::equal(rk.end() - 16, rk.end(),
+                         block_of_hex("d014f9a8c9ee2589e13f0cc8b6630ca6").begin()));
+
   Block state = plain;
   aes.encrypt(state);
   EXPECT_EQ(state, expected);
+  Block batch = plain;
+  aes.encrypt_blocks(&batch, 1);
+  EXPECT_EQ(batch, expected);
 
   aes.decrypt(state);
   EXPECT_EQ(state, plain);
 }
 
-TEST(Aes128, Sp80038aEcbVector) {
+TEST_P(AesImplTest, Sp80038aEcbVectors) {
   const Block key = block_of_hex("2b7e151628aed2a6abf7158809cf4f3c");
   Aes128 aes(key);
-  Block b = block_of_hex("6bc1bee22e409f96e93d7e117393172a");
-  aes.encrypt(b);
-  EXPECT_EQ(b, block_of_hex("3ad77bb40d7a3660a89ecaf32466ef97"));
+  // SP 800-38A F.1.1, all four blocks, one at a time and as one strip.
+  std::vector<Block> blocks = {block_of_hex("6bc1bee22e409f96e93d7e117393172a"),
+                               block_of_hex("ae2d8a571e03ac9c9eb76fac45af8e51"),
+                               block_of_hex("30c81c46a35ce411e5fbc1191a0a52ef"),
+                               block_of_hex("f69f2445df4f9b17ad2b417be66c3710")};
+  const std::vector<Block> expected = {block_of_hex("3ad77bb40d7a3660a89ecaf32466ef97"),
+                                       block_of_hex("f5d3d58503b9699de785895a96fdbaaf"),
+                                       block_of_hex("43b1cd7f598ece23881b00e3ed030688"),
+                                       block_of_hex("7b0c785e27e8ad3f8223207104725dd4")};
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(aes.encrypt_copy(blocks[i]), expected[i]) << "block " << i;
+  }
+  aes.encrypt_blocks(blocks.data(), blocks.size());
+  EXPECT_EQ(blocks, expected);
+}
+
+TEST_P(AesImplTest, Rfc4493CmacVectors) {
+  const Block key = block_of_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  AesCmac cmac(key);
+
+  // Example 1: empty message.
+  EXPECT_EQ(cmac.compute({}), block_of_hex("bb1d6929e95937287fa37d129b756746"));
+
+  // Example 2: 16 bytes.
+  const auto m16 = bytes::from_hex("6bc1bee22e409f96e93d7e117393172a").value();
+  EXPECT_EQ(cmac.compute(m16), block_of_hex("070a16b46b4d4144f79bdd9dd04a287c"));
+
+  // Example 3: 40 bytes.
+  const auto m40 = bytes::from_hex(
+                       "6bc1bee22e409f96e93d7e117393172a"
+                       "ae2d8a571e03ac9c9eb76fac45af8e51"
+                       "30c81c46a35ce411")
+                       .value();
+  EXPECT_EQ(cmac.compute(m40), block_of_hex("dfa66747de9ae63030ca32611497c827"));
+
+  // Example 4: 64 bytes.
+  const auto m64 = bytes::from_hex(
+                       "6bc1bee22e409f96e93d7e117393172a"
+                       "ae2d8a571e03ac9c9eb76fac45af8e51"
+                       "30c81c46a35ce411e5fbc1191a0a52ef"
+                       "f69f2445df4f9b17ad2b417be66c3710")
+                       .value();
+  EXPECT_EQ(cmac.compute(m64), block_of_hex("51f0bebf7e3b9d92fc49741779363cfe"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Impls, AesImplTest,
+                         ::testing::Values(AesImpl::kPortable, AesImpl::kHardware),
+                         impl_name);
+
+// ---- hardware vs portable differential (seeded; the portable path is the
+// reference). Every case here skips on a CPU without AES.
+
+class AesHardwareTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!detail::hardware_aes_available()) GTEST_SKIP() << "CPU has no AES instructions";
+  }
+};
+
+TEST_F(AesHardwareTest, ChosenByDefault) {
+  EXPECT_EQ(detail::current_aes_impl(), AesImpl::kHardware);
+}
+
+TEST_F(AesHardwareTest, RoundKeysMatchPortable) {
+  Xoshiro256 rng(0xAE5);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const Block key = rng.block();
+    std::optional<Aes128> portable;
+    {
+      detail::ScopedAesImpl impl(AesImpl::kPortable);
+      portable.emplace(key);
+    }
+    detail::ScopedAesImpl impl(AesImpl::kHardware);
+    const Aes128 hardware(key);
+    const auto want = detail::aes128_round_keys(*portable);
+    const auto got = detail::aes128_round_keys(hardware);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "trial " << trial;
+  }
+}
+
+TEST_F(AesHardwareTest, EncryptBlocksMatchPortable) {
+  Xoshiro256 rng(0xAE6);
+  const Aes128 cipher(rng.block());
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 17u, 33u}) {
+    std::vector<Block> plain(n);
+    for (auto& b : plain) b = rng.block();
+    auto run = [&](AesImpl which) {
+      detail::ScopedAesImpl impl(which);
+      std::vector<Block> blocks = plain;
+      cipher.encrypt_blocks(blocks.data(), n);
+      std::vector<Block> singles = plain;
+      for (auto& b : singles) cipher.encrypt(b);
+      EXPECT_EQ(blocks, singles) << "n=" << n;
+      return blocks;
+    };
+    EXPECT_EQ(run(AesImpl::kHardware), run(AesImpl::kPortable)) << "n=" << n;
+  }
+}
+
+TEST_F(AesHardwareTest, TwoEmMacMatchesPortable) {
+  Xoshiro256 rng(0xAE7);
+  // OPT's 52 covered bytes plus the block-boundary lengths; repeated keys
+  // share a key schedule inside two_em_mac_blocks.
+  const std::size_t lengths[] = {0, 1, 16, 17, 52, 52, 52, 64, 100};
+  std::vector<std::vector<std::uint8_t>> messages;
+  std::vector<Block> keys;
+  for (std::size_t i = 0; i < std::size(lengths); ++i) {
+    std::vector<std::uint8_t> m(lengths[i]);
+    for (auto& byte : m) byte = static_cast<std::uint8_t>(rng.next());
+    messages.push_back(std::move(m));
+    keys.push_back(i == 5 ? keys.back() : rng.block());
+  }
+  auto run = [&](AesImpl which) {
+    detail::ScopedAesImpl impl(which);
+    EXPECT_EQ(detail::current_aes_impl(), which);
+    std::vector<Block> tags(messages.size());
+    std::vector<MacBatchItem> items(messages.size());
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      items[i] = {keys[i], messages[i], &tags[i]};
+    }
+    two_em_mac_blocks(items);
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      EXPECT_EQ(tags[i], Em2Mac(keys[i]).compute(messages[i])) << "message " << i;
+    }
+    return tags;
+  };
+  EXPECT_EQ(run(AesImpl::kHardware), run(AesImpl::kPortable));
 }
 
 TEST(Aes128, EncryptDecryptInverseRandom) {
@@ -98,35 +258,6 @@ TEST(EvenMansour2, Deterministic) {
 }
 
 // ---------- CMAC (RFC 4493 known answers) ----------
-
-TEST(AesCmac, Rfc4493Vectors) {
-  const Block key = block_of_hex("2b7e151628aed2a6abf7158809cf4f3c");
-  AesCmac cmac(key);
-
-  // Example 1: empty message.
-  EXPECT_EQ(cmac.compute({}), block_of_hex("bb1d6929e95937287fa37d129b756746"));
-
-  // Example 2: 16 bytes.
-  const auto m16 = bytes::from_hex("6bc1bee22e409f96e93d7e117393172a").value();
-  EXPECT_EQ(cmac.compute(m16), block_of_hex("070a16b46b4d4144f79bdd9dd04a287c"));
-
-  // Example 3: 40 bytes.
-  const auto m40 = bytes::from_hex(
-                       "6bc1bee22e409f96e93d7e117393172a"
-                       "ae2d8a571e03ac9c9eb76fac45af8e51"
-                       "30c81c46a35ce411")
-                       .value();
-  EXPECT_EQ(cmac.compute(m40), block_of_hex("dfa66747de9ae63030ca32611497c827"));
-
-  // Example 4: 64 bytes.
-  const auto m64 = bytes::from_hex(
-                       "6bc1bee22e409f96e93d7e117393172a"
-                       "ae2d8a571e03ac9c9eb76fac45af8e51"
-                       "30c81c46a35ce411e5fbc1191a0a52ef"
-                       "f69f2445df4f9b17ad2b417be66c3710")
-                       .value();
-  EXPECT_EQ(cmac.compute(m64), block_of_hex("51f0bebf7e3b9d92fc49741779363cfe"));
-}
 
 TEST(AesCmac, VerifyAcceptsAndRejects) {
   const Block key = block_of_hex("2b7e151628aed2a6abf7158809cf4f3c");

@@ -116,6 +116,31 @@ TEST(Pit, CapacityRecoversViaExpiry) {
   EXPECT_TRUE(pit.record_interest(3, 1, 150));
 }
 
+TEST(Pit, ExpiryHeapStaysBoundedWhenDataConsumesEntries) {
+  // The normal NDN exchange: every interest is answered, so the table
+  // stays small and expire() (which runs only at capacity) never pops the
+  // expiry items the interests pushed. The heap must still stay within
+  // its declared bound, 2 x size() + 64 items.
+  Pit pit;
+  for (std::uint64_t name = 0; name < 100'000; ++name) {
+    ASSERT_EQ(pit.record_interest(name, 1, 0).value(), InterestResult::kCreated);
+    ASSERT_EQ(pit.match_data(name, 0).size(), 1u);
+    ASSERT_LE(pit.expiry_heap_size(), 2 * pit.size() + 64) << "after name " << name;
+  }
+  EXPECT_EQ(pit.size(), 0u);
+
+  // Aggregation refreshes push items too; the live entries stay intact.
+  for (SimTime now = 1; now <= 1000; ++now) {
+    ASSERT_TRUE(pit.record_interest(7, static_cast<FaceId>(now), now));
+    ASSERT_LE(pit.expiry_heap_size(), 2 * pit.size() + 64) << "at now " << now;
+  }
+  // The rebuilt heap still sweeps the refreshed entry, exactly once.
+  const SimTime lifetime = Pit::Config{}.entry_lifetime;
+  EXPECT_EQ(pit.expire(1000 + lifetime - 1), 0u);
+  EXPECT_EQ(pit.expire(1000 + lifetime), 1u);
+  EXPECT_EQ(pit.size(), 0u);
+}
+
 // ---------- ContentStore ----------
 
 std::vector<std::uint8_t> payload(std::uint8_t tag) { return {tag, tag, tag}; }
