@@ -11,7 +11,12 @@
 //     The binary trie rides along at 10k/100k only — ~1 GiB of pointer
 //     chasing at 1M is exactly the non-option the compressed engines exist
 //     to replace.
-//   * BM_ScaleLookup6*/N   — the IPv6 picture at 200k routes (/48-heavy).
+//   * BM_ScaleLookupBatch*/N — the tree bitmap's lookup_batch over the
+//     serial legs' tables and probes, 32 addresses per call (a burst's
+//     worth): ns per lookup when a batch's walks interleave and their
+//     cache misses overlap, as on the burst pipeline's FIB path.
+//   * BM_ScaleLookup6*/N   — the IPv6 picture at 200k routes (/48-heavy),
+//     serial and batched.
 //   * BM_ScaleBuild*/N     — full-table build rate (routes/sec): the cost
 //     of standing up a snapshot from scratch, and the reason RouteJournal
 //     clones instead of rebuilding.
@@ -36,8 +41,10 @@
 //     --benchmark_out=BENCH_fib_scale.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "bench_util.hpp"
@@ -129,6 +136,33 @@ BENCHMARK(BM_ScaleLookupBinaryTrie)->Arg(10'000)->Arg(100'000);
 BENCHMARK(BM_ScaleLookupDir24)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 BENCHMARK(BM_ScaleLookupTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
+// The serial legs' table and probes, looked up kBatch at a time; items are
+// lookups, so ns/item compares directly with the serial leg.
+constexpr std::size_t kBatch = 32;
+static_assert(kProbeCount % kBatch == 0);
+
+template <std::size_t W>
+void run_scale_lookup_batch(benchmark::State& state, const fib::LpmTable<W>& table,
+                            const std::vector<fib::Address<W>>& probes) {
+  std::array<fib::NextHop, kBatch> out{};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    table.lookup_batch(std::span(probes).subspan(i, kBatch), out);
+    benchmark::DoNotOptimize(out.data());
+    i = (i + kBatch) & (kProbeCount - 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
+  report_shape(state, table, probes);
+}
+
+void BM_ScaleLookupBatchTreeBitmap(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  run_scale_lookup_batch(state, table32(LpmEngine::kTreeBitmap, count),
+                         fib::synth::probes(routes32(count), kProbeCount, 7));
+}
+
+BENCHMARK(BM_ScaleLookupBatchTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
+
 void run_scale_lookup6(benchmark::State& state, LpmEngine engine) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const fib::Ipv6Lpm& table = table128(engine, count);
@@ -146,6 +180,14 @@ void BM_ScaleLookup6TreeBitmap(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ScaleLookup6TreeBitmap)->Arg(200'000);
+
+void BM_ScaleLookup6BatchTreeBitmap(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  run_scale_lookup_batch(state, table128(LpmEngine::kTreeBitmap, count),
+                         fib::synth::probes(routes128(count), kProbeCount, 7));
+}
+
+BENCHMARK(BM_ScaleLookup6BatchTreeBitmap)->Arg(200'000);
 
 // ---------------------------------------------------------------------------
 // Build rate

@@ -62,6 +62,14 @@ Result<std::uint64_t> extract_uint(std::span<const std::uint8_t> block,
   if (range.bit_length > 64) return Err(Error::kOutOfRange);
 
   std::uint64_t v = 0;
+  if (range.byte_aligned()) {
+    // Whole bytes, as extract_bits does: F_32_match, F_FIB and F_PIT read
+    // their 32-bit field through here for every packet.
+    for (std::uint32_t i = 0; i < range.bit_length / 8; ++i) {
+      v = (v << 8) | block[range.bit_offset / 8 + i];
+    }
+    return v;
+  }
   for (std::uint32_t i = 0; i < range.bit_length; ++i) {
     v = (v << 1) | static_cast<std::uint64_t>(get_bit(block, range.bit_offset + i));
   }

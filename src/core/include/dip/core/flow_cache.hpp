@@ -73,23 +73,29 @@ class FlowCache {
   [[nodiscard]] const Verdict* find_hashed(std::span<const std::uint8_t> key,
                                            std::uint64_t h,
                                            std::uint64_t generation) noexcept {
-    std::size_t at = static_cast<std::size_t>(h) & mask_;
-    for (std::size_t probe = 0; probe < kProbeLimit; ++probe, at = (at + 1) & mask_) {
-      Slot& slot = slots_[at];
-      if (slot.hash == 0) return nullptr;  // empty slot ends the probe run
-      if (slot.hash != h || !key_equals(slot, key)) continue;
-      if (slot.generation != generation) {
-        // Route table changed since this verdict was memoized: the entry
-        // is dead. Erase it so the slot can be refilled (and so a
-        // subsequent insert of the same key does not create a duplicate
-        // further along the run).
-        slot.hash = 0;
-        --entries_;
-        return nullptr;
-      }
-      return &slot.verdict;
+    const std::size_t at = locate(key, h);
+    if (at == kAbsent) return nullptr;
+    Slot& slot = slots_[at];
+    if (slot.generation != generation) {
+      // Route table changed since this verdict was memoized: the entry
+      // is dead. Erase it so the slot can be refilled (and so a
+      // subsequent insert of the same key does not create a duplicate
+      // further along the run).
+      slot.hash = 0;
+      --entries_;
+      return nullptr;
     }
-    return nullptr;
+    return &slot.verdict;
+  }
+
+  /// Whether find_hashed(key, h, generation) would hit now. Unlike
+  /// find_hashed it never erases a stale entry, so a burst can predict
+  /// its misses ahead of the arrival-order probes without changing what
+  /// those probes and inserts see (hits, misses, evictions).
+  [[nodiscard]] bool would_hit(std::span<const std::uint8_t> key, std::uint64_t h,
+                               std::uint64_t generation) const noexcept {
+    const std::size_t at = locate(key, h);
+    return at != kAbsent && slots_[at].generation == generation;
   }
 
   /// Memoize a verdict computed under `generation`. Overwrites the first
@@ -126,6 +132,20 @@ class FlowCache {
                                 std::span<const std::uint8_t> key) const noexcept {
     return slot.key_len == key.size() &&
            std::memcmp(slot.key.data(), key.data(), key.size()) == 0;
+  }
+
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  /// Index of the slot holding `key` in hash `h`'s probe run, or kAbsent.
+  [[nodiscard]] std::size_t locate(std::span<const std::uint8_t> key,
+                                   std::uint64_t h) const noexcept {
+    std::size_t at = static_cast<std::size_t>(h) & mask_;
+    for (std::size_t probe = 0; probe < kProbeLimit; ++probe, at = (at + 1) & mask_) {
+      const Slot& slot = slots_[at];
+      if (slot.hash == 0) return kAbsent;  // empty slot ends the probe run
+      if (slot.hash == h && key_equals(slot, key)) return at;
+    }
+    return kAbsent;
   }
 
   std::vector<Slot> slots_;

@@ -20,6 +20,7 @@
 #include "dip/crypto/aes.hpp"
 #include "dip/core/env.hpp"
 #include "dip/core/verdict.hpp"
+#include "dip/fib/lpm.hpp"
 
 namespace dip::core {
 
@@ -46,6 +47,21 @@ struct OpContext {
   RouterEnv* env = nullptr;
   ProcessResult* result = nullptr;
   OpScratch* scratch = nullptr;
+  /// The target field's longest-prefix match, when the burst pipeline
+  /// resolved it for the whole wave group before this call: the next hop,
+  /// or fib::kNoRoute for none. Empty: the module looks the field up
+  /// itself. F_32_match, F_128_match and F_FIB read it through lpm().
+  std::optional<fib::NextHop> next_hop;
+
+  /// Longest-prefix match of the target field `addr` in `fib`: the
+  /// pre-resolved next_hop when there is one, else fib.lookup(addr).
+  template <std::size_t W>
+  [[nodiscard]] std::optional<fib::NextHop> lpm(const fib::LpmTable<W>& fib,
+                                                const fib::Address<W>& addr) const {
+    if (!next_hop) return fib.lookup(addr);
+    if (*next_hop == fib::kNoRoute) return std::nullopt;
+    return next_hop;
+  }
 
   /// Byte view of the target field; empty span if the field is not
   /// byte-aligned (use extract/inject then).

@@ -21,7 +21,9 @@
 // share one semantics. Per-FN module lookup goes through a dense,
 // registry-epoch-validated table instead of the hash map, and the match FNs
 // consult the RouterEnv flow cache before walking the FIB (see
-// flow_cache.hpp).
+// flow_cache.hpp). A wave group's FIB walks (its flow-cache misses and its
+// F_FIB items) run together as one interleaved batch before the group's
+// modules execute.
 //
 // Observability: when RouterEnv::stats is installed, process_batch records
 // bind/validate/dispatch phase latencies (sampled per burst), per-OpKey
@@ -106,8 +108,11 @@ class Router {
   };
 
   /// Run one FN; returns false when processing must stop (drop/error).
+  /// `next_hop` is the field's FIB answer when the wave group resolved it
+  /// (resolve_lookups); it reaches the module through OpContext::next_hop.
   bool run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTime now,
-              FnRunState& state, ProcessResult& result);
+              FnRunState& state, ProcessResult& result,
+              std::optional<fib::NextHop> next_hop = std::nullopt);
 
   /// Execute a match FN through the flow cache (memoized FIB verdict).
   bool run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
@@ -174,11 +179,23 @@ class Router {
                 const std::uint8_t* sampled, std::span<ProcessResult> results,
                 FaceId ingress, SimTime now);
   /// Fallback kernel: run each item through run_fn (exact legacy per-FN
-  /// semantics), in arrival order.
+  /// semantics), in arrival order, after resolving the group's F_FIB
+  /// lookups together.
   void wave_run_items(std::size_t pos, const std::uint16_t* items, std::size_t count,
                       FaceId ingress, SimTime now, FnRunState* states,
                       std::uint8_t* alive, const std::uint8_t* sampled,
                       std::span<ProcessResult> results);
+
+  /// Resolve a wave group's FIB lookups before the group runs in arrival
+  /// order: the fields of the items with want[k] set (F_32_match/F_FIB
+  /// fields in `f32`, F_128_match fields in `f128`; the caller checked
+  /// width, alignment and that the view exists) are answered by one
+  /// lookup_batch per table into answers[k], fib::kNoRoute for no route.
+  /// The views are the ones the group read once, so the answers match the
+  /// generation its flow-cache probes use; none outlives the burst.
+  void resolve_lookups(std::size_t pos, const std::uint16_t* items, std::size_t count,
+                       const std::uint8_t* want, const fib::Ipv4Lpm* f32,
+                       const fib::Ipv6Lpm* f128, fib::NextHop* answers);
 
   /// Per-packet dispatch: the FN loop in header order, or the relaxed
   /// schedule when the parallel bit is set and safe.

@@ -12,8 +12,7 @@ bytes::Status Match32Op::execute(OpContext& ctx) {
   const auto value = ctx.target_uint();
   if (!value) return bytes::Unexpected{value.error()};
 
-  const auto nh = fib->lookup(
-      fib::ipv4_from_u32(static_cast<std::uint32_t>(*value)));
+  const auto nh = ctx.lpm(*fib, fib::ipv4_from_u32(static_cast<std::uint32_t>(*value)));
   if (!nh) {
     ctx.result->drop(DropReason::kNoRoute);
     return {};
@@ -40,7 +39,7 @@ bytes::Status Match128Op::execute(OpContext& ctx) {
     }
   }
 
-  const auto nh = fib->lookup(addr);
+  const auto nh = ctx.lpm(*fib, addr);
   if (!nh) {
     ctx.result->drop(DropReason::kNoRoute);
     return {};

@@ -15,6 +15,24 @@
 
 namespace dip::core {
 
+namespace {
+
+// Width of the FIB an F_32_match, F_128_match or F_FIB looks its field up
+// in, when the field is one byte-aligned address of exactly that width (the
+// only fields a wave group resolves ahead of the module); else 0.
+std::size_t lpm_width(const FnTriple& fn) noexcept {
+  std::size_t width = 0;
+  switch (fn.key()) {
+    case OpKey::kMatch32:
+    case OpKey::kFib: width = 32; break;
+    case OpKey::kMatch128: width = 128; break;
+    default: return 0;
+  }
+  return fn.range().byte_aligned() && fn.field_len == width ? width : 0;
+}
+
+}  // namespace
+
 ProcessResult Router::process(std::span<std::uint8_t> packet, FaceId ingress,
                               SimTime now) {
   const PacketRef ref(packet);
@@ -602,15 +620,69 @@ void Router::wave_run_items(std::size_t pos, const std::uint16_t* items,
                             FnRunState* states, std::uint8_t* alive,
                             const std::uint8_t* sampled,
                             std::span<ProcessResult> results) {
+  // Unsampled F_FIB items (and match items, which reach this kernel only on
+  // a router without a flow cache) get their FIB lookups resolved together
+  // first; their modules then take the answer instead of walking the FIB.
+  const fib::Ipv4Lpm* f32 = env_.fib32_view();
+  const fib::Ipv6Lpm* f128 = env_.fib128_view();
+  std::uint8_t* want = arena_.alloc<std::uint8_t>(count);
+  fib::NextHop* answers = arena_.alloc<fib::NextHop>(count);
+  bool any_want = false;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t p = items[k];
+    const std::size_t width = sampled[p] ? 0 : lpm_width(views_[p].fns()[pos]);
+    want[k] = width != 0 && (width == 32 ? f32 != nullptr : f128 != nullptr);
+    any_want |= want[k] != 0;
+  }
+  if (any_want) resolve_lookups(pos, items, count, want, f32, f128, answers);
+
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
     sample_this_packet_ = sampled[p] != 0;
-    if (!run_fn(views_[p].fns()[pos], views_[p], ingress, now, states[p],
-                results[p])) {
+    const std::optional<fib::NextHop> next_hop =
+        want[k] ? std::optional(answers[k]) : std::nullopt;
+    if (!run_fn(views_[p].fns()[pos], views_[p], ingress, now, states[p], results[p],
+                next_hop)) {
       alive[p] = 0;
     }
   }
   sample_this_packet_ = false;
+}
+
+void Router::resolve_lookups(std::size_t pos, const std::uint16_t* items,
+                             std::size_t count, const std::uint8_t* want,
+                             const fib::Ipv4Lpm* f32, const fib::Ipv6Lpm* f128,
+                             fib::NextHop* answers) {
+  // Gather each wanted field into its table's address list, issue one
+  // lookup_batch per table, and scatter the answers back to item order.
+  auto* addrs4 = arena_.alloc<fib::Ipv4Addr>(count);
+  auto* addrs6 = arena_.alloc<fib::Ipv6Addr>(count);
+  std::uint16_t* item4 = arena_.alloc<std::uint16_t>(count);
+  std::uint16_t* item6 = arena_.alloc<std::uint16_t>(count);
+  std::size_t n4 = 0;
+  std::size_t n6 = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    if (!want[k]) continue;
+    const HeaderView& view = views_[items[k]];
+    const FnTriple& fn = view.fns()[pos];
+    const std::uint8_t* field = view.locations().data() + fn.field_loc / 8;
+    if (fn.key() == OpKey::kMatch128) {
+      std::memcpy(addrs6[n6].bytes.data(), field, 16);
+      item6[n6++] = static_cast<std::uint16_t>(k);
+    } else {
+      std::memcpy(addrs4[n4].bytes.data(), field, 4);
+      item4[n4++] = static_cast<std::uint16_t>(k);
+    }
+  }
+  fib::NextHop* out = arena_.alloc<fib::NextHop>(n4 > n6 ? n4 : n6);
+  if (n4 != 0) {
+    f32->lookup_batch({addrs4, n4}, {out, n4});
+    for (std::size_t i = 0; i < n4; ++i) answers[item4[i]] = out[i];
+  }
+  if (n6 != 0) {
+    f128->lookup_batch({addrs6, n6}, {out, n6});
+    for (std::size_t i = 0; i < n6; ++i) answers[item6[i]] = out[i];
+  }
 }
 
 void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
@@ -640,15 +712,29 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
     const std::size_t p = items[k];
     fast[k] = 0;
     if (sampled[p] || !view_ok) continue;
-    const bytes::BitRange range = views_[p].fns()[pos].range();
-    if (!range.byte_aligned() || range.bit_length / 8 != want_bytes) continue;
-    const std::uint8_t* slice =
-        views_[p].locations().data() + range.bit_offset / 8;
+    const FnTriple& fn = views_[p].fns()[pos];
+    if (lpm_width(fn) == 0) continue;
+    const std::uint8_t* slice = views_[p].locations().data() + fn.field_loc / 8;
     slices[k] = slice;
     hashes[k] = FlowCache::hash({slice, want_bytes});
     fast[k] = 1;
     cache->prefetch(hashes[k]);
   }
+
+  // Predict pass B's misses and resolve their FIB lookups together, on
+  // the view this group read. would_hit never erases a stale entry, so
+  // pass B still probes and inserts in exactly the per-packet engine's
+  // order, with its hits, misses and evictions. An item predicted to hit
+  // that misses in pass B (an earlier insert of this group evicted it)
+  // runs its module without an answer.
+  std::uint8_t* want = arena_.alloc<std::uint8_t>(count);
+  fib::NextHop* answers = arena_.alloc<fib::NextHop>(count);
+  bool any_want = false;
+  for (std::size_t k = 0; k < count; ++k) {
+    want[k] = fast[k] && !cache->would_hit({slices[k], want_bytes}, hashes[k], generation);
+    any_want |= want[k] != 0;
+  }
+  if (any_want) resolve_lookups(pos, items, count, want, f32, f128, answers);
 
   // Pass B, in arrival order (a miss's insert must be visible to the next
   // identical flow, exactly as the per-packet engine fills the cache).
@@ -690,13 +776,6 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
       continue;
     }
     ++misses;
-    if (f32 != nullptr) {
-      // Pull the FIB's first dependent load (the tree bitmap's level-1
-      // child) while the module sets up its walk.
-      fib::Ipv4Addr addr{};
-      std::memcpy(addr.bytes.data(), slices[k], 4);
-      f32->prefetch(addr);
-    }
     const FnTriple& fn = views_[p].fns()[pos];
     OpContext ctx;
     ctx.locations = views_[p].locations();
@@ -708,6 +787,7 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
     ctx.env = &env_;
     ctx.result = &result;
     ctx.scratch = &state.scratch;
+    if (want[k]) ctx.next_hop = answers[k];
     const bool egress_was_empty = result.egress.empty();
     if (const auto st = module->execute(ctx); !st) {
       result.drop(DropReason::kMalformed);
@@ -950,7 +1030,8 @@ void Router::refresh_module_table() {
 }
 
 bool Router::run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTime now,
-                    FnRunState& state, ProcessResult& result) {
+                    FnRunState& state, ProcessResult& result,
+                    std::optional<fib::NextHop> next_hop) {
   // Algorithm 1, line 5: host-tagged operations are skipped by routers.
   if (fn.host_tagged()) {
     ++env_.counters.fn_skipped_host;
@@ -1000,6 +1081,7 @@ bool Router::run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTim
     ctx.env = &env_;
     ctx.result = &result;
     ctx.scratch = &state.scratch;
+    ctx.next_hop = next_hop;
 
     ++env_.counters.fn_executed;
     ++env_.counters.fn_by_key[key_idx];

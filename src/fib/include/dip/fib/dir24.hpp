@@ -31,16 +31,6 @@ class Dir24 final : public LpmTable<32> {
 
   [[nodiscard]] std::optional<NextHop> lookup(const Ipv4Addr& addr) const override;
 
-  /// Pull the base-slab entry for `addr` into cache ahead of lookup()
-  /// (the first — and usually only — dependent load of the walk).
-  void prefetch(const Ipv4Addr& addr) const noexcept override {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&base_[ipv4_to_u32(addr) >> 8], 0, 2);
-#else
-    (void)addr;
-#endif
-  }
-
   [[nodiscard]] std::size_t size() const override { return size_; }
   [[nodiscard]] std::unique_ptr<LpmTable<32>> clone() const override {
     return std::make_unique<Dir24>(*this);

@@ -7,6 +7,11 @@
 // (bench_fib) and the scale sweep (bench_fib_scale). docs/FIB.md is the
 // catalogue.
 //
+// Lookups come one at a time (lookup) or as a batch (lookup_batch). The
+// burst pipeline resolves a wave group's lookups with one batch, so an
+// engine whose walk is a chain of dependent cache misses can keep the
+// whole batch's misses in flight at once (the tree bitmap does).
+//
 // The base class tracks a route-table *generation*: every mutation bumps it,
 // and the router's flow cache stamps each memoized verdict with the
 // generation it was computed under. A cached verdict whose stamp no longer
@@ -19,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "dip/fib/address.hpp"
 
@@ -44,10 +50,16 @@ class LpmTable {
   /// Longest-prefix match.
   [[nodiscard]] virtual std::optional<NextHop> lookup(const Address<W>& addr) const = 0;
 
-  /// Hint that lookup(addr) is imminent: engines with a predictable first
-  /// touch (DIR-24-8's base slab) pull it into cache; default is a no-op.
-  /// The burst pipeline issues these one packet ahead on flow-cache misses.
-  virtual void prefetch(const Address<W>& addr) const noexcept { (void)addr; }
+  /// Longest-prefix match of every address: out[i] is lookup(addrs[i]), or
+  /// kNoRoute where that is nullopt. `out` holds at least addrs.size()
+  /// slots; duplicates are fine. The default is a loop over lookup();
+  /// engines override it when they can overlap the lookups' memory loads.
+  virtual void lookup_batch(std::span<const Address<W>> addrs,
+                            std::span<NextHop> out) const {
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      out[i] = lookup(addrs[i]).value_or(kNoRoute);
+    }
+  }
 
   /// Number of routes installed.
   [[nodiscard]] virtual std::size_t size() const = 0;

@@ -17,16 +17,28 @@
 // copies instead of a million node allocations (see docs/FIB.md and
 // bench_fib_scale's churn leg).
 //
+// A lookup is a walk of up to W/4 + 1 nodes, each load depending on the
+// last. lookup() and lookup_batch() share one node step: a branch-free
+// longest match inside the node (the four heap slots on the address's path,
+// then the highest one set) and the child for the next stride. The walk
+// remembers only the index of the best result and reads results_ once, at
+// the end. lookup_batch() interleaves the walks of up to kBatchChunk
+// addresses: each round moves every unfinished walk down one level and
+// prefetches the node it reads next, so the batch's cache misses overlap
+// instead of queueing one walk behind another.
+//
 // Updates rewrite one child run and one result run per affected node
 // (allocate run of n±1, copy, recycle the old run through a per-size free
 // list). That keeps the arenas compact across flap-heavy workloads without a
 // compaction pass.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dip/fib/lpm.hpp"
@@ -41,7 +53,10 @@ class TreeBitmap final : public LpmTable<W> {
   static constexpr std::size_t kStride = 4;
   static constexpr std::size_t kLevels = W / kStride;  // child levels below root
 
-  TreeBitmap() { nodes_.emplace_back(); }
+  TreeBitmap() {
+    nodes_.emplace_back();
+    results_.push_back(kNoRoute);
+  }
   /// Deep copy by arena copy (the cheap clone the journal relies on);
   /// adopts the source's generation via the LpmTable protected copy ctor.
   TreeBitmap(const TreeBitmap&) = default;
@@ -51,44 +66,42 @@ class TreeBitmap final : public LpmTable<W> {
   }
 
   [[nodiscard]] std::optional<NextHop> lookup(const Address<W>& addr) const override {
-    std::optional<NextHop> best;
+    std::uint32_t best = kNoResult;
     std::uint32_t cur = 0;
-    for (std::size_t k = 0;; ++k) {
-      const Node& n = nodes_[cur];
-      const std::uint32_t v = k < kLevels ? stride_at(addr, k) : 0;
-      if (n.internal != 0) {
-        // Longest prefix ending in this node: start at the length-3 slot
-        // for these stride bits and climb the heap toward the node root.
-        std::uint32_t i = k < kLevels ? 7u + (v >> 1) : 0u;
-        while (true) {
-          if (n.internal & (1u << i)) {
-            best = results_[n.result_base + rank16(n.internal, i)];
-            break;
-          }
-          if (i == 0) break;
-          i = (i - 1) >> 1;
-        }
-      }
-      if (k >= kLevels) break;
-      const std::uint32_t bit = 1u << v;
-      if ((n.external & bit) == 0) break;
-      cur = n.child_base + rank16(n.external, v);
-    }
-    return best;
+    std::size_t k = 0;
+    do {
+      cur = step(nodes_[cur], walk_stride(addr, k++), best);
+    } while (cur != 0);
+    if (best == kNoResult) return std::nullopt;
+    return results_[best];
   }
 
-  /// Pull the root's child for addr's first stride — the first load of the
-  /// walk that can miss (the root node itself is always hot).
-  void prefetch(const Address<W>& addr) const noexcept override {
-#if defined(__GNUC__) || defined(__clang__)
-    const Node& root = nodes_[0];
-    const std::uint32_t v = stride_at(addr, 0);
-    if (root.external & (1u << v)) {
-      __builtin_prefetch(&nodes_[root.child_base + rank16(root.external, v)], 0, 2);
+  void lookup_batch(std::span<const Address<W>> addrs,
+                    std::span<NextHop> out) const override {
+    for (std::size_t base = 0; base < addrs.size(); base += kBatchChunk) {
+      const std::size_t m = std::min(kBatchChunk, addrs.size() - base);
+      const Address<W>* chunk = addrs.data() + base;
+      // Every walk starts at the root (node 0) with kNoResult (also 0).
+      std::array<std::uint32_t, kBatchChunk> cur{};   // node each walk reads next
+      std::array<std::uint32_t, kBatchChunk> best{};  // results_ index so far
+      std::array<std::uint8_t, kBatchChunk> live{};   // unfinished walks
+      for (std::size_t i = 0; i < m; ++i) live[i] = static_cast<std::uint8_t>(i);
+      std::size_t live_n = m;
+      for (std::size_t k = 0; live_n != 0; ++k) {
+        std::size_t kept = 0;
+        for (std::size_t j = 0; j < live_n; ++j) {
+          const std::size_t i = live[j];
+          const std::uint32_t next = step(nodes_[cur[i]], walk_stride(chunk[i], k), best[i]);
+          if (next != 0) {
+            prefetch_line(&nodes_[next]);
+            cur[i] = next;
+            live[kept++] = static_cast<std::uint8_t>(i);
+          }
+        }
+        live_n = kept;
+      }
+      for (std::size_t i = 0; i < m; ++i) out[base + i] = results_[best[i]];
     }
-#else
-    (void)addr;
-#endif
   }
 
   [[nodiscard]] std::size_t size() const override { return size_; }
@@ -102,15 +115,12 @@ class TreeBitmap final : public LpmTable<W> {
   }
 
   [[nodiscard]] std::size_t lookup_depth(const Address<W>& addr) const override {
-    std::size_t depth = 1;  // root
+    std::uint32_t best = kNoResult;
     std::uint32_t cur = 0;
-    for (std::size_t k = 0; k < kLevels; ++k) {
-      const Node& n = nodes_[cur];
-      const std::uint32_t bit = 1u << stride_at(addr, k);
-      if ((n.external & bit) == 0) break;
-      cur = n.child_base + rank16(n.external, stride_at(addr, k));
-      ++depth;
-    }
+    std::size_t depth = 0;
+    do {
+      cur = step(nodes_[cur], walk_stride(addr, depth++), best);
+    } while (cur != 0);
     return depth;
   }
 
@@ -175,15 +185,63 @@ class TreeBitmap final : public LpmTable<W> {
     std::uint32_t result_base = 0;  // arena run of popcount(internal) next hops
   };
 
+  /// Walks interleaved per lookup_batch chunk (bounds its stack state).
+  static constexpr std::size_t kBatchChunk = 32;
+  /// results_[0] is reserved and holds kNoRoute: a walk's best result
+  /// index starts there, so reading it back needs no branch.
+  static constexpr std::uint32_t kNoResult = 0;
+
   /// Stride k of an address: bits [4k, 4k+4) as a value, MSB-first.
   static constexpr std::uint32_t stride_at(const Address<W>& a, std::size_t k) noexcept {
     return (a.bytes[k >> 1] >> ((k & 1) ? 0 : 4)) & 0xFu;
   }
 
+  /// The stride a walk's k-th node is matched against: stride_at, or 0 at
+  /// the bottom level (k == kLevels), whose nodes hold only full-length
+  /// prefixes (heap slot 0) and never have children.
+  static constexpr std::uint32_t walk_stride(const Address<W>& a, std::size_t k) noexcept {
+    return k < kLevels ? stride_at(a, k) : 0u;
+  }
+
+  /// One level of every walk. Folds the longest prefix stored in `n` that
+  /// covers stride value `v` into `best` (a results_ index), and returns
+  /// the child to visit next, or 0 (the root, which is nobody's child)
+  /// when the walk ends at `n`.
+  static std::uint32_t step(const Node& n, std::uint32_t v, std::uint32_t& best) noexcept {
+    // The /0../3 prefixes on v's path sit in heap slots 0, 1 + (v >> 3),
+    // 3 + (v >> 2) and 7 + (v >> 1); a longer prefix has a higher slot.
+    const std::uint32_t on_path = 1u | 2u << (v >> 3) | 8u << (v >> 2) | 128u << (v >> 1);
+    const std::uint32_t hit = n.internal & on_path;
+    // `hit | 1` keeps the rank's shift defined when nothing hit.
+    const auto slot = static_cast<std::uint32_t>(std::bit_width(hit | 1u)) - 1u;
+    const std::uint32_t at = n.result_base + rank16(n.internal, slot);
+    best = hit != 0 ? at : best;
+    const std::uint32_t bit = 1u << v;
+    return (n.external & bit) != 0 ? n.child_base + rank16_bit(n.external, bit) : 0u;
+  }
+
+  static void prefetch_line(const void* p) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p, 0, 3);
+#else
+    (void)p;
+#endif
+  }
+
+  /// Set bits of a 16-bit bitmap, in plain ALU steps: the program is
+  /// built for baseline x86-64, where std::popcount is a library call,
+  /// and a rank sits on every level of the walk.
+  static constexpr std::uint32_t popcount16(std::uint32_t x) noexcept {
+    x = x - ((x >> 1) & 0x5555u);
+    x = (x & 0x3333u) + ((x >> 2) & 0x3333u);
+    x = (x + (x >> 4)) & 0x0F0Fu;
+    return (x + (x >> 8)) & 0x1Fu;
+  }
+
   /// Rank of `bit_or_index` inside a bitmap: entries below it that are set.
   /// Overload on the raw bit for external (value v) vs heap index i use.
   static constexpr std::uint32_t rank16(std::uint32_t bitmap, std::uint32_t index) noexcept {
-    return static_cast<std::uint32_t>(std::popcount(bitmap & ((1u << index) - 1u)));
+    return popcount16(bitmap & ((1u << index) - 1u));
   }
 
   /// Heap slot of the prefix inside its node: lengths 0..3 map to the
@@ -200,7 +258,7 @@ class TreeBitmap final : public LpmTable<W> {
   // rank16 above takes a heap/branch *index*; insert paths often have the
   // bit instead — rank relative to a bit is rank of its index.
   static constexpr std::uint32_t rank16_bit(std::uint32_t bitmap, std::uint32_t bit) noexcept {
-    return static_cast<std::uint32_t>(std::popcount(bitmap & (bit - 1u)));
+    return popcount16(bitmap & (bit - 1u));
   }
 
   // -- arena run management ------------------------------------------------
@@ -249,7 +307,7 @@ class TreeBitmap final : public LpmTable<W> {
     const std::uint32_t ebm = nodes_[pi].external;
     const std::uint32_t rank = rank16_bit(ebm, bit);
     if (ebm & bit) return nodes_[pi].child_base + rank;
-    const auto count = static_cast<std::uint32_t>(std::popcount(ebm));
+    const std::uint32_t count = popcount16(ebm);
     const std::uint32_t nb = alloc_nodes(count + 1);
     const std::uint32_t ob = nodes_[pi].child_base;
     for (std::uint32_t i = 0; i < rank; ++i) nodes_[nb + i] = nodes_[ob + i];
@@ -264,7 +322,7 @@ class TreeBitmap final : public LpmTable<W> {
   void remove_child(std::uint32_t pi, std::uint32_t v) {
     const std::uint32_t bit = 1u << v;
     const std::uint32_t ebm = nodes_[pi].external;
-    const auto count = static_cast<std::uint32_t>(std::popcount(ebm));
+    const std::uint32_t count = popcount16(ebm);
     const std::uint32_t rank = rank16_bit(ebm, bit);
     const std::uint32_t ob = nodes_[pi].child_base;
     std::uint32_t nb = 0;
@@ -283,8 +341,7 @@ class TreeBitmap final : public LpmTable<W> {
   /// Insert `nh` at `rank` into nodes_[ni]'s result run (run grows by one).
   /// Called *before* the internal bit is set, so popcount is the old count.
   void grow_results(std::uint32_t ni, std::uint32_t rank, NextHop nh) {
-    const auto count = static_cast<std::uint32_t>(std::popcount(
-        static_cast<std::uint32_t>(nodes_[ni].internal)));
+    const std::uint32_t count = popcount16(nodes_[ni].internal);
     const std::uint32_t nb = alloc_results(count + 1);
     const std::uint32_t ob = nodes_[ni].result_base;
     for (std::uint32_t i = 0; i < rank; ++i) results_[nb + i] = results_[ob + i];
@@ -297,8 +354,7 @@ class TreeBitmap final : public LpmTable<W> {
   /// Drop the result at `rank`. Called *before* the internal bit is
   /// cleared, so popcount is the count including the victim.
   void shrink_results(std::uint32_t ni, std::uint32_t rank) {
-    const auto count = static_cast<std::uint32_t>(std::popcount(
-        static_cast<std::uint32_t>(nodes_[ni].internal)));
+    const std::uint32_t count = popcount16(nodes_[ni].internal);
     const std::uint32_t ob = nodes_[ni].result_base;
     std::uint32_t nb = 0;
     if (count > 1) {
@@ -313,7 +369,7 @@ class TreeBitmap final : public LpmTable<W> {
   }
 
   std::vector<Node> nodes_;       // index 0 = root
-  std::vector<NextHop> results_;
+  std::vector<NextHop> results_;  // index 0 = kNoResult, never in a run
   std::array<std::vector<std::uint32_t>, 17> free_node_runs_;    // by run size
   std::array<std::vector<std::uint32_t>, 16> free_result_runs_;  // by run size
   std::size_t size_ = 0;

@@ -46,7 +46,7 @@ bytes::Status FibOp::execute(OpContext& ctx) {
     ctx.result->drop(DropReason::kNoRoute);
     return {};
   }
-  const auto nh = fib->lookup(fib::ipv4_from_u32(name_code));
+  const auto nh = ctx.lpm(*fib, fib::ipv4_from_u32(name_code));
   if (!nh) {
     ctx.result->drop(DropReason::kNoRoute);
     return {};

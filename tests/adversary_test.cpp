@@ -45,6 +45,91 @@ SecurityPath make_path(std::size_t hops, std::uint64_t seed) {
 
 constexpr std::array<std::uint8_t, 6> kPayload = {'s', 'o', 'u', 'n', 'd', '!'};
 
+// PIT flood through the burst pipeline's F_FIB path (docs/PROTOCOLS.md
+// declares the bounds). A 256-entry PIT takes 32-packet bursts of distinct,
+// never-answered interests, then repeats of the same names on the same face
+// and on a new face, then a fresh flood once every entry has expired. After
+// each burst both engines' PITs hold size() <= max_entries and an expiry
+// heap of at most 2 x size() + 64, and every verdict equals the per-packet
+// engine's: refused interests drop as kBudgetExhausted, same-face repeats as
+// kDuplicate, new-face repeats as kAggregated. Only created interests use
+// the FIB answer the burst resolved for them; the rest leave it unused.
+TEST(AdversarialPit, InterestFloodThroughBurstFibHoldsBounds) {
+  constexpr std::size_t kMaxEntries = 256;
+  constexpr std::size_t kBurst = 32;
+  constexpr core::FaceId kRouted = 5;
+  const auto make_router = [] {
+    core::RouterEnv env = netsim::make_basic_env(1);
+    pit::Pit::Config config;
+    config.max_entries = kMaxEntries;
+    env.pit = pit::Pit(config);
+    env.fib32->insert({fib::ipv4_from_u32(0x0A000000u), 8}, kRouted);
+    env.stats = telemetry::make_router_stats();
+    return core::Router(std::move(env), registry().get());
+  };
+  core::Router batch = make_router();
+  core::Router seq = make_router();
+
+  // Even names sit under the routed 10/8, odd ones are unrouted.
+  const auto name = [](std::size_t i) {
+    return static_cast<std::uint32_t>((i % 2 == 0 ? 0x0A000000u : 0x0B000000u) + i);
+  };
+  std::size_t packet_idx = 0;
+  const auto run_burst = [&](std::size_t first, core::FaceId ingress, SimTime now,
+                             const auto& expect_reason) {
+    std::vector<std::vector<std::uint8_t>> a(kBurst);
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      a[i] = ndn::make_interest_header32(name(first + i))->serialize();
+    }
+    std::vector<std::vector<std::uint8_t>> b = a;
+    std::vector<core::PacketRef> refs(a.begin(), a.end());
+    std::vector<core::ProcessResult> results(kBurst);
+    batch.process_batch(refs, ingress, now, results);
+    for (std::size_t i = 0; i < kBurst; ++i, ++packet_idx) {
+      const core::ProcessResult want = seq.process(b[i], ingress, now);
+      ASSERT_EQ(results[i].action, want.action) << "packet " << packet_idx;
+      ASSERT_EQ(results[i].reason, want.reason) << "packet " << packet_idx;
+      ASSERT_EQ(results[i].egress, want.egress) << "packet " << packet_idx;
+      ASSERT_EQ(results[i].reason, expect_reason(first + i)) << "packet " << packet_idx;
+    }
+    for (const core::Router* r : {&batch, &seq}) {
+      const pit::Pit& table = r->env().pit;
+      ASSERT_LE(table.size(), kMaxEntries);
+      ASSERT_LE(table.expiry_heap_size(), 2 * table.size() + 64);
+    }
+    ASSERT_EQ(batch.env().pit.size(), seq.env().pit.size());
+  };
+  const auto created = [&](std::size_t i) {
+    return i >= kMaxEntries          ? core::DropReason::kBudgetExhausted
+           : name(i) >> 24 == 0x0A ? core::DropReason::kNone
+                                   : core::DropReason::kNoRoute;
+  };
+  const auto repeated = [](core::DropReason on_entry) {
+    return [on_entry](std::size_t i) {
+      return i < kMaxEntries ? on_entry : core::DropReason::kBudgetExhausted;
+    };
+  };
+
+  constexpr std::size_t kNames = 3 * kMaxEntries;  // 2/3 of the flood is refused
+  for (std::size_t first = 0; first < kNames; first += kBurst) {
+    run_burst(first, 3, 1000, created);
+  }
+  EXPECT_EQ(batch.env().pit.size(), kMaxEntries);
+  for (std::size_t first = 0; first < kNames; first += kBurst) {
+    run_burst(first, 3, 2000, repeated(core::DropReason::kDuplicate));
+  }
+  for (std::size_t first = 0; first < kNames; first += kBurst) {
+    run_burst(first, 4, 3000, repeated(core::DropReason::kAggregated));
+  }
+  // Every entry expires (4 s lifetime); a fresh flood sweeps and refills.
+  for (std::size_t first = 0; first < kNames; first += kBurst) {
+    run_burst(first, 3, 10 * kSecond, created);
+  }
+  EXPECT_EQ(batch.env().pit.size(), kMaxEntries);
+  EXPECT_EQ(batch.env().executions_of(core::OpKey::kFib), 4 * kNames);
+  EXPECT_EQ(batch.env().stats->burst_wave.load(), 4 * kNames) << "every burst took the waves";
+}
+
 // Property: any in-flight mutation of the OPT locations block or payload
 // that actually changes bytes must fail destination verification.
 TEST(AdversarialOpt, NoLocationMutationSurvivesVerification) {

@@ -165,6 +165,15 @@ TEST_P(BitFieldProperty, ExtractInjectInverse) {
     const bool is = (block[bit / 8] >> (7 - bit % 8)) & 1;
     EXPECT_EQ(was, is) << "bit " << bit << " changed outside range";
   }
+
+  // extract_uint reads the same bits as a number, aligned or not.
+  if (length <= 64) {
+    std::uint64_t want = 0;
+    for (std::uint32_t bit = offset; bit < offset + length; ++bit) {
+      want = (want << 1) | ((block[bit / 8] >> (7 - bit % 8)) & 1u);
+    }
+    EXPECT_EQ(extract_uint(block, range).value(), want);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dip/core/ip.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/crypto/random.hpp"
@@ -87,6 +89,37 @@ TEST(Prefix, NormalizeAndMatch) {
 }
 
 // ---------- LPM engines, shared conformance suite ----------
+
+// lookup_batch must answer exactly as lookup: kNoRoute exactly where lookup
+// returns nullopt. The probes run twice in a row each (so batches hold
+// duplicates), cut into batches of every size below; the sizes cross the
+// tree bitmap's 32-walk chunk. A guard slot past each batch must stay
+// untouched.
+template <std::size_t W>
+void expect_batch_agrees(const LpmTable<W>& table, const std::vector<Address<W>>& probes,
+                         const char* stage) {
+  std::vector<Address<W>> stream;
+  for (const auto& a : probes) {
+    stream.push_back(a);
+    stream.push_back(a);
+  }
+  constexpr NextHop kGuard = 0xA5A5A5A5u;
+  for (const std::size_t size : {0, 1, 2, 31, 32, 33, 100}) {
+    std::vector<NextHop> out(size + 1);
+    std::size_t first = 0;
+    do {
+      const std::size_t m = std::min(size, stream.size() - first);
+      out[m] = kGuard;
+      table.lookup_batch(std::span(stream).subspan(first, m), std::span(out).first(m));
+      ASSERT_EQ(out[m], kGuard) << stage << ": batch of " << size << " wrote past its end";
+      for (std::size_t j = 0; j < m; ++j) {
+        ASSERT_EQ(out[j], table.lookup(stream[first + j]).value_or(kNoRoute))
+            << stage << ": batch of " << size << ", probe " << first + j;
+      }
+      first += m;
+    } while (size != 0 && first < stream.size());
+  }
+}
 
 class LpmEngineTest : public ::testing::TestWithParam<LpmEngine> {
  protected:
@@ -192,6 +225,19 @@ TEST_P(LpmEngineTest, AgreesWithOracleUnderRandomWorkload) {
     }
     EXPECT_EQ(oracle.size(), table_->size());
   }
+
+  // After the remove/re-insert churn: every installed prefix's own address
+  // and a random one beside it (unrouted ones included), then again with a
+  // /32 host route and a default route on top.
+  std::vector<Ipv4Addr> probes;
+  for (const auto& p : inserted) {
+    probes.push_back(p.addr);
+    probes.push_back(ipv4_from_u32(rng.u32()));
+  }
+  expect_batch_agrees(*table_, probes, "after churn");
+  table_->insert({probes[1], 32}, 4242);
+  table_->insert({{}, 0}, 4343);
+  expect_batch_agrees(*table_, probes, "with host and default routes");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, LpmEngineTest,
@@ -226,6 +272,8 @@ TEST_P(Lpm6EngineTest, FullLengthHostRoute) {
 TEST_P(Lpm6EngineTest, OracleAgreement) {
   BinaryTrie<128> oracle;
   crypto::Xoshiro256 rng(77);
+  std::vector<Prefix<128>> inserted;
+  std::vector<Ipv6Addr> probes;
   for (int step = 0; step < 500; ++step) {
     Ipv6Addr addr;
     // Cluster prefixes so lookups actually hit.
@@ -239,11 +287,23 @@ TEST_P(Lpm6EngineTest, OracleAgreement) {
     const NextHop nh = static_cast<NextHop>(rng.below(1000));
     oracle.insert(p, nh);
     table_->insert(p, nh);
+    inserted.push_back(p);
 
     Ipv6Addr probe = addr;
     probe.bytes[15] = static_cast<std::uint8_t>(rng.next());
     EXPECT_EQ(oracle.lookup(probe), table_->lookup(probe));
+    probes.push_back(addr);
+    probes.push_back(probe);
   }
+  probes.push_back(parse_ipv6("3fff::1").value());  // outside every prefix
+  expect_batch_agrees(*table_, probes, "v6 workload");
+  // A /128 host route; then every other route removed and re-inserted.
+  table_->insert({probes[3], 128}, 4242);
+  expect_batch_agrees(*table_, probes, "v6 host route");
+  for (std::size_t i = 0; i < inserted.size(); i += 2) table_->remove(inserted[i]);
+  expect_batch_agrees(*table_, probes, "v6 after removals");
+  for (std::size_t i = 0; i < inserted.size(); i += 2) table_->insert(inserted[i], 7);
+  expect_batch_agrees(*table_, probes, "v6 after re-insert");
 }
 
 INSTANTIATE_TEST_SUITE_P(TrieEngines, Lpm6EngineTest,
@@ -434,6 +494,7 @@ TEST(LpmEngines, SynthesizedParityAt10kPrefixes) {
             << " diverged at " << format_ipv4(a);
       }
     }
+    for (const auto& t : tables) expect_batch_agrees(*t, probes, stage);
   };
   probe_all("after install");
 
@@ -466,10 +527,15 @@ TEST(Lpm6Engines, SynthesizedParityV6) {
     const auto want = oracle.insert(r.prefix, r.nh);
     EXPECT_EQ(tree.insert(r.prefix, r.nh), want);
   }
-  for (const auto& a : synth::probes(routes, 4096, 0x6CAFE)) {
+  const auto probes = synth::probes(routes, 4096, 0x6CAFE);
+  for (const auto& a : probes) {
     const auto want = oracle.lookup(a);
     ASSERT_EQ(tree.lookup(a), want);
   }
+  expect_batch_agrees(tree, probes, "synthesized v6");
+  tree.insert({probes[0], 128}, 4242);
+  tree.insert({{}, 0}, 4343);
+  expect_batch_agrees(tree, probes, "synthesized v6, host and default routes");
 }
 
 // ---------- tree bitmap structural properties ----------
@@ -515,15 +581,19 @@ TEST(TreeBitmap, ArenaReachesSteadyStateUnderFlap) {
   TreeBitmap<32> table;
   const auto routes = synth::ipv4_table(5'000, 0xF1AB);
   for (const auto& r : routes) table.insert(r.prefix, r.nh);
+  // Recycled runs must answer batches exactly as single lookups do.
+  const auto probes = synth::probes(routes, 512, 0xF1AC);
 
   std::size_t after_cycle = 0;
   for (int cycle = 0; cycle < 8; ++cycle) {
     for (std::size_t i = 0; i < routes.size(); i += 3) {
       table.remove(routes[i].prefix);
     }
+    expect_batch_agrees(table, probes, "mid-flap");
     for (std::size_t i = 0; i < routes.size(); i += 3) {
       table.insert(routes[i].prefix, routes[i].nh);
     }
+    expect_batch_agrees(table, probes, "after flap");
     const std::size_t now = table.memory_bytes();
     if (cycle >= 2) {
       EXPECT_EQ(now, after_cycle)

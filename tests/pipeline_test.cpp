@@ -18,11 +18,13 @@
 #include "dip/core/ring.hpp"
 #include "dip/core/router.hpp"
 #include "dip/core/router_pool.hpp"
+#include "dip/fib/synth.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
 #include "dip/netsim/topology.hpp"
 #include "dip/qos/dps.hpp"
 #include "dip/telemetry/counters.hpp"
+#include "dip/telemetry/stats.hpp"
 
 namespace dip::core {
 namespace {
@@ -529,6 +531,107 @@ TEST(BatchEquivalence, MixedOpKeyBurstPreservesDpsArrivalOrder) {
   }
   // The property only bites if the policer engaged.
   EXPECT_GT(batch_rate_drops, 0u) << "DPS never dropped; overload too light";
+}
+
+// A wave group probes the flow cache ahead of its arrival-order pass (to
+// resolve the misses' FIB lookups together). That probe must not perturb the
+// cache: against a per-packet twin with its cache ON, verdicts, bytes, the
+// hit/miss/executed counters and the cache's entries and evictions stay
+// identical after every burst. A 16-slot cache over 256 destinations per
+// width, a quarter of them drawn from a hot dozen, evicts inside a burst
+// (so items predicted to hit can miss), repeated destinations inside a burst
+// hit on an earlier item's insert, NDN pairs run F_FIB through the same
+// groups, and route changes between bursts leave stale entries behind. Each
+// burst holds one match width (groups of different widths probe the cache
+// key by key, not in arrival order); the width changes every fourth burst.
+TEST(BatchEquivalence, FibPrePassLeavesTheFlowCacheAsPerPacket) {
+  const auto routes4 = fib::synth::ipv4_table(2'000, 0xCAC4E);
+  const auto routes6 = fib::synth::ipv6_table(1'000, 0xCAC6E);
+  const auto make_env = [&] {
+    RouterEnv env = netsim::make_basic_env(1);
+    env.flow_cache = std::make_unique<FlowCache>(16);
+    env.stats = telemetry::make_router_stats();  // sampled packets ride along
+    for (const auto& r : routes4) env.fib32->insert(r.prefix, r.nh);
+    for (const auto& r : routes6) env.fib128->insert(r.prefix, r.nh);
+    return env;
+  };
+  Router batch_router(make_env(), registry().get());
+  Router seq_router(make_env(), registry().get());
+  ASSERT_EQ(batch_router.env().flow_cache->capacity(), 16u);
+
+  // Half inside installed prefixes, half random (mostly unrouted).
+  const auto dst4 = fib::synth::probes(routes4, 256, 0xD54);
+  const auto dst6 = fib::synth::probes(routes6, 256, 0xD56);
+  std::mt19937_64 rng(0xF1B);
+  const auto change_routes = [&](int burst) {
+    // Withdraw one installed route per width and add a more-specific one
+    // over a destination: cached verdicts of both widths go stale.
+    for (Router* r : {&batch_router, &seq_router}) {
+      r->env().fib32->remove(routes4[static_cast<std::size_t>(burst) % routes4.size()].prefix);
+      r->env().fib32->insert({dst4[static_cast<std::size_t>(burst) % dst4.size()], 28},
+                             900 + static_cast<fib::NextHop>(burst));
+      r->env().fib128->remove(routes6[static_cast<std::size_t>(burst) % routes6.size()].prefix);
+      r->env().fib128->insert({dst6[static_cast<std::size_t>(burst) % dst6.size()], 56},
+                              900 + static_cast<fib::NextHop>(burst));
+    }
+  };
+
+  SimTime now = 0;
+  std::size_t packet_idx = 0;
+  for (int burst = 0; burst < 240; ++burst, now += kMillisecond) {
+    if (burst % 8 == 7) change_routes(burst);
+    const bool wide = burst % 8 >= 4;
+    const std::size_t n = 32;
+    std::vector<std::vector<std::uint8_t>> a;
+    std::size_t last = 0;
+    while (a.size() < n) {
+      const std::uint64_t draw = rng();
+      if (draw % 8 == 0 && a.size() + 2 <= n) {  // an NDN interest/data pair
+        const std::uint32_t code = fib::ipv4_to_u32(dst4[(draw >> 8) % 64]);
+        a.push_back(ndn::make_interest_header32(code)->serialize());
+        a.push_back(ndn::make_data_header32(code)->serialize());
+        continue;
+      }
+      // One in four repeats the previous destination inside the burst, one
+      // in four is a hot destination, the rest are uniform.
+      const std::size_t d = draw % 4 == 1   ? last
+                            : draw % 4 == 2 ? (draw >> 8) % 12
+                                            : (draw >> 8) % 256;
+      last = d;
+      a.push_back(wide ? make_dip128_header(dst6[d], dst6[0])->serialize()
+                       : dip32_packet(fib::ipv4_to_u32(dst4[d])));
+    }
+    std::vector<std::vector<std::uint8_t>> b = a;
+    std::vector<PacketRef> refs(a.begin(), a.end());
+    const FaceId ingress = static_cast<FaceId>(1 + rng() % 3);
+    std::vector<ProcessResult> results(n);
+    batch_router.process_batch(refs, ingress, now, results);
+    for (std::size_t i = 0; i < n; ++i, ++packet_idx) {
+      const ProcessResult seq = seq_router.process(b[i], ingress, now);
+      expect_same_result(results[i], seq, packet_idx);
+      EXPECT_EQ(a[i], b[i]) << "packet bytes diverged at " << packet_idx;
+    }
+    const auto& bc = batch_router.env().counters;
+    const auto& sc = seq_router.env().counters;
+    ASSERT_EQ(bc.flow_cache_hits, sc.flow_cache_hits) << "burst " << burst;
+    ASSERT_EQ(bc.flow_cache_misses, sc.flow_cache_misses) << "burst " << burst;
+    ASSERT_EQ(bc.fn_executed, sc.fn_executed) << "burst " << burst;
+    ASSERT_EQ(batch_router.env().flow_cache->entries(), seq_router.env().flow_cache->entries())
+        << "burst " << burst;
+    ASSERT_EQ(batch_router.env().flow_cache->evictions(),
+              seq_router.env().flow_cache->evictions())
+        << "burst " << burst;
+  }
+
+  // The property only bites if every path engaged.
+  const auto& counters = batch_router.env().counters;
+  EXPECT_GT(counters.flow_cache_hits, 500u);
+  EXPECT_GT(counters.flow_cache_misses, 500u);
+  EXPECT_GT(batch_router.env().flow_cache->evictions(), 500u);
+  EXPECT_GT(counters.forwarded, 1000u);
+  EXPECT_GT(batch_router.env().executions_of(OpKey::kFib), 500u);
+  EXPECT_GT(batch_router.env().stats->burst_wave.load(), 7000u);
+  EXPECT_EQ(batch_router.env().stats->burst_legacy.load(), 0u);
 }
 
 // ---------------------------------------------------------------- RouterPool
