@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
     if (i % 500 == 499) packet.resize(packet.size() / 2);  // malformed
     // Timestamps are block-aligned (one tick per 32-packet burst): workers
     // split bursts into runs sharing (ingress, now), so per-packet stamps
-    // would degenerate every run to a singleton and keep the wave path —
-    // and its dip_burst_wave_total series below — permanently cold.
+    // would degenerate every run to a singleton, which runs alone, and keep
+    // the waves — and their dip_burst_wave_total series below — cold.
     pool.submit(std::move(packet), /*ingress=*/0, /*now=*/(i / 32) * 3200);
     ++sent;
   }

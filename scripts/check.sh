@@ -130,6 +130,27 @@ if dead:
 print("  all seams traced: " + ", ".join(f"{n}={metrics[n]['value']:.4g}" for n in seams))
 PY
 
+echo "== core dispatch series (short traced perfbench router_mix) =="
+# router_mix reads core.wave_pkt_share and core.legacy_pkt_share as
+# RouterStats::burst_wave and burst_legacy over burst_bound, and
+# core.dispatch_ns_per_pkt from the dispatch-phase histogram. Phase 2 counts
+# every bound packet in exactly one of the two, so the shares sum to 1; a
+# router refactor that stops counting one of them, or stops timing phase 2,
+# would otherwise zero these series silently.
+core_json=$(python3 perfbench/run.py --workload router_mix --seed 1 --seconds 4 --trace 1 | tail -n 1)
+python3 - "$core_json" <<'PY'
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+value = lambda name: metrics.get(name, {}).get("value") or 0.0
+shares = value("core.wave_pkt_share") + value("core.legacy_pkt_share")
+dispatch = value("core.dispatch_ns_per_pkt")
+if abs(shares - 1.0) > 1e-6:
+    sys.exit(f"core.wave_pkt_share + core.legacy_pkt_share = {shares!r}, not 1")
+if not dispatch > 0:
+    sys.exit(f"core.dispatch_ns_per_pkt = {dispatch!r}, not > 0")
+print(f"  wave + legacy share = {shares:.6f}, dispatch = {dispatch:.4g} ns/pkt")
+PY
+
 echo "== sanitizer build (ASan + UBSan) =="
 cmake -B build-san -G Ninja -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \

@@ -13,12 +13,18 @@
 // pisa/dip_program.hpp).
 //
 // The fast path is process_batch: a run-to-completion, two-phase burst
-// pipeline. Phase one binds every HeaderView and validates structure for
-// the whole burst (branch-predictable, cache friendly); phase two
-// dispatches FNs in module-major waves, with a per-packet path for the
-// packets waves cannot take (DESIGN.md §10). Waves and software prefetch
-// are always on. process() is a thin batch-of-one wrapper, so both paths
-// share one semantics. Per-FN module lookup goes through a dense,
+// pipeline. Phase one binds every HeaderView, then validates structure,
+// for the whole burst (branch-predictable, cache friendly). Phase two has
+// one plan (DESIGN.md §10): it cuts the burst, in arrival order, before
+// any packet whose first stateful (not burst_commutes) FN sits at an
+// earlier position than the last stateful FN already in the segment. A
+// segment of two or more packets runs position-major waves, module-major
+// within a position, with a position's stateful FNs as one arrival-order
+// group, so every stateful FN still runs in per-packet order. A segment
+// of one runs its FNs through run_fn. A §2.2 parallel-bit packet that
+// relax_eligible accepts runs its FNs back to front, in the waves or
+// alone. process() is a thin batch-of-one wrapper, so every entry point
+// shares one semantics. Per-FN module lookup goes through a dense,
 // registry-epoch-validated table instead of the hash map, and the match FNs
 // consult the RouterEnv flow cache before walking the FIB (see
 // flow_cache.hpp). A wave group's FIB walks (its flow-cache misses and its
@@ -132,59 +138,67 @@ class Router {
   /// structural check; corrupt loc/len triples fail this).
   [[nodiscard]] static bool fns_fit(const HeaderView& view) noexcept;
 
-  /// Phase 2 of process_batch: classify the burst, run eligible packets
-  /// through position-major waves (module-major within each wave), the
-  /// rest through the legacy per-packet path. Accumulates the phase's
-  /// action tallies into the caller's locals.
-  /// `waves_allowed`/`exemplar`/`uniform` carry phase 1's uniform-program
-  /// detection (exemplar == packet count when no packet bound).
-  void dispatch_burst(std::span<const PacketRef> packets, FaceId ingress, SimTime now,
+  /// Phase-2 state of one burst: per-packet arrays indexed by burst
+  /// position, arena-backed and rewound with the arena at the next burst.
+  struct BurstState {
+    FaceId ingress = 0;
+    SimTime now = 0;
+    std::span<ProcessResult> results;
+    FnRunState* run = nullptr;        ///< budget and FN scratch
+    std::uint8_t* alive = nullptr;    ///< no FN has stopped the packet yet
+    std::uint8_t* sampled = nullptr;  ///< the stats sampler picked it
+    std::uint8_t* mirror = nullptr;   ///< §2.2 relaxed: FNs run back to front
+    std::uint8_t* fn_idx = nullptr;   ///< FN index the current wave runs
+  };
+
+  // Wave buckets past the dense keys (a commuting in-table module is its
+  // own key): stateful FNs, host-tagged FNs, keys without a module.
+  static constexpr std::uint8_t kStatefulBucket = kModuleTableSize;
+  static constexpr std::uint8_t kHostBucket = kModuleTableSize + 1;
+  static constexpr std::uint8_t kMiscBucket = kModuleTableSize + 2;
+
+  /// Phase 2 of process_batch: cut the burst into arrival-order segments,
+  /// run each through waves (or run_alone for a segment of one), then the
+  /// default-egress/trace/tally epilogue. Accumulates the phase's action
+  /// tallies into the caller's locals.
+  void dispatch_burst(std::size_t n, FaceId ingress, SimTime now,
                       std::span<ProcessResult> results, telemetry::RouterStats* stats,
-                      bool waves_allowed, std::size_t exemplar, bool uniform,
                       std::uint64_t& forwarded, std::uint64_t& dropped,
                       std::uint64_t& errors);
 
-  /// Uniform-burst fast plan: every bound packet carries the identical FN
-  /// program (same triples, no parallel bit, <=1 stateful FN), so each
-  /// wave is one whole-burst group in arrival order — no per-packet
-  /// classification and no counting sort. `exemplar` indexes the packet
-  /// whose program stands for the burst.
-  void dispatch_burst_uniform(std::size_t n, FaceId ingress, SimTime now,
-                              std::span<ProcessResult> results,
-                              telemetry::RouterStats* stats, std::size_t exemplar,
-                              std::uint8_t* smp, std::uint8_t* alive,
-                              FnRunState* states, std::uint64_t& forwarded,
-                              std::uint64_t& dropped, std::uint64_t& errors);
+  /// Run packet i's FNs through run_fn, in header order or mirrored.
+  void run_alone(BurstState& b, std::size_t i);
 
-  /// Route one same-key wave group to its kernel: the §2.4 unsupported
-  /// handling once per group, then flow-cache match / batched crypto /
-  /// per-item fallback.
-  void wave_group(OpKey key, OpModule* module, std::size_t pos,
-                  const std::uint16_t* items, std::size_t count, FaceId ingress,
-                  SimTime now, FnRunState* states, std::uint8_t* alive,
-                  const std::uint8_t* sampled, std::span<ProcessResult> results);
+  /// Run the segment [begin, end) (two or more bound packets) as
+  /// position-major waves, module-major within each position.
+  void run_waves(BurstState& b, std::size_t begin, std::size_t end, std::size_t max_fns);
+
+  /// The wave bucket of `fn`; kStatefulBucket iff the FN is stateful (its
+  /// module does not burst_commute).
+  [[nodiscard]] std::uint8_t bucket_of(const FnTriple& fn) const noexcept;
+
+  /// The FN packet p runs in the current wave.
+  [[nodiscard]] const FnTriple& wave_fn(const BurstState& b, std::size_t p) const noexcept {
+    return views_[p].fns()[b.fn_idx[p]];
+  }
+
+  /// Route one wave group to its kernel: host-tag skips, stateful and
+  /// module-less FNs per item, the §2.4 unsupported handling once per
+  /// group, then flow-cache match / batched crypto / per-item fallback.
+  void wave_group(BurstState& b, std::uint8_t bucket, const std::uint32_t* items,
+                  std::size_t count);
 
   // Wave-group kernels (contracts in router.cpp). `items` are packet
-  // indices of one same-key group at FN position `pos`, in arrival order.
-  void wave_match(OpKey key, OpModule* module, std::size_t pos,
-                  const std::uint16_t* items, std::size_t count, FaceId ingress,
-                  SimTime now, FnRunState* states, std::uint8_t* alive,
-                  const std::uint8_t* sampled, std::span<ProcessResult> results);
-  void wave_parm(OpModule* module, std::size_t pos, const std::uint16_t* items,
-                 std::size_t count, FnRunState* states, std::uint8_t* alive,
-                 const std::uint8_t* sampled, std::span<ProcessResult> results,
-                 FaceId ingress, SimTime now);
-  void wave_mac(OpModule* module, std::size_t pos, const std::uint16_t* items,
-                std::size_t count, FnRunState* states, std::uint8_t* alive,
-                const std::uint8_t* sampled, std::span<ProcessResult> results,
-                FaceId ingress, SimTime now);
-  /// Fallback kernel: run each item through run_fn (exact legacy per-FN
-  /// semantics), in arrival order, after resolving the group's F_FIB
-  /// lookups together.
-  void wave_run_items(std::size_t pos, const std::uint16_t* items, std::size_t count,
-                      FaceId ingress, SimTime now, FnRunState* states,
-                      std::uint8_t* alive, const std::uint8_t* sampled,
-                      std::span<ProcessResult> results);
+  // indices of one same-bucket group, in arrival order.
+  void wave_match(BurstState& b, OpKey key, OpModule* module, const std::uint32_t* items,
+                  std::size_t count);
+  void wave_parm(BurstState& b, OpModule* module, const std::uint32_t* items,
+                 std::size_t count);
+  void wave_mac(BurstState& b, OpModule* module, const std::uint32_t* items,
+                std::size_t count);
+  /// Fallback kernel: run each item through run_fn, in arrival order, after
+  /// resolving the group's F_FIB lookups together.
+  void wave_run_items(BurstState& b, const std::uint32_t* items, std::size_t count);
 
   /// Resolve a wave group's FIB lookups before the group runs in arrival
   /// order: the fields of the items with want[k] set (F_32_match/F_FIB
@@ -193,17 +207,9 @@ class Router {
   /// lookup_batch per table into answers[k], fib::kNoRoute for no route.
   /// The views are the ones the group read once, so the answers match the
   /// generation its flow-cache probes use; none outlives the burst.
-  void resolve_lookups(std::size_t pos, const std::uint16_t* items, std::size_t count,
+  void resolve_lookups(const BurstState& b, const std::uint32_t* items, std::size_t count,
                        const std::uint8_t* want, const fib::Ipv4Lpm* f32,
                        const fib::Ipv6Lpm* f128, fib::NextHop* answers);
-
-  /// Per-packet dispatch: the FN loop in header order, or the relaxed
-  /// schedule when the parallel bit is set and safe.
-  void dispatch(HeaderView& view, FaceId ingress, SimTime now, ProcessResult& result);
-  /// Relaxed-order schedule for the §2.2 parallel bit (any order is legal;
-  /// we run the FN list back to front).
-  void dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
-                        ProcessResult& result);
 
   /// True when every router-side FN is order-independent and their target
   /// fields are pairwise disjoint — the safety condition for relaxing

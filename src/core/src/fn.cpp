@@ -48,6 +48,17 @@ constexpr FnInfo kFnTable[] = {
     {OpKey::kBundleFrag, "F_frag", false, 1, true, true},
 };
 
+// A §2.2 packet that the router relaxes rides the burst's waves with its FNs
+// mirrored. That is safe only because it carries no stateful FN, so it can
+// never reorder cross-packet state: every order-independent FN must also
+// commute across packets.
+static_assert([] {
+  for (const FnInfo& info : kFnTable) {
+    if (info.order_independent && !info.burst_commutes) return false;
+  }
+  return true;
+}());
+
 }  // namespace
 
 std::string_view op_key_name(OpKey key) noexcept {

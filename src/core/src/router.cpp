@@ -58,170 +58,73 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
 
   const std::size_t n = packets.size();
   views_.resize(n);
-  bound_.resize(n);  // every slot is written by phase 1 below
+  bound_.resize(n);  // every slot is written by phase 1a below
 
-  // Phase timing is burst-sampled: the three histograms cost six clock
+  // Phase timing is burst-sampled: the three histograms cost four clock
   // reads per *sampled* burst, nothing on the rest.
   telemetry::RouterStats* stats = env_.stats.get();
   const bool burst_timed = stats != nullptr && stats->burst_sampler.tick();
   std::uint64_t t_phase = burst_timed ? telemetry::now_ns() : 0;
+  const auto lap = [&](telemetry::LatencyHistogram& phase) {
+    const std::uint64_t t = telemetry::now_ns();
+    phase.record(t - t_phase);
+    t_phase = t;
+  };
 
   if (stats != nullptr) stats->burst_packets += n;
 
-  // Waves pay per-burst setup (classification, group lists) that a batch
-  // of one cannot amortize, so singletons keep the per-packet engine; work
-  // items index packets in 16 bits, bounding the burst at 64k.
-  const bool waves_allowed = n >= 2 && n <= 0xFFFF;
-
-  // Uniform-program detection rides phase 1: line-rate traffic is
-  // overwhelmingly homogeneous (every packet carries the same FN triples;
-  // only the field *contents* differ flow to flow), and spotting that here
-  // lets dispatch_burst classify the program once for the whole burst.
-  // `exemplar` is the first bound packet; `uniform` stays true while every
-  // later bound packet matches its program.
-  std::size_t exemplar = n;
-  bool uniform = waves_allowed;
-  const auto track_uniform = [&](std::size_t i) {
-    if (!uniform) return;
-    if (exemplar == n) {
-      exemplar = i;
-      return;
-    }
-    const auto a = views_[exemplar].fns();
-    const auto b = views_[i].fns();
-    if (b.size() != a.size() ||
-        views_[i].basic().parallel != views_[exemplar].basic().parallel) {
-      uniform = false;
-      return;
-    }
-    for (std::size_t f = 0; f < a.size(); ++f) {
-      if (a[f] != b[f]) {
-        uniform = false;
-        return;
-      }
-    }
-  };
-
-  // Phase 1: bind every header in place (bind_into writes the batch
-  // scratch slot directly — no by-value HeaderView copy), then the
-  // structural checks + hop-limit decrement. Headers are prefetched one
-  // packet ahead: the basic header and FN triples of packet i+1 land in L1
-  // while packet i decodes. Untimed bursts take one merged pass; timed
-  // bursts split it so the bind/validate histograms stay separable.
-  std::uint64_t dropped = 0;
+  // Phase 1a: bind every header in place (bind_into writes the batch
+  // scratch slot directly — no by-value HeaderView copy). Headers are
+  // prefetched one packet ahead: the basic header and FN triples of packet
+  // i+1 land in L1 while packet i decodes.
   const bool lenient = validation_ == ValidationMode::kLenient;
-  if (!burst_timed) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n && !packets[i + 1].bytes.empty()) {
-        DIP_PREFETCH_R(packets[i + 1].bytes.data());
-        if (packets[i + 1].bytes.size() > 64) {
-          DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
-        }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 1 < n && !packets[i + 1].bytes.empty()) {
+      DIP_PREFETCH_R(packets[i + 1].bytes.data());
+      if (packets[i + 1].bytes.size() > 64) {
+        DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
       }
-      results[i].reset();
-      bound_[i] = 0;
-      if (auto st = HeaderView::bind_into(packets[i].bytes, views_[i]); !st) {
-        if (lenient) {
-          quarantine(nullptr, ingress, now, results[i]);
-        } else {
-          results[i].drop(DropReason::kMalformed);
-        }
-        ++dropped;
-        continue;
-      }
+    }
+    results[i].reset();
+    bound_[i] = HeaderView::bind_into(packets[i].bytes, views_[i]) ? 1 : 0;
+    if (bound_[i]) continue;
+    if (lenient) {
+      quarantine(nullptr, ingress, now, results[i]);
+    } else {
+      results[i].drop(DropReason::kMalformed);
+    }
+  }
+  if (burst_timed) lap(stats->phase_bind);
+
+  // Phase 1b: structural checks + hop-limit decrement for every bound
+  // packet.
+  std::uint64_t dropped = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (bound_[i]) {
       if (lenient && !fns_fit(views_[i])) {
         // A bindable header whose FN slices overrun the locations block is
         // byte damage, not a protocol violation: quarantine it.
         quarantine(&views_[i], ingress, now, results[i]);
-        ++dropped;
-        continue;
-      }
-      if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
+      } else if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
         results[i].drop(DropReason::kBudgetExhausted);
-        ++dropped;
-        continue;
-      }
-      if (!views_[i].decrement_hop_limit()) {
+      } else if (!views_[i].decrement_hop_limit()) {
         results[i].drop(DropReason::kHopLimitExceeded);
-        ++dropped;
+      } else {
         continue;
       }
-      bound_[i] = 1;
-      track_uniform(i);
-    }
-  } else {
-    // Phase 1a: bind.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n && !packets[i + 1].bytes.empty()) {
-        DIP_PREFETCH_R(packets[i + 1].bytes.data());
-        if (packets[i + 1].bytes.size() > 64) {
-          DIP_PREFETCH_R(packets[i + 1].bytes.data() + 64);
-        }
-      }
-      results[i].reset();
       bound_[i] = 0;
-      if (auto st = HeaderView::bind_into(packets[i].bytes, views_[i]); !st) {
-        if (lenient) {
-          quarantine(nullptr, ingress, now, results[i]);
-        } else {
-          results[i].drop(DropReason::kMalformed);
-        }
-        continue;
-      }
-      bound_[i] = 1;
     }
-    {
-      const std::uint64_t t = telemetry::now_ns();
-      stats->phase_bind.record(t - t_phase);
-      t_phase = t;
-    }
-
-    // Phase 1b: structural checks + hop-limit decrement for every bound
-    // packet.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!bound_[i]) {
-        ++dropped;
-        continue;
-      }
-      if (lenient && !fns_fit(views_[i])) {
-        quarantine(&views_[i], ingress, now, results[i]);
-        bound_[i] = 0;
-        ++dropped;
-        continue;
-      }
-      if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
-        results[i].drop(DropReason::kBudgetExhausted);
-        bound_[i] = 0;
-        ++dropped;
-        continue;
-      }
-      if (!views_[i].decrement_hop_limit()) {
-        results[i].drop(DropReason::kHopLimitExceeded);
-        bound_[i] = 0;
-        ++dropped;
-        continue;
-      }
-      track_uniform(i);
-    }
-    {
-      const std::uint64_t t = telemetry::now_ns();
-      stats->phase_validate.record(t - t_phase);
-      t_phase = t;
-    }
+    ++dropped;
   }
+  if (burst_timed) lap(stats->phase_validate);
 
   if (stats != nullptr) stats->burst_bound += n - dropped;
 
-  // Phase 2: dispatch FNs. Eligible packets go through position-major
-  // waves (module-major within a wave); the rest take the legacy
-  // per-packet path. See dispatch_burst for the eligibility contract.
+  // Phase 2: dispatch FNs (see dispatch_burst for the plan).
   std::uint64_t forwarded = 0;
   std::uint64_t errors = 0;
-  dispatch_burst(packets, ingress, now, results, stats, waves_allowed, exemplar,
-                 uniform, forwarded, dropped, errors);
-  if (burst_timed) {
-    stats->phase_dispatch.record(telemetry::now_ns() - t_phase);
-  }
+  dispatch_burst(n, ingress, now, results, stats, forwarded, dropped, errors);
+  if (burst_timed) lap(stats->phase_dispatch);
 
   env_.counters.processed += packets.size();
   if (forwarded != 0) env_.counters.forwarded += forwarded;
@@ -233,356 +136,197 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
   env_.ctrl_quiesce();
 }
 
-void Router::dispatch_burst(std::span<const PacketRef> packets, FaceId ingress,
-                            SimTime now, std::span<ProcessResult> results,
-                            telemetry::RouterStats* stats, bool waves_allowed,
-                            std::size_t exemplar, bool uniform,
-                            std::uint64_t& forwarded, std::uint64_t& dropped,
-                            std::uint64_t& errors) {
-  const std::size_t n = packets.size();
+void Router::dispatch_burst(std::size_t n, FaceId ingress, SimTime now,
+                            std::span<ProcessResult> results,
+                            telemetry::RouterStats* stats, std::uint64_t& forwarded,
+                            std::uint64_t& dropped, std::uint64_t& errors) {
   arena_.reset();
-
-  // Per-packet phase-2 state, arena-backed (rewound wholesale next burst).
-  constexpr std::uint8_t kDead = 0, kWave = 1, kLegacy = 2;
-  std::uint8_t* alive = arena_.alloc<std::uint8_t>(n);
-  std::uint8_t* smp = arena_.alloc<std::uint8_t>(n);
-  FnRunState* states = arena_.alloc<FnRunState>(n);
+  BurstState b{.ingress = ingress,
+               .now = now,
+               .results = results,
+               .run = arena_.alloc<FnRunState>(n),
+               .alive = arena_.alloc<std::uint8_t>(n),
+               .sampled = arena_.alloc<std::uint8_t>(n),
+               .mirror = arena_.alloc<std::uint8_t>(n),
+               .fn_idx = arena_.alloc<std::uint8_t>(n)};
 
   // Deterministic sampling: one tick per bound packet in arrival order —
-  // the identical tick sequence the per-packet engine produced, so a
-  // replayed stream samples the same packets whatever the dispatch shape.
-  if (stats == nullptr) {
-    std::memset(smp, 0, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      smp[i] = bound_[i] != 0 && stats->packet_sampler.tick() ? 1 : 0;
-    }
-  }
-
-  // ---- uniform-burst fast plan -------------------------------------------
-  // Phase 1 already proved every bound packet carries the identical FN
-  // program (see track_uniform in process_batch), so classify the program
-  // once: each wave is a single same-key group already in arrival order,
-  // and the per-packet classification and counting sort below are skipped
-  // entirely. Mixed bursts fall through to the general plan.
-  if (uniform && exemplar != n && !views_[exemplar].basic().parallel) {
-    std::uint8_t stateful = 0;
-    for (const FnTriple& fn : views_[exemplar].fns()) {
-      if (fn.host_tagged()) continue;
-      if (find_module(fn.key()) != nullptr && !op_burst_commutes(fn.key())) {
-        ++stateful;
-      }
-    }
-    if (stateful <= 1) {
-      dispatch_burst_uniform(n, ingress, now, results, stats, exemplar, smp,
-                             alive, states, forwarded, dropped, errors);
-      return;
-    }
-  }
-
-  // ---- classification ---------------------------------------------------
-  // A packet rides the wave path iff it has no parallel bit (the §2.2
-  // relax path and its counters stay per-packet) and at most one stateful
-  // (non-burst_commutes) router-side FN. All stateful FNs across the burst
-  // must sit at the same FN position: waves preserve arrival order within
-  // one position, so that is exactly the condition under which cross-packet
-  // state (PIT, DPS buckets, CC estimators) observes the legacy order.
-  std::uint8_t* mode = arena_.alloc<std::uint8_t>(n);
-  std::uint8_t* sfn = arena_.alloc<std::uint8_t>(n);  // stateful-FN count (capped at 2)
-  bool stateful_ok = true;
-  std::size_t stateful_pos = static_cast<std::size_t>(-1);
-  std::size_t max_fns = 0;
-  std::size_t wave_n = 0;
-  std::size_t legacy_n = 0;
-
+  // the identical tick sequence whatever the burst's shape, so a replayed
+  // stream samples the same packets. A sampled packet's trace record spans
+  // the whole phase.
+  bool any_sampled = false;
   for (std::size_t i = 0; i < n; ++i) {
-    sfn[i] = 0;
-    if (!bound_[i]) {
-      mode[i] = kDead;
-      continue;
+    b.sampled[i] = stats != nullptr && bound_[i] != 0 && stats->packet_sampler.tick();
+    any_sampled |= b.sampled[i] != 0;
+  }
+  const std::uint64_t t_start = any_sampled ? telemetry::now_ns() : 0;
+
+  // Cut the burst, in arrival order, into segments: a segment ends before
+  // any packet whose first stateful FN sits at an earlier position than
+  // the last stateful FN already in it. Waves run position-major, and a
+  // position's stateful FNs run as one arrival-order group, so inside a
+  // segment every stateful FN still runs in per-packet order; segments run
+  // one after another.
+  // Commuting FNs are order-free across packets. A §2.2 packet that
+  // relax_eligible accepts carries no stateful FN (fn.cpp asserts it), so
+  // it rides any segment with its FNs mirrored, back to front.
+  std::size_t seg_begin = 0;  // first bound packet of the open segment
+  std::size_t seg_size = 0;   // bound packets in it
+  std::size_t seg_fns = 0;    // longest FN list in it
+  std::size_t seg_last = 0;   // position of its last stateful FN
+  std::uint64_t wave_n = 0;
+  std::uint64_t alone_n = 0;
+  const auto run_segment = [&](std::size_t end) {
+    if (seg_size == 1) {
+      run_alone(b, seg_begin);
+      ++alone_n;
+    } else if (seg_size > 1) {
+      run_waves(b, seg_begin, end, seg_fns);
+      wave_n += seg_size;
     }
-    if (!waves_allowed) {
-      mode[i] = kLegacy;
-      ++legacy_n;
-      continue;
+    seg_size = 0;
+    seg_fns = 0;
+    seg_last = 0;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    b.alive[i] = bound_[i];
+    if (!bound_[i]) continue;
+    new (&b.run[i]) FnRunState{env_.limits.per_packet_budget, {}};
+    b.mirror[i] = 0;
+    if (views_[i].basic().parallel) {
+      // §2.2 modular parallelism: the sender asserts the FNs are
+      // independent; the router verifies before relaxing the order and
+      // falls back to header order otherwise.
+      if (relax_eligible(views_[i])) {
+        b.mirror[i] = 1;
+        ++env_.counters.parallel_relaxed;
+      } else {
+        ++env_.counters.parallel_fallback;
+      }
     }
     const auto fns = views_[i].fns();
-    std::uint8_t stateful = 0;
-    std::uint8_t pos = 0;
+    std::size_t first = HeaderView::kMaxFns;
+    std::size_t last = 0;
     for (std::size_t f = 0; f < fns.size(); ++f) {
-      const FnTriple& fn = fns[f];
-      if (fn.host_tagged()) continue;
-      if (find_module(fn.key()) != nullptr && !op_burst_commutes(fn.key())) {
-        if (stateful == 0) pos = static_cast<std::uint8_t>(f);
-        if (stateful < 2) ++stateful;
-      }
+      if (bucket_of(fns[f]) != kStatefulBucket) continue;
+      if (first == HeaderView::kMaxFns) first = f;
+      last = f;
     }
-    sfn[i] = stateful;
-    if (views_[i].basic().parallel) {
-      mode[i] = kLegacy;
-      ++legacy_n;
-      if (stateful != 0) stateful_ok = false;
-      continue;
-    }
-    if (stateful > 1) {
-      mode[i] = kLegacy;
-      ++legacy_n;
-      stateful_ok = false;
-      continue;
-    }
-    if (stateful == 1) {
-      if (stateful_pos == static_cast<std::size_t>(-1)) {
-        stateful_pos = pos;
-      } else if (stateful_pos != pos) {
-        stateful_ok = false;
-      }
-    }
-    mode[i] = kWave;
-    ++wave_n;
-    if (fns.size() > max_fns) max_fns = fns.size();
+    if (first < seg_last) run_segment(i);
+    if (seg_size++ == 0) seg_begin = i;
+    if (fns.size() > seg_fns) seg_fns = fns.size();
+    if (first != HeaderView::kMaxFns) seg_last = last;
   }
+  run_segment(n);
 
-  // Stateful FNs must execute in arrival order across the *whole* burst:
-  // if any stateful packet fell off the wave path, or they disagree on
-  // position, demote every stateful packet so one engine owns their order.
-  if (!stateful_ok) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mode[i] == kWave && sfn[i] != 0) {
-        mode[i] = kLegacy;
-        --wave_n;
-        ++legacy_n;
+  // Epilogue: no match FN decided an egress -> the wired default port (the
+  // paper's one-hop eval setup), else drop; then trace records and tallies.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!bound_[i]) continue;
+    ProcessResult& result = results[i];
+    if (result.action == Action::kForward && result.egress.empty()) {
+      if (env_.default_egress) {
+        result.egress.push_back(*env_.default_egress);
+      } else {
+        result.drop(DropReason::kNoRoute);
       }
+    }
+    if (b.sampled[i]) record_trace(views_[i], ingress, now, t_start, result);
+    switch (result.action) {
+      case Action::kForward: ++forwarded; break;
+      case Action::kDrop: ++dropped; break;
+      case Action::kError: ++errors; break;
     }
   }
 
   if (stats != nullptr) {
     stats->burst_wave += wave_n;
-    stats->burst_legacy += legacy_n;
-  }
-
-  // ---- wave (module-major) dispatch -------------------------------------
-  if (wave_n != 0) {
-    std::uint64_t t_wave = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      alive[i] = mode[i] == kWave ? 1 : 0;
-      if (alive[i]) {
-        new (&states[i]) FnRunState{env_.limits.per_packet_budget, {}};
-        if (smp[i] && t_wave == 0) t_wave = telemetry::now_ns();
-      }
-    }
-
-    // Group buckets: one per dense commuting key, plus the shared stateful
-    // bucket (kept in arrival order), the host-tag bucket, and a generic
-    // bucket for keys without a module (run_fn's skip/unsupported path).
-    constexpr std::size_t kStatefulBucket = kModuleTableSize;
-    constexpr std::size_t kHostBucket = kModuleTableSize + 1;
-    constexpr std::size_t kMiscBucket = kModuleTableSize + 2;
-    constexpr std::size_t kBuckets = kModuleTableSize + 3;
-
-    std::uint16_t* order = arena_.alloc<std::uint16_t>(n);
-    std::uint8_t* bucket_of = arena_.alloc<std::uint8_t>(n);
-
-    // Wave i executes FN position i of every still-alive wave packet, so
-    // per-packet sequencing (early exit, budget, scratch chaining) is
-    // exactly the per-packet engine's; only cross-packet interleaving at
-    // one position changes, and grouping made that safe.
-    for (std::size_t pos = 0; pos < max_fns; ++pos) {
-      std::array<std::uint16_t, kBuckets> counts{};
-      std::size_t wave_items = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!alive[i]) continue;
-        const auto fns = views_[i].fns();
-        if (pos >= fns.size()) continue;
-        const FnTriple& fn = fns[pos];
-        std::size_t b;
-        if (fn.host_tagged()) {
-          b = kHostBucket;
-        } else {
-          const auto key_idx = static_cast<std::size_t>(fn.key());
-          if (key_idx < kModuleTableSize && module_table_[key_idx] != nullptr) {
-            b = op_burst_commutes(fn.key()) ? key_idx : kStatefulBucket;
-          } else if (find_module(fn.key()) != nullptr) {
-            b = kStatefulBucket;  // out-of-table module: assume stateful
-          } else {
-            b = kMiscBucket;
-          }
-        }
-        bucket_of[i] = static_cast<std::uint8_t>(b);
-        ++counts[b];
-        ++wave_items;
-      }
-      if (wave_items == 0) continue;
-
-      // Stable counting sort: groups are contiguous in `order`, each in
-      // arrival order.
-      std::array<std::uint16_t, kBuckets> start{};
-      std::uint16_t acc = 0;
-      for (std::size_t b = 0; b < kBuckets; ++b) {
-        start[b] = acc;
-        acc = static_cast<std::uint16_t>(acc + counts[b]);
-      }
-      std::array<std::uint16_t, kBuckets> fill = start;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!alive[i] || pos >= views_[i].fns().size()) continue;
-        order[fill[bucket_of[i]]++] = static_cast<std::uint16_t>(i);
-      }
-
-      for (std::size_t b = 0; b < kBuckets; ++b) {
-        const std::size_t cnt = counts[b];
-        if (cnt == 0) continue;
-        const std::uint16_t* items = order + start[b];
-        if (b == kHostBucket) {
-          // Algorithm 1 line 5, for the whole group at once.
-          env_.counters.fn_skipped_host += cnt;
-          continue;
-        }
-        if (b == kStatefulBucket || b == kMiscBucket) {
-          wave_run_items(pos, items, cnt, ingress, now, states, alive, smp, results);
-          continue;
-        }
-        const OpKey key = static_cast<OpKey>(b);
-        wave_group(key, module_table_[b], pos, items, cnt, ingress, now, states,
-                   alive, smp, results);
-      }
-    }
-
-    // Finalize wave packets: default-egress fallback, trace records, action
-    // tallies — the per-packet engine's epilogue, verbatim.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mode[i] != kWave) continue;
-      ProcessResult& result = results[i];
-      if (result.action == Action::kForward && result.egress.empty()) {
-        if (env_.default_egress) {
-          result.egress.push_back(*env_.default_egress);
-        } else {
-          result.drop(DropReason::kNoRoute);
-        }
-      }
-      if (smp[i]) record_trace(views_[i], ingress, now, t_wave, result);
-      switch (result.action) {
-        case Action::kForward: ++forwarded; break;
-        case Action::kDrop: ++dropped; break;
-        case Action::kError: ++errors; break;
-      }
-    }
-  }
-
-  // ---- legacy per-packet dispatch ----------------------------------------
-  // Runs after the waves; safe because by construction either the wave set
-  // or the legacy set holds all the burst's stateful FNs, never both, and
-  // commuting FNs are order-free across packets.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mode[i] != kLegacy) continue;
-    ProcessResult& result = results[i];
-    const std::uint64_t t_dispatch = smp[i] ? telemetry::now_ns() : 0;
-    sample_this_packet_ = smp[i] != 0;
-    dispatch(views_[i], ingress, now, result);
-    sample_this_packet_ = false;
-
-    // No match FN decided an egress: fall back to the wired default port
-    // (the paper's one-hop eval setup), else drop.
-    if (result.action == Action::kForward && result.egress.empty()) {
-      if (env_.default_egress) {
-        result.egress.push_back(*env_.default_egress);
-      } else {
-        result.drop(DropReason::kNoRoute);
-      }
-    }
-
-    if (smp[i]) record_trace(views_[i], ingress, now, t_dispatch, result);
-
-    switch (result.action) {
-      case Action::kForward: ++forwarded; break;
-      case Action::kDrop: ++dropped; break;
-      case Action::kError: ++errors; break;
-    }
-  }
-
-  if (stats != nullptr) {
+    stats->burst_legacy += alone_n;
     stats->arena_high_water.record(arena_.high_water());
     stats->arena_capacity.record(arena_.capacity());
   }
 }
 
-void Router::dispatch_burst_uniform(std::size_t n, FaceId ingress, SimTime now,
-                                    std::span<ProcessResult> results,
-                                    telemetry::RouterStats* stats,
-                                    std::size_t exemplar, std::uint8_t* smp,
-                                    std::uint8_t* alive, FnRunState* states,
-                                    std::uint64_t& forwarded, std::uint64_t& dropped,
-                                    std::uint64_t& errors) {
-  // The whole burst is one wave group per FN position: `live` lists the
-  // still-running packets in arrival order and is compacted in place after
-  // each wave, so group order is always arrival order (the stateful-FN
-  // ordering contract holds trivially).
-  std::uint16_t* live = arena_.alloc<std::uint16_t>(n);
-  std::size_t live_n = 0;
-  std::uint64_t t_wave = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    alive[i] = bound_[i];
-    if (!bound_[i]) continue;
-    new (&states[i]) FnRunState{env_.limits.per_packet_budget, {}};
-    live[live_n++] = static_cast<std::uint16_t>(i);
-    if (smp[i] && t_wave == 0) t_wave = telemetry::now_ns();
+void Router::run_alone(BurstState& b, std::size_t i) {
+  const auto fns = views_[i].fns();
+  sample_this_packet_ = b.sampled[i] != 0;
+  for (std::size_t k = 0; k < fns.size(); ++k) {
+    const FnTriple& fn = fns[b.mirror[i] ? fns.size() - 1 - k : k];
+    if (!run_fn(fn, views_[i], b.ingress, b.now, b.run[i], b.results[i])) break;
   }
-  if (stats != nullptr) stats->burst_wave += live_n;
+  sample_this_packet_ = false;
+}
 
-  const auto fns = views_[exemplar].fns();
-  for (std::size_t pos = 0; pos < fns.size() && live_n != 0; ++pos) {
-    const FnTriple& fn = fns[pos];
-    if (fn.host_tagged()) {
-      // Algorithm 1 line 5, for the whole burst at once.
-      env_.counters.fn_skipped_host += live_n;
-      continue;
+void Router::run_waves(BurstState& b, std::size_t begin, std::size_t end,
+                       std::size_t max_fns) {
+  // Wave `pos` runs the pos-th FN (header order, or back to front for a
+  // mirrored packet) of every still-alive packet, so per-packet sequencing
+  // (early exit, budget, scratch chaining) is exactly run_alone's; only the
+  // cross-packet interleaving at one position changes.
+  constexpr std::uint8_t kTaken = 0xFF;
+  // A wave's packets in arrival order with their buckets, and the group
+  // being run.
+  std::uint32_t* order = arena_.alloc<std::uint32_t>(end - begin);
+  std::uint8_t* bucket = arena_.alloc<std::uint8_t>(end - begin);
+  std::uint32_t* group = arena_.alloc<std::uint32_t>(end - begin);
+  for (std::size_t pos = 0; pos < max_fns; ++pos) {
+    std::size_t count = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!b.alive[i]) continue;
+      const auto fns = views_[i].fns();
+      if (pos >= fns.size()) continue;
+      const std::size_t f = b.mirror[i] ? fns.size() - 1 - pos : pos;
+      b.fn_idx[i] = static_cast<std::uint8_t>(f);
+      order[count] = static_cast<std::uint32_t>(i);
+      bucket[count++] = bucket_of(fns[f]);
     }
-    const OpKey key = fn.key();
-    wave_group(key, find_module(key), pos, live, live_n, ingress, now, states,
-               alive, smp, results);
-    std::size_t w = 0;
-    for (std::size_t k = 0; k < live_n; ++k) {
-      if (alive[live[k]]) live[w++] = live[k];
-    }
-    live_n = w;
-  }
-
-  // Epilogue: default-egress fallback, trace records, action tallies —
-  // identical to the per-packet engine's.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!bound_[i]) continue;
-    ProcessResult& result = results[i];
-    if (result.action == Action::kForward && result.egress.empty()) {
-      if (env_.default_egress) {
-        result.egress.push_back(*env_.default_egress);
-      } else {
-        result.drop(DropReason::kNoRoute);
+    if (count == 0) break;  // every packet has stopped or run out of FNs
+    // One group per bucket, groups in order of first appearance, each in
+    // arrival order: a pass per distinct bucket, so grouped traffic costs
+    // one compare per packet and no burst costs more than one pass per key.
+    for (std::size_t g = 0; g < count; ++g) {
+      const std::uint8_t key = bucket[g];
+      if (key == kTaken) continue;
+      std::size_t m = 0;
+      for (std::size_t k = g; k < count; ++k) {
+        if (bucket[k] != key) continue;
+        group[m++] = order[k];
+        bucket[k] = kTaken;
       }
+      wave_group(b, key, group, m);
     }
-    if (smp[i]) record_trace(views_[i], ingress, now, t_wave, result);
-    switch (result.action) {
-      case Action::kForward: ++forwarded; break;
-      case Action::kDrop: ++dropped; break;
-      case Action::kError: ++errors; break;
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->arena_high_water.record(arena_.high_water());
-    stats->arena_capacity.record(arena_.capacity());
   }
 }
 
-void Router::wave_group(OpKey key, OpModule* module, std::size_t pos,
-                        const std::uint16_t* items, std::size_t count,
-                        FaceId ingress, SimTime now, FnRunState* states,
-                        std::uint8_t* alive, const std::uint8_t* sampled,
-                        std::span<ProcessResult> results) {
-  if (module == nullptr || !env_.supports(key)) {
+std::uint8_t Router::bucket_of(const FnTriple& fn) const noexcept {
+  if (fn.host_tagged()) return kHostBucket;
+  const OpKey key = fn.key();
+  if (find_module(key) == nullptr) return kMiscBucket;
+  // op_burst_commutes is false past the dense table: out-of-table modules
+  // are assumed stateful.
+  return op_burst_commutes(key) ? static_cast<std::uint8_t>(key) : kStatefulBucket;
+}
+
+void Router::wave_group(BurstState& b, std::uint8_t bucket, const std::uint32_t* items,
+                        std::size_t count) {
+  if (bucket == kHostBucket) {
+    // Algorithm 1 line 5, for the whole group at once.
+    env_.counters.fn_skipped_host += count;
+    return;
+  }
+  if (bucket == kStatefulBucket || bucket == kMiscBucket) {
+    wave_run_items(b, items, count);
+    return;
+  }
+  const auto key = static_cast<OpKey>(bucket);
+  OpModule* module = module_table_[bucket];
+  if (!env_.supports(key)) {
     // run_fn's §2.4 heterogeneous-configuration path, once per group.
     const auto info = fn_info(key);
     if (info && info->requires_full_path) {
       for (std::size_t k = 0; k < count; ++k) {
-        results[items[k]].fail_unsupported(key);
-        alive[items[k]] = 0;
+        b.results[items[k]].fail_unsupported(key);
+        b.alive[items[k]] = 0;
       }
     } else {
       env_.counters.fn_skipped_optional += count;
@@ -593,33 +337,26 @@ void Router::wave_group(OpKey key, OpModule* module, std::size_t pos,
     case OpKey::kMatch32:
     case OpKey::kMatch128:
       if (env_.flow_cache != nullptr) {
-        wave_match(key, module, pos, items, count, ingress, now, states, alive,
-                   sampled, results);
+        wave_match(b, key, module, items, count);
         return;
       }
       break;
     case OpKey::kParm:
-      wave_parm(module, pos, items, count, states, alive, sampled, results,
-                ingress, now);
+      wave_parm(b, module, items, count);
       return;
     case OpKey::kMac:
       if (env_.mac_kind == crypto::MacKind::kEm2) {
-        wave_mac(module, pos, items, count, states, alive, sampled, results,
-                 ingress, now);
+        wave_mac(b, module, items, count);
         return;
       }
       break;
     default:
       break;
   }
-  wave_run_items(pos, items, count, ingress, now, states, alive, sampled, results);
+  wave_run_items(b, items, count);
 }
 
-void Router::wave_run_items(std::size_t pos, const std::uint16_t* items,
-                            std::size_t count, FaceId ingress, SimTime now,
-                            FnRunState* states, std::uint8_t* alive,
-                            const std::uint8_t* sampled,
-                            std::span<ProcessResult> results) {
+void Router::wave_run_items(BurstState& b, const std::uint32_t* items, std::size_t count) {
   // Unsampled F_FIB items (and match items, which reach this kernel only on
   // a router without a flow cache) get their FIB lookups resolved together
   // first; their modules then take the answer instead of walking the FIB.
@@ -630,26 +367,26 @@ void Router::wave_run_items(std::size_t pos, const std::uint16_t* items,
   bool any_want = false;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    const std::size_t width = sampled[p] ? 0 : lpm_width(views_[p].fns()[pos]);
+    const std::size_t width = b.sampled[p] ? 0 : lpm_width(wave_fn(b, p));
     want[k] = width != 0 && (width == 32 ? f32 != nullptr : f128 != nullptr);
     any_want |= want[k] != 0;
   }
-  if (any_want) resolve_lookups(pos, items, count, want, f32, f128, answers);
+  if (any_want) resolve_lookups(b, items, count, want, f32, f128, answers);
 
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    sample_this_packet_ = sampled[p] != 0;
+    sample_this_packet_ = b.sampled[p] != 0;
     const std::optional<fib::NextHop> next_hop =
         want[k] ? std::optional(answers[k]) : std::nullopt;
-    if (!run_fn(views_[p].fns()[pos], views_[p], ingress, now, states[p], results[p],
+    if (!run_fn(wave_fn(b, p), views_[p], b.ingress, b.now, b.run[p], b.results[p],
                 next_hop)) {
-      alive[p] = 0;
+      b.alive[p] = 0;
     }
   }
   sample_this_packet_ = false;
 }
 
-void Router::resolve_lookups(std::size_t pos, const std::uint16_t* items,
+void Router::resolve_lookups(const BurstState& b, const std::uint32_t* items,
                              std::size_t count, const std::uint8_t* want,
                              const fib::Ipv4Lpm* f32, const fib::Ipv6Lpm* f128,
                              fib::NextHop* answers) {
@@ -657,21 +394,20 @@ void Router::resolve_lookups(std::size_t pos, const std::uint16_t* items,
   // lookup_batch per table, and scatter the answers back to item order.
   auto* addrs4 = arena_.alloc<fib::Ipv4Addr>(count);
   auto* addrs6 = arena_.alloc<fib::Ipv6Addr>(count);
-  std::uint16_t* item4 = arena_.alloc<std::uint16_t>(count);
-  std::uint16_t* item6 = arena_.alloc<std::uint16_t>(count);
+  std::uint32_t* item4 = arena_.alloc<std::uint32_t>(count);
+  std::uint32_t* item6 = arena_.alloc<std::uint32_t>(count);
   std::size_t n4 = 0;
   std::size_t n6 = 0;
   for (std::size_t k = 0; k < count; ++k) {
     if (!want[k]) continue;
-    const HeaderView& view = views_[items[k]];
-    const FnTriple& fn = view.fns()[pos];
-    const std::uint8_t* field = view.locations().data() + fn.field_loc / 8;
+    const FnTriple& fn = wave_fn(b, items[k]);
+    const std::uint8_t* field = views_[items[k]].locations().data() + fn.field_loc / 8;
     if (fn.key() == OpKey::kMatch128) {
       std::memcpy(addrs6[n6].bytes.data(), field, 16);
-      item6[n6++] = static_cast<std::uint16_t>(k);
+      item6[n6++] = static_cast<std::uint32_t>(k);
     } else {
       std::memcpy(addrs4[n4].bytes.data(), field, 4);
-      item4[n4++] = static_cast<std::uint16_t>(k);
+      item4[n4++] = static_cast<std::uint32_t>(k);
     }
   }
   fib::NextHop* out = arena_.alloc<fib::NextHop>(n4 > n6 ? n4 : n6);
@@ -685,11 +421,8 @@ void Router::resolve_lookups(std::size_t pos, const std::uint16_t* items,
   }
 }
 
-void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
-                        const std::uint16_t* items, std::size_t count,
-                        FaceId ingress, SimTime now, FnRunState* states,
-                        std::uint8_t* alive, const std::uint8_t* sampled,
-                        std::span<ProcessResult> results) {
+void Router::wave_match(BurstState& b, OpKey key, OpModule* module,
+                        const std::uint32_t* items, std::size_t count) {
   FlowCache* cache = env_.flow_cache.get();
   const std::size_t want_bytes = key == OpKey::kMatch32 ? 4 : 16;
   const fib::Ipv4Lpm* f32 = key == OpKey::kMatch32 ? env_.fib32_view() : nullptr;
@@ -711,8 +444,8 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
     fast[k] = 0;
-    if (sampled[p] || !view_ok) continue;
-    const FnTriple& fn = views_[p].fns()[pos];
+    if (b.sampled[p] || !view_ok) continue;
+    const FnTriple& fn = wave_fn(b, p);
     if (lpm_width(fn) == 0) continue;
     const std::uint8_t* slice = views_[p].locations().data() + fn.field_loc / 8;
     slices[k] = slice;
@@ -734,7 +467,7 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
     want[k] = fast[k] && !cache->would_hit({slices[k], want_bytes}, hashes[k], generation);
     any_want |= want[k] != 0;
   }
-  if (any_want) resolve_lookups(pos, items, count, want, f32, f128, answers);
+  if (any_want) resolve_lookups(b, items, count, want, f32, f128, answers);
 
   // Pass B, in arrival order (a miss's insert must be visible to the next
   // identical flow, exactly as the per-packet engine fills the cache).
@@ -745,19 +478,19 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
   std::uint64_t misses = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    ProcessResult& result = results[p];
-    FnRunState& state = states[p];
+    ProcessResult& result = b.results[p];
+    FnRunState& state = b.run[p];
     if (!fast[k]) {
-      sample_this_packet_ = sampled[p] != 0;
-      if (!run_fn(views_[p].fns()[pos], views_[p], ingress, now, state, result)) {
-        alive[p] = 0;
+      sample_this_packet_ = b.sampled[p] != 0;
+      if (!run_fn(wave_fn(b, p), views_[p], b.ingress, b.now, state, result)) {
+        b.alive[p] = 0;
       }
       sample_this_packet_ = false;
       continue;
     }
     if (cost > state.budget) {
       result.drop(DropReason::kBudgetExhausted);
-      alive[p] = 0;
+      b.alive[p] = 0;
       continue;
     }
     state.budget -= cost;
@@ -768,22 +501,22 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
       ++hits;
       if (v->no_route) {
         result.drop(DropReason::kNoRoute);
-        alive[p] = 0;
+        b.alive[p] = 0;
         continue;
       }
       result.egress.assign(1, v->egress);
-      if (result.action != Action::kForward) alive[p] = 0;
+      if (result.action != Action::kForward) b.alive[p] = 0;
       continue;
     }
     ++misses;
-    const FnTriple& fn = views_[p].fns()[pos];
+    const FnTriple& fn = wave_fn(b, p);
     OpContext ctx;
     ctx.locations = views_[p].locations();
     ctx.field = fn.range();
     ctx.fn = fn;
     ctx.payload = views_[p].payload();
-    ctx.ingress = ingress;
-    ctx.now = now;
+    ctx.ingress = b.ingress;
+    ctx.now = b.now;
     ctx.env = &env_;
     ctx.result = &result;
     ctx.scratch = &state.scratch;
@@ -791,7 +524,7 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
     const bool egress_was_empty = result.egress.empty();
     if (const auto st = module->execute(ctx); !st) {
       result.drop(DropReason::kMalformed);
-      alive[p] = 0;
+      b.alive[p] = 0;
       continue;
     }
     if (result.action == Action::kForward && egress_was_empty &&
@@ -801,7 +534,7 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
                result.reason == DropReason::kNoRoute) {
       cache->insert(slice, generation, {0, true});
     }
-    if (result.action != Action::kForward) alive[p] = 0;
+    if (result.action != Action::kForward) b.alive[p] = 0;
   }
   env_.counters.fn_executed += executed;
   env_.counters.fn_by_key[key_slot] += executed;
@@ -809,12 +542,8 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
   if (misses != 0) env_.counters.flow_cache_misses += misses;
 }
 
-void Router::wave_parm(OpModule* module, std::size_t pos,
-                       const std::uint16_t* items, std::size_t count,
-                       FnRunState* states, std::uint8_t* alive,
-                       const std::uint8_t* sampled,
-                       std::span<ProcessResult> results, FaceId ingress,
-                       SimTime now) {
+void Router::wave_parm(BurstState& b, OpModule* module, const std::uint32_t* items,
+                       std::size_t count) {
   // One AES key schedule for the whole group: K_i = AES_{node_secret}(sid_i)
   // is multi-block under the router's cached schedule (rebuilt only when
   // the node secret changes).
@@ -830,50 +559,46 @@ void Router::wave_parm(OpModule* module, std::size_t pos,
 
   crypto::SessionId* sids = arena_.alloc<crypto::SessionId>(count);
   crypto::Block* keys = arena_.alloc<crypto::Block>(count);
-  std::uint16_t* lanes = arena_.alloc<std::uint16_t>(count);
+  std::uint32_t* lanes = arena_.alloc<std::uint32_t>(count);
   std::size_t lane_n = 0;
   std::uint64_t executed = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    FnRunState& state = states[p];
-    const FnTriple& fn = views_[p].fns()[pos];
+    FnRunState& state = b.run[p];
+    const FnTriple& fn = wave_fn(b, p);
     const bytes::BitRange range = fn.range();
-    if (sampled[p] || range.bit_length != 128 || !range.byte_aligned()) {
+    if (b.sampled[p] || range.bit_length != 128 || !range.byte_aligned()) {
       // ParmOp's malformed-field errors (and sampled timing) keep the
       // exact run_fn path.
-      sample_this_packet_ = sampled[p] != 0;
-      if (!run_fn(fn, views_[p], ingress, now, state, results[p])) alive[p] = 0;
+      sample_this_packet_ = b.sampled[p] != 0;
+      if (!run_fn(fn, views_[p], b.ingress, b.now, state, b.results[p])) b.alive[p] = 0;
       sample_this_packet_ = false;
       continue;
     }
     if (cost > state.budget) {
-      results[p].drop(DropReason::kBudgetExhausted);
-      alive[p] = 0;
+      b.results[p].drop(DropReason::kBudgetExhausted);
+      b.alive[p] = 0;
       continue;
     }
     state.budget -= cost;
     ++executed;
     sids[lane_n] = crypto::block_from(
         views_[p].locations().subspan(range.bit_offset / 8, 16));
-    lanes[lane_n] = static_cast<std::uint16_t>(p);
+    lanes[lane_n] = static_cast<std::uint32_t>(p);
     ++lane_n;
   }
   if (lane_n != 0) {
     drkey_->derive_blocks(sids, keys, lane_n);
     for (std::size_t k = 0; k < lane_n; ++k) {
-      states[lanes[k]].scratch.dynamic_key = keys[k];
+      b.run[lanes[k]].scratch.dynamic_key = keys[k];
     }
   }
   env_.counters.fn_executed += executed;
   env_.counters.fn_by_key[key_slot] += executed;
 }
 
-void Router::wave_mac(OpModule* module, std::size_t pos,
-                      const std::uint16_t* items, std::size_t count,
-                      FnRunState* states, std::uint8_t* alive,
-                      const std::uint8_t* sampled,
-                      std::span<ProcessResult> results, FaceId ingress,
-                      SimTime now) {
+void Router::wave_mac(BurstState& b, OpModule* module, const std::uint32_t* items,
+                      std::size_t count) {
   // Batch 2EM CMAC: every packet's tag chains in lockstep through the
   // shared P1/P2 permutations (two_em_mac_blocks), instead of one serial
   // CMAC per packet. kEm2 only — the dispatcher routes kAesCmac nodes to
@@ -886,22 +611,22 @@ void Router::wave_mac(OpModule* module, std::size_t pos,
   std::uint64_t executed = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    FnRunState& state = states[p];
-    const FnTriple& fn = views_[p].fns()[pos];
+    FnRunState& state = b.run[p];
+    const FnTriple& fn = wave_fn(b, p);
     const bytes::BitRange range = fn.range();
-    const bool batchable = !sampled[p] && state.scratch.dynamic_key.has_value() &&
+    const bool batchable = !b.sampled[p] && state.scratch.dynamic_key.has_value() &&
                            range.byte_aligned() && range.bit_length != 0;
     if (!batchable) {
       // Missing F_parm (kState error), unaligned/empty coverage, or a
       // sampled packet: exact run_fn semantics.
-      sample_this_packet_ = sampled[p] != 0;
-      if (!run_fn(fn, views_[p], ingress, now, state, results[p])) alive[p] = 0;
+      sample_this_packet_ = b.sampled[p] != 0;
+      if (!run_fn(fn, views_[p], b.ingress, b.now, state, b.results[p])) b.alive[p] = 0;
       sample_this_packet_ = false;
       continue;
     }
     if (cost > state.budget) {
-      results[p].drop(DropReason::kBudgetExhausted);
-      alive[p] = 0;
+      b.results[p].drop(DropReason::kBudgetExhausted);
+      b.alive[p] = 0;
       continue;
     }
     state.budget -= cost;
@@ -977,25 +702,6 @@ void Router::quarantine(const HeaderView* view, FaceId ingress, SimTime now,
   rec.reason = static_cast<std::uint8_t>(result.reason);
   rec.egress_count = 0;
   stats->trace.push(rec);
-}
-
-void Router::dispatch(HeaderView& view, FaceId ingress, SimTime now,
-                      ProcessResult& result) {
-  if (view.basic().parallel) {
-    // §2.2 modular parallelism: the sender asserts the FNs are independent;
-    // the router verifies (order-independent keys, disjoint fields) before
-    // relaxing the schedule, and falls back to sequential order otherwise.
-    if (relax_eligible(view)) {
-      ++env_.counters.parallel_relaxed;
-      dispatch_relaxed(view, ingress, now, result);
-      return;
-    }
-    ++env_.counters.parallel_fallback;
-  }
-  FnRunState state{env_.limits.per_packet_budget, {}};
-  for (const FnTriple& fn : view.fns()) {
-    if (!run_fn(fn, view, ingress, now, state, result)) return;
-  }
 }
 
 bool Router::relax_eligible(const HeaderView& view) noexcept {
@@ -1170,19 +876,6 @@ bool Router::run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
     }
   }
   return result.action == Action::kForward;
-}
-
-void Router::dispatch_relaxed(HeaderView& view, FaceId ingress, SimTime now,
-                              ProcessResult& result) {
-  // Relaxed ordering: any schedule is legal for independent FNs. Running
-  // back to front is the cheapest observably different one — it keeps the
-  // relaxation honest (a dependence bug shows up as a verdict difference in
-  // the batch-equivalence property test).
-  FnRunState state{env_.limits.per_packet_budget, {}};
-  const auto fns = view.fns();
-  for (std::size_t i = fns.size(); i-- > 0;) {
-    if (!run_fn(fns[i], view, ingress, now, state, result)) return;
-  }
 }
 
 }  // namespace dip::core

@@ -130,8 +130,11 @@ struct RouterCounters {
   RelaxedCounter fn_skipped_optional;
   RelaxedCounter flow_cache_hits;
   RelaxedCounter flow_cache_misses;
-  RelaxedCounter parallel_relaxed;   ///< batches that used relaxed FN order
-  RelaxedCounter parallel_fallback;  ///< parallel bit set but slices overlap
+  /// Parallel-bit packets run with relaxed (back-to-front) FN order (§2.2).
+  RelaxedCounter parallel_relaxed;
+  /// Parallel-bit packets run in header order: an order-dependent FN or
+  /// overlapping slices made them ineligible.
+  RelaxedCounter parallel_fallback;
   RelaxedCounter batches;            ///< process_batch invocations
   /// Executions per operation key (indexed by the low key bits).
   std::array<RelaxedCounter, 32> fn_by_key{};

@@ -64,11 +64,15 @@ struct RouterStats {
 
   // ---- burst-pipeline gauges (dip_burst_* / dip_arena_*) -----------------
   // Per-phase burst occupancy: how many packets entered phase 1a, survived
-  // bind+validate into phase 2, and which dispatch path phase 2 took.
+  // bind+validate into phase 2, and how phase 2 ran them
+  // (burst_bound == burst_wave + burst_legacy).
   RelaxedCounter burst_packets;  ///< packets entering phase 1a (bind)
   RelaxedCounter burst_bound;    ///< packets entering phase 2 (dispatch)
-  RelaxedCounter burst_wave;     ///< phase-2 packets on the wave path
-  RelaxedCounter burst_legacy;   ///< phase-2 packets on the per-packet path
+  /// Phase-2 packets run in waves: segments of two or more packets.
+  RelaxedCounter burst_wave;
+  /// Phase-2 packets run alone through the per-packet loop: one-packet
+  /// bursts and one-packet segments.
+  RelaxedCounter burst_legacy;
   /// Burst-arena footprint (bytes): peak demand of any one burst, and the
   /// retained chunk-chain reserve (monotone; the arena never shrinks).
   MaxGauge arena_high_water;

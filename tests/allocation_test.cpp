@@ -126,9 +126,8 @@ TEST(BatchAllocation, SteadyStateBurstsAllocateNothing) {
   EXPECT_GT(router.env().counters.flow_cache_hits, 0u);
 }
 
-// Same property for a mixed-program burst (the general wave path with the
-// counting-sort grouping, not just the uniform fast plan): alternate two
-// different FN programs so classification runs every burst.
+// Same property for a mixed-program burst: alternate two different FN
+// programs so every wave runs more than one group.
 TEST(BatchAllocation, MixedProgramBurstsAllocateNothingSteadyState) {
   RouterEnv env = netsim::make_basic_env(1);
   env.default_egress = 1;

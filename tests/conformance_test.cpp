@@ -222,10 +222,9 @@ TEST(Conformance, BatchLenient) {
                          proptest::gen::make_conformance_stream(kSeed + 3, kStreamLen));
 }
 
-// Odd burst shapes against the refmodel oracle: a singleton (stays on the
-// per-packet path), sizes off the crypto strip width and the counting-sort
-// edges (3, 7), and one past the bench's 32-wide shape (33). Strict and
-// lenient both.
+// Odd burst shapes against the refmodel oracle: a singleton (runs alone
+// through run_fn), sizes off the crypto strip width (3, 7), and one past
+// the bench's 32-wide shape (33). Strict and lenient both.
 TEST(Conformance, BatchOddBurstShapesStrict) {
   std::uint64_t salt = 20;
   for (const std::size_t burst : {1, 3, 7, 33}) {

@@ -392,9 +392,8 @@ TEST(BatchEquivalence, ResultSlotsAreFullyReset) {
   EXPECT_FALSE(results[0].respond_from_cache);
 }
 
-// Burst shapes around the wave-eligibility edges: 1 (singleton stays on the
-// per-packet path), 3/7 (odd partial bursts), 33 (past the bench's 32-wide
-// shape). Strict and lenient both run — quarantine vs drop must not depend
+// Burst shapes around the plan's edges: 1 (a singleton runs alone through
+// run_fn), 3/7 (odd partial bursts), 33 (past the bench's 32-wide shape). Strict and lenient both run — quarantine vs drop must not depend
 // on the grouping either.
 TEST(BatchEquivalence, FixedBurstShapesMatchSequential) {
   for (const ValidationMode mode : {ValidationMode::kStrict, ValidationMode::kLenient}) {
@@ -531,6 +530,49 @@ TEST(BatchEquivalence, MixedOpKeyBurstPreservesDpsArrivalOrder) {
   }
   // The property only bites if the policer engaged.
   EXPECT_GT(batch_rate_drops, 0u) << "DPS never dropped; overload too light";
+}
+
+// Stateful FNs at different positions must still run in arrival order. The
+// burst's data packet carries F_PIT at position 1 (behind a host-tagged FN)
+// and the interest after it carries F_FIB at position 0: position-major
+// waves would run the interest's PIT/content-store lookup before the data's
+// PIT match. Per packet, the data first satisfies the pending interest from
+// face 1 and fills the content store, so the interest is answered from the
+// cache and the data reaches face 1 only.
+TEST(BatchEquivalence, StatefulFnsKeepArrivalOrderAcrossPositions) {
+  constexpr std::uint32_t kName = 0x0A000042;
+  const auto make_env = [] {
+    RouterEnv env = routed_env();
+    env.content_store.emplace(64);
+    return env;
+  };
+  Router batch_router(make_env(), registry().get());
+  Router seq_router(make_env(), registry().get());
+
+  const auto interest = [] { return ndn::make_interest_header32(kName)->serialize(); };
+  auto pending_a = interest();
+  auto pending_b = interest();
+  expect_same_result(batch_router.process(pending_a, 1, 0), seq_router.process(pending_b, 1, 0),
+                     0);
+
+  const auto code = fib::ipv4_from_u32(kName);
+  HeaderBuilder data;
+  const std::uint16_t loc = data.add_location(code.bytes);
+  data.add_fn(FnTriple::host(loc, 32, OpKey::kMac));
+  data.add_fn(FnTriple::router(loc, 32, OpKey::kPit));
+  std::vector<std::vector<std::uint8_t>> a{data.build()->serialize(), interest()};
+  std::vector<std::vector<std::uint8_t>> b = a;
+  std::vector<PacketRef> refs(a.begin(), a.end());
+  std::vector<ProcessResult> results(a.size());
+  batch_router.process_batch(refs, 2, 1, results);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    expect_same_result(results[i], seq_router.process(b[i], 2, 1), i + 1);
+    EXPECT_EQ(a[i], b[i]) << "packet bytes diverged at " << i + 1;
+  }
+  EXPECT_EQ(results[0].action, Action::kForward);
+  EXPECT_EQ(results[0].egress, std::vector<FaceId>{1});
+  EXPECT_TRUE(results[1].respond_from_cache);
+  EXPECT_EQ(results[1].egress, std::vector<FaceId>{2});
 }
 
 // A wave group probes the flow cache ahead of its arrival-order pass (to
