@@ -19,15 +19,19 @@
 //     serial and batched.
 //   * BM_ScaleBuild*/N     — full-table build rate (routes/sec): the cost
 //     of standing up a snapshot from scratch, and the reason RouteJournal
-//     clones instead of rebuilding.
-//   * BM_ChurnPublish*/N   — journal flush latency vs table size: clone an
-//     N-route table, apply a coalesced 32-update delta, publish, reclaim.
-//     Clone cost dominates, which is the tree bitmap's arena-copy advantage.
+//     updates copies of a table instead of rebuilding it.
+//   * BM_ChurnPublish*/N   — journal flush latency vs table size: replay
+//     the previous 32-update delta onto the recycled standby, apply the
+//     coalesced 32-update delta, publish, reclaim. No reader holds the
+//     standby, so after the first flush (a clone of the seed) the cost is
+//     the deltas', not the table's: it grows with N only as the updates
+//     miss cache more often. Counter `clones` counts the fallbacks.
 //   * BM_ChurnForwardPool  — the acceptance leg: a 2-worker RouterPool
 //     forwards flows covered by a stable /8 while the journal applies
 //     tens of thousands of updates/sec against a 100k-route tree-bitmap
 //     snapshot, publishing every 32 updates. Counters report achieved
-//     updates_per_sec and publish latency; `blackholed` (pool drops +
+//     updates_per_sec, publish latency and `clones` (flushes that found a
+//     worker still holding the standby); `blackholed` (pool drops +
 //     errors) must be 0 — every packet is covered by the stable aggregate
 //     throughout, so any drop is a lost-route window in the RCU swap.
 //
@@ -257,6 +261,7 @@ void run_churn_publish(benchmark::State& state, LpmEngine engine) {
         static_cast<double>(js.total_flush_ns) / static_cast<double>(js.flushes);
     state.counters["publish_latency_max_ns"] = static_cast<double>(js.max_flush_ns);
   }
+  state.counters["clones"] = static_cast<double>(js.clones);
 }
 
 void BM_ChurnPublishTreeBitmap(benchmark::State& state) {
@@ -349,6 +354,7 @@ void BM_ChurnForwardPool(benchmark::State& state) {
         static_cast<double>(js.total_flush_ns) / static_cast<double>(js.flushes);
     state.counters["publish_latency_max_ns"] = static_cast<double>(js.max_flush_ns);
   }
+  state.counters["clones"] = static_cast<double>(js.clones);
   pool.stop();
   if (snap.dropped + snap.errors != 0) {
     state.SkipWithError("blackholed packets under churn — RCU swap lost routes");

@@ -130,13 +130,17 @@ if dead:
 print("  all seams traced: " + ", ".join(f"{n}={metrics[n]['value']:.4g}" for n in seams))
 PY
 
-echo "== core dispatch series (short traced perfbench router_mix) =="
+echo "== core dispatch series + journal publish cost (short traced perfbench router_mix) =="
 # router_mix reads core.wave_pkt_share and core.legacy_pkt_share as
 # RouterStats::burst_wave and burst_legacy over burst_bound, and
 # core.dispatch_ns_per_pkt from the dispatch-phase histogram. Phase 2 counts
 # every bound packet in exactly one of the two, so the shares sum to 1; a
 # router refactor that stops counting one of them, or stops timing phase 2,
 # would otherwise zero these series silently.
+# ctrl.flush_ns_p50 is the median journal flush of a one-route flap on a
+# 600k-route table set: a few microseconds when the journal recycles its
+# standby (left-right publish), ~1.5 ms when every flush clones the table.
+# A journal that silently falls back to cloning fails the 100 us bound.
 core_json=$(python3 perfbench/run.py --workload router_mix --seed 1 --seconds 4 --trace 1 | tail -n 1)
 python3 - "$core_json" <<'PY'
 import json, sys
@@ -144,11 +148,15 @@ metrics = json.loads(sys.argv[1])["metrics"]
 value = lambda name: metrics.get(name, {}).get("value") or 0.0
 shares = value("core.wave_pkt_share") + value("core.legacy_pkt_share")
 dispatch = value("core.dispatch_ns_per_pkt")
+flush = value("ctrl.flush_ns_p50")
 if abs(shares - 1.0) > 1e-6:
     sys.exit(f"core.wave_pkt_share + core.legacy_pkt_share = {shares!r}, not 1")
 if not dispatch > 0:
     sys.exit(f"core.dispatch_ns_per_pkt = {dispatch!r}, not > 0")
-print(f"  wave + legacy share = {shares:.6f}, dispatch = {dispatch:.4g} ns/pkt")
+if not 0 < flush < 100_000:
+    sys.exit(f"ctrl.flush_ns_p50 = {flush!r} ns, not in (0, 100000): the journal clones")
+print(f"  wave + legacy share = {shares:.6f}, dispatch = {dispatch:.4g} ns/pkt, "
+      f"flush p50 = {flush:.4g} ns")
 PY
 
 echo "== sanitizer build (ASan + UBSan) =="

@@ -3,23 +3,36 @@
 // The control plane enqueues route operations as they are decided; the
 // journal *coalesces* them per key (ten flaps of the same prefix between
 // two publishes collapse to the final state) and, on flush(), builds each
-// dirty table's replacement copy-on-write: clone the live snapshot, apply
-// the pending deltas, publish, and reclaim whatever grace periods have
-// elapsed. Publishing at a configurable cadence instead of per-operation is
-// what keeps snapshot/reclamation cost proportional to the *publish* rate,
-// not the churn rate — the CRAM/BGP-churn regime the bench sweeps.
+// dirty table's replacement off to the side, publishes it, and reclaims
+// whatever grace periods have elapsed.
+//
+// Left-right publish: the journal keeps both copies of every table — the
+// live one it last published and the standby that publish retired — plus
+// the flat log of deltas that took the standby to the live copy. Once QSBR
+// says the standby's grace period has elapsed (no reader can still hold
+// it), flush() replays the log and then the pending deltas onto the
+// standby and publishes it, so a route change costs its delta, not its
+// table. Only when there is no standby yet (the first flush after seed(),
+// or the second publish of a table built from scratch) or a reader still
+// holds it does flush() clone the live table instead (JournalStats::clones). Both paths bump the generation by the same
+// number of deltas, so flow-cache stamps cannot tell them apart.
+// Publishing at a configurable cadence instead of per-operation keeps
+// snapshot/reclamation cost proportional to the *publish* rate, not the
+// churn rate — the CRAM/BGP-churn regime the bench sweeps.
 //
 // Thread contract: all methods are single-writer (one control thread);
 // data-plane readers never touch the journal.
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "dip/ctrl/tables.hpp"
 #include "dip/fib/address.hpp"
@@ -35,10 +48,12 @@ struct JournalStats {
   std::uint64_t updates_applied = 0; ///< coalesced deltas applied at flush
   std::uint64_t snapshots_published = 0;  ///< per-table publishes
   std::uint64_t flushes = 0;         ///< flush() calls that published
-  // Publish latency: wall time of the clone + apply + publish section of a
-  // flush() that published at least one table. This is the churn-side cost
-  // the tree-bitmap engine's cheap clone() exists to bound (dip_fib_publish_
-  // latency series; swept by bench_fib_scale's churn leg).
+  /// Per-table publishes built by copying the live table because no
+  /// reusable standby was available (telemetry, not a setting).
+  std::uint64_t clones = 0;
+  // Publish latency: wall time of the rebuild + publish section of a flush()
+  // that published at least one table (dip_fib_publish_latency series;
+  // swept by bench_fib_scale's churn leg).
   std::uint64_t last_flush_ns = 0;   ///< most recent publishing flush
   std::uint64_t max_flush_ns = 0;    ///< worst publishing flush
   std::uint64_t total_flush_ns = 0;  ///< sum over publishing flushes
@@ -73,8 +88,8 @@ class RouteJournal {
   /// Number of coalesced pending operations.
   [[nodiscard]] std::size_t pending() const noexcept;
 
-  /// Copy-on-write build + publish for every dirty table, then reclaim
-  /// elapsed grace periods. Returns the number of tables published.
+  /// Rebuild + publish every dirty table (left-right, see above), then
+  /// reclaim elapsed grace periods. Returns the number of tables published.
   std::size_t flush();
 
   [[nodiscard]] const JournalStats& stats() const noexcept { return stats_; }
@@ -83,21 +98,45 @@ class RouteJournal {
     return tables_;
   }
 
+  /// An XID delta's key. Route keys sort before local marks, so a flush
+  /// applies every route delta first, then the marks.
+  struct XidKey {
+    bool local = false;  ///< a set_xid_local mark, not a route
+    std::uint8_t type = 0;
+    std::array<std::uint8_t, 20> bytes{};
+    auto operator<=>(const XidKey&) const = default;
+  };
+
  private:
-  template <typename K, typename V>
-  void put(std::map<K, V>& map, K key, V value);
+  using Delta = std::optional<fib::NextHop>;  ///< nullopt = remove
+
+  /// One table's write side. Ordered pending keys make the apply order
+  /// deterministic (Prefix has operator<=>).
+  template <typename T, typename Key>
+  struct Lane {
+    std::map<Key, Delta> pending;               ///< last write per key wins
+    std::vector<std::pair<Key, Delta>> log;     ///< standby -> live deltas
+    std::shared_ptr<T> live;                    ///< the copy last published
+    std::shared_ptr<T> standby;                 ///< the copy it retired
+    std::uint64_t standby_tag = 0;              ///< standby's QSBR tag
+  };
+
+  template <typename T, typename Key>
+  void put(Lane<T, Key>& lane, Key key, Delta delta);
+  template <typename T, typename Key>
+  void seed_lane(Lane<T, Key>& lane, SnapshotTable<T>& table, const T* from);
+  /// Rebuild and publish one dirty table; returns the tables published
+  /// (0 or 1).
+  template <typename T, typename Key>
+  std::size_t flush_lane(Lane<T, Key>& lane, SnapshotTable<T>& table);
 
   std::shared_ptr<ControlTables> tables_;
   JournalStats stats_;
 
-  // Pending delta maps: nullopt value = remove. Ordered keys make the apply
-  // order deterministic (Prefix has operator<=>; Xid keys order by bytes).
-  using XidKey = std::pair<std::uint8_t, std::array<std::uint8_t, 20>>;
-  std::map<fib::Prefix<32>, std::optional<fib::NextHop>> pending32_;
-  std::map<fib::Prefix<128>, std::optional<fib::NextHop>> pending128_;
-  std::map<XidKey, std::optional<fib::NextHop>> pending_xid_;
-  std::map<XidKey, bool> pending_xid_local_;
-  std::map<std::string, std::optional<fib::NextHop>> pending_names_;
+  Lane<fib::Ipv4Lpm, fib::Prefix<32>> fib32_;
+  Lane<fib::Ipv6Lpm, fib::Prefix<128>> fib128_;
+  Lane<fib::XidTable, XidKey> xid_;
+  Lane<fib::NameFib, std::string> names_;  ///< keyed by canonical text
 };
 
 }  // namespace dip::ctrl

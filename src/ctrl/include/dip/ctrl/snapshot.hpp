@@ -5,8 +5,9 @@
 // classic answer is read-copy-update: readers dereference a raw snapshot
 // pointer with no locks and no reference-count traffic, writers publish a
 // fully built replacement table with one atomic store, and the old table is
-// freed only after a *grace period* — once every reader has passed through a
-// quiescent state (a burst boundary) at least once since the publish.
+// freed (or rewritten by the writer) only after a *grace period* — once every
+// reader has passed through a quiescent state (a burst boundary) at least
+// once since the publish.
 //
 // Reader protocol (QSBR — quiescent-state-based reclamation):
 //   - Each reader (RouterPool worker, or the calling thread for a scalar
@@ -22,12 +23,16 @@
 //     the protocol *before* any table read.
 //
 // Writer protocol:
-//   - Build the replacement off to the side (clone + apply deltas).
-//   - SnapshotTable<T>::publish() stores the new raw pointer (seq_cst) and
+//   - Build the replacement off to the side (RouteJournal brings a retired
+//     table up to date, or clones the live one).
+//   - SnapshotTable<T>::publish() stores the new raw pointer (seq_cst),
 //     retires the old owning shared_ptr into the domain tagged with the
-//     post-bump version.
-//   - QsbrDomain::try_reclaim() frees every retired table whose tag is <=
-//     the minimum version announced by all non-idle readers.
+//     post-bump version, and returns that tag.
+//   - QsbrDomain::elapsed(tag) says whether every non-idle reader has
+//     announced that version (or a later one); try_reclaim() drops the
+//     domain's reference to each retiree whose tag passes that test. A
+//     writer that kept its own reference to a retiree may rewrite it once
+//     elapsed() holds for its tag.
 //
 // Memory-order note: the publish store, the reader's snapshot load, the
 // reader's quiesce/resume stores, and the reclaimer's slot loads are all
@@ -40,8 +45,9 @@
 // standalone fences; the cost is irrelevant at burst granularity and
 // ThreadSanitizer reasons about atomics far better than about fences.
 //
-// Single-writer rule: publish/retire/try_reclaim must come from one control
-// thread at a time (RouteJournal enforces this); readers are unlimited.
+// Single-writer rule: publish/retire/elapsed/try_reclaim must come from one
+// control thread at a time (RouteJournal enforces this); readers are
+// unlimited.
 #pragma once
 
 #include <atomic>
@@ -109,17 +115,27 @@ class QsbrDomain {
   }
 
   /// Writer-side: take ownership of a replaced object until its grace
-  /// period elapses. Bumps the version; the retiree is freed once every
-  /// non-idle reader has announced the post-bump version (or later).
-  void retire(std::shared_ptr<const void> obj) {
+  /// period elapses. Bumps the version and returns the retiree's tag (the
+  /// post-bump version); the retiree is released once every non-idle reader
+  /// has announced that version (or later).
+  std::uint64_t retire(std::shared_ptr<const void> obj) {
     const std::uint64_t tag =
         version_.fetch_add(1, std::memory_order_seq_cst) + 1;
     std::lock_guard lock(mu_);
     retired_.push_back(Retired{std::move(obj), tag});
+    return tag;
   }
 
-  /// Writer-side: free every retiree whose grace period has elapsed.
-  /// Returns how many objects were freed.
+  /// Writer-side: has the grace period of the retiree tagged `tag` elapsed,
+  /// so that no reader can still hold it? The test try_reclaim() applies.
+  [[nodiscard]] bool elapsed(std::uint64_t tag) const {
+    std::lock_guard lock(mu_);
+    return tag <= min_seen_locked();
+  }
+
+  /// Writer-side: release every retiree whose grace period has elapsed.
+  /// Returns how many objects were released (freed, unless the writer kept
+  /// its own reference).
   std::size_t try_reclaim() {
     std::vector<std::shared_ptr<const void>> free_list;  // destroy unlocked
     std::size_t freed = 0;
@@ -147,7 +163,7 @@ class QsbrDomain {
     return retired_.size();
   }
 
-  /// Lifetime total of objects freed by try_reclaim (telemetry).
+  /// Lifetime total of objects released by try_reclaim (telemetry).
   [[nodiscard]] std::uint64_t reclaimed_total() const {
     std::lock_guard lock(mu_);
     return reclaimed_total_;
@@ -196,30 +212,20 @@ class SnapshotTable {
     return current_.load(std::memory_order_seq_cst);
   }
 
-  /// Control-side: share ownership of the current snapshot (e.g. to clone
-  /// it as the base for the next delta build). Not for the per-packet path.
-  [[nodiscard]] std::shared_ptr<const T> share() const {
-    std::lock_guard lock(mu_);
-    return owner_;
-  }
-
   /// Writer-side (single writer): publish `next` and retire the previous
-  /// snapshot into `domain` for grace-period reclamation.
-  void publish(std::shared_ptr<const T> next, QsbrDomain& domain) {
-    std::shared_ptr<const T> old;
-    {
-      std::lock_guard lock(mu_);
-      old = std::move(owner_);
-      owner_ = std::move(next);
-      current_.store(owner_.get(), std::memory_order_seq_cst);
-    }
-    if (old) domain.retire(std::shared_ptr<const void>(std::move(old)));
+  /// snapshot into `domain` for grace-period reclamation. Returns the
+  /// retiree's tag (QsbrDomain::retire), or 0 when there was none.
+  std::uint64_t publish(std::shared_ptr<const T> next, QsbrDomain& domain) {
+    std::shared_ptr<const T> old = std::move(owner_);
+    owner_ = std::move(next);
+    current_.store(owner_.get(), std::memory_order_seq_cst);
+    if (!old) return 0;
+    return domain.retire(std::shared_ptr<const void>(std::move(old)));
   }
 
  private:
   std::atomic<const T*> current_{nullptr};
-  mutable std::mutex mu_;        // guards owner_ for share()/publish()
-  std::shared_ptr<const T> owner_;
+  std::shared_ptr<const T> owner_;  // touched by the single writer only
 };
 
 }  // namespace dip::ctrl

@@ -269,6 +269,7 @@ void ControlPlane::write_stats(telemetry::StatsWriter& w) const {
     w.counter("dip_ctrl_updates_applied_total", labels, js.updates_applied);
     w.counter("dip_ctrl_snapshots_published_total", labels,
               js.snapshots_published);
+    w.counter("dip_ctrl_snapshot_clones_total", labels, js.clones);
     const ControlTables& tables = *m.node->env().control;
     const fib::Ipv4Lpm* fib = tables.fib32.read();
     w.counter("dip_ctrl_snapshot_generation", labels,

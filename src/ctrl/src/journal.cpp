@@ -7,173 +7,167 @@
 
 namespace dip::ctrl {
 
-RouteJournal::RouteJournal(std::shared_ptr<ControlTables> tables)
-    : tables_(std::move(tables)) {}
+namespace {
 
-void RouteJournal::seed(const fib::Ipv4Lpm* fib32, const fib::Ipv6Lpm* fib128,
-                        const fib::XidTable* xid, const fib::NameFib* names) {
-  if (fib32 != nullptr) {
-    tables_->fib32.publish(std::shared_ptr<const fib::Ipv4Lpm>(fib32->clone()),
-                           tables_->domain);
-  }
-  if (fib128 != nullptr) {
-    tables_->fib128.publish(std::shared_ptr<const fib::Ipv6Lpm>(fib128->clone()),
-                            tables_->domain);
-  }
-  if (xid != nullptr) {
-    tables_->xid.publish(std::make_shared<const fib::XidTable>(*xid),
-                         tables_->domain);
-  }
-  if (names != nullptr) {
-    tables_->names.publish(std::make_shared<const fib::NameFib>(*names),
-                           tables_->domain);
+// A mutable copy of `base`, or an empty table when there is none yet. LPM
+// clones keep the engine and adopt the generation; an empty LPM table is a
+// tree bitmap.
+template <std::size_t W>
+std::shared_ptr<fib::LpmTable<W>> copy_of(const fib::LpmTable<W>* base) {
+  if (base == nullptr) return std::make_shared<fib::TreeBitmap<W>>();
+  return base->clone();
+}
+
+template <typename T>
+std::shared_ptr<T> copy_of(const T* base) {
+  return base != nullptr ? std::make_shared<T>(*base) : std::make_shared<T>();
+}
+
+// Apply one delta (nullopt = remove). Every insert/remove bumps an LPM
+// table's generation, whichever copy it lands on.
+template <std::size_t W>
+void apply(fib::LpmTable<W>& table, const fib::Prefix<W>& prefix,
+           const std::optional<fib::NextHop>& nh) {
+  if (nh) {
+    table.insert(prefix, *nh);
+  } else {
+    table.remove(prefix);
   }
 }
 
-template <typename K, typename V>
-void RouteJournal::put(std::map<K, V>& map, K key, V value) {
+void apply(fib::XidTable& table, const RouteJournal::XidKey& key,
+           const std::optional<fib::NextHop>& nh) {
+  const auto type = static_cast<fib::XidType>(key.type);
+  const fib::Xid xid{key.bytes};
+  if (key.local) {
+    table.set_local(type, xid);
+  } else if (nh) {
+    table.insert(type, xid, *nh);
+  } else {
+    table.remove(type, xid);
+  }
+}
+
+void apply(fib::NameFib& table, const std::string& text,
+           const std::optional<fib::NextHop>& nh) {
+  const fib::Name name = fib::Name::parse(text);
+  if (nh) {
+    table.insert(name, *nh);
+  } else {
+    table.remove(name);
+  }
+}
+
+}  // namespace
+
+RouteJournal::RouteJournal(std::shared_ptr<ControlTables> tables)
+    : tables_(std::move(tables)) {}
+
+template <typename T, typename Key>
+void RouteJournal::seed_lane(Lane<T, Key>& lane, SnapshotTable<T>& table,
+                             const T* from) {
+  if (from == nullptr) return;
+  lane.live = copy_of(from);
+  // No delta log leads from whatever this publish retires to the seed, so
+  // the next flush clones.
+  lane.standby.reset();
+  lane.log.clear();
+  table.publish(lane.live, tables_->domain);
+}
+
+void RouteJournal::seed(const fib::Ipv4Lpm* fib32, const fib::Ipv6Lpm* fib128,
+                        const fib::XidTable* xid, const fib::NameFib* names) {
+  seed_lane(fib32_, tables_->fib32, fib32);
+  seed_lane(fib128_, tables_->fib128, fib128);
+  seed_lane(xid_, tables_->xid, xid);
+  seed_lane(names_, tables_->names, names);
+}
+
+template <typename T, typename Key>
+void RouteJournal::put(Lane<T, Key>& lane, Key key, Delta delta) {
   ++stats_.ops_enqueued;
-  const auto [it, inserted] = map.insert_or_assign(std::move(key), std::move(value));
+  const auto [it, inserted] =
+      lane.pending.insert_or_assign(std::move(key), std::move(delta));
   (void)it;
   if (!inserted) ++stats_.ops_coalesced;
 }
 
 void RouteJournal::add_route32(fib::Prefix<32> prefix, fib::NextHop nh) {
   prefix.normalize();
-  put(pending32_, prefix, std::optional<fib::NextHop>{nh});
+  put(fib32_, prefix, Delta{nh});
 }
 
 void RouteJournal::remove_route32(fib::Prefix<32> prefix) {
   prefix.normalize();
-  put(pending32_, prefix, std::optional<fib::NextHop>{});
+  put(fib32_, prefix, Delta{});
 }
 
 void RouteJournal::add_route128(fib::Prefix<128> prefix, fib::NextHop nh) {
   prefix.normalize();
-  put(pending128_, prefix, std::optional<fib::NextHop>{nh});
+  put(fib128_, prefix, Delta{nh});
 }
 
 void RouteJournal::remove_route128(fib::Prefix<128> prefix) {
   prefix.normalize();
-  put(pending128_, prefix, std::optional<fib::NextHop>{});
+  put(fib128_, prefix, Delta{});
 }
 
 void RouteJournal::add_xid_route(fib::XidType type, const fib::Xid& xid,
                                  fib::NextHop nh) {
-  put(pending_xid_, XidKey{static_cast<std::uint8_t>(type), xid.bytes},
-      std::optional<fib::NextHop>{nh});
+  put(xid_, XidKey{false, static_cast<std::uint8_t>(type), xid.bytes}, Delta{nh});
 }
 
 void RouteJournal::remove_xid_route(fib::XidType type, const fib::Xid& xid) {
-  put(pending_xid_, XidKey{static_cast<std::uint8_t>(type), xid.bytes},
-      std::optional<fib::NextHop>{});
+  put(xid_, XidKey{false, static_cast<std::uint8_t>(type), xid.bytes}, Delta{});
 }
 
 void RouteJournal::set_xid_local(fib::XidType type, const fib::Xid& xid) {
-  put(pending_xid_local_, XidKey{static_cast<std::uint8_t>(type), xid.bytes},
-      true);
+  put(xid_, XidKey{true, static_cast<std::uint8_t>(type), xid.bytes}, Delta{});
 }
 
 void RouteJournal::add_name_route(const fib::Name& name, fib::NextHop nh) {
-  put(pending_names_, name.to_string(), std::optional<fib::NextHop>{nh});
+  put(names_, name.to_string(), Delta{nh});
 }
 
 void RouteJournal::remove_name_route(const fib::Name& name) {
-  put(pending_names_, name.to_string(), std::optional<fib::NextHop>{});
+  put(names_, name.to_string(), Delta{});
 }
 
 bool RouteJournal::dirty() const noexcept { return pending() != 0; }
 
 std::size_t RouteJournal::pending() const noexcept {
-  return pending32_.size() + pending128_.size() + pending_xid_.size() +
-         pending_xid_local_.size() + pending_names_.size();
+  return fib32_.pending.size() + fib128_.pending.size() + xid_.pending.size() +
+         names_.pending.size();
+}
+
+template <typename T, typename Key>
+std::size_t RouteJournal::flush_lane(Lane<T, Key>& lane, SnapshotTable<T>& table) {
+  if (lane.pending.empty()) return 0;
+  std::shared_ptr<T> next;
+  if (lane.standby && tables_->domain.elapsed(lane.standby_tag)) {
+    // No reader can still hold the standby: catch it up with the deltas
+    // the live copy has and it lacks, instead of copying the live table.
+    next = std::move(lane.standby);
+    for (const auto& [key, delta] : lane.log) apply(*next, key, delta);
+  } else {
+    if (lane.live) ++stats_.clones;
+    next = copy_of(lane.live.get());
+  }
+  lane.log.assign(lane.pending.begin(), lane.pending.end());
+  lane.pending.clear();
+  for (const auto& [key, delta] : lane.log) apply(*next, key, delta);
+  stats_.updates_applied += lane.log.size();
+  lane.standby = std::exchange(lane.live, next);
+  lane.standby_tag = table.publish(std::move(next), tables_->domain);
+  return 1;
 }
 
 std::size_t RouteJournal::flush() {
   const auto start = std::chrono::steady_clock::now();
-  std::size_t published = 0;
-
-  if (!pending32_.empty()) {
-    const auto base = tables_->fib32.share();
-    std::unique_ptr<fib::Ipv4Lpm> next =
-        base ? base->clone() : std::make_unique<fib::TreeBitmap<32>>();
-    for (const auto& [prefix, nh] : pending32_) {
-      if (nh) {
-        next->insert(prefix, *nh);
-      } else {
-        next->remove(prefix);
-      }
-    }
-    stats_.updates_applied += pending32_.size();
-    pending32_.clear();
-    tables_->fib32.publish(
-        std::shared_ptr<const fib::Ipv4Lpm>(std::move(next)), tables_->domain);
-    ++published;
-  }
-
-  if (!pending128_.empty()) {
-    const auto base = tables_->fib128.share();
-    std::unique_ptr<fib::Ipv6Lpm> next =
-        base ? base->clone() : std::make_unique<fib::TreeBitmap<128>>();
-    for (const auto& [prefix, nh] : pending128_) {
-      if (nh) {
-        next->insert(prefix, *nh);
-      } else {
-        next->remove(prefix);
-      }
-    }
-    stats_.updates_applied += pending128_.size();
-    pending128_.clear();
-    tables_->fib128.publish(
-        std::shared_ptr<const fib::Ipv6Lpm>(std::move(next)), tables_->domain);
-    ++published;
-  }
-
-  if (!pending_xid_.empty() || !pending_xid_local_.empty()) {
-    const auto base = tables_->xid.share();
-    auto next = base ? std::make_unique<fib::XidTable>(*base)
-                     : std::make_unique<fib::XidTable>();
-    for (const auto& [key, nh] : pending_xid_) {
-      const auto type = static_cast<fib::XidType>(key.first);
-      const fib::Xid xid{key.second};
-      if (nh) {
-        next->insert(type, xid, *nh);
-      } else {
-        next->remove(type, xid);
-      }
-    }
-    for (const auto& [key, local] : pending_xid_local_) {
-      if (local) {
-        next->set_local(static_cast<fib::XidType>(key.first),
-                        fib::Xid{key.second});
-      }
-    }
-    stats_.updates_applied += pending_xid_.size() + pending_xid_local_.size();
-    pending_xid_.clear();
-    pending_xid_local_.clear();
-    tables_->xid.publish(
-        std::shared_ptr<const fib::XidTable>(std::move(next)), tables_->domain);
-    ++published;
-  }
-
-  if (!pending_names_.empty()) {
-    const auto base = tables_->names.share();
-    auto next = base ? std::make_unique<fib::NameFib>(*base)
-                     : std::make_unique<fib::NameFib>();
-    for (const auto& [text, nh] : pending_names_) {
-      const fib::Name name = fib::Name::parse(text);
-      if (nh) {
-        next->insert(name, *nh);
-      } else {
-        next->remove(name);
-      }
-    }
-    stats_.updates_applied += pending_names_.size();
-    pending_names_.clear();
-    tables_->names.publish(
-        std::shared_ptr<const fib::NameFib>(std::move(next)), tables_->domain);
-    ++published;
-  }
+  std::size_t published = flush_lane(fib32_, tables_->fib32);
+  published += flush_lane(fib128_, tables_->fib128);
+  published += flush_lane(xid_, tables_->xid);
+  published += flush_lane(names_, tables_->names);
 
   if (published != 0) {
     stats_.snapshots_published += published;

@@ -75,9 +75,10 @@ class LpmTable {
   [[nodiscard]] virtual std::size_t lookup_depth(const Address<W>& addr) const = 0;
 
   /// Deep copy, *inheriting the generation*. The control plane clones the
-  /// live snapshot as the base for a delta build; the applied deltas then
-  /// bump the copy's generation past the original's, so flow-cache entries
-  /// stamped under the old snapshot die when the new one is published.
+  /// live snapshot as the base for a delta build when it has no reusable
+  /// standby; the applied deltas then bump the copy's generation past the
+  /// original's, so flow-cache entries stamped under the old snapshot die
+  /// when the new one is published.
   [[nodiscard]] virtual std::unique_ptr<LpmTable<W>> clone() const = 0;
 
   /// Mutation epoch; bumped by every insert/remove (relaxed — readers that
@@ -106,13 +107,13 @@ enum class LpmEngine : std::uint8_t {
   kBinaryTrie = 0,  ///< one node per prefix bit — the oracle: simple, slow,
                     ///< memory-hungry
   kDir24 = 2,       ///< DIR-24-8 flat lookup (IPv4 only) — fastest lookup, but
-                    ///< a fixed ~64 MiB slab and O(block) updates; clone cost
-                    ///< makes it a poor fit for the journal's copy-on-write
-                    ///< churn path
+                    ///< a fixed ~64 MiB slab per copy and O(block) updates;
+                    ///< the journal's two copies of each table make it a poor
+                    ///< fit for the churn path
   kTreeBitmap = 3,  ///< stride-4 bitmap-compressed trie — the production
                     ///< engine: lowest IPv4 bytes/prefix, near-Dir24 lookups
-                    ///< at 1M routes, and memcpy-cheap clone() for churn
-                    ///< publishing
+                    ///< at 1M routes, and memcpy-cheap clone() for the
+                    ///< journal's clone fallback
 };
 
 /// Factory. kDir24 is only valid for W == 32.

@@ -11,11 +11,12 @@
 // arithmetic per level buys ~an order of magnitude less memory than the
 // pointer tries at Internet scale, and a table that clones by vector copy.
 //
-// That last property is what makes this the engine of choice under churn:
-// RouteJournal::flush() clones the live snapshot before applying deltas, so
-// copy cost *is* publish latency. Cloning here is three memcpy-ish vector
-// copies instead of a million node allocations (see docs/FIB.md and
-// bench_fib_scale's churn leg).
+// RouteJournal::flush() normally publishes by replaying a few deltas onto
+// the table it retired one publish earlier, so its cost is the delta's.
+// It clones the live snapshot only when there is no reusable standby (the
+// first flush after seed(), or a reader still holds it); cloning here is
+// then three memcpy-ish vector copies instead of a million node
+// allocations (see docs/FIB.md and bench_fib_scale's churn leg).
 //
 // A lookup is a walk of up to W/4 + 1 nodes, each load depending on the
 // last. lookup() and lookup_batch() share one node step: a branch-free
@@ -57,8 +58,9 @@ class TreeBitmap final : public LpmTable<W> {
     nodes_.emplace_back();
     results_.push_back(kNoRoute);
   }
-  /// Deep copy by arena copy (the cheap clone the journal relies on);
-  /// adopts the source's generation via the LpmTable protected copy ctor.
+  /// Deep copy by arena copy (the journal's fallback when it has no
+  /// reusable standby); adopts the source's generation via the LpmTable
+  /// protected copy ctor.
   TreeBitmap(const TreeBitmap&) = default;
 
   [[nodiscard]] std::unique_ptr<LpmTable<W>> clone() const override {

@@ -33,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dip/bootstrap/capability.hpp"
@@ -79,6 +80,10 @@ struct Lsa {
 /// iteration for SPF and AS-graph construction).
 using LinkStateDb = std::map<std::uint32_t, Lsa>;
 
+/// (origin node id, face its /24 leaves by), sorted by origin: one router's
+/// route set as mesh/control.hpp enqueues it.
+using RouteSet = std::vector<std::pair<std::uint32_t, FaceId>>;
+
 class MeshRouter : private netsim::NodePort {
  public:
   /// Delivery callback for local (host-facing) faces: full DIP packet bytes
@@ -110,6 +115,9 @@ class MeshRouter : private netsim::NodePort {
   [[nodiscard]] core::Router& router() noexcept { return runtime_.router(); }
   [[nodiscard]] core::RouterEnv& env() noexcept { return runtime_.env(); }
   [[nodiscard]] ctrl::RouteJournal& journal() noexcept { return journal_; }
+  /// The routes publish_routes() last enqueued into journal(); it diffs the
+  /// next recompute against them.
+  [[nodiscard]] RouteSet& enqueued_routes() noexcept { return enqueued_routes_; }
 
   /// Attach a wire face toward `peer`. `ordinal` is the mesh-wide
   /// half-link ordinal (the impairer PRNG stream selector); `faults`
@@ -194,6 +202,7 @@ class MeshRouter : private netsim::NodePort {
   std::shared_ptr<ctrl::ControlTables> tables_;
   netsim::NodeRuntime runtime_;
   ctrl::RouteJournal journal_;
+  RouteSet enqueued_routes_;
 
   std::vector<Face> faces_;
   std::map<Endpoint, FaceId> ingress_of_;  ///< wire endpoint -> face

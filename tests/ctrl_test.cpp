@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "dip/core/ip.hpp"
@@ -21,6 +25,7 @@
 #include "dip/ctrl/snapshot.hpp"
 #include "dip/crypto/random.hpp"
 #include "dip/fib/address.hpp"
+#include "dip/fib/binary_trie.hpp"
 #include "dip/mesh/control.hpp"
 #include "dip/netsim/topology.hpp"
 
@@ -215,6 +220,302 @@ TEST(Journal, CopyOnWriteLeavesTheOldSnapshotIntact) {
 }
 
 // ---------------------------------------------------------------------------
+// Left-right publish: once no reader can hold the standby (the table the
+// last publish retired), flush() replays the delta log and the pending
+// deltas onto it instead of cloning the live table.
+// ---------------------------------------------------------------------------
+
+/// Prefixes over a four-symbol byte alphabet under 10/8, so churn keeps
+/// revisiting keys and routes nest (LPM precedence matters).
+template <std::size_t W>
+fib::Address<W> churn_address(crypto::Xoshiro256& rng) {
+  fib::Address<W> a;
+  a.bytes[0] = 10;
+  for (std::size_t b = 1; b < a.bytes.size(); ++b) {
+    a.bytes[b] = static_cast<std::uint8_t>(rng.below(4));
+  }
+  return a;
+}
+
+template <std::size_t W>
+std::vector<fib::Prefix<W>> churn_prefixes(crypto::Xoshiro256& rng, std::size_t n) {
+  std::vector<fib::Prefix<W>> out(n);
+  for (auto& p : out) {
+    p.addr = churn_address<W>(rng);
+    p.length = static_cast<std::uint8_t>(8 + rng.below(W - 7));
+    p.normalize();
+  }
+  return out;
+}
+
+/// One LPM width under churn: the static seed, the oracle trie, the key
+/// universe and the probe set.
+template <std::size_t W>
+struct LpmChurn {
+  explicit LpmChurn(crypto::Xoshiro256& rng)
+      : seed(fib::make_lpm<W>(fib::LpmEngine::kTreeBitmap)),
+        keys(churn_prefixes<W>(rng, 24)) {
+    for (std::size_t i = 0; i < keys.size(); i += 3) {
+      seed->insert(keys[i], static_cast<fib::NextHop>(1 + i % 5));
+      oracle.insert(keys[i], static_cast<fib::NextHop>(1 + i % 5));
+    }
+    for (const auto& p : keys) probes.push_back(p.addr);
+    for (int i = 0; i < 96; ++i) probes.push_back(churn_address<W>(rng));
+  }
+
+  /// One random op on a random key (a flap revisits its key at once).
+  void churn(crypto::Xoshiro256& rng, RouteJournal& journal, std::set<fib::Prefix<W>>& touched) {
+    const fib::Prefix<W>& p = keys[rng.below(keys.size())];
+    touched.insert(p);
+    const int flaps = rng.below(4) == 0 ? 3 : 1;
+    for (int i = 0; i < flaps; ++i) {
+      if (rng.below(3) == 0) {
+        remove(journal, p);
+        oracle.remove(p);
+      } else {
+        const auto nh = static_cast<fib::NextHop>(1 + rng.below(6));
+        add(journal, p, nh);
+        oracle.insert(p, nh);
+      }
+    }
+  }
+
+  static void add(RouteJournal& j, const fib::Prefix<W>& p, fib::NextHop nh) {
+    if constexpr (W == 32) j.add_route32(p, nh); else j.add_route128(p, nh);
+  }
+  static void remove(RouteJournal& j, const fib::Prefix<W>& p) {
+    if constexpr (W == 32) j.remove_route32(p); else j.remove_route128(p);
+  }
+
+  void expect_matches(const fib::LpmTable<W>& live) const {
+    for (const auto& a : probes) {
+      ASSERT_EQ(live.lookup(a), oracle.lookup(a));
+    }
+  }
+
+  std::unique_ptr<fib::LpmTable<W>> seed;
+  fib::BinaryTrie<W> oracle;
+  std::vector<fib::Prefix<W>> keys;
+  std::vector<fib::Address<W>> probes;
+};
+
+/// The live pointers of one table, oldest first: under left-right each
+/// publish after the first must bring back the table published two
+/// publishes earlier.
+struct Alternation {
+  void expect_next(const void* live) {
+    ASSERT_FALSE(history.empty());
+    EXPECT_NE(live, history.back()) << "a publish must swap in the other copy";
+    if (history.size() >= 2) {
+      EXPECT_EQ(live, history[history.size() - 2])
+          << "the recycled standby must become live";
+    }
+    history.push_back(live);
+  }
+  std::vector<const void*> history;
+};
+
+TEST(Journal, LeftRightChurnMatchesOracle) {
+  crypto::Xoshiro256 rng(0x1EF7'0517);
+  LpmChurn<32> v4(rng);
+  LpmChurn<128> v6(rng);
+
+  using XidKey = std::pair<fib::XidType, std::uint8_t>;  // (type, xid tag)
+  const auto xid_of = [](std::uint8_t tag) {
+    fib::Xid x;
+    x.bytes.fill(tag);
+    return x;
+  };
+  const fib::XidType kXidTypes[] = {fib::XidType::kAd, fib::XidType::kHid};
+  fib::XidTable xid_seed;
+  std::map<XidKey, fib::NextHop> xid_routes;
+  std::set<XidKey> xid_local;
+  xid_seed.insert(fib::XidType::kAd, xid_of(1), 4);
+  xid_routes[{fib::XidType::kAd, 1}] = 4;
+
+  const std::string kNames[] = {"/a", "/a/b", "/a/b/c", "/d", "/d/e", "/f/g", "/h"};
+  fib::NameFib names_seed;
+  std::map<std::string, fib::NextHop> name_routes;
+  names_seed.insert(fib::Name::parse("/a"), 2);
+  name_routes["/a"] = 2;
+
+  auto tables = std::make_shared<ControlTables>();
+  RouteJournal journal(tables);
+  journal.seed(v4.seed.get(), v6.seed.get(), &xid_seed, &names_seed);
+  const ctrl::ReaderHandle reader = tables->register_reader();
+  tables->domain.resume(reader);
+
+  Alternation alt32{{tables->fib32.read()}};
+  Alternation alt128{{tables->fib128.read()}};
+  Alternation alt_xid{{tables->xid.read()}};
+  Alternation alt_names{{tables->names.read()}};
+  std::array<bool, 4> flushed_once{};
+
+  for (int round = 0; round < 80; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    // Round 0 dirties every table; later rounds a random subset.
+    const auto dirty = [&rng, round] { return round == 0 || rng.below(2) == 0; };
+    std::set<fib::Prefix<32>> touched32;
+    std::set<fib::Prefix<128>> touched128;
+    std::size_t xid_deltas = 0;
+    std::size_t name_deltas = 0;
+    const bool d32 = dirty(), d128 = dirty(), dxid = dirty(), dnames = dirty();
+
+    if (d32) {
+      for (std::uint64_t i = 0, n = 1 + rng.below(5); i < n; ++i) v4.churn(rng, journal, touched32);
+    }
+    if (d128) {
+      for (std::uint64_t i = 0, n = 1 + rng.below(5); i < n; ++i) v6.churn(rng, journal, touched128);
+    }
+    if (dxid) {
+      std::set<std::pair<bool, XidKey>> touched;
+      for (std::uint64_t i = 0, n = 1 + rng.below(5); i < n; ++i) {
+        const XidKey key{kXidTypes[rng.below(2)], static_cast<std::uint8_t>(rng.below(6))};
+        const fib::Xid xid = xid_of(key.second);
+        switch (rng.below(5)) {
+          case 0:
+            journal.remove_xid_route(key.first, xid);
+            xid_routes.erase(key);
+            touched.insert({false, key});
+            break;
+          case 1:
+            journal.set_xid_local(key.first, xid);
+            xid_local.insert(key);
+            touched.insert({true, key});
+            break;
+          default: {
+            const auto nh = static_cast<fib::NextHop>(1 + rng.below(6));
+            journal.add_xid_route(key.first, xid, nh);
+            xid_routes[key] = nh;
+            touched.insert({false, key});
+          }
+        }
+      }
+      xid_deltas = touched.size();
+    }
+    if (dnames) {
+      std::set<std::string> touched;
+      for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i) {
+        const std::string& text = kNames[rng.below(std::size(kNames))];
+        if (rng.below(3) == 0) {
+          journal.remove_name_route(fib::Name::parse(text));
+          name_routes.erase(text);
+        } else {
+          const auto nh = static_cast<fib::NextHop>(1 + rng.below(6));
+          journal.add_name_route(fib::Name::parse(text), nh);
+          name_routes[text] = nh;
+        }
+        touched.insert(text);
+      }
+      name_deltas = touched.size();
+    }
+
+    const std::uint64_t gen32 = tables->fib32.read()->generation();
+    const std::uint64_t gen128 = tables->fib128.read()->generation();
+    const std::uint64_t applied = journal.stats().updates_applied;
+    const std::size_t published = journal.flush();
+    const std::array<bool, 4> dirtied{d32, d128, dxid, dnames};
+    EXPECT_EQ(published, static_cast<std::size_t>(std::count(dirtied.begin(), dirtied.end(), true)));
+    EXPECT_EQ(journal.stats().updates_applied - applied,
+              touched32.size() + touched128.size() + xid_deltas + name_deltas);
+
+    // A replay bumps the generation exactly as clone + apply does.
+    const fib::Ipv4Lpm* live32 = tables->fib32.read();
+    const fib::Ipv6Lpm* live128 = tables->fib128.read();
+    EXPECT_EQ(live32->generation(), gen32 + touched32.size());
+    EXPECT_EQ(live128->generation(), gen128 + touched128.size());
+
+    if (d32) alt32.expect_next(live32);
+    if (d128) alt128.expect_next(live128);
+    if (dxid) alt_xid.expect_next(tables->xid.read());
+    if (dnames) alt_names.expect_next(tables->names.read());
+
+    // Only each table's first flush after seed() cloned.
+    for (std::size_t t = 0; t < 4; ++t) flushed_once[t] = flushed_once[t] || dirtied[t];
+    EXPECT_EQ(journal.stats().clones,
+              static_cast<std::uint64_t>(
+                  std::count(flushed_once.begin(), flushed_once.end(), true)));
+
+    v4.expect_matches(*live32);
+    v6.expect_matches(*live128);
+    const fib::XidTable* xid = tables->xid.read();
+    for (const fib::XidType type : kXidTypes) {
+      for (std::uint8_t tag = 0; tag < 6; ++tag) {
+        const auto want = xid_routes.find({type, tag});
+        EXPECT_EQ(xid->lookup(type, xid_of(tag)),
+                  want == xid_routes.end() ? std::nullopt
+                                           : std::optional<fib::NextHop>{want->second});
+        EXPECT_EQ(xid->is_local(type, xid_of(tag)), xid_local.contains({type, tag}));
+      }
+    }
+    const fib::NameFib* names = tables->names.read();
+    for (const std::string& text : kNames) {
+      const auto want = name_routes.find(text);
+      EXPECT_EQ(names->exact(fib::Name::parse(text)),
+                want == name_routes.end() ? std::nullopt
+                                          : std::optional<fib::NextHop>{want->second});
+    }
+
+    // Burst boundary: the reader drops every pointer read above.
+    tables->domain.quiesce(reader);
+  }
+  for (const Alternation* a : {&alt32, &alt128, &alt_xid, &alt_names}) {
+    EXPECT_GE(a->history.size(), 10u) << "every table must churn through both copies";
+  }
+
+  journal.flush();
+  EXPECT_EQ(tables->domain.backlog(), 0u);
+}
+
+TEST(Journal, HeldReaderForcesCloneAndSeesNoChange) {
+  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
+  seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
+  auto tables = std::make_shared<ControlTables>();
+  RouteJournal journal(tables);
+  journal.seed(seed_fib.get());
+  const ctrl::ReaderHandle reader = tables->register_reader();
+  tables->domain.resume(reader);
+
+  const fib::Prefix<32> flap{fib::ipv4_from_u32(0x0A400000), 10};
+  const fib::Ipv4Addr probe = fib::ipv4_from_u32(0x0A400001);
+
+  journal.add_route32(flap, 2);
+  journal.flush();
+  EXPECT_EQ(journal.stats().clones, 1u) << "no standby yet: the first flush clones";
+  tables->domain.quiesce(reader);
+
+  // The reader takes the live table and keeps it across two flushes.
+  const fib::Ipv4Lpm* held = tables->fib32.read();
+  const std::uint64_t held_gen = held->generation();
+  ASSERT_EQ(held->lookup(probe), std::uint32_t{2});
+
+  journal.add_route32(flap, 3);
+  journal.flush();
+  EXPECT_EQ(journal.stats().clones, 1u) << "the seed copy is free: recycled";
+  EXPECT_NE(tables->fib32.read(), held);
+
+  // The standby is now `held`, and its reader has not quiesced.
+  journal.remove_route32(flap);
+  journal.flush();
+  EXPECT_EQ(journal.stats().clones, 2u) << "a held standby must force a clone";
+  const fib::Ipv4Lpm* live = tables->fib32.read();
+  EXPECT_NE(live, held);
+  EXPECT_EQ(live->lookup(probe), std::uint32_t{1});
+  EXPECT_EQ(held->lookup(probe), std::uint32_t{2})
+      << "a held snapshot must keep its old answers";
+  EXPECT_EQ(held->generation(), held_gen);
+
+  tables->domain.quiesce(reader);  // drops `held`
+  journal.add_route32(flap, 4);
+  journal.flush();
+  EXPECT_EQ(journal.stats().clones, 2u) << "once the reader quiesced, the next flush recycles";
+  EXPECT_EQ(tables->fib32.read()->lookup(probe), std::uint32_t{4});
+  tables->domain.quiesce(reader);
+  journal.flush();
+  EXPECT_EQ(tables->domain.backlog(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // ControlPlane: convergence under link failure (end to end in netsim).
 //
 // Diamond topology, all four routers managed:
@@ -331,6 +632,10 @@ TEST(ControlPlane, ConvergesAfterBlackoutAndResumesDelivery) {
   EXPECT_NE(text.find("dip_ctrl_convergences_total 3"), std::string::npos) << text;
   EXPECT_NE(text.find("dip_ctrl_link_events_total{dir=\"down\"} 1"), std::string::npos);
   EXPECT_NE(text.find("dip_ctrl_snapshot_generation{node=\"0\"}"), std::string::npos);
+  // Only the first flush after seed() cloned: the sim thread quiesces
+  // before every flush, so each later publish recycled the standby.
+  EXPECT_NE(text.find("dip_ctrl_snapshot_clones_total{node=\"0\"} 1\n"), std::string::npos)
+      << text;
 }
 
 TEST(ControlPlane, PublishIntervalRateLimitsButConverges) {

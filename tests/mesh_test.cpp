@@ -15,6 +15,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
@@ -502,6 +503,55 @@ TEST(MeshNetConvergence, LinkFailureReroutesAfterGossip) {
   const WireLedger total = net.aggregate_ledger();
   EXPECT_EQ(total.transmitted, 4u);  // 1 direct + 1 blackholed + 2 detour hops
   EXPECT_EQ(total.imbalance(), 0);
+}
+
+TEST(MeshNetConvergence, RecomputePublishesOnlyWhereRoutesChanged) {
+  ManualClock clock;
+  MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  MeshNet net(cfg);
+  net.build_torus(3, 3);
+  ASSERT_TRUE(net.discover(kSecond));
+  ASSERT_EQ(net.recompute_routes(), 9u * 9u);
+
+  const auto publishes = [&net] {
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      out.push_back(net.router(i).journal().stats().snapshots_published);
+    }
+    return out;
+  };
+  // Every router's live FIB answer for every node's host address.
+  const auto answers = [&net] {
+    std::vector<std::vector<std::optional<fib::NextHop>>> out(net.size());
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      const fib::Ipv4Lpm* fib = net.router(i).env().control->fib32.read();
+      for (std::uint32_t node = 1; node <= net.size(); ++node) {
+        out[i].push_back(fib->lookup(addr_of(node)));
+      }
+    }
+    return out;
+  };
+
+  const auto before = publishes();
+  EXPECT_EQ(net.recompute_routes(), 9u * 9u) << "the routed count is unchanged";
+  EXPECT_EQ(publishes(), before) << "an unchanged LSDB must publish nothing";
+
+  const auto routes_before = answers();
+  net.fail_link(0, 1);
+  net.loop().run_until_idle();
+  ASSERT_GT(net.recompute_routes(), 0u);
+  const auto after = publishes();
+  const auto routes_after = answers();
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    const bool changed = routes_after[i] != routes_before[i];
+    EXPECT_EQ(after[i] - before[i], changed ? 1u : 0u) << "router " << i;
+    if (changed) ++moved;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_LT(moved, net.size()) << "one failed link must leave some routers' routes alone";
 }
 
 TEST(MeshNetErrors, MissingPathCriticalFnNotifiesTheInjectingRouter) {
