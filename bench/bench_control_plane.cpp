@@ -125,7 +125,7 @@ void BM_Journal_Flush(benchmark::State& state) {
   const auto routes = static_cast<std::size_t>(state.range(0));
   auto tables = std::make_shared<ctrl::ControlTables>();
   ctrl::RouteJournal journal(tables);
-  const auto seed = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
+  const auto seed = std::make_unique<fib::Ipv4Lpm>();
   for (std::size_t i = 0; i < routes; ++i) {
     seed->insert({fib::ipv4_from_u32(static_cast<std::uint32_t>(i) << 12), 24},
                  static_cast<core::FaceId>(1 + i % 8));

@@ -1,17 +1,20 @@
-// A3 — LPM engine ablation: the binary-trie oracle vs the production tree
-// bitmap vs the DIR-24-8 flat-table reference across table sizes (the cost
-// inside F_32_match and F_FIB).
+// A3 — LPM ablation: the binary-trie oracle vs the production tree bitmap
+// vs the DIR-24-8 flat-table reference across table sizes (the cost inside
+// F_32_match and F_FIB). The references come from tests/support/.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
-#include "dip/fib/lpm.hpp"
+#include "dip/fib/tree_bitmap.hpp"
+#include "support/reference_lpm.hpp"
 
 namespace dip::bench {
 namespace {
 
+using fib::BinaryTrie;
+using fib::Dir24;
 using fib::Ipv4Addr;
-using fib::LpmEngine;
 using fib::Prefix;
+using fib::TreeBitmap;
 
 /// Deterministic route table: clustered prefixes of mixed lengths, the way
 /// real FIBs look (many /16..,/24s, few /8s, some host routes).
@@ -28,8 +31,9 @@ std::vector<Prefix<32>> make_routes(std::size_t count, std::uint64_t seed) {
   return routes;
 }
 
-std::unique_ptr<fib::Ipv4Lpm> loaded_table(LpmEngine engine, std::size_t routes) {
-  auto table = fib::make_lpm<32>(engine);
+template <typename Table>
+std::unique_ptr<Table> loaded_table(std::size_t routes) {
+  auto table = std::make_unique<Table>();
   std::uint32_t nh = 0;
   for (const auto& p : make_routes(routes, 42)) {
     table->insert(p, nh++ % 256);
@@ -37,9 +41,10 @@ std::unique_ptr<fib::Ipv4Lpm> loaded_table(LpmEngine engine, std::size_t routes)
   return table;
 }
 
-void run_lookup(benchmark::State& state, LpmEngine engine) {
+template <typename Table>
+void run_lookup(benchmark::State& state) {
   const auto routes = static_cast<std::size_t>(state.range(0));
-  const auto table = loaded_table(engine, routes);
+  const auto table = loaded_table<Table>(routes);
 
   // Probe addresses: half drawn from installed prefixes (hits), half random.
   crypto::Xoshiro256 rng(7);
@@ -62,24 +67,21 @@ void run_lookup(benchmark::State& state, LpmEngine engine) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_LookupBinaryTrie(benchmark::State& state) {
-  run_lookup(state, LpmEngine::kBinaryTrie);
-}
-void BM_LookupTreeBitmap(benchmark::State& state) {
-  run_lookup(state, LpmEngine::kTreeBitmap);
-}
-void BM_LookupDir24(benchmark::State& state) { run_lookup(state, LpmEngine::kDir24); }
+void BM_LookupBinaryTrie(benchmark::State& state) { run_lookup<BinaryTrie<32>>(state); }
+void BM_LookupTreeBitmap(benchmark::State& state) { run_lookup<TreeBitmap<32>>(state); }
+void BM_LookupDir24(benchmark::State& state) { run_lookup<Dir24>(state); }
 
 BENCHMARK(BM_LookupBinaryTrie)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupTreeBitmap)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupDir24)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void run_insert(benchmark::State& state, LpmEngine engine) {
+template <typename Table>
+void run_insert(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto routes = make_routes(count, 99);
   for (auto _ : state) {
     state.PauseTiming();
-    auto table = fib::make_lpm<32>(engine);
+    auto table = std::make_unique<Table>();
     state.ResumeTiming();
     std::uint32_t nh = 0;
     for (const auto& p : routes) table->insert(p, nh++ % 256);
@@ -89,21 +91,18 @@ void run_insert(benchmark::State& state, LpmEngine engine) {
                           static_cast<std::int64_t>(count));
 }
 
-void BM_InsertBinaryTrie(benchmark::State& state) {
-  run_insert(state, LpmEngine::kBinaryTrie);
-}
-void BM_InsertTreeBitmap(benchmark::State& state) {
-  run_insert(state, LpmEngine::kTreeBitmap);
-}
-void BM_InsertDir24(benchmark::State& state) { run_insert(state, LpmEngine::kDir24); }
+void BM_InsertBinaryTrie(benchmark::State& state) { run_insert<BinaryTrie<32>>(state); }
+void BM_InsertTreeBitmap(benchmark::State& state) { run_insert<TreeBitmap<32>>(state); }
+void BM_InsertDir24(benchmark::State& state) { run_insert<Dir24>(state); }
 
 BENCHMARK(BM_InsertBinaryTrie)->Arg(10000);
 BENCHMARK(BM_InsertTreeBitmap)->Arg(10000);
 BENCHMARK(BM_InsertDir24)->Arg(10000);
 
 // IPv6 lookup (F_128_match cost).
-void run_lookup6(benchmark::State& state, LpmEngine engine) {
-  auto table = fib::make_lpm<128>(engine);
+template <typename Table>
+void run_lookup6(benchmark::State& state) {
+  auto table = std::make_unique<Table>();
   crypto::Xoshiro256 rng(11);
   std::vector<fib::Ipv6Addr> probes;
   for (int i = 0; i < 10000; ++i) {
@@ -124,12 +123,8 @@ void run_lookup6(benchmark::State& state, LpmEngine engine) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_Lookup6BinaryTrie(benchmark::State& state) {
-  run_lookup6(state, LpmEngine::kBinaryTrie);
-}
-void BM_Lookup6TreeBitmap(benchmark::State& state) {
-  run_lookup6(state, LpmEngine::kTreeBitmap);
-}
+void BM_Lookup6BinaryTrie(benchmark::State& state) { run_lookup6<BinaryTrie<128>>(state); }
+void BM_Lookup6TreeBitmap(benchmark::State& state) { run_lookup6<TreeBitmap<128>>(state); }
 BENCHMARK(BM_Lookup6BinaryTrie);
 BENCHMARK(BM_Lookup6TreeBitmap);
 

@@ -1,16 +1,16 @@
 // bench_fib_scale — Internet-scale FIB sweep (ROADMAP item 1 / ISSUE 7).
 //
-// Where bench_fib (A3) compares engine *mechanics* at toy scale, this lane
+// Where bench_fib (A3) compares table *mechanics* at toy scale, this lane
 // asks the deployment questions at DFZ scale, over synthesized tables with
 // realistic length histograms and allocation clustering (dip/fib/synth.hpp):
 //
-//   * BM_ScaleLookup*/N    — lookup ns per engine at 10k/100k/1M routes,
+//   * BM_ScaleLookup*/N    — lookup ns per table at 10k/100k/1M routes,
 //     with bytes/prefix and mean lookup depth as counters (the CRAM-lens
 //     trade-off surface: Dir24 buys depth ~1 with a 64 MiB slab; the tree
-//     bitmap holds ~tens of bytes/prefix at depth ~4-6).
-//     The binary trie rides along at 10k/100k only — ~1 GiB of pointer
-//     chasing at 1M is exactly the non-option the compressed engines exist
-//     to replace.
+//     bitmap holds ~tens of bytes/prefix at depth ~4-6). Dir24 and the
+//     binary trie are the references in tests/support/; the trie rides
+//     along at 10k/100k only — ~1 GiB of pointer chasing at 1M is exactly
+//     the non-option the compressed table exists to replace.
 //   * BM_ScaleLookupBatch*/N — the tree bitmap's lookup_batch over the
 //     serial legs' tables and probes, 32 addresses per call (a burst's
 //     worth): ns per lookup when a batch's walks interleave and their
@@ -35,7 +35,7 @@
 //     errors) must be 0 — every packet is covered by the stable aggregate
 //     throughout, so any drop is a lost-route window in the RCU swap.
 //
-// Tables are built once per (engine, size) and shared across legs; at 1M
+// Tables are built once per (type, size) and shared across legs; at 1M
 // routes the builds (Dir24's block refreshes especially) dominate process
 // startup, not the measured loops.
 //
@@ -49,17 +49,19 @@
 #include <chrono>
 #include <map>
 #include <span>
-#include <utility>
 
 #include "bench_util.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/ctrl/journal.hpp"
 #include "dip/fib/synth.hpp"
+#include "support/reference_lpm.hpp"
 
 namespace dip::bench {
 namespace {
 
-using fib::LpmEngine;
+using fib::BinaryTrie;
+using fib::Dir24;
+using fib::TreeBitmap;
 
 constexpr std::size_t kProbeCount = 4096;
 
@@ -77,28 +79,29 @@ const std::vector<fib::synth::SynthRoute<128>>& routes128(std::size_t count) {
   return slot;
 }
 
-const fib::Ipv4Lpm& table32(LpmEngine engine, std::size_t count) {
-  static std::map<std::pair<int, std::size_t>, std::unique_ptr<fib::Ipv4Lpm>> cache;
-  auto& slot = cache[{static_cast<int>(engine), count}];
+template <typename Table>
+const Table& table32(std::size_t count) {
+  static std::map<std::size_t, std::unique_ptr<Table>> cache;
+  auto& slot = cache[count];
   if (!slot) {
-    slot = fib::make_lpm<32>(engine);
+    slot = std::make_unique<Table>();
     for (const auto& r : routes32(count)) slot->insert(r.prefix, r.nh);
   }
   return *slot;
 }
 
-const fib::Ipv6Lpm& table128(LpmEngine engine, std::size_t count) {
-  static std::map<std::pair<int, std::size_t>, std::unique_ptr<fib::Ipv6Lpm>> cache;
-  auto& slot = cache[{static_cast<int>(engine), count}];
+const fib::Ipv6Lpm& table128(std::size_t count) {
+  static std::map<std::size_t, std::unique_ptr<fib::Ipv6Lpm>> cache;
+  auto& slot = cache[count];
   if (!slot) {
-    slot = fib::make_lpm<128>(engine);
+    slot = std::make_unique<fib::Ipv6Lpm>();
     for (const auto& r : routes128(count)) slot->insert(r.prefix, r.nh);
   }
   return *slot;
 }
 
-template <std::size_t W>
-void report_shape(benchmark::State& state, const fib::LpmTable<W>& table,
+template <typename Table, std::size_t W>
+void report_shape(benchmark::State& state, const Table& table,
                   const std::vector<fib::Address<W>>& probes) {
   std::size_t depth = 0;
   for (const auto& a : probes) depth += table.lookup_depth(a);
@@ -114,9 +117,10 @@ void report_shape(benchmark::State& state, const fib::LpmTable<W>& table,
 // Lookup sweep
 // ---------------------------------------------------------------------------
 
-void run_scale_lookup(benchmark::State& state, LpmEngine engine) {
+template <typename Table>
+void run_scale_lookup(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  const fib::Ipv4Lpm& table = table32(engine, count);
+  const Table& table = table32<Table>(count);
   const auto probes = fib::synth::probes(routes32(count), kProbeCount, 7);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -127,13 +131,11 @@ void run_scale_lookup(benchmark::State& state, LpmEngine engine) {
 }
 
 void BM_ScaleLookupBinaryTrie(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kBinaryTrie);
+  run_scale_lookup<BinaryTrie<32>>(state);
 }
-void BM_ScaleLookupDir24(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kDir24);
-}
+void BM_ScaleLookupDir24(benchmark::State& state) { run_scale_lookup<Dir24>(state); }
 void BM_ScaleLookupTreeBitmap(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kTreeBitmap);
+  run_scale_lookup<TreeBitmap<32>>(state);
 }
 
 BENCHMARK(BM_ScaleLookupBinaryTrie)->Arg(10'000)->Arg(100'000);
@@ -146,7 +148,7 @@ constexpr std::size_t kBatch = 32;
 static_assert(kProbeCount % kBatch == 0);
 
 template <std::size_t W>
-void run_scale_lookup_batch(benchmark::State& state, const fib::LpmTable<W>& table,
+void run_scale_lookup_batch(benchmark::State& state, const TreeBitmap<W>& table,
                             const std::vector<fib::Address<W>>& probes) {
   std::array<fib::NextHop, kBatch> out{};
   std::size_t i = 0;
@@ -161,15 +163,15 @@ void run_scale_lookup_batch(benchmark::State& state, const fib::LpmTable<W>& tab
 
 void BM_ScaleLookupBatchTreeBitmap(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  run_scale_lookup_batch(state, table32(LpmEngine::kTreeBitmap, count),
+  run_scale_lookup_batch(state, table32<TreeBitmap<32>>(count),
                          fib::synth::probes(routes32(count), kProbeCount, 7));
 }
 
 BENCHMARK(BM_ScaleLookupBatchTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
-void run_scale_lookup6(benchmark::State& state, LpmEngine engine) {
+void BM_ScaleLookup6TreeBitmap(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  const fib::Ipv6Lpm& table = table128(engine, count);
+  const fib::Ipv6Lpm& table = table128(count);
   const auto probes = fib::synth::probes(routes128(count), kProbeCount, 7);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -179,15 +181,11 @@ void run_scale_lookup6(benchmark::State& state, LpmEngine engine) {
   report_shape(state, table, probes);
 }
 
-void BM_ScaleLookup6TreeBitmap(benchmark::State& state) {
-  run_scale_lookup6(state, LpmEngine::kTreeBitmap);
-}
-
 BENCHMARK(BM_ScaleLookup6TreeBitmap)->Arg(200'000);
 
 void BM_ScaleLookup6BatchTreeBitmap(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  run_scale_lookup_batch(state, table128(LpmEngine::kTreeBitmap, count),
+  run_scale_lookup_batch(state, table128(count),
                          fib::synth::probes(routes128(count), kProbeCount, 7));
 }
 
@@ -197,11 +195,12 @@ BENCHMARK(BM_ScaleLookup6BatchTreeBitmap)->Arg(200'000);
 // Build rate
 // ---------------------------------------------------------------------------
 
-void run_scale_build(benchmark::State& state, LpmEngine engine) {
+template <typename Table>
+void run_scale_build(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto& routes = routes32(count);
   for (auto _ : state) {
-    auto table = fib::make_lpm<32>(engine);
+    auto table = std::make_unique<Table>();
     for (const auto& r : routes) table->insert(r.prefix, r.nh);
     benchmark::DoNotOptimize(table);
   }
@@ -209,11 +208,9 @@ void run_scale_build(benchmark::State& state, LpmEngine engine) {
                           static_cast<std::int64_t>(count));
 }
 
-void BM_ScaleBuildDir24(benchmark::State& state) {
-  run_scale_build(state, LpmEngine::kDir24);
-}
+void BM_ScaleBuildDir24(benchmark::State& state) { run_scale_build<Dir24>(state); }
 void BM_ScaleBuildTreeBitmap(benchmark::State& state) {
-  run_scale_build(state, LpmEngine::kTreeBitmap);
+  run_scale_build<TreeBitmap<32>>(state);
 }
 
 BENCHMARK(BM_ScaleBuildDir24)->Arg(100'000);
@@ -225,11 +222,11 @@ BENCHMARK(BM_ScaleBuildTreeBitmap)->Arg(100'000);
 
 constexpr std::size_t kUpdatesPerFlush = 32;
 
-void run_churn_publish(benchmark::State& state, LpmEngine engine) {
+void BM_ChurnPublishTreeBitmap(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   auto tables = std::make_shared<ctrl::ControlTables>();
   ctrl::RouteJournal journal(tables);
-  journal.seed(&table32(engine, count));
+  journal.seed(&table32<TreeBitmap<32>>(count));
 
   // Flap windows of existing routes: even iterations withdraw a fresh
   // window, odd iterations restore it — every delta is a real change.
@@ -264,10 +261,6 @@ void run_churn_publish(benchmark::State& state, LpmEngine engine) {
   state.counters["clones"] = static_cast<double>(js.clones);
 }
 
-void BM_ChurnPublishTreeBitmap(benchmark::State& state) {
-  run_churn_publish(state, LpmEngine::kTreeBitmap);
-}
-
 BENCHMARK(BM_ChurnPublishTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
 // ---------------------------------------------------------------------------
@@ -279,12 +272,12 @@ void BM_ChurnForwardPool(benchmark::State& state) {
   auto tables = std::make_shared<ctrl::ControlTables>();
   ctrl::RouteJournal journal(tables);
   {
-    auto seeded = fib::make_lpm<32>(LpmEngine::kTreeBitmap);
+    fib::Ipv4Lpm seeded;
     // The stable covering aggregate: all bench traffic is 10.x.y.z, so no
     // flap below can ever legitimately blackhole a packet.
-    seeded->insert({fib::ipv4_from_u32(0x0A000000u), 8}, 1);
-    for (const auto& r : routes32(kTableRoutes)) seeded->insert(r.prefix, r.nh);
-    journal.seed(seeded.get());
+    seeded.insert({fib::ipv4_from_u32(0x0A000000u), 8}, 1);
+    for (const auto& r : routes32(kTableRoutes)) seeded.insert(r.prefix, r.nh);
+    journal.seed(&seeded);
   }
 
   const auto registry = shared_registry();

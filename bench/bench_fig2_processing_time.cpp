@@ -37,7 +37,7 @@ constexpr std::size_t kSizes[] = {128, 768, 1500};
 // ---------- native baselines ----------
 
 void BM_Ipv4Native(benchmark::State& state) {
-  legacy::Ipv4Forwarder fwd(fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap));
+  legacy::Ipv4Forwarder fwd;
   fwd.table().insert({fib::parse_ipv4("10.0.0.0").value(), 8}, 1);
   fwd.table().insert({fib::parse_ipv4("10.1.1.0").value(), 24}, 3);
 
@@ -58,7 +58,7 @@ void BM_Ipv4Native(benchmark::State& state) {
 }
 
 void BM_Ipv6Native(benchmark::State& state) {
-  legacy::Ipv6Forwarder fwd(fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap));
+  legacy::Ipv6Forwarder fwd;
   fwd.table().insert({fib::parse_ipv6("2001:db8::").value(), 32}, 1);
   fwd.table().insert({fib::parse_ipv6("2001:db8:1::").value(), 48}, 2);
 

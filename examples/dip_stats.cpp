@@ -16,9 +16,8 @@
 //   4. the control plane under a link flap — route churn, convergence
 //      time, and QSBR snapshot reclamation, the dip_ctrl_* series
 //      (docs/CONTROL_PLANE.md);
-//   5. the FIB engine catalogue over one synthesized route table — per-
-//      engine footprint and lookup-depth quantiles, the dip_fib_* series
-//      (docs/FIB.md);
+//   5. the FIB over one synthesized route table — footprint and
+//      lookup-depth quantiles, the dip_fib_* series (docs/FIB.md);
 //   6. the PISA stage-budget fit matrix over the six Table-1 compositions
 //      — hardware deployability verdicts, the dip_pisa_* series
 //      (docs/PISA.md);
@@ -37,8 +36,8 @@
 #include "dip/core/ip.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/ctrl/control_plane.hpp"
-#include "dip/fib/lpm.hpp"
 #include "dip/fib/synth.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
 #include "dip/netsim/topology.hpp"
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
 
   // --- Pool: 2 workers sharing one route table, stats on every worker. ---
   auto registry = netsim::make_default_registry();
-  std::shared_ptr<fib::Ipv4Lpm> fib32 = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
+  auto fib32 = std::make_shared<fib::Ipv4Lpm>();
   for (std::size_t i = 0; i < kPrefixes; ++i) {
     fib32->insert(
         {fib::ipv4_from_u32(0x0A000000u | (static_cast<std::uint32_t>(i) << 8)), 24},
@@ -326,45 +325,33 @@ int main(int argc, char** argv) {
                 a_journal->tables().domain.backlog());
   }
 
-  // --- 5. The FIB engine catalogue over one synthesized table ------------
-  // --- (docs/FIB.md): every LpmEngine loaded with the same realistic -----
-  // --- 20k-route distribution, reporting footprint and lookup-depth ------
-  // --- quantiles — the dip_fib_* series an operator would watch. ---------
+  // --- 5. The FIB over one synthesized table (docs/FIB.md): the tree ----
+  // --- bitmap loaded with a realistic 20k-route distribution, reporting --
+  // --- footprint and lookup-depth quantiles — the dip_fib_* series an ----
+  // --- operator would watch. ---------------------------------------------
   constexpr std::size_t kFibRoutes = 20000;
   constexpr std::size_t kFibProbes = 512;
-  struct FibEngineRow {
-    const char* name;
-    fib::LpmEngine engine;
-    std::unique_ptr<fib::Ipv4Lpm> table;
-    double depth_p50 = 0.0;
-    double depth_p99 = 0.0;
-  };
-  std::vector<FibEngineRow> fib_engines;
-  fib_engines.push_back({"binary_trie", fib::LpmEngine::kBinaryTrie, nullptr});
-  fib_engines.push_back({"dir24", fib::LpmEngine::kDir24, nullptr});
-  fib_engines.push_back({"tree_bitmap", fib::LpmEngine::kTreeBitmap, nullptr});
+  fib::Ipv4Lpm fib_table;
+  double depth_p50 = 0.0;
+  double depth_p99 = 0.0;
   {
     const auto fib_routes = fib::synth::ipv4_table(kFibRoutes, 0xD1B);
     const auto fib_probes = fib::synth::probes(fib_routes, kFibProbes, 7);
-    std::printf("\n[fib] %zu synthesized routes, %zu probes — the engine "
-                "catalogue (docs/FIB.md):\n",
+    std::printf("\n[fib] %zu synthesized routes, %zu probes (docs/FIB.md):\n",
                 fib_routes.size(), fib_probes.size());
-    for (auto& row : fib_engines) {
-      row.table = fib::make_lpm<32>(row.engine);
-      for (const auto& r : fib_routes) row.table->insert(r.prefix, r.nh);
-      std::vector<std::size_t> depths;
-      depths.reserve(fib_probes.size());
-      for (const auto& a : fib_probes) depths.push_back(row.table->lookup_depth(a));
-      std::sort(depths.begin(), depths.end());
-      row.depth_p50 = static_cast<double>(depths[depths.size() / 2]);
-      row.depth_p99 = static_cast<double>(depths[depths.size() * 99 / 100]);
-      std::printf("  %-12s %zu routes in %8zu bytes (%6.1f B/prefix), "
-                  "lookup depth p50=%.0f p99=%.0f\n",
-                  row.name, row.table->size(), row.table->memory_bytes(),
-                  static_cast<double>(row.table->memory_bytes()) /
-                      static_cast<double>(row.table->size()),
-                  row.depth_p50, row.depth_p99);
-    }
+    for (const auto& r : fib_routes) fib_table.insert(r.prefix, r.nh);
+    std::vector<std::size_t> depths;
+    depths.reserve(fib_probes.size());
+    for (const auto& a : fib_probes) depths.push_back(fib_table.lookup_depth(a));
+    std::sort(depths.begin(), depths.end());
+    depth_p50 = static_cast<double>(depths[depths.size() / 2]);
+    depth_p99 = static_cast<double>(depths[depths.size() * 99 / 100]);
+    std::printf("  %-12s %zu routes in %8zu bytes (%6.1f B/prefix), "
+                "lookup depth p50=%.0f p99=%.0f\n",
+                "tree_bitmap", fib_table.size(), fib_table.memory_bytes(),
+                static_cast<double>(fib_table.memory_bytes()) /
+                    static_cast<double>(fib_table.size()),
+                depth_p50, depth_p99);
   }
 
   // --- 6. Hardware fit verdicts: the PISA stage-budget compiler over the --
@@ -395,17 +382,15 @@ int main(int argc, char** argv) {
   node.register_stats(page);
   net.register_stats(page);
   cp.register_stats(page);
-  page.add("fib", [&fib_engines](telemetry::StatsWriter& w) {
-    for (const auto& row : fib_engines) {
-      const telemetry::Label engine{"engine", row.name};
-      const telemetry::Label plain[]{engine};
-      w.counter("dip_fib_entries", plain, row.table->size());
-      w.counter("dip_fib_memory_bytes", plain, row.table->memory_bytes());
-      const telemetry::Label p50[]{engine, {"quantile", "0.5"}};
-      w.gauge("dip_fib_lookup_depth", p50, row.depth_p50);
-      const telemetry::Label p99[]{engine, {"quantile", "0.99"}};
-      w.gauge("dip_fib_lookup_depth", p99, row.depth_p99);
-    }
+  page.add("fib", [&](telemetry::StatsWriter& w) {
+    const telemetry::Label engine{"engine", "tree_bitmap"};
+    const telemetry::Label plain[]{engine};
+    w.counter("dip_fib_entries", plain, fib_table.size());
+    w.counter("dip_fib_memory_bytes", plain, fib_table.memory_bytes());
+    const telemetry::Label p50[]{engine, {"quantile", "0.5"}};
+    w.gauge("dip_fib_lookup_depth", p50, depth_p50);
+    const telemetry::Label p99[]{engine, {"quantile", "0.99"}};
+    w.gauge("dip_fib_lookup_depth", p99, depth_p99);
   });
   page.add("pisa", [&pisa_rows](telemetry::StatsWriter& w) {
     for (const auto& row : pisa_rows) {

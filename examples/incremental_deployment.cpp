@@ -19,8 +19,8 @@ int main() {
   legacy::Ipv6Tunnel tunnel_left(left_addr, right_addr);
   legacy::Ipv6Tunnel tunnel_right(right_addr, left_addr);
 
-  legacy::Ipv6Forwarder core1(fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap));
-  legacy::Ipv6Forwarder core2(fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap));
+  legacy::Ipv6Forwarder core1;
+  legacy::Ipv6Forwarder core2;
   core1.table().insert({fib::parse_ipv6("2001:db8:b::").value(), 48}, 1);
   core2.table().insert({fib::parse_ipv6("2001:db8:b::").value(), 48}, 2);
 
@@ -85,7 +85,7 @@ int main() {
               stripped->size(), (*stripped)[0] >> 4);
 
   // A legacy IPv6 router happily forwards it.
-  legacy::Ipv6Forwarder legacy_router(fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap));
+  legacy::Ipv6Forwarder legacy_router;
   legacy_router.table().insert({fib::parse_ipv6("2001:db8:ffff::").value(), 48}, 9);
   auto legacy_copy = *stripped;
   const auto decision = legacy_router.forward(legacy_copy);

@@ -2,10 +2,11 @@
 # Full verification pipeline: release build + tests + benches, then an
 # ASan/UBSan build + tests. This is what CI should run.
 #
-#   --fast   docs + no-getenv checks + release build + the unit/property/
-#            ctrl/fib/mesh/pisa/dtn test tiers only (see docs/TESTING.md):
-#            the inner-loop lane, no benches, no sanitizer rebuilds.
-#            `ctest -L fib` alone slices just the FIB-engine lane
+#   --fast   docs + no-getenv + single-FIB-type checks + release build +
+#            the unit/property/ctrl/fib/mesh/pisa/dtn test tiers only (see
+#            docs/TESTING.md): the inner-loop lane, no benches, no
+#            sanitizer rebuilds.
+#            `ctest -L fib` alone slices just the FIB lane
 #            (docs/FIB.md); `ctest -L mesh` the UDP mesh lane
 #            (docs/MESH.md); `ctest -L pisa` the stage-budget compiler +
 #            switch-model lane (docs/PISA.md); `ctest -L dtn` the
@@ -55,6 +56,18 @@ if grep -rn 'getenv' src/; then
   exit 1
 fi
 echo "  no getenv under src/"
+
+echo "== one FIB type =="
+# fib::TreeBitmap is the only LPM table (docs/FIB.md): no virtual interface,
+# engine enum or factory comes back, and the binary-trie and DIR-24-8
+# references stay in tests/support/ for tests and benches.
+if grep -rnwE 'LpmTable|make_lpm|LpmEngine' src tests bench examples ||
+   grep -rnwE 'virtual|override' src/fib ||
+   grep -rnwE 'BinaryTrie|Dir24' src; then
+  echo "single FIB type FAILED"
+  exit 1
+fi
+echo "  fib::TreeBitmap is the only LPM type"
 
 echo "== release build =="
 # Bench lanes depend on this being a real Release tree (-O3, NDEBUG):

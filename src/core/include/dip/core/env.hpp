@@ -21,7 +21,7 @@
 #include "dip/crypto/aes.hpp"
 #include "dip/crypto/mac.hpp"
 #include "dip/ctrl/tables.hpp"
-#include "dip/fib/lpm.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/fib/xid_table.hpp"
 #include "dip/pit/content_store.hpp"
 #include "dip/pit/pit.hpp"

@@ -12,7 +12,7 @@
 //     F_128_match) plus the field width, so DIP-32 and DIP-128 flows never
 //     alias;
 //   * generation-stamped: every entry records the FIB generation it was
-//     filled under (fib::LpmTable::generation()). Any route change bumps
+//     filled under (fib::TreeBitmap::generation()). Any route change bumps
 //     the generation, so stale entries die on their next probe — route
 //     updates need no cache flush;
 //   * negative caching: a kNoRoute verdict is memoized too (a flood of

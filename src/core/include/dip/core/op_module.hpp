@@ -20,7 +20,7 @@
 #include "dip/crypto/aes.hpp"
 #include "dip/core/env.hpp"
 #include "dip/core/verdict.hpp"
-#include "dip/fib/lpm.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 
 namespace dip::core {
 
@@ -56,7 +56,7 @@ struct OpContext {
   /// Longest-prefix match of the target field `addr` in `fib`: the
   /// pre-resolved next_hop when there is one, else fib.lookup(addr).
   template <std::size_t W>
-  [[nodiscard]] std::optional<fib::NextHop> lpm(const fib::LpmTable<W>& fib,
+  [[nodiscard]] std::optional<fib::NextHop> lpm(const fib::TreeBitmap<W>& fib,
                                                 const fib::Address<W>& addr) const {
     if (!next_hop) return fib.lookup(addr);
     if (*next_hop == fib::kNoRoute) return std::nullopt;

@@ -14,7 +14,8 @@
 // standby and publishes it, so a route change costs its delta, not its
 // table. Only when there is no standby yet (the first flush after seed(),
 // or the second publish of a table built from scratch) or a reader still
-// holds it does flush() clone the live table instead (JournalStats::clones). Both paths bump the generation by the same
+// holds it does flush() clone the live table instead
+// (JournalStats::clones). Both paths bump the generation by the same
 // number of deltas, so flow-cache stamps cannot tell them apart.
 // Publishing at a configurable cadence instead of per-operation keeps
 // snapshot/reclamation cost proportional to the *publish* rate, not the
@@ -36,8 +37,8 @@
 
 #include "dip/ctrl/tables.hpp"
 #include "dip/fib/address.hpp"
-#include "dip/fib/lpm.hpp"
 #include "dip/fib/name_fib.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/fib/xid_table.hpp"
 
 namespace dip::ctrl {
@@ -61,11 +62,9 @@ struct JournalStats {
 
 class RouteJournal {
  public:
-  /// A table built from scratch (no snapshot published yet and no seed) is
-  /// a fib::TreeBitmap; clones inherit the seed's engine.
   explicit RouteJournal(std::shared_ptr<ControlTables> tables);
 
-  /// Publish initial snapshots cloned from existing (static) tables; null
+  /// Publish initial snapshots copied from existing (static) tables; null
   /// arguments are skipped. Call once before traffic if the node starts
   /// with pre-installed routes.
   void seed(const fib::Ipv4Lpm* fib32, const fib::Ipv6Lpm* fib128 = nullptr,

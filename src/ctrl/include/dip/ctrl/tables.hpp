@@ -11,8 +11,8 @@
 #include <memory>
 
 #include "dip/ctrl/snapshot.hpp"
-#include "dip/fib/lpm.hpp"
 #include "dip/fib/name_fib.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/fib/xid_table.hpp"
 
 namespace dip::ctrl {

@@ -277,8 +277,7 @@ void ControlPlane::write_stats(telemetry::StatsWriter& w) const {
     w.counter("dip_ctrl_reclaim_backlog", labels, tables.domain.backlog());
     w.counter("dip_ctrl_reclaimed_total", labels,
               tables.domain.reclaimed_total());
-    // FIB shape of the live snapshot (catalogued in docs/OBSERVABILITY.md;
-    // memory_bytes walks pointer engines, fine at exposition cadence).
+    // FIB shape of the live snapshot (catalogued in docs/OBSERVABILITY.md).
     w.counter("dip_fib_entries", labels, fib != nullptr ? fib->size() : 0);
     w.counter("dip_fib_memory_bytes", labels,
               fib != nullptr ? fib->memory_bytes() : 0);

@@ -3,21 +3,12 @@
 #include <algorithm>
 #include <chrono>
 
-#include "dip/fib/tree_bitmap.hpp"
-
 namespace dip::ctrl {
 
 namespace {
 
 // A mutable copy of `base`, or an empty table when there is none yet. LPM
-// clones keep the engine and adopt the generation; an empty LPM table is a
-// tree bitmap.
-template <std::size_t W>
-std::shared_ptr<fib::LpmTable<W>> copy_of(const fib::LpmTable<W>* base) {
-  if (base == nullptr) return std::make_shared<fib::TreeBitmap<W>>();
-  return base->clone();
-}
-
+// copies adopt the generation.
 template <typename T>
 std::shared_ptr<T> copy_of(const T* base) {
   return base != nullptr ? std::make_shared<T>(*base) : std::make_shared<T>();
@@ -26,7 +17,7 @@ std::shared_ptr<T> copy_of(const T* base) {
 // Apply one delta (nullopt = remove). Every insert/remove bumps an LPM
 // table's generation, whichever copy it lands on.
 template <std::size_t W>
-void apply(fib::LpmTable<W>& table, const fib::Prefix<W>& prefix,
+void apply(fib::TreeBitmap<W>& table, const fib::Prefix<W>& prefix,
            const std::optional<fib::NextHop>& nh) {
   if (nh) {
     table.insert(prefix, *nh);

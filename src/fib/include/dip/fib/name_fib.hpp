@@ -7,7 +7,8 @@
 //
 // The data-plane prototype carries only a 32-bit compressed name (§4.1); the
 // ndn module's NameCodec maps hierarchical names onto 32-bit codes whose bit
-// prefixes mirror component prefixes, so routers can reuse LpmTable<32>.
+// prefixes mirror component prefixes, so routers can reuse the IPv4 LPM
+// table (fib::Ipv4Lpm).
 #pragma once
 
 #include <cstdint>

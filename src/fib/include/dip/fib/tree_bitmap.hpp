@@ -1,5 +1,11 @@
-// Tree bitmap (Eatherton/Dixon/Varghese) compressed LPM — the production
-// engine behind every FIB the program builds.
+// Tree bitmap (Eatherton/Dixon/Varghese) compressed LPM — the one LPM table
+// the program builds.
+//
+// F_32_match, F_128_match and F_FIB all reduce to longest-prefix match over
+// some key space, and every FIB behind them is this type: Ipv4Lpm and
+// Ipv6Lpm below name its two widths. Lookups, inserts and copies are direct
+// calls. The binary-trie oracle and the DIR-24-8 flat-table reference that
+// tests and benches compare it with live in tests/support/ (docs/FIB.md).
 //
 // Multibit trie with stride 4 where each node is 12 bytes: a 15-bit
 // *internal* bitmap holding the prefixes that end inside the node (lengths
@@ -9,12 +15,17 @@
 // flat arenas and addressed by popcount rank, so there are no per-node
 // pointers at all — the CRAM-lens representation trade: a little popcount
 // arithmetic per level buys ~an order of magnitude less memory than the
-// pointer tries at Internet scale, and a table that clones by vector copy.
+// pointer tries at Internet scale, and a table that copies by vector copy.
+//
+// The table tracks a route-table *generation*: every insert/remove bumps it,
+// and the router's flow cache stamps each memoized verdict with the
+// generation it was computed under. A cached verdict whose stamp no longer
+// matches is dead — route changes invalidate the cache without any flush.
 //
 // RouteJournal::flush() normally publishes by replaying a few deltas onto
 // the table it retired one publish earlier, so its cost is the delta's.
-// It clones the live snapshot only when there is no reusable standby (the
-// first flush after seed(), or a reader still holds it); cloning here is
+// It copies the live snapshot only when there is no reusable standby (the
+// first flush after seed(), or a reader still holds it); a copy here is
 // then three memcpy-ish vector copies instead of a million node
 // allocations (see docs/FIB.md and bench_fib_scale's churn leg).
 //
@@ -26,7 +37,8 @@
 // the end. lookup_batch() interleaves the walks of up to kBatchChunk
 // addresses: each round moves every unfinished walk down one level and
 // prefetches the node it reads next, so the batch's cache misses overlap
-// instead of queueing one walk behind another.
+// instead of queueing one walk behind another. The burst pipeline resolves
+// a wave group's lookups with one batch.
 //
 // Updates rewrite one child run and one result run per affected node
 // (allocate run of n±1, copy, recycle the old run through a per-size free
@@ -36,18 +48,19 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "dip/fib/lpm.hpp"
+#include "dip/fib/address.hpp"
 
 namespace dip::fib {
 
 template <std::size_t W>
-class TreeBitmap final : public LpmTable<W> {
+class TreeBitmap {
   static_assert(W % 4 == 0, "tree bitmap uses a fixed stride of 4 bits");
 
  public:
@@ -58,76 +71,22 @@ class TreeBitmap final : public LpmTable<W> {
     nodes_.emplace_back();
     results_.push_back(kNoRoute);
   }
-  /// Deep copy by arena copy (the journal's fallback when it has no
-  /// reusable standby); adopts the source's generation via the LpmTable
-  /// protected copy ctor.
-  TreeBitmap(const TreeBitmap&) = default;
+  /// Deep copy by arena copy, *adopting the generation*. The journal copies
+  /// the live snapshot when it has no reusable standby; the deltas it then
+  /// applies bump the copy's generation past the original's, so flow-cache
+  /// entries stamped under the old snapshot die when the new one is
+  /// published.
+  TreeBitmap(const TreeBitmap& other)
+      : nodes_(other.nodes_),
+        results_(other.results_),
+        free_node_runs_(other.free_node_runs_),
+        free_result_runs_(other.free_result_runs_),
+        size_(other.size_),
+        generation_(other.generation()) {}
 
-  [[nodiscard]] std::unique_ptr<LpmTable<W>> clone() const override {
-    return std::make_unique<TreeBitmap>(*this);
-  }
-
-  [[nodiscard]] std::optional<NextHop> lookup(const Address<W>& addr) const override {
-    std::uint32_t best = kNoResult;
-    std::uint32_t cur = 0;
-    std::size_t k = 0;
-    do {
-      cur = step(nodes_[cur], walk_stride(addr, k++), best);
-    } while (cur != 0);
-    if (best == kNoResult) return std::nullopt;
-    return results_[best];
-  }
-
-  void lookup_batch(std::span<const Address<W>> addrs,
-                    std::span<NextHop> out) const override {
-    for (std::size_t base = 0; base < addrs.size(); base += kBatchChunk) {
-      const std::size_t m = std::min(kBatchChunk, addrs.size() - base);
-      const Address<W>* chunk = addrs.data() + base;
-      // Every walk starts at the root (node 0) with kNoResult (also 0).
-      std::array<std::uint32_t, kBatchChunk> cur{};   // node each walk reads next
-      std::array<std::uint32_t, kBatchChunk> best{};  // results_ index so far
-      std::array<std::uint8_t, kBatchChunk> live{};   // unfinished walks
-      for (std::size_t i = 0; i < m; ++i) live[i] = static_cast<std::uint8_t>(i);
-      std::size_t live_n = m;
-      for (std::size_t k = 0; live_n != 0; ++k) {
-        std::size_t kept = 0;
-        for (std::size_t j = 0; j < live_n; ++j) {
-          const std::size_t i = live[j];
-          const std::uint32_t next = step(nodes_[cur[i]], walk_stride(chunk[i], k), best[i]);
-          if (next != 0) {
-            prefetch_line(&nodes_[next]);
-            cur[i] = next;
-            live[kept++] = static_cast<std::uint8_t>(i);
-          }
-        }
-        live_n = kept;
-      }
-      for (std::size_t i = 0; i < m; ++i) out[base + i] = results_[best[i]];
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const override { return size_; }
-
-  [[nodiscard]] std::size_t memory_bytes() const override {
-    std::size_t free_lists = 0;
-    for (const auto& fl : free_node_runs_) free_lists += fl.capacity() * sizeof(std::uint32_t);
-    for (const auto& fl : free_result_runs_) free_lists += fl.capacity() * sizeof(std::uint32_t);
-    return sizeof(*this) + nodes_.capacity() * sizeof(Node) +
-           results_.capacity() * sizeof(NextHop) + free_lists;
-  }
-
-  [[nodiscard]] std::size_t lookup_depth(const Address<W>& addr) const override {
-    std::uint32_t best = kNoResult;
-    std::uint32_t cur = 0;
-    std::size_t depth = 0;
-    do {
-      cur = step(nodes_[cur], walk_stride(addr, depth++), best);
-    } while (cur != 0);
-    return depth;
-  }
-
- protected:
-  std::optional<NextHop> do_insert(Prefix<W> prefix, NextHop nh) override {
+  /// Insert or replace a route. Returns the previous next hop if replaced.
+  std::optional<NextHop> insert(Prefix<W> prefix, NextHop nh) {
+    generation_.fetch_add(1, std::memory_order_relaxed);
     prefix.normalize();
     const std::size_t levels = prefix.length / kStride;
     std::uint32_t cur = 0;
@@ -148,7 +107,9 @@ class TreeBitmap final : public LpmTable<W> {
     return std::nullopt;
   }
 
-  std::optional<NextHop> do_remove(Prefix<W> prefix) override {
+  /// Remove a route. Returns the removed next hop if present.
+  std::optional<NextHop> remove(Prefix<W> prefix) {
+    generation_.fetch_add(1, std::memory_order_relaxed);
     prefix.normalize();
     const std::size_t levels = prefix.length / kStride;
     std::array<std::uint32_t, kLevels + 1> path;
@@ -177,6 +138,79 @@ class TreeBitmap final : public LpmTable<W> {
       remove_child(path[k - 1], branch[k - 1]);
     }
     return old;
+  }
+
+  /// Longest-prefix match.
+  [[nodiscard]] std::optional<NextHop> lookup(const Address<W>& addr) const {
+    std::uint32_t best = kNoResult;
+    std::uint32_t cur = 0;
+    std::size_t k = 0;
+    do {
+      cur = step(nodes_[cur], walk_stride(addr, k++), best);
+    } while (cur != 0);
+    if (best == kNoResult) return std::nullopt;
+    return results_[best];
+  }
+
+  /// Longest-prefix match of every address: out[i] is lookup(addrs[i]), or
+  /// kNoRoute where that is nullopt. `out` holds at least addrs.size()
+  /// slots; duplicates are fine.
+  void lookup_batch(std::span<const Address<W>> addrs, std::span<NextHop> out) const {
+    for (std::size_t base = 0; base < addrs.size(); base += kBatchChunk) {
+      const std::size_t m = std::min(kBatchChunk, addrs.size() - base);
+      const Address<W>* chunk = addrs.data() + base;
+      // Every walk starts at the root (node 0) with kNoResult (also 0).
+      std::array<std::uint32_t, kBatchChunk> cur{};   // node each walk reads next
+      std::array<std::uint32_t, kBatchChunk> best{};  // results_ index so far
+      std::array<std::uint8_t, kBatchChunk> live{};   // unfinished walks
+      for (std::size_t i = 0; i < m; ++i) live[i] = static_cast<std::uint8_t>(i);
+      std::size_t live_n = m;
+      for (std::size_t k = 0; live_n != 0; ++k) {
+        std::size_t kept = 0;
+        for (std::size_t j = 0; j < live_n; ++j) {
+          const std::size_t i = live[j];
+          const std::uint32_t next = step(nodes_[cur[i]], walk_stride(chunk[i], k), best[i]);
+          if (next != 0) {
+            prefetch_line(&nodes_[next]);
+            cur[i] = next;
+            live[kept++] = static_cast<std::uint8_t>(i);
+          }
+        }
+        live_n = kept;
+      }
+      for (std::size_t i = 0; i < m; ++i) out[base + i] = results_[best[i]];
+    }
+  }
+
+  /// Number of routes installed.
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// Resident bytes of the structure (arenas and free lists — the number
+  /// bench_fib_scale divides by size() for bytes/prefix).
+  [[nodiscard]] std::size_t memory_bytes() const {
+    std::size_t free_lists = 0;
+    for (const auto& fl : free_node_runs_) free_lists += fl.capacity() * sizeof(std::uint32_t);
+    for (const auto& fl : free_result_runs_) free_lists += fl.capacity() * sizeof(std::uint32_t);
+    return sizeof(*this) + nodes_.capacity() * sizeof(Node) +
+           results_.capacity() * sizeof(NextHop) + free_lists;
+  }
+
+  /// Nodes (dependent loads) a lookup of `addr` touches — the
+  /// memory-system cost model behind the dip_fib_lookup_depth series.
+  [[nodiscard]] std::size_t lookup_depth(const Address<W>& addr) const {
+    std::uint32_t best = kNoResult;
+    std::uint32_t cur = 0;
+    std::size_t depth = 0;
+    do {
+      cur = step(nodes_[cur], walk_stride(addr, depth++), best);
+    } while (cur != 0);
+    return depth;
+  }
+
+  /// Mutation epoch; bumped by every insert/remove (relaxed — readers that
+  /// share the table must only mutate it while the data path is quiesced).
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -375,6 +409,10 @@ class TreeBitmap final : public LpmTable<W> {
   std::array<std::vector<std::uint32_t>, 17> free_node_runs_;    // by run size
   std::array<std::vector<std::uint32_t>, 16> free_result_runs_;  // by run size
   std::size_t size_ = 0;
+  std::atomic<std::uint64_t> generation_{0};
 };
+
+using Ipv4Lpm = TreeBitmap<32>;
+using Ipv6Lpm = TreeBitmap<128>;
 
 }  // namespace dip::fib

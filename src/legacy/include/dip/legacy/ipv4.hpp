@@ -12,7 +12,7 @@
 
 #include "dip/bytes/expected.hpp"
 #include "dip/fib/address.hpp"
-#include "dip/fib/lpm.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 
 namespace dip::legacy {
 
@@ -48,16 +48,13 @@ struct ForwardDecision {
 /// (recomputing the checksum incrementally), look up the next hop.
 class Ipv4Forwarder {
  public:
-  explicit Ipv4Forwarder(std::unique_ptr<fib::Ipv4Lpm> table)
-      : table_(std::move(table)) {}
-
-  [[nodiscard]] fib::Ipv4Lpm& table() noexcept { return *table_; }
+  [[nodiscard]] fib::Ipv4Lpm& table() noexcept { return table_; }
 
   /// `packet` = header + payload (header mutated: TTL/checksum).
   [[nodiscard]] ForwardDecision forward(std::span<std::uint8_t> packet) const;
 
  private:
-  std::unique_ptr<fib::Ipv4Lpm> table_;
+  fib::Ipv4Lpm table_;
 };
 
 }  // namespace dip::legacy

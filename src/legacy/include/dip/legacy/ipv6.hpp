@@ -3,12 +3,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "dip/bytes/expected.hpp"
 #include "dip/fib/address.hpp"
-#include "dip/fib/lpm.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/legacy/ipv4.hpp"  // ForwardDecision/ForwardStatus
 
 namespace dip::legacy {
@@ -33,15 +32,12 @@ struct Ipv6Header {
 /// Software IPv6 forwarder: hop-limit handling + 128-bit LPM.
 class Ipv6Forwarder {
  public:
-  explicit Ipv6Forwarder(std::unique_ptr<fib::Ipv6Lpm> table)
-      : table_(std::move(table)) {}
-
-  [[nodiscard]] fib::Ipv6Lpm& table() noexcept { return *table_; }
+  [[nodiscard]] fib::Ipv6Lpm& table() noexcept { return table_; }
 
   [[nodiscard]] ForwardDecision forward(std::span<std::uint8_t> packet) const;
 
  private:
-  std::unique_ptr<fib::Ipv6Lpm> table_;
+  fib::Ipv6Lpm table_;
 };
 
 }  // namespace dip::legacy

@@ -77,7 +77,7 @@ ForwardDecision Ipv4Forwarder::forward(std::span<std::uint8_t> packet) const {
 
   fib::Ipv4Addr dst;
   std::copy(packet.begin() + 16, packet.begin() + 20, dst.bytes.begin());
-  const auto nh = table_->lookup(dst);
+  const auto nh = table_.lookup(dst);
   if (!nh) return {ForwardStatus::kNoRoute, {}};
   return {ForwardStatus::kForwarded, *nh};
 }

@@ -45,7 +45,7 @@ ForwardDecision Ipv6Forwarder::forward(std::span<std::uint8_t> packet) const {
 
   fib::Ipv6Addr dst;
   std::copy(packet.begin() + 24, packet.begin() + 40, dst.bytes.begin());
-  const auto nh = table_->lookup(dst);
+  const auto nh = table_.lookup(dst);
   if (!nh) return {ForwardStatus::kNoRoute, {}};
   return {ForwardStatus::kForwarded, *nh};
 }

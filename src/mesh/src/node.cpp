@@ -257,8 +257,12 @@ void MeshRouter::handle_hello(const Frame& frame, FaceId ingress) {
   if (!hello) return;
   if (hello->origin == config_.node_id) return;  // our own flood, looped back
 
+  // Versions are 16-bit serial numbers (RFC 1982): an LSA is fresh when it
+  // is ahead of the stored one by less than half the space, so an origin
+  // stays heard after its version wraps from 65,535 to 0.
   const auto it = lsdb_.find(hello->origin);
-  const bool fresh = it == lsdb_.end() || hello->version > it->second.version;
+  const bool fresh = it == lsdb_.end() ||
+                     static_cast<std::int16_t>(hello->version - it->second.version) > 0;
   if (!fresh) return;
   lsdb_[hello->origin] = Lsa{hello->version, hello->neighbors, hello->capabilities};
 

@@ -4,7 +4,7 @@
 // forwarding with F_FIB and F_PIT" (§4.1). To keep LPM semantics, each name
 // component is hashed to one byte and the bytes are concatenated MSB-first,
 // so a k-component name prefix maps onto a (k*8)-bit code prefix and routers
-// can reuse the generic 32-bit LPM engines.
+// can reuse the 32-bit LPM table (fib::Ipv4Lpm).
 //
 // This is deliberately lossy (the prototype compromise): two names can
 // collide in code space. The control plane keeps full Names (fib::NameFib);
@@ -15,8 +15,8 @@
 #include <cstdint>
 
 #include "dip/fib/address.hpp"
-#include "dip/fib/lpm.hpp"
 #include "dip/fib/name_fib.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 
 namespace dip::ndn {
 

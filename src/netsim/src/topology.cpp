@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dip/fib/tree_bitmap.hpp"
-
 namespace dip::netsim {
 
 std::unique_ptr<LinearPath> make_linear_path(
@@ -94,8 +92,8 @@ std::size_t ZipfSampler::sample() {
 core::RouterEnv make_basic_env(std::uint32_t node_id) {
   core::RouterEnv env;
   env.node_id = node_id;
-  env.fib32 = std::make_shared<fib::TreeBitmap<32>>();
-  env.fib128 = std::make_shared<fib::TreeBitmap<128>>();
+  env.fib32 = std::make_shared<fib::Ipv4Lpm>();
+  env.fib128 = std::make_shared<fib::Ipv6Lpm>();
   env.xid_table = std::make_unique<fib::XidTable>();
   // Match verdicts are memoized per router; generation stamps keep cached
   // entries coherent with FIB updates, so this is on by default.

@@ -22,7 +22,7 @@ class SwitchForwarder {
  public:
   explicit SwitchForwarder(CostModel model = default_cost_model());
 
-  /// Install a DIP-32 route (mirrors fib::LpmTable<32>::insert).
+  /// Install a DIP-32 route (mirrors fib::Ipv4Lpm::insert).
   void add_route(const fib::Ipv4Prefix& prefix, fib::NextHop next_hop);
 
   struct Outcome {

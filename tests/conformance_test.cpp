@@ -562,10 +562,12 @@ void apply_churn(std::size_t step, ctrl::RouteJournal& journal,
                                  << " must publish exactly the fib32 snapshot";
 }
 
-/// The full churn schedule against one LPM engine choice: the seed tables
-/// (and therefore every journal-built clone) use `lpm_engine`, so the same
-/// byte-identity obligations certify each engine behind the RCU path.
-void run_churn_conformance(fib::LpmEngine lpm_engine) {
+// The full churn schedule on the tree-bitmap FIB behind the RouterEnv seed
+// tables: every engine kind forwards while the journal publishes route
+// changes, under the same byte-identity obligations as the static corpus.
+// Certifies the table's lookup and copy-on-write semantics end to end under
+// live churn.
+TEST(Conformance, ChurnScheduleStaysConformantOnTreeBitmap) {
   constexpr std::size_t kChunks = 8;
   constexpr std::size_t kChunkLen = 512;  // kBatch-aligned
   static_assert(kChunkLen % w::kBatch == 0);
@@ -578,7 +580,7 @@ void run_churn_conformance(fib::LpmEngine lpm_engine) {
 
   for (std::size_t e = 0; e < std::size(kinds); ++e) {
     const EngineKind kind = kinds[e];
-    SharedTables tables = make_shared_tables(lpm_engine);
+    SharedTables tables = make_shared_tables();
     const auto journal = attach_control(tables);
     const std::shared_ptr<core::OpRegistry> registry = make_registry(false);
     const auto engine = make_engine(kind, registry.get(),
@@ -650,13 +652,6 @@ void run_churn_conformance(fib::LpmEngine lpm_engine) {
           << " at packet " << i << " under identical churn";
     }
   }
-}
-
-// The schedule on the production tree-bitmap FIB behind the RouterEnv seed
-// tables: certifies its lookup and copy-on-write clone semantics end to end
-// under live churn.
-TEST(Conformance, ChurnScheduleStaysConformantOnTreeBitmap) {
-  run_churn_conformance(fib::LpmEngine::kTreeBitmap);
 }
 
 // ---------------------------------------------------------------------------

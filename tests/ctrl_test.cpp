@@ -25,9 +25,9 @@
 #include "dip/ctrl/snapshot.hpp"
 #include "dip/crypto/random.hpp"
 #include "dip/fib/address.hpp"
-#include "dip/fib/binary_trie.hpp"
 #include "dip/mesh/control.hpp"
 #include "dip/netsim/topology.hpp"
+#include "support/reference_lpm.hpp"
 
 namespace dip {
 namespace {
@@ -171,7 +171,7 @@ TEST(Journal, FlushPublishesOnlyDirtyTables) {
 }
 
 TEST(Journal, SeedClonesStaticTablesDeeply) {
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
+  const auto seed_fib = std::make_unique<fib::Ipv4Lpm>();
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
 
   auto tables = std::make_shared<ControlTables>();
@@ -253,10 +253,9 @@ std::vector<fib::Prefix<W>> churn_prefixes(crypto::Xoshiro256& rng, std::size_t 
 template <std::size_t W>
 struct LpmChurn {
   explicit LpmChurn(crypto::Xoshiro256& rng)
-      : seed(fib::make_lpm<W>(fib::LpmEngine::kTreeBitmap)),
-        keys(churn_prefixes<W>(rng, 24)) {
+      : keys(churn_prefixes<W>(rng, 24)) {
     for (std::size_t i = 0; i < keys.size(); i += 3) {
-      seed->insert(keys[i], static_cast<fib::NextHop>(1 + i % 5));
+      seed.insert(keys[i], static_cast<fib::NextHop>(1 + i % 5));
       oracle.insert(keys[i], static_cast<fib::NextHop>(1 + i % 5));
     }
     for (const auto& p : keys) probes.push_back(p.addr);
@@ -287,13 +286,13 @@ struct LpmChurn {
     if constexpr (W == 32) j.remove_route32(p); else j.remove_route128(p);
   }
 
-  void expect_matches(const fib::LpmTable<W>& live) const {
+  void expect_matches(const fib::TreeBitmap<W>& live) const {
     for (const auto& a : probes) {
       ASSERT_EQ(live.lookup(a), oracle.lookup(a));
     }
   }
 
-  std::unique_ptr<fib::LpmTable<W>> seed;
+  fib::TreeBitmap<W> seed;
   fib::BinaryTrie<W> oracle;
   std::vector<fib::Prefix<W>> keys;
   std::vector<fib::Address<W>> probes;
@@ -341,7 +340,7 @@ TEST(Journal, LeftRightChurnMatchesOracle) {
 
   auto tables = std::make_shared<ControlTables>();
   RouteJournal journal(tables);
-  journal.seed(v4.seed.get(), v6.seed.get(), &xid_seed, &names_seed);
+  journal.seed(&v4.seed, &v6.seed, &xid_seed, &names_seed);
   const ctrl::ReaderHandle reader = tables->register_reader();
   tables->domain.resume(reader);
 
@@ -468,7 +467,7 @@ TEST(Journal, LeftRightChurnMatchesOracle) {
 }
 
 TEST(Journal, HeldReaderForcesCloneAndSeesNoChange) {
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
+  const auto seed_fib = std::make_unique<fib::Ipv4Lpm>();
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
   auto tables = std::make_shared<ControlTables>();
   RouteJournal journal(tables);
@@ -829,7 +828,7 @@ TEST(SpfRule, MeshAndControlPlaneMatchSmallestIdShortestPathOracle) {
 TEST(CtrlRace, ConcurrentChurnAndForwardingIsCleanAndReclaims) {
   auto tables = std::make_shared<ControlTables>();
   RouteJournal journal(tables);
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
+  const auto seed_fib = std::make_unique<fib::Ipv4Lpm>();
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
   journal.seed(seed_fib.get());
 

@@ -7,12 +7,12 @@
 #include "dip/bytes/packet.hpp"
 #include "dip/core/registry.hpp"
 #include "dip/core/ip.hpp"
-#include "dip/fib/dir24.hpp"
 #include "dip/fib/tree_bitmap.hpp"
 #include "dip/netfence/netfence.hpp"
 #include "dip/netsim/event_loop.hpp"
 #include "dip/netsim/topology.hpp"
 #include "dip/xia/dag.hpp"
+#include "support/reference_lpm.hpp"
 
 namespace dip {
 namespace {

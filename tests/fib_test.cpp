@@ -1,20 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
 
 #include "dip/core/ip.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/crypto/random.hpp"
 #include "dip/ctrl/journal.hpp"
 #include "dip/fib/address.hpp"
-#include "dip/fib/binary_trie.hpp"
-#include "dip/fib/dir24.hpp"
-#include "dip/fib/lpm.hpp"
 #include "dip/fib/name_fib.hpp"
 #include "dip/fib/synth.hpp"
 #include "dip/fib/tree_bitmap.hpp"
 #include "dip/fib/xid_table.hpp"
 #include "dip/netsim/topology.hpp"
+#include "support/reference_lpm.hpp"
 
 namespace dip::fib {
 namespace {
@@ -88,7 +88,10 @@ TEST(Prefix, NormalizeAndMatch) {
   EXPECT_TRUE(def.matches(ipv4_from_u32(0xFFFFFFFF)));
 }
 
-// ---------- LPM engines, shared conformance suite ----------
+// ---------- LPM tables, shared conformance suite ----------
+//
+// The typed suites feed the production tree bitmap and the two reference
+// tables (tests/support/reference_lpm.hpp) the same inputs.
 
 // lookup_batch must answer exactly as lookup: kNoRoute exactly where lookup
 // returns nullopt. The probes run twice in a row each (so batches hold
@@ -96,7 +99,7 @@ TEST(Prefix, NormalizeAndMatch) {
 // tree bitmap's 32-walk chunk. A guard slot past each batch must stay
 // untouched.
 template <std::size_t W>
-void expect_batch_agrees(const LpmTable<W>& table, const std::vector<Address<W>>& probes,
+void expect_batch_agrees(const TreeBitmap<W>& table, const std::vector<Address<W>>& probes,
                          const char* stage) {
   std::vector<Address<W>> stream;
   for (const auto& a : probes) {
@@ -121,81 +124,109 @@ void expect_batch_agrees(const LpmTable<W>& table, const std::vector<Address<W>>
   }
 }
 
-class LpmEngineTest : public ::testing::TestWithParam<LpmEngine> {
- protected:
-  std::unique_ptr<Ipv4Lpm> table_ = make_lpm<32>(GetParam());
+/// Names each typed case after its table: LpmEngineTest/TreeBitmap.X.
+struct TableName {
+  template <typename T>
+  static std::string GetName(int) {
+    if constexpr (std::is_same_v<T, BinaryTrie<32>> || std::is_same_v<T, BinaryTrie<128>>) {
+      return "BinaryTrie";
+    } else if constexpr (std::is_same_v<T, Dir24>) {
+      return "Dir24";
+    } else {
+      return "TreeBitmap";
+    }
+  }
 };
 
-TEST_P(LpmEngineTest, EmptyTableMissesEverything) {
-  EXPECT_FALSE(table_->lookup(ipv4_from_u32(0)));
-  EXPECT_FALSE(table_->lookup(ipv4_from_u32(0xFFFFFFFF)));
-  EXPECT_EQ(table_->size(), 0u);
+/// The random workload's seed per table (fixed: a table keeps its stream).
+template <typename T>
+constexpr std::uint64_t kWorkloadSeed = 103;
+template <>
+constexpr std::uint64_t kWorkloadSeed<BinaryTrie<32>> = 100;
+template <>
+constexpr std::uint64_t kWorkloadSeed<Dir24> = 102;
+
+template <typename T>
+class LpmEngineTest : public ::testing::Test {
+ protected:
+  /// The production table: the one with lookup_batch and a generation.
+  static constexpr bool kProduction = std::is_same_v<T, TreeBitmap<32>>;
+  T table_;
+};
+
+using Lpm32Tables = ::testing::Types<BinaryTrie<32>, Dir24, TreeBitmap<32>>;
+TYPED_TEST_SUITE(LpmEngineTest, Lpm32Tables, TableName);
+
+TYPED_TEST(LpmEngineTest, EmptyTableMissesEverything) {
+  EXPECT_FALSE(this->table_.lookup(ipv4_from_u32(0)));
+  EXPECT_FALSE(this->table_.lookup(ipv4_from_u32(0xFFFFFFFF)));
+  EXPECT_EQ(this->table_.size(), 0u);
 }
 
-TEST_P(LpmEngineTest, LongestPrefixWins) {
-  table_->insert({ipv4_from_u32(0x0A000000), 8}, 1);    // 10/8
-  table_->insert({ipv4_from_u32(0x0A010000), 16}, 2);   // 10.1/16
-  table_->insert({ipv4_from_u32(0x0A010100), 24}, 3);   // 10.1.1/24
-  table_->insert({ipv4_from_u32(0x0A010101), 32}, 4);   // 10.1.1.1/32
+TYPED_TEST(LpmEngineTest, LongestPrefixWins) {
+  this->table_.insert({ipv4_from_u32(0x0A000000), 8}, 1);    // 10/8
+  this->table_.insert({ipv4_from_u32(0x0A010000), 16}, 2);   // 10.1/16
+  this->table_.insert({ipv4_from_u32(0x0A010100), 24}, 3);   // 10.1.1/24
+  this->table_.insert({ipv4_from_u32(0x0A010101), 32}, 4);   // 10.1.1.1/32
 
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A010101)).value(), 4u);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A010102)).value(), 3u);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A010201)).value(), 2u);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A020000)).value(), 1u);
-  EXPECT_FALSE(table_->lookup(ipv4_from_u32(0x0B000000)));
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A010101)).value(), 4u);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A010102)).value(), 3u);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A010201)).value(), 2u);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A020000)).value(), 1u);
+  EXPECT_FALSE(this->table_.lookup(ipv4_from_u32(0x0B000000)));
 }
 
-TEST_P(LpmEngineTest, DefaultRoute) {
-  table_->insert({{}, 0}, 99);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x12345678)).value(), 99u);
-  table_->insert({ipv4_from_u32(0x12000000), 8}, 7);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x12345678)).value(), 7u);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x99999999)).value(), 99u);
+TYPED_TEST(LpmEngineTest, DefaultRoute) {
+  this->table_.insert({{}, 0}, 99);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x12345678)).value(), 99u);
+  this->table_.insert({ipv4_from_u32(0x12000000), 8}, 7);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x12345678)).value(), 7u);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x99999999)).value(), 99u);
 }
 
-TEST_P(LpmEngineTest, InsertReplaceRemove) {
+TYPED_TEST(LpmEngineTest, InsertReplaceRemove) {
   const Prefix<32> p{ipv4_from_u32(0xC0A80000), 16};
-  EXPECT_FALSE(table_->insert(p, 5));
-  EXPECT_EQ(table_->size(), 1u);
-  EXPECT_EQ(table_->insert(p, 6).value(), 5u);  // replace reports old
-  EXPECT_EQ(table_->size(), 1u);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0xC0A80101)).value(), 6u);
+  EXPECT_FALSE(this->table_.insert(p, 5));
+  EXPECT_EQ(this->table_.size(), 1u);
+  EXPECT_EQ(this->table_.insert(p, 6).value(), 5u);  // replace reports old
+  EXPECT_EQ(this->table_.size(), 1u);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0xC0A80101)).value(), 6u);
 
-  EXPECT_EQ(table_->remove(p).value(), 6u);
-  EXPECT_EQ(table_->size(), 0u);
-  EXPECT_FALSE(table_->lookup(ipv4_from_u32(0xC0A80101)));
-  EXPECT_FALSE(table_->remove(p));  // double remove
+  EXPECT_EQ(this->table_.remove(p).value(), 6u);
+  EXPECT_EQ(this->table_.size(), 0u);
+  EXPECT_FALSE(this->table_.lookup(ipv4_from_u32(0xC0A80101)));
+  EXPECT_FALSE(this->table_.remove(p));  // double remove
 }
 
-TEST_P(LpmEngineTest, RemoveUncoversShorterPrefix) {
-  table_->insert({ipv4_from_u32(0x0A000000), 8}, 1);
-  table_->insert({ipv4_from_u32(0x0A010000), 16}, 2);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A010101)).value(), 2u);
-  table_->remove({ipv4_from_u32(0x0A010000), 16});
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A010101)).value(), 1u);
+TYPED_TEST(LpmEngineTest, RemoveUncoversShorterPrefix) {
+  this->table_.insert({ipv4_from_u32(0x0A000000), 8}, 1);
+  this->table_.insert({ipv4_from_u32(0x0A010000), 16}, 2);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A010101)).value(), 2u);
+  this->table_.remove({ipv4_from_u32(0x0A010000), 16});
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A010101)).value(), 1u);
 }
 
-TEST_P(LpmEngineTest, UnnormalizedPrefixIsNormalized) {
+TYPED_TEST(LpmEngineTest, UnnormalizedPrefixIsNormalized) {
   // Host bits set in the prefix must be ignored.
-  table_->insert({ipv4_from_u32(0x0A0101FF), 16}, 3);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A01FFFF)).value(), 3u);
-  EXPECT_EQ(table_->remove({ipv4_from_u32(0x0A010000), 16}).value(), 3u);
+  this->table_.insert({ipv4_from_u32(0x0A0101FF), 16}, 3);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A01FFFF)).value(), 3u);
+  EXPECT_EQ(this->table_.remove({ipv4_from_u32(0x0A010000), 16}).value(), 3u);
 }
 
-TEST_P(LpmEngineTest, SlashThirtyOneAndThirtyTwo) {
-  table_->insert({ipv4_from_u32(0x0A000000), 31}, 1);
-  table_->insert({ipv4_from_u32(0x0A000002), 32}, 2);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A000000)).value(), 1u);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A000001)).value(), 1u);
-  EXPECT_EQ(table_->lookup(ipv4_from_u32(0x0A000002)).value(), 2u);
-  EXPECT_FALSE(table_->lookup(ipv4_from_u32(0x0A000003)));
+TYPED_TEST(LpmEngineTest, SlashThirtyOneAndThirtyTwo) {
+  this->table_.insert({ipv4_from_u32(0x0A000000), 31}, 1);
+  this->table_.insert({ipv4_from_u32(0x0A000002), 32}, 2);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A000000)).value(), 1u);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A000001)).value(), 1u);
+  EXPECT_EQ(this->table_.lookup(ipv4_from_u32(0x0A000002)).value(), 2u);
+  EXPECT_FALSE(this->table_.lookup(ipv4_from_u32(0x0A000003)));
 }
 
 // Property: every engine agrees with the BinaryTrie oracle under random
 // inserts, removals, and lookups.
-TEST_P(LpmEngineTest, AgreesWithOracleUnderRandomWorkload) {
+TYPED_TEST(LpmEngineTest, AgreesWithOracleUnderRandomWorkload) {
   BinaryTrie<32> oracle;
-  crypto::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) + 100);
+  crypto::Xoshiro256 rng(kWorkloadSeed<TypeParam>);
 
   std::vector<Prefix<32>> inserted;
   for (int step = 0; step < 2000; ++step) {
@@ -206,70 +237,75 @@ TEST_P(LpmEngineTest, AgreesWithOracleUnderRandomWorkload) {
       p.normalize();
       const NextHop nh = static_cast<NextHop>(rng.below(1 << 20));
       const auto a = oracle.insert(p, nh);
-      const auto b = table_->insert(p, nh);
+      const auto b = this->table_.insert(p, nh);
       EXPECT_EQ(a.has_value(), b.has_value());
       if (a && b) EXPECT_EQ(*a, *b);
       inserted.push_back(p);
     } else if (action < 8) {
       const auto& p = inserted[rng.below(inserted.size())];
       const auto a = oracle.remove(p);
-      const auto b = table_->remove(p);
+      const auto b = this->table_.remove(p);
       EXPECT_EQ(a.has_value(), b.has_value());
       if (a && b) EXPECT_EQ(*a, *b);
     } else {
       // Probe both a random address and a recently inserted one.
       const Ipv4Addr probe = ipv4_from_u32(rng.u32());
-      EXPECT_EQ(oracle.lookup(probe), table_->lookup(probe));
+      EXPECT_EQ(oracle.lookup(probe), this->table_.lookup(probe));
       const auto& p = inserted[rng.below(inserted.size())];
-      EXPECT_EQ(oracle.lookup(p.addr), table_->lookup(p.addr));
+      EXPECT_EQ(oracle.lookup(p.addr), this->table_.lookup(p.addr));
     }
-    EXPECT_EQ(oracle.size(), table_->size());
+    EXPECT_EQ(oracle.size(), this->table_.size());
   }
 
-  // After the remove/re-insert churn: every installed prefix's own address
-  // and a random one beside it (unrouted ones included), then again with a
-  // /32 host route and a default route on top.
-  std::vector<Ipv4Addr> probes;
-  for (const auto& p : inserted) {
-    probes.push_back(p.addr);
-    probes.push_back(ipv4_from_u32(rng.u32()));
+  // The tree bitmap's batched walk after the remove/re-insert churn: every
+  // installed prefix's own address and a random one beside it (unrouted
+  // ones included), then again with a /32 host route and a default route
+  // on top.
+  if constexpr (TestFixture::kProduction) {
+    auto& table = this->table_;
+    std::vector<Ipv4Addr> probes;
+    for (const auto& p : inserted) {
+      probes.push_back(p.addr);
+      probes.push_back(ipv4_from_u32(rng.u32()));
+    }
+    expect_batch_agrees(table, probes, "after churn");
+    table.insert({probes[1], 32}, 4242);
+    table.insert({{}, 0}, 4343);
+    expect_batch_agrees(table, probes, "with host and default routes");
   }
-  expect_batch_agrees(*table_, probes, "after churn");
-  table_->insert({probes[1], 32}, 4242);
-  table_->insert({{}, 0}, 4343);
-  expect_batch_agrees(*table_, probes, "with host and default routes");
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, LpmEngineTest,
-                         ::testing::Values(LpmEngine::kBinaryTrie, LpmEngine::kDir24,
-                                           LpmEngine::kTreeBitmap));
+// ---------- IPv6 tables ----------
 
-// ---------- IPv6 engines ----------
-
-class Lpm6EngineTest : public ::testing::TestWithParam<LpmEngine> {
+template <typename T>
+class Lpm6EngineTest : public ::testing::Test {
  protected:
-  std::unique_ptr<Ipv6Lpm> table_ = make_lpm<128>(GetParam());
+  static constexpr bool kProduction = std::is_same_v<T, TreeBitmap<128>>;
+  T table_;
 };
 
-TEST_P(Lpm6EngineTest, BasicV6Lpm) {
+using Lpm128Tables = ::testing::Types<BinaryTrie<128>, TreeBitmap<128>>;
+TYPED_TEST_SUITE(Lpm6EngineTest, Lpm128Tables, TableName);
+
+TYPED_TEST(Lpm6EngineTest, BasicV6Lpm) {
   const auto p48 = parse_ipv6("2001:db8:1::").value();
   const auto p32 = parse_ipv6("2001:db8::").value();
-  table_->insert({p32, 32}, 1);
-  table_->insert({p48, 48}, 2);
+  this->table_.insert({p32, 32}, 1);
+  this->table_.insert({p48, 48}, 2);
 
-  EXPECT_EQ(table_->lookup(parse_ipv6("2001:db8:1::5").value()).value(), 2u);
-  EXPECT_EQ(table_->lookup(parse_ipv6("2001:db8:2::5").value()).value(), 1u);
-  EXPECT_FALSE(table_->lookup(parse_ipv6("2001:db9::1").value()));
+  EXPECT_EQ(this->table_.lookup(parse_ipv6("2001:db8:1::5").value()).value(), 2u);
+  EXPECT_EQ(this->table_.lookup(parse_ipv6("2001:db8:2::5").value()).value(), 1u);
+  EXPECT_FALSE(this->table_.lookup(parse_ipv6("2001:db9::1").value()));
 }
 
-TEST_P(Lpm6EngineTest, FullLengthHostRoute) {
+TYPED_TEST(Lpm6EngineTest, FullLengthHostRoute) {
   const auto host = parse_ipv6("2001:db8::42").value();
-  table_->insert({host, 128}, 7);
-  EXPECT_EQ(table_->lookup(host).value(), 7u);
-  EXPECT_FALSE(table_->lookup(parse_ipv6("2001:db8::43").value()));
+  this->table_.insert({host, 128}, 7);
+  EXPECT_EQ(this->table_.lookup(host).value(), 7u);
+  EXPECT_FALSE(this->table_.lookup(parse_ipv6("2001:db8::43").value()));
 }
 
-TEST_P(Lpm6EngineTest, OracleAgreement) {
+TYPED_TEST(Lpm6EngineTest, OracleAgreement) {
   BinaryTrie<128> oracle;
   crypto::Xoshiro256 rng(77);
   std::vector<Prefix<128>> inserted;
@@ -286,32 +322,28 @@ TEST_P(Lpm6EngineTest, OracleAgreement) {
     p.normalize();
     const NextHop nh = static_cast<NextHop>(rng.below(1000));
     oracle.insert(p, nh);
-    table_->insert(p, nh);
+    this->table_.insert(p, nh);
     inserted.push_back(p);
 
     Ipv6Addr probe = addr;
     probe.bytes[15] = static_cast<std::uint8_t>(rng.next());
-    EXPECT_EQ(oracle.lookup(probe), table_->lookup(probe));
+    EXPECT_EQ(oracle.lookup(probe), this->table_.lookup(probe));
     probes.push_back(addr);
     probes.push_back(probe);
   }
-  probes.push_back(parse_ipv6("3fff::1").value());  // outside every prefix
-  expect_batch_agrees(*table_, probes, "v6 workload");
-  // A /128 host route; then every other route removed and re-inserted.
-  table_->insert({probes[3], 128}, 4242);
-  expect_batch_agrees(*table_, probes, "v6 host route");
-  for (std::size_t i = 0; i < inserted.size(); i += 2) table_->remove(inserted[i]);
-  expect_batch_agrees(*table_, probes, "v6 after removals");
-  for (std::size_t i = 0; i < inserted.size(); i += 2) table_->insert(inserted[i], 7);
-  expect_batch_agrees(*table_, probes, "v6 after re-insert");
-}
-
-INSTANTIATE_TEST_SUITE_P(TrieEngines, Lpm6EngineTest,
-                         ::testing::Values(LpmEngine::kBinaryTrie, LpmEngine::kTreeBitmap));
-
-TEST(LpmFactory, Dir24IsIpv4Only) {
-  EXPECT_EQ(make_lpm<128>(LpmEngine::kDir24), nullptr);
-  EXPECT_NE(make_lpm<32>(LpmEngine::kDir24), nullptr);
+  // The tree bitmap's batched walk over the workload; then with a /128
+  // host route; then with every other route removed and re-inserted.
+  if constexpr (TestFixture::kProduction) {
+    auto& table = this->table_;
+    probes.push_back(parse_ipv6("3fff::1").value());  // outside every prefix
+    expect_batch_agrees(table, probes, "v6 workload");
+    table.insert({probes[3], 128}, 4242);
+    expect_batch_agrees(table, probes, "v6 host route");
+    for (std::size_t i = 0; i < inserted.size(); i += 2) table.remove(inserted[i]);
+    expect_batch_agrees(table, probes, "v6 after removals");
+    for (std::size_t i = 0; i < inserted.size(); i += 2) table.insert(inserted[i], 7);
+    expect_batch_agrees(table, probes, "v6 after re-insert");
+  }
 }
 
 TEST(Dir24, RejectsOversizedNextHop) {
@@ -378,7 +410,7 @@ TEST(Dir24, RemoveFallsBackToNextLongestMatch) {
   EXPECT_EQ(table.size(), 0u);
 }
 
-// Property: removal parity across all three engines — install one random
+// Property: removal parity across all three tables — install one random
 // route set everywhere, then tear it down in a different random order,
 // checking agreement at every step (the churn pattern src/ctrl/ drives).
 TEST(LpmEngines, RemoveParityAcrossEngines) {
@@ -424,38 +456,44 @@ TEST(LpmEngines, RemoveParityAcrossEngines) {
   EXPECT_EQ(dir24.size(), 0u);
 }
 
-// ---------- clone (copy-on-write support for src/ctrl/ snapshots) ----------
+// ---------- copies (copy-on-write support for src/ctrl/ snapshots) ----------
 
-TEST_P(LpmEngineTest, CloneIsDeepAndAdoptsGeneration) {
-  table_->insert({ipv4_from_u32(0x0A000000), 8}, 1);
-  table_->insert({ipv4_from_u32(0x0A400000), 10}, 2);
-  const std::uint64_t gen = table_->generation();
+TYPED_TEST(LpmEngineTest, CopyIsDeepAndAdoptsGeneration) {
+  TypeParam& table = this->table_;
+  table.insert({ipv4_from_u32(0x0A000000), 8}, 1);
+  table.insert({ipv4_from_u32(0x0A400000), 10}, 2);
+  [[maybe_unused]] std::uint64_t gen = 0;
+  if constexpr (TestFixture::kProduction) gen = table.generation();
 
-  const std::unique_ptr<Ipv4Lpm> copy = table_->clone();
-  ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->generation(), gen) << "clone adopts the source generation";
-  EXPECT_EQ(copy->size(), 2u);
-  EXPECT_EQ(copy->lookup(ipv4_from_u32(0x0A400001)).value(), 2u);
+  TypeParam copy = table;
+  if constexpr (TestFixture::kProduction) {
+    EXPECT_EQ(copy.generation(), gen) << "a copy adopts the source generation";
+  }
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(copy.lookup(ipv4_from_u32(0x0A400001)).value(), 2u);
 
   // Divergence both ways: neither side sees the other's mutations.
-  table_->remove({ipv4_from_u32(0x0A400000), 10});
-  EXPECT_EQ(copy->lookup(ipv4_from_u32(0x0A400001)).value(), 2u);
-  copy->insert({ipv4_from_u32(0x0B000000), 8}, 3);
-  EXPECT_FALSE(table_->lookup(ipv4_from_u32(0x0B000001)));
+  table.remove({ipv4_from_u32(0x0A400000), 10});
+  EXPECT_EQ(copy.lookup(ipv4_from_u32(0x0A400001)).value(), 2u);
+  copy.insert({ipv4_from_u32(0x0B000000), 8}, 3);
+  EXPECT_FALSE(table.lookup(ipv4_from_u32(0x0B000001)));
 
   // Applied deltas bump the copy past the base — the flow-cache
   // invalidation contract the control plane's snapshot swap relies on.
-  EXPECT_GT(copy->generation(), gen);
+  if constexpr (TestFixture::kProduction) {
+    EXPECT_GT(copy.generation(), gen);
+  }
 }
 
-TEST_P(Lpm6EngineTest, CloneIsDeepV6) {
+TYPED_TEST(Lpm6EngineTest, CopyIsDeepV6) {
+  TypeParam& table = this->table_;
   const auto addr = parse_ipv6("2001:db8::1").value();
-  table_->insert({addr, 32}, 1);
-  const std::unique_ptr<Ipv6Lpm> copy = table_->clone();
-  EXPECT_EQ(copy->lookup(addr).value(), 1u);
-  table_->remove({addr, 32});
-  EXPECT_FALSE(table_->lookup(addr));
-  EXPECT_EQ(copy->lookup(addr).value(), 1u) << "clone must not share nodes";
+  table.insert({addr, 32}, 1);
+  const TypeParam copy = table;
+  EXPECT_EQ(copy.lookup(addr).value(), 1u);
+  table.remove({addr, 32});
+  EXPECT_FALSE(table.lookup(addr));
+  EXPECT_EQ(copy.lookup(addr).value(), 1u) << "a copy must not share nodes";
 }
 
 // ---------- synthesized-scale parity (ISSUE 7) ----------
@@ -469,32 +507,32 @@ TEST_P(Lpm6EngineTest, CloneIsDeepV6) {
 TEST(LpmEngines, SynthesizedParityAt10kPrefixes) {
   const auto routes = synth::ipv4_table(10'000, 0xD1B);
   BinaryTrie<32> oracle;
-  const LpmEngine others[] = {LpmEngine::kDir24, LpmEngine::kTreeBitmap};
-  std::vector<std::unique_ptr<Ipv4Lpm>> tables;
-  for (const LpmEngine e : others) tables.push_back(make_lpm<32>(e));
+  Dir24 dir24;
+  TreeBitmap<32> tree;
 
   // Default route under everything: random probes fall back to it, so the
   // parity check also covers the fallback path end to end.
   oracle.insert({{}, 0}, 9999);
-  for (auto& t : tables) t->insert({{}, 0}, 9999);
+  dir24.insert({{}, 0}, 9999);
+  tree.insert({{}, 0}, 9999);
 
   for (const auto& r : routes) {
     const auto want = oracle.insert(r.prefix, r.nh);
-    for (auto& t : tables) EXPECT_EQ(t->insert(r.prefix, r.nh), want);
+    EXPECT_EQ(dir24.insert(r.prefix, r.nh), want);
+    EXPECT_EQ(tree.insert(r.prefix, r.nh), want);
   }
-  for (auto& t : tables) ASSERT_EQ(t->size(), oracle.size());
+  ASSERT_EQ(dir24.size(), oracle.size());
+  ASSERT_EQ(tree.size(), oracle.size());
 
   const auto probes = synth::probes(routes, 4096, 0xCAFE);
   const auto probe_all = [&](const char* stage) {
     for (const auto& a : probes) {
       const auto want = oracle.lookup(a);
-      for (std::size_t i = 0; i < tables.size(); ++i) {
-        ASSERT_EQ(tables[i]->lookup(a), want)
-            << stage << ": engine " << static_cast<int>(others[i])
-            << " diverged at " << format_ipv4(a);
-      }
+      ASSERT_EQ(dir24.lookup(a), want) << stage << ": dir24 diverged at " << format_ipv4(a);
+      ASSERT_EQ(tree.lookup(a), want)
+          << stage << ": tree bitmap diverged at " << format_ipv4(a);
     }
-    for (const auto& t : tables) expect_batch_agrees(*t, probes, stage);
+    expect_batch_agrees(tree, probes, stage);
   };
   probe_all("after install");
 
@@ -508,14 +546,16 @@ TEST(LpmEngines, SynthesizedParityAt10kPrefixes) {
   }
   for (std::size_t i = 0; i < order.size() / 2; ++i) {
     const auto want = oracle.remove(routes[order[i]].prefix);
-    for (auto& t : tables) EXPECT_EQ(t->remove(routes[order[i]].prefix), want);
+    EXPECT_EQ(dir24.remove(routes[order[i]].prefix), want);
+    EXPECT_EQ(tree.remove(routes[order[i]].prefix), want);
   }
   probe_all("after half teardown");
 
   // Withdraw the default route: probes outside every remaining prefix flip
-  // from 9999 to miss, identically across engines.
+  // from 9999 to miss, identically across tables.
   const auto want_def = oracle.remove({{}, 0});
-  for (auto& t : tables) EXPECT_EQ(t->remove({{}, 0}), want_def);
+  EXPECT_EQ(dir24.remove({{}, 0}), want_def);
+  EXPECT_EQ(tree.remove({{}, 0}), want_def);
   probe_all("after default withdrawal");
 }
 
@@ -540,9 +580,9 @@ TEST(Lpm6Engines, SynthesizedParityV6) {
 
 // ---------- tree bitmap structural properties ----------
 
-TEST(TreeBitmap, CloneIsIndependentAtEveryDepth) {
+TEST(TreeBitmap, CopyIsIndependentAtEveryDepth) {
   // A nested chain touching every stride level of the v4 walk: COW bugs
-  // that share arena runs between clone and original show up as one side
+  // that share arena runs between copy and original show up as one side
   // seeing the other's rewrite at *some* depth.
   TreeBitmap<32> table;
   std::vector<Prefix<32>> chain;
@@ -552,7 +592,7 @@ TEST(TreeBitmap, CloneIsIndependentAtEveryDepth) {
     chain.push_back(p);
     table.insert(p, len + 1u);
   }
-  const auto copy = table.clone();
+  TreeBitmap<32> copy = table;
 
   // An address whose longest match is exactly `p`: follow the chain for
   // p.length bits, then diverge so no longer chain prefix covers it.
@@ -562,14 +602,14 @@ TEST(TreeBitmap, CloneIsIndependentAtEveryDepth) {
     return a;
   };
 
-  // Rewrite every level in the original; the clone must keep the old hops.
+  // Rewrite every level in the original; the copy must keep the old hops.
   for (const auto& p : chain) table.insert(p, 500u + p.length);
   for (const auto& p : chain) {
-    EXPECT_EQ(copy->lookup(probe_for(p)).value(), p.length + 1u);
+    EXPECT_EQ(copy.lookup(probe_for(p)).value(), p.length + 1u);
     EXPECT_EQ(table.lookup(probe_for(p)).value(), 500u + p.length);
   }
-  // Remove odd levels from the clone; the original keeps its rewrites.
-  for (std::size_t i = 1; i < chain.size(); i += 2) copy->remove(chain[i]);
+  // Remove odd levels from the copy; the original keeps its rewrites.
+  for (std::size_t i = 1; i < chain.size(); i += 2) copy.remove(chain[i]);
   for (const auto& p : chain) {
     EXPECT_EQ(table.lookup(probe_for(p)).value(), 500u + p.length);
   }
@@ -609,7 +649,7 @@ TEST(TreeBitmap, MemoryAccountingIsCompressed) {
   // default environment's FIB and a journal's from-scratch flush must both
   // spend well under the pointer trie's bytes/prefix at synthesized density
   // (exact numbers live in BENCH_fib_scale.json; this guards the order of
-  // magnitude and pins the default engine).
+  // magnitude).
   const auto routes = synth::ipv4_table(10'000, 0xBEEF);
   BinaryTrie<32> trie;
   for (const auto& r : routes) trie.insert(r.prefix, r.nh);
@@ -625,13 +665,13 @@ TEST(TreeBitmap, MemoryAccountingIsCompressed) {
   const Ipv4Lpm* flushed = tables->fib32.read();
   ASSERT_NE(flushed, nullptr);
 
-  const auto bpp = [](const Ipv4Lpm& t) {
+  const auto bpp = [](const auto& t) {
     return static_cast<double>(t.memory_bytes()) / static_cast<double>(t.size());
   };
   const double trie_bpp = bpp(trie);
   for (const Ipv4Lpm* built : {static_cast<const Ipv4Lpm*>(env_fib.get()), flushed}) {
     ASSERT_EQ(built->size(), trie.size());
-    EXPECT_LT(bpp(*built), 32.0) << "the production FIB should be the compressed engine";
+    EXPECT_LT(bpp(*built), 32.0) << "the production FIB should be compressed";
     EXPECT_LT(bpp(*built), trie_bpp) << "compression must beat the pointer trie";
     EXPECT_GE(built->lookup_depth(routes[0].prefix.addr), 1u);
   }
@@ -645,14 +685,13 @@ std::vector<std::uint8_t> churn_packet(std::uint32_t dst) {
       ->serialize();
 }
 
-// Mirror of ctrl_test's CtrlRace churn regression with the compressed
-// engine behind the snapshots and a synthesized 10k-route table, so each
-// flush clones a realistically sized arena while RouterPool workers
-// forward (scripts/check.sh runs fib_test in the TSan leg for this test).
+// Mirror of ctrl_test's CtrlRace churn regression with a synthesized
+// 10k-route table behind the snapshots, so each flush copies or replays
+// onto a realistically sized arena while RouterPool workers forward (scripts/check.sh runs fib_test in the TSan leg for this test).
 TEST(TreeBitmapChurn, PoolForwardsDuringTreeBitmapJournalFlush) {
   auto tables = std::make_shared<ctrl::ControlTables>();
   ctrl::RouteJournal journal(tables);
-  const auto seed_fib = make_lpm<32>(LpmEngine::kTreeBitmap);
+  const auto seed_fib = std::make_unique<Ipv4Lpm>();
   seed_fib->insert({ipv4_from_u32(0x0A000000), 8}, 1);
   for (const auto& r : synth::ipv4_table(10'000, 0x7B)) {
     seed_fib->insert(r.prefix, r.nh);

@@ -210,7 +210,7 @@ TEST(IncrementalDeployment, DipIslandsAcrossLegacyCore) {
   legacy::Ipv6Tunnel left(left_addr, right_addr);
   legacy::Ipv6Tunnel right(right_addr, left_addr);
 
-  legacy::Ipv6Forwarder core_router(fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap));
+  legacy::Ipv6Forwarder core_router;
   core_router.table().insert({fib::parse_ipv6("2001:db8:bbbb::").value(), 48}, 1);
 
   // The DIP packet to ship across.

@@ -58,7 +58,7 @@ TEST(Ipv4, InternetChecksumKnownAnswer) {
 }
 
 TEST(Ipv4Forwarder, ForwardsAndPatchesTtlIncrementally) {
-  Ipv4Forwarder fwd(fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap));
+  Ipv4Forwarder fwd;
   fwd.table().insert({fib::parse_ipv4("192.0.2.0").value(), 24}, 6);
 
   std::vector<std::uint8_t> packet(20 + 8);
@@ -73,7 +73,7 @@ TEST(Ipv4Forwarder, ForwardsAndPatchesTtlIncrementally) {
 }
 
 TEST(Ipv4Forwarder, TtlExpiryAndNoRoute) {
-  Ipv4Forwarder fwd(fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap));
+  Ipv4Forwarder fwd;
 
   Ipv4Header h = sample_v4();
   h.ttl = 1;
@@ -122,7 +122,7 @@ TEST(Ipv6, SerializeParseRoundTrip) {
 }
 
 TEST(Ipv6Forwarder, ForwardsByLpm) {
-  Ipv6Forwarder fwd(fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap));
+  Ipv6Forwarder fwd;
   fwd.table().insert({fib::parse_ipv6("2001:db8:ffff::").value(), 48}, 3);
 
   std::vector<std::uint8_t> packet(40);
@@ -244,7 +244,7 @@ TEST(Tunnel, LegacyRoutersForwardTheOuterHeader) {
   const std::vector<std::uint8_t> inner4 = {1, 2, 3, 4};
   auto packet = left.encapsulate(inner4);
 
-  Ipv6Forwarder fwd(fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap));
+  Ipv6Forwarder fwd;
   fwd.table().insert({fib::parse_ipv6("2001:db8:b::").value(), 48}, 12);
   const auto decision = fwd.forward(packet);
   EXPECT_EQ(decision.status, ForwardStatus::kForwarded);

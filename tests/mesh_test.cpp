@@ -370,6 +370,46 @@ TEST(MeshRouterLedger, UnknownSourcesAreExportedPerNodeAndInAggregate) {
   EXPECT_NE(mesh.text().find("dip_mesh_unknown_source_total 0\n"), std::string::npos);
 }
 
+// ---- link-state database ---------------------------------------------------
+
+// LSA versions are 16-bit serial numbers (RFC 1982). An origin's version
+// wraps from 65,535 to 0, and its peers must keep accepting its floods
+// across the wrap; a replayed older version is still ignored.
+TEST(MeshLsdb, LsaVersionWrapIsFreshAndAReplayIsIgnored) {
+  ManualClock clock;
+  MeshEventLoop loop(&clock);
+  MockFabric fabric;
+  auto sock = fabric.create(1);
+  auto peer = fabric.create(2);
+
+  MeshRouter::Config cfg;
+  cfg.node_id = 1;
+  MeshRouter router(cfg, loop, std::move(sock), netsim::make_default_registry());
+  (void)router.add_wire_face(peer->local_endpoint(), 0);
+
+  // A TTL-1 kHello from origin 7 listing neighbor 2. Payload: origin:32
+  // version:16 ttl:8 nnbr:16 neighbor:32, then the CapabilitySet wire form.
+  std::uint64_t seq = 0;
+  const auto flood = [&](std::uint16_t version) {
+    PacketBytes payload = {0, 0, 0, 7, static_cast<std::uint8_t>(version >> 8),
+                           static_cast<std::uint8_t>(version), 1, 0, 1, 0, 0, 0, 2};
+    const PacketBytes caps = bootstrap::CapabilitySet{}.serialize();
+    payload.insert(payload.end(), caps.begin(), caps.end());
+    ASSERT_EQ(peer->send_to({.port = 1}, encode_frame(FrameType::kHello, 2, seq++, payload)),
+              IoStatus::kOk);
+    loop.run_until_idle();
+  };
+
+  for (const std::uint16_t version : {65534, 65535, 0, 1}) {
+    flood(version);
+    ASSERT_EQ(router.lsdb().at(7).version, version)
+        << "LSA version " << version << " was ignored";
+  }
+  flood(65533);  // behind 1 in serial order: a replay
+  EXPECT_EQ(router.lsdb().at(7).version, 1u);
+  EXPECT_EQ(router.ledger().hello_rx, 5u);
+}
+
 // ---- impairment determinism ----------------------------------------------
 
 TEST(MeshImpair, DecisionsAreDeterministicPerSeedAndOrdinal) {

@@ -46,7 +46,7 @@ TEST(NameCodec, DistinctNamesUsuallyDistinct) {
 }
 
 TEST(NameCodec, LpmOverCodesMatchesComponentSemantics) {
-  auto fib_table = fib::make_lpm<32>(fib::LpmEngine::kTreeBitmap);
+  auto fib_table = std::make_unique<fib::Ipv4Lpm>();
   install_name_route(*fib_table, Name::parse("/org"), 1);
   install_name_route(*fib_table, Name::parse("/org/hotnets"), 2);
 

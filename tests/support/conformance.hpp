@@ -65,19 +65,12 @@ inline std::shared_ptr<ctrl::RouteJournal> attach_control(SharedTables& t) {
   return journal;
 }
 
-/// `engine` selects the LPM engine behind both address-family FIBs; churn
-/// clones inherit it (RouteJournal docs). The default is the production
-/// tree bitmap.
-inline SharedTables make_shared_tables(
-    fib::LpmEngine engine = fib::LpmEngine::kTreeBitmap) {
+inline SharedTables make_shared_tables() {
   SharedTables t;
-  t.fib32 = std::shared_ptr<fib::Ipv4Lpm>(fib::make_lpm<32>(engine));
+  t.fib32 = std::make_shared<fib::Ipv4Lpm>();
   t.fib32->insert({fib::ipv4_from_u32(w::kNet10), 8}, w::kNh10);
   t.fib32->insert({fib::ipv4_from_u32(w::kNet10_64), 10}, w::kNh10_64);
-  t.fib128 = std::shared_ptr<fib::Ipv6Lpm>(
-      engine == fib::LpmEngine::kDir24
-          ? fib::make_lpm<128>(fib::LpmEngine::kTreeBitmap)  // Dir24 is v4-only
-          : fib::make_lpm<128>(engine));
+  t.fib128 = std::make_shared<fib::Ipv6Lpm>();
   t.fib128->insert({fib::Ipv6Addr{w::kNet128}, 32}, w::kNh128);
   t.xid_table = std::make_shared<fib::XidTable>();
   t.xid_table->insert(fib::XidType::kAd, w::ad_routed(), w::kNhAd);
