@@ -34,6 +34,8 @@
 //     worker still holding the standby); `blackholed` (pool drops +
 //     errors) must be 0 — every packet is covered by the stable aggregate
 //     throughout, so any drop is a lost-route window in the RCU swap.
+//     Timed in real time: the workers forward while the submitting
+//     thread blocks, so its CPU time would overstate the packet rate.
 //
 // Tables are built once per (type, size) and shared across legs; at 1M
 // routes the builds (Dir24's block refreshes especially) dominate process
@@ -354,7 +356,7 @@ void BM_ChurnForwardPool(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_ChurnForwardPool)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ChurnForwardPool)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 }  // namespace dip::bench

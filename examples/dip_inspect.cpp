@@ -4,9 +4,10 @@
 //   $ ./dip_inspect                    # demo: inspects one of each protocol
 //
 // Prints the basic header, the FN program (with Table-1 notation, tag bits,
-// budget costs, path-criticality), the locations block, the Tofino
-// constraint check, and the modeled switch cost — a one-stop debugging tool
-// for anyone composing their own FN programs.
+// the budget cost a default-registry router charges, path-criticality),
+// the locations block, the Tofino constraint check, and the modeled switch
+// cost — a one-stop debugging tool for anyone composing their own FN
+// programs.
 #include <cstdio>
 #include <string>
 
@@ -14,6 +15,7 @@
 #include "dip/crypto/random.hpp"
 #include "dip/core/ip.hpp"
 #include "dip/ndn/ndn.hpp"
+#include "dip/netsim/dip_node.hpp"
 #include "dip/opt/opt.hpp"
 #include "dip/pisa/dip_program.hpp"
 #include "dip/xia/xia.hpp"
@@ -39,16 +41,20 @@ void inspect(std::span<const std::uint8_t> packet) {
   std::printf("  header size  : %zu bytes (6 + %zux6 + %u)\n", header->wire_size(),
               header->fns.size(), b.loc_len);
 
+  // Budget cost is what the router charges: the registered module's cost(),
+  // "-" for a key no router module serves (host-side F_ver, for one).
+  static const auto registry = netsim::make_default_registry();
   std::printf("  FN program   :\n");
   std::printf("    %-4s %-12s %-6s %-6s %-6s %-5s %s\n", "#", "operation", "loc",
               "len", "tag", "cost", "path-critical");
   for (std::size_t i = 0; i < header->fns.size(); ++i) {
     const auto& fn = header->fns[i];
     const auto info = core::fn_info(fn.key());
-    std::printf("    %-4zu %-12s %-6u %-6u %-6s %-5u %s\n", i,
+    const core::OpModule* module = registry->find(fn.key());
+    const std::string cost = module ? std::to_string(module->cost()) : "-";
+    std::printf("    %-4zu %-12s %-6u %-6u %-6s %-5s %s\n", i,
                 std::string(core::op_key_name(fn.key())).c_str(), fn.field_loc,
-                fn.field_len, fn.host_tagged() ? "host" : "router",
-                info ? info->base_cost : 0,
+                fn.field_len, fn.host_tagged() ? "host" : "router", cost.c_str(),
                 info && info->requires_full_path ? "yes" : "no");
   }
 

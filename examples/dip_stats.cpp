@@ -139,24 +139,19 @@ int main(int argc, char** argv) {
   }
   std::printf("\n[latency] per-phase and per-FN histograms (merged workers):\n");
   {
-    telemetry::HistogramSnapshot bind, validate, dispatch;
-    std::array<telemetry::HistogramSnapshot, telemetry::RouterStats::kOpKeySlots>
-        fn{};
+    telemetry::RouterStats::Snapshot merged;
     for (std::size_t w = 0; w < pool.workers(); ++w) {
-      const auto* stats = pool.router(w).env().stats.get();
-      if (stats == nullptr) continue;
-      bind += stats->phase_bind.snapshot();
-      validate += stats->phase_validate.snapshot();
-      dispatch += stats->phase_dispatch.snapshot();
-      for (std::size_t k = 0; k < fn.size(); ++k) fn[k] += stats->fn_ns[k].snapshot();
+      if (const auto* stats = pool.router(w).env().stats.get()) {
+        merged += stats->snapshot();
+      }
     }
-    print_histogram_digest("phase bind/burst", bind);
-    print_histogram_digest("phase validate/burst", validate);
-    print_histogram_digest("phase dispatch/burst", dispatch);
-    for (std::size_t k = 0; k < fn.size(); ++k) {
-      if (fn[k].count == 0) continue;
+    print_histogram_digest("phase bind/burst", merged.phase_bind);
+    print_histogram_digest("phase validate/burst", merged.phase_validate);
+    print_histogram_digest("phase dispatch/burst", merged.phase_dispatch);
+    for (std::size_t k = 0; k < merged.fn_ns.size(); ++k) {
+      if (merged.fn_ns[k].count == 0) continue;
       const std::string name(core::op_key_name(static_cast<core::OpKey>(k)));
-      print_histogram_digest(name.c_str(), fn[k]);
+      print_histogram_digest(name.c_str(), merged.fn_ns[k]);
     }
   }
 
@@ -221,7 +216,6 @@ int main(int argc, char** argv) {
   core::RouterPoolConfig tiny;
   tiny.workers = 1;
   tiny.ring_capacity = 64;
-  tiny.overload = core::OverloadPolicy::kShed;
   std::uint64_t shed_refusals = 0;
   {
     core::RouterPool tiny_pool(

@@ -143,7 +143,7 @@ if dead:
 print("  all seams traced: " + ", ".join(f"{n}={metrics[n]['value']:.4g}" for n in seams))
 PY
 
-echo "== core dispatch series + journal publish cost (short traced perfbench router_mix) =="
+echo "== core dispatch series, kernel fn_ns rows + journal publish cost (short traced perfbench router_mix) =="
 # router_mix reads core.wave_pkt_share and core.legacy_pkt_share as
 # RouterStats::burst_wave and burst_legacy over burst_bound, and
 # core.dispatch_ns_per_pkt from the dispatch-phase histogram. Phase 2 counts
@@ -154,6 +154,9 @@ echo "== core dispatch series + journal publish cost (short traced perfbench rou
 # 600k-route table set: a few microseconds when the journal recycles its
 # standby (left-right publish), ~1.5 ms when every flush clones the table.
 # A journal that silently falls back to cloning fails the 100 us bound.
+# The core.fn_ns rows of the batched kernels (match32, match128, fib, parm,
+# mac) come from the kernels themselves, which time every sampled packet
+# they execute; a row that reads 0 means a kernel stopped recording.
 core_json=$(python3 perfbench/run.py --workload router_mix --seed 1 --seconds 4 --trace 1 | tail -n 1)
 python3 - "$core_json" <<'PY'
 import json, sys
@@ -168,8 +171,13 @@ if not dispatch > 0:
     sys.exit(f"core.dispatch_ns_per_pkt = {dispatch!r}, not > 0")
 if not 0 < flush < 100_000:
     sys.exit(f"ctrl.flush_ns_p50 = {flush!r} ns, not in (0, 100000): the journal clones")
+kernels = [f"core.fn_ns.{fn}" for fn in ("match32", "match128", "fib", "parm", "mac")]
+dead = [name for name in kernels if not value(name) > 0]
+if dead:
+    sys.exit("batched kernels record no fn_ns samples: " + ", ".join(dead))
 print(f"  wave + legacy share = {shares:.6f}, dispatch = {dispatch:.4g} ns/pkt, "
-      f"flush p50 = {flush:.4g} ns")
+      f"flush p50 = {flush:.4g} ns, "
+      + ", ".join(f"{n.rsplit('.', 1)[1]} = {value(n):.4g} ns" for n in kernels))
 PY
 
 echo "== sanitizer build (ASan + UBSan) =="

@@ -111,11 +111,6 @@ class FlowCache {
   [[nodiscard]] std::size_t entries() const noexcept { return entries_; }
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
 
-  /// Whether a sliced field of `len_bytes` is cacheable (match-FN widths).
-  [[nodiscard]] static constexpr bool cacheable_len(std::size_t len_bytes) noexcept {
-    return len_bytes == 4 || len_bytes == 16;
-  }
-
  private:
   struct Slot {
     std::uint64_t hash = 0;        ///< full hash; 0 means "empty"

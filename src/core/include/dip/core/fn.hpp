@@ -97,8 +97,6 @@ struct FnInfo {
   bool requires_full_path = false;  ///< if unsupported: error back to source
                                     ///< (true, e.g. path authentication) or
                                     ///< silently skippable (false)
-  std::uint32_t base_cost = 1;      ///< abstract per-invocation cost units,
-                                    ///< consumed from the packet's budget
   /// Whether executions of this FN commute with other order-independent FNs
   /// on disjoint fields (no OpScratch coupling, no cross-FN verdict or
   /// per-flow-state dependence). Gates the §2.2 modular-parallelism bit:

@@ -21,21 +21,26 @@
 // segment of two or more packets runs position-major waves, module-major
 // within a position, with a position's stateful FNs as one arrival-order
 // group, so every stateful FN still runs in per-packet order. A segment
-// of one runs its FNs through run_fn. A §2.2 parallel-bit packet that
-// relax_eligible accepts runs its FNs back to front, in the waves or
-// alone. process() is a thin batch-of-one wrapper, so every entry point
-// shares one semantics. Per-FN module lookup goes through a dense,
-// registry-epoch-validated table instead of the hash map, and the match FNs
-// consult the RouterEnv flow cache before walking the FIB (see
-// flow_cache.hpp). A wave group's FIB walks (its flow-cache misses and its
+// of one runs its FNs one at a time: a flow-cached match FN through the
+// match kernel as a group of one, the rest through run_fn. A §2.2
+// parallel-bit packet that relax_eligible accepts runs its FNs back to
+// front, in the waves or alone. process() is a thin batch-of-one wrapper,
+// so every entry point shares one semantics. Per-FN module lookup goes
+// through a dense, registry-epoch-validated table instead of the hash map,
+// and the match FNs consult the RouterEnv flow cache before walking the
+// FIB (see flow_cache.hpp); wave_match is the only code that probes, fills
+// or applies it. A wave group's FIB walks (its flow-cache misses and its
 // F_FIB items) run together as one interleaved batch before the group's
 // modules execute.
 //
 // Observability: when RouterEnv::stats is installed, process_batch records
 // bind/validate/dispatch phase latencies (sampled per burst), per-OpKey
-// module latencies, and trace-ring records for sampled packets (see
-// telemetry/stats.hpp and docs/OBSERVABILITY.md). With stats disabled the
-// path stays clock-free.
+// latencies and trace-ring records for sampled packets (see
+// telemetry/stats.hpp and docs/OBSERVABILITY.md). A sampled packet runs
+// exactly the code an unsampled one runs: run_fn times its module, and a
+// batched kernel gives each sampled packet it executed the kernel's wall
+// time divided by the packets it executed. With stats disabled the path
+// stays clock-free.
 //
 // A Router is single-threaded by design; RouterPool shards packets across
 // N routers for multi-core operation.
@@ -113,18 +118,6 @@ class Router {
     OpScratch scratch;
   };
 
-  /// Run one FN; returns false when processing must stop (drop/error).
-  /// `next_hop` is the field's FIB answer when the wave group resolved it
-  /// (resolve_lookups); it reaches the module through OpContext::next_hop.
-  bool run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTime now,
-              FnRunState& state, ProcessResult& result,
-              std::optional<fib::NextHop> next_hop = std::nullopt);
-
-  /// Execute a match FN through the flow cache (memoized FIB verdict).
-  bool run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
-                 FaceId ingress, SimTime now, FnRunState& state,
-                 ProcessResult& result);
-
   /// Push one sampled packet's execution record into the stats trace ring.
   void record_trace(const HeaderView& view, FaceId ingress, SimTime now,
                     std::uint64_t t_start, const ProcessResult& result);
@@ -148,7 +141,8 @@ class Router {
     std::uint8_t* alive = nullptr;    ///< no FN has stopped the packet yet
     std::uint8_t* sampled = nullptr;  ///< the stats sampler picked it
     std::uint8_t* mirror = nullptr;   ///< §2.2 relaxed: FNs run back to front
-    std::uint8_t* fn_idx = nullptr;   ///< FN index the current wave runs
+    std::uint8_t* fn_idx = nullptr;   ///< FN index the packet runs now
+    bool timed = false;               ///< the stats sampler picked some packet
   };
 
   // Wave buckets past the dense keys (a commuting in-table module is its
@@ -166,7 +160,8 @@ class Router {
                       std::uint64_t& forwarded, std::uint64_t& dropped,
                       std::uint64_t& errors);
 
-  /// Run packet i's FNs through run_fn, in header order or mirrored.
+  /// Run packet i's FNs in header order or mirrored: a flow-cached match
+  /// FN through wave_match as a group of one, every other FN through run_fn.
   void run_alone(BurstState& b, std::size_t i);
 
   /// Run the segment [begin, end) (two or more bound packets) as
@@ -177,7 +172,7 @@ class Router {
   /// module does not burst_commute).
   [[nodiscard]] std::uint8_t bucket_of(const FnTriple& fn) const noexcept;
 
-  /// The FN packet p runs in the current wave.
+  /// The FN packet p runs now (b.fn_idx[p]).
   [[nodiscard]] const FnTriple& wave_fn(const BurstState& b, std::size_t p) const noexcept {
     return views_[p].fns()[b.fn_idx[p]];
   }
@@ -189,7 +184,8 @@ class Router {
                   std::size_t count);
 
   // Wave-group kernels (contracts in router.cpp). `items` are packet
-  // indices of one same-bucket group, in arrival order.
+  // indices of one same-bucket group, in arrival order. Each hands the
+  // items it cannot batch to wave_run_items after its own work.
   void wave_match(BurstState& b, OpKey key, OpModule* module, const std::uint32_t* items,
                   std::size_t count);
   void wave_parm(BurstState& b, OpModule* module, const std::uint32_t* items,
@@ -199,6 +195,28 @@ class Router {
   /// Fallback kernel: run each item through run_fn, in arrival order, after
   /// resolving the group's F_FIB lookups together.
   void wave_run_items(BurstState& b, const std::uint32_t* items, std::size_t count);
+
+  /// Whether the stats sampler picked one of the group's items: a kernel
+  /// reads the clock only then.
+  [[nodiscard]] static bool group_sampled(const BurstState& b, const std::uint32_t* items,
+                                          std::size_t count) noexcept;
+
+  /// A batched kernel started at `t0` executed `executed` packets, `sampled`
+  /// of them picked by the stats sampler: count the executions, and give
+  /// each sampled one an fn_ns sample of the kernel's wall time divided by
+  /// `executed`.
+  void record_kernel(OpKey key, std::uint64_t t0, std::uint64_t executed,
+                     std::uint64_t sampled);
+
+  /// Run packet p's current FN (Algorithm 1's loop body) and clear
+  /// b.alive[p] when processing must stop (drop/error). `next_hop` is the
+  /// field's FIB answer when the wave group resolved it (resolve_lookups);
+  /// it reaches the module through OpContext::next_hop, and `walk_ns`, the
+  /// item's share of that walk, joins a sampled packet's fn_ns sample.
+  /// Defined inline in router.cpp, its only caller.
+  inline void run_fn(BurstState& b, std::size_t p,
+                     std::optional<fib::NextHop> next_hop = std::nullopt,
+                     std::uint64_t walk_ns = 0);
 
   /// Resolve a wave group's FIB lookups before the group runs in arrival
   /// order: the fields of the items with want[k] set (F_32_match/F_FIB
@@ -243,10 +261,6 @@ class Router {
   /// registry-shared ParmOp module would race.
   std::optional<crypto::DrKey> drkey_;
   crypto::Block drkey_secret_{};
-  // True while dispatching a packet the stats sampler picked: run_fn then
-  // times module execution into env_.stats->fn_ns. Always false when stats
-  // are disabled, so the per-FN cost is a single predictable branch.
-  bool sample_this_packet_ = false;
 };
 
 }  // namespace dip::core

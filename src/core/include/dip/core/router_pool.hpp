@@ -33,15 +33,6 @@
 
 namespace dip::core {
 
-/// What submit() does when the target worker's ring is full.
-///   * kBlock — spin/yield until a slot frees (historical behaviour; the
-///     dispatcher absorbs backpressure).
-///   * kShed  — drop the packet immediately with a tagged verdict
-///     (Action::kDrop, DropReason::kOverloadShed) delivered through the
-///     completion callback, and count it in the shed ledger. A router that
-///     sheds visibly beats one that stalls silently (docs/FAULTS.md).
-enum class OverloadPolicy : std::uint8_t { kBlock, kShed };
-
 struct RouterPoolConfig {
   /// Worker count; 0 = one per hardware thread.
   std::size_t workers = 1;
@@ -54,7 +45,6 @@ struct RouterPoolConfig {
   /// latency for fewer wakeups — a throughput-oriented dispatcher that
   /// submits a chunk and drains can set this to the chunk size.
   std::size_t wake_batch = 0;
-  OverloadPolicy overload = OverloadPolicy::kBlock;
 };
 
 class RouterPool {
@@ -80,16 +70,17 @@ class RouterPool {
   RouterPool(const RouterPool&) = delete;
   RouterPool& operator=(const RouterPool&) = delete;
 
-  /// Enqueue one packet (single dispatcher thread only). When the target
-  /// worker's ring is full: blocks under OverloadPolicy::kBlock, sheds
-  /// under kShed. Returns the worker index chosen (also for shed packets —
-  /// use try_submit to observe the shed).
+  /// Enqueue one packet (single dispatcher thread only), waiting for a
+  /// slot while the target worker's ring is full (the dispatcher absorbs
+  /// backpressure). Returns the worker index chosen.
   std::size_t submit(std::vector<std::uint8_t> packet, FaceId ingress, SimTime now);
 
   /// Non-blocking submit (single dispatcher thread only). Returns the
   /// worker index, or nullopt when the target ring was full and the packet
   /// was shed: the completion callback fires immediately *on the dispatcher
-  /// thread* with DropReason::kOverloadShed and the shed ledger advances.
+  /// thread* with DropReason::kOverloadShed and the shed ledger advances. A
+  /// router that sheds visibly beats one that stalls silently
+  /// (docs/FAULTS.md).
   std::optional<std::size_t> try_submit(std::vector<std::uint8_t> packet,
                                         FaceId ingress, SimTime now);
 
@@ -150,6 +141,9 @@ class RouterPool {
 
   void worker_main(Worker& w);
   static void wake(Worker& w);
+  /// Push `item` into w's ring and wake the worker if it parked; false,
+  /// leaving `item` intact, when the ring is full (the worker is nudged).
+  static bool enqueue(Worker& w, Item& item);
   /// Count + report one ingress shed (dispatcher thread).
   void shed(std::size_t worker, Item& item);
 

@@ -7,8 +7,9 @@ namespace {
 // Table 1 of the paper plus the §2.4/§5 extension FNs. `requires_full_path`
 // follows the §2.4 rule: FNs that need every on-path AS to participate (the
 // path-authentication chain) trigger an FN-unsupported notification when a
-// node cannot honor them; the rest may simply be ignored.
-// The last column marks order-independent FNs (§2.2 parallel bit): pure
+// node cannot honor them; the rest may simply be ignored. Budget costs are
+// not listed here: the router charges each registered module's cost().
+// The fourth column marks order-independent FNs (§2.2 parallel bit): pure
 // functions of their own field and read-mostly tables. Everything that
 // composes through OpScratch (the OPT chain, EPIC), mutates per-flow state
 // (PIT, DPS buckets), or feeds a later FN's verdict stays order-dependent.
@@ -20,32 +21,32 @@ namespace {
 // content store (kFib/kPit, and kDag/kIntent which read the CS), DPS
 // buckets, CC estimators.
 constexpr FnInfo kFnTable[] = {
-    {OpKey::kMatch32, "F_32_match", false, 2, true, true},
-    {OpKey::kMatch128, "F_128_match", false, 3, true, true},
-    {OpKey::kSource, "F_source", false, 1, true, true},
-    {OpKey::kFib, "F_FIB", false, 2, false, false},
-    {OpKey::kPit, "F_PIT", false, 2, false, false},
-    {OpKey::kParm, "F_parm", true, 2, false, true},
-    {OpKey::kMac, "F_MAC", true, 8, false, true},
-    {OpKey::kMark, "F_mark", true, 2, false, true},
-    {OpKey::kVer, "F_ver", true, 10, false, true},
-    {OpKey::kDag, "F_DAG", false, 4, false, false},
-    {OpKey::kIntent, "F_intent", false, 2, false, false},
-    {OpKey::kPass, "F_pass", false, 6, false, true},
-    {OpKey::kTelemetry, "F_int", false, 2, true, true},
-    {OpKey::kCc, "F_cc", false, 4, false, false},
-    {OpKey::kDps, "F_dps", false, 3, false, false},
+    {OpKey::kMatch32, "F_32_match", false, true, true},
+    {OpKey::kMatch128, "F_128_match", false, true, true},
+    {OpKey::kSource, "F_source", false, true, true},
+    {OpKey::kFib, "F_FIB", false, false, false},
+    {OpKey::kPit, "F_PIT", false, false, false},
+    {OpKey::kParm, "F_parm", true, false, true},
+    {OpKey::kMac, "F_MAC", true, false, true},
+    {OpKey::kMark, "F_mark", true, false, true},
+    {OpKey::kVer, "F_ver", true, false, true},
+    {OpKey::kDag, "F_DAG", false, false, false},
+    {OpKey::kIntent, "F_intent", false, false, false},
+    {OpKey::kPass, "F_pass", false, false, true},
+    {OpKey::kTelemetry, "F_int", false, true, true},
+    {OpKey::kCc, "F_cc", false, false, false},
+    {OpKey::kDps, "F_dps", false, false, false},
     // Per-hop verification needs every on-path node, like the OPT chain.
-    {OpKey::kHvf, "F_hvf", true, 6, false, true},
+    {OpKey::kHvf, "F_hvf", true, false, true},
     // Custody transfer mutates the tag in place (accept stamps the local
     // node as custodian) and its verdict depends on per-node custody state,
     // so neither FN-order nor cross-packet commutation is licensed. A
     // non-DTN router may skip it (requires_full_path=false): custody is an
     // overlay over whichever nodes opt in.
-    {OpKey::kCustody, "F_custody", false, 5, false, false},
+    {OpKey::kCustody, "F_custody", false, false, false},
     // Fragment metadata is carried for the receiving host's reassembly; the
     // router only bounds-checks it.
-    {OpKey::kBundleFrag, "F_frag", false, 1, true, true},
+    {OpKey::kBundleFrag, "F_frag", false, true, true},
 };
 
 // A §2.2 packet that the router relaxes rides the burst's waves with its FNs

@@ -154,12 +154,11 @@ void Router::dispatch_burst(std::size_t n, FaceId ingress, SimTime now,
   // the identical tick sequence whatever the burst's shape, so a replayed
   // stream samples the same packets. A sampled packet's trace record spans
   // the whole phase.
-  bool any_sampled = false;
   for (std::size_t i = 0; i < n; ++i) {
     b.sampled[i] = stats != nullptr && bound_[i] != 0 && stats->packet_sampler.tick();
-    any_sampled |= b.sampled[i] != 0;
+    b.timed |= b.sampled[i] != 0;
   }
-  const std::uint64_t t_start = any_sampled ? telemetry::now_ns() : 0;
+  const std::uint64_t t_start = b.timed ? telemetry::now_ns() : 0;
 
   // Cut the burst, in arrival order, into segments: a segment ends before
   // any packet whose first stateful FN sits at an earlier position than
@@ -248,13 +247,25 @@ void Router::dispatch_burst(std::size_t n, FaceId ingress, SimTime now,
 }
 
 void Router::run_alone(BurstState& b, std::size_t i) {
+  // A flow-cached F_32_match/F_128_match runs the match kernel as a group
+  // of one (the conditions wave_group routes a match group there under),
+  // so the flow cache has one implementation; every other FN takes run_fn,
+  // which a lone packet reaches cheaper than the wave kernels' setup.
   const auto fns = views_[i].fns();
-  sample_this_packet_ = b.sampled[i] != 0;
-  for (std::size_t k = 0; k < fns.size(); ++k) {
-    const FnTriple& fn = fns[b.mirror[i] ? fns.size() - 1 - k : k];
-    if (!run_fn(fn, views_[i], b.ingress, b.now, b.run[i], b.results[i])) break;
+  const auto item = static_cast<std::uint32_t>(i);
+  for (std::size_t k = 0; k < fns.size() && b.alive[i]; ++k) {
+    b.fn_idx[i] = static_cast<std::uint8_t>(b.mirror[i] ? fns.size() - 1 - k : k);
+    const FnTriple& fn = wave_fn(b, i);
+    const OpKey key = fn.key();
+    const bool match = (key == OpKey::kMatch32 || key == OpKey::kMatch128) &&
+                       !fn.host_tagged() && env_.flow_cache != nullptr;
+    OpModule* module = match ? find_module(key) : nullptr;
+    if (module != nullptr && env_.supports(key)) {
+      wave_match(b, key, module, &item, 1);
+    } else {
+      run_fn(b, i);
+    }
   }
-  sample_this_packet_ = false;
 }
 
 void Router::run_waves(BurstState& b, std::size_t begin, std::size_t end,
@@ -357,33 +368,37 @@ void Router::wave_group(BurstState& b, std::uint8_t bucket, const std::uint32_t*
 }
 
 void Router::wave_run_items(BurstState& b, const std::uint32_t* items, std::size_t count) {
-  // Unsampled F_FIB items (and match items, which reach this kernel only on
-  // a router without a flow cache) get their FIB lookups resolved together
-  // first; their modules then take the answer instead of walking the FIB.
+  // F_FIB items (and match items the flow cache does not serve) get their
+  // FIB lookups resolved together first; their modules then take the
+  // answer instead of walking the FIB.
   const fib::Ipv4Lpm* f32 = env_.fib32_view();
   const fib::Ipv6Lpm* f128 = env_.fib128_view();
   std::uint8_t* want = arena_.alloc<std::uint8_t>(count);
   fib::NextHop* answers = arena_.alloc<fib::NextHop>(count);
-  bool any_want = false;
+  std::size_t want_n = 0;
+  bool timed = false;  // a sampled item takes an answer
   for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t p = items[k];
-    const std::size_t width = b.sampled[p] ? 0 : lpm_width(wave_fn(b, p));
+    const std::size_t width = lpm_width(wave_fn(b, items[k]));
     want[k] = width != 0 && (width == 32 ? f32 != nullptr : f128 != nullptr);
-    any_want |= want[k] != 0;
+    want_n += want[k];
+    timed |= want[k] && b.sampled[items[k]];
   }
-  if (any_want) resolve_lookups(b, items, count, want, f32, f128, answers);
+  // A sampled item's fn_ns sample adds its share of the batched walk to its
+  // module's own time.
+  std::uint64_t walk_ns = 0;
+  if (want_n != 0) {
+    const std::uint64_t t0 = timed ? telemetry::now_ns() : 0;
+    resolve_lookups(b, items, count, want, f32, f128, answers);
+    if (timed) walk_ns = (telemetry::now_ns() - t0) / want_n;
+  }
 
   for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t p = items[k];
-    sample_this_packet_ = b.sampled[p] != 0;
-    const std::optional<fib::NextHop> next_hop =
-        want[k] ? std::optional(answers[k]) : std::nullopt;
-    if (!run_fn(wave_fn(b, p), views_[p], b.ingress, b.now, b.run[p], b.results[p],
-                next_hop)) {
-      b.alive[p] = 0;
+    if (want[k]) {
+      run_fn(b, items[k], answers[k], walk_ns);
+    } else {
+      run_fn(b, items[k]);
     }
   }
-  sample_this_packet_ = false;
 }
 
 void Router::resolve_lookups(const BurstState& b, const std::uint32_t* items,
@@ -423,81 +438,96 @@ void Router::resolve_lookups(const BurstState& b, const std::uint32_t* items,
 
 void Router::wave_match(BurstState& b, OpKey key, OpModule* module,
                         const std::uint32_t* items, std::size_t count) {
+  const std::uint64_t t0 = group_sampled(b, items, count) ? telemetry::now_ns() : 0;
   FlowCache* cache = env_.flow_cache.get();
   const std::size_t want_bytes = key == OpKey::kMatch32 ? 4 : 16;
   const fib::Ipv4Lpm* f32 = key == OpKey::kMatch32 ? env_.fib32_view() : nullptr;
   const fib::Ipv6Lpm* f128 =
       key == OpKey::kMatch128 ? env_.fib128_view() : nullptr;
-  const bool view_ok = key == OpKey::kMatch32 ? f32 != nullptr : f128 != nullptr;
+  if (f32 == nullptr && f128 == nullptr) {
+    // No route table to stamp a cache generation from: nothing is cached,
+    // and the modules report the missing table themselves.
+    wave_run_items(b, items, count);
+    return;
+  }
   const std::uint64_t generation =
-      view_ok ? (f32 != nullptr ? f32->generation() : f128->generation()) : 0;
+      f32 != nullptr ? f32->generation() : f128->generation();
   const std::uint32_t cost = module->cost();
-  const std::size_t key_slot =
-      static_cast<std::size_t>(key) % env_.counters.fn_by_key.size();
 
-  // Pass A: hash every cacheable slice and prefetch its cache slot so the
-  // pass-B probes hit warm lines. Sampled packets keep the exact run_fn
-  // timing path; uncacheable slices keep run_fn's uncached module path.
-  const std::uint8_t** slices = arena_.alloc<const std::uint8_t*>(count);
-  std::uint64_t* hashes = arena_.alloc<std::uint64_t>(count);
-  std::uint8_t* fast = arena_.alloc<std::uint8_t>(count);
+  // Pass A: hash every cacheable slice (lpm_width's rule) and prefetch its
+  // cache slot so the pass-B probes hit warm lines. The rest (their slice
+  // stays null) run the uncached module through wave_run_items after this
+  // kernel: they never touch the cache, and match FNs commute across
+  // packets.
+  struct Probe {
+    const std::uint8_t* slice;
+    std::uint64_t hash;
+  };
+  Probe* probes = arena_.alloc<Probe>(count);
+  std::uint32_t* rest = nullptr;
+  std::size_t rest_n = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
-    fast[k] = 0;
-    if (b.sampled[p] || !view_ok) continue;
     const FnTriple& fn = wave_fn(b, p);
-    if (lpm_width(fn) == 0) continue;
+    if (lpm_width(fn) == 0) {
+      if (rest == nullptr) rest = arena_.alloc<std::uint32_t>(count);
+      rest[rest_n++] = items[k];
+      probes[k].slice = nullptr;
+      continue;
+    }
     const std::uint8_t* slice = views_[p].locations().data() + fn.field_loc / 8;
-    slices[k] = slice;
-    hashes[k] = FlowCache::hash({slice, want_bytes});
-    fast[k] = 1;
-    cache->prefetch(hashes[k]);
+    probes[k] = {slice, FlowCache::hash({slice, want_bytes})};
+    if (count > 1) cache->prefetch(probes[k].hash);
   }
 
   // Predict pass B's misses and resolve their FIB lookups together, on
   // the view this group read. would_hit never erases a stale entry, so
-  // pass B still probes and inserts in exactly the per-packet engine's
-  // order, with its hits, misses and evictions. An item predicted to hit
-  // that misses in pass B (an earlier insert of this group evicted it)
-  // runs its module without an answer.
-  std::uint8_t* want = arena_.alloc<std::uint8_t>(count);
-  fib::NextHop* answers = arena_.alloc<fib::NextHop>(count);
-  bool any_want = false;
-  for (std::size_t k = 0; k < count; ++k) {
-    want[k] = fast[k] && !cache->would_hit({slices[k], want_bytes}, hashes[k], generation);
-    any_want |= want[k] != 0;
+  // pass B still probes and inserts in exactly the per-packet order, with
+  // its hits, misses and evictions. An item predicted to hit that misses
+  // in pass B (an earlier insert of this group evicted it) runs its module
+  // without an answer. A group of one skips this and the prefetch: one
+  // lookup has nothing to overlap, so on a miss its module walks the FIB.
+  std::uint8_t* want = nullptr;
+  fib::NextHop* answers = nullptr;
+  if (count > 1) {
+    want = arena_.alloc<std::uint8_t>(count);
+    answers = arena_.alloc<fib::NextHop>(count);
+    bool any_want = false;
+    for (std::size_t k = 0; k < count; ++k) {
+      want[k] = probes[k].slice != nullptr &&
+                !cache->would_hit({probes[k].slice, want_bytes}, probes[k].hash,
+                                  generation);
+      any_want |= want[k] != 0;
+    }
+    if (any_want) resolve_lookups(b, items, count, want, f32, f128, answers);
   }
-  if (any_want) resolve_lookups(b, items, count, want, f32, f128, answers);
 
   // Pass B, in arrival order (a miss's insert must be visible to the next
-  // identical flow, exactly as the per-packet engine fills the cache).
+  // identical flow, exactly as packets one at a time fill the cache).
   // Counter deltas stay local and flush once per group: the relaxed
   // fetch_adds were the single largest per-packet cost on this path.
   std::uint64_t executed = 0;
+  std::uint64_t sampled = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   for (std::size_t k = 0; k < count; ++k) {
+    if (probes[k].slice == nullptr) continue;
     const std::size_t p = items[k];
     ProcessResult& result = b.results[p];
     FnRunState& state = b.run[p];
-    if (!fast[k]) {
-      sample_this_packet_ = b.sampled[p] != 0;
-      if (!run_fn(wave_fn(b, p), views_[p], b.ingress, b.now, state, result)) {
-        b.alive[p] = 0;
-      }
-      sample_this_packet_ = false;
-      continue;
-    }
     if (cost > state.budget) {
       result.drop(DropReason::kBudgetExhausted);
       b.alive[p] = 0;
       continue;
     }
     state.budget -= cost;
-    const std::span<const std::uint8_t> slice{slices[k], want_bytes};
+    const std::span<const std::uint8_t> slice{probes[k].slice, want_bytes};
     ++executed;
+    sampled += b.sampled[p];
     if (const FlowCache::Verdict* v =
-            cache->find_hashed(slice, hashes[k], generation)) {
+            cache->find_hashed(slice, probes[k].hash, generation)) {
+      // The memoized verdict is exactly what the module would compute
+      // under this FIB generation; counters advance as if it had run.
       ++hits;
       if (v->no_route) {
         result.drop(DropReason::kNoRoute);
@@ -520,7 +550,7 @@ void Router::wave_match(BurstState& b, OpKey key, OpModule* module,
     ctx.env = &env_;
     ctx.result = &result;
     ctx.scratch = &state.scratch;
-    if (want[k]) ctx.next_hop = answers[k];
+    if (want != nullptr && want[k]) ctx.next_hop = answers[k];
     const bool egress_was_empty = result.egress.empty();
     if (const auto st = module->execute(ctx); !st) {
       result.drop(DropReason::kMalformed);
@@ -536,14 +566,15 @@ void Router::wave_match(BurstState& b, OpKey key, OpModule* module,
     }
     if (result.action != Action::kForward) b.alive[p] = 0;
   }
-  env_.counters.fn_executed += executed;
-  env_.counters.fn_by_key[key_slot] += executed;
   if (hits != 0) env_.counters.flow_cache_hits += hits;
   if (misses != 0) env_.counters.flow_cache_misses += misses;
+  record_kernel(key, t0, executed, sampled);
+  if (rest_n != 0) wave_run_items(b, rest, rest_n);
 }
 
 void Router::wave_parm(BurstState& b, OpModule* module, const std::uint32_t* items,
                        std::size_t count) {
+  const std::uint64_t t0 = group_sampled(b, items, count) ? telemetry::now_ns() : 0;
   // One AES key schedule for the whole group: K_i = AES_{node_secret}(sid_i)
   // is multi-block under the router's cached schedule (rebuilt only when
   // the node secret changes).
@@ -554,25 +585,21 @@ void Router::wave_parm(BurstState& b, OpModule* module, const std::uint32_t* ite
     drkey_secret_ = env_.node_secret;
   }
   const std::uint32_t cost = module->cost();
-  const std::size_t key_slot =
-      static_cast<std::size_t>(OpKey::kParm) % env_.counters.fn_by_key.size();
 
   crypto::SessionId* sids = arena_.alloc<crypto::SessionId>(count);
   crypto::Block* keys = arena_.alloc<crypto::Block>(count);
   std::uint32_t* lanes = arena_.alloc<std::uint32_t>(count);
+  std::uint32_t* rest = arena_.alloc<std::uint32_t>(count);
   std::size_t lane_n = 0;
-  std::uint64_t executed = 0;
+  std::size_t rest_n = 0;
+  std::uint64_t sampled = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
     FnRunState& state = b.run[p];
-    const FnTriple& fn = wave_fn(b, p);
-    const bytes::BitRange range = fn.range();
-    if (b.sampled[p] || range.bit_length != 128 || !range.byte_aligned()) {
-      // ParmOp's malformed-field errors (and sampled timing) keep the
-      // exact run_fn path.
-      sample_this_packet_ = b.sampled[p] != 0;
-      if (!run_fn(fn, views_[p], b.ingress, b.now, state, b.results[p])) b.alive[p] = 0;
-      sample_this_packet_ = false;
+    const bytes::BitRange range = wave_fn(b, p).range();
+    if (range.bit_length != 128 || !range.byte_aligned()) {
+      // ParmOp's malformed-field errors: wave_run_items, after this kernel.
+      rest[rest_n++] = items[k];
       continue;
     }
     if (cost > state.budget) {
@@ -581,7 +608,7 @@ void Router::wave_parm(BurstState& b, OpModule* module, const std::uint32_t* ite
       continue;
     }
     state.budget -= cost;
-    ++executed;
+    sampled += b.sampled[p];
     sids[lane_n] = crypto::block_from(
         views_[p].locations().subspan(range.bit_offset / 8, 16));
     lanes[lane_n] = static_cast<std::uint32_t>(p);
@@ -593,8 +620,8 @@ void Router::wave_parm(BurstState& b, OpModule* module, const std::uint32_t* ite
       b.run[lanes[k]].scratch.dynamic_key = keys[k];
     }
   }
-  env_.counters.fn_executed += executed;
-  env_.counters.fn_by_key[key_slot] += executed;
+  record_kernel(OpKey::kParm, t0, lane_n, sampled);
+  if (rest_n != 0) wave_run_items(b, rest, rest_n);
 }
 
 void Router::wave_mac(BurstState& b, OpModule* module, const std::uint32_t* items,
@@ -603,25 +630,22 @@ void Router::wave_mac(BurstState& b, OpModule* module, const std::uint32_t* item
   // shared P1/P2 permutations (two_em_mac_blocks), instead of one serial
   // CMAC per packet. kEm2 only — the dispatcher routes kAesCmac nodes to
   // the per-item path.
+  const std::uint64_t t0 = group_sampled(b, items, count) ? telemetry::now_ns() : 0;
   const std::uint32_t cost = module->cost();
-  const std::size_t key_slot =
-      static_cast<std::size_t>(OpKey::kMac) % env_.counters.fn_by_key.size();
   crypto::MacBatchItem* batch = arena_.alloc<crypto::MacBatchItem>(count);
+  std::uint32_t* rest = arena_.alloc<std::uint32_t>(count);
   std::size_t batch_n = 0;
-  std::uint64_t executed = 0;
+  std::size_t rest_n = 0;
+  std::uint64_t sampled = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t p = items[k];
     FnRunState& state = b.run[p];
-    const FnTriple& fn = wave_fn(b, p);
-    const bytes::BitRange range = fn.range();
-    const bool batchable = !b.sampled[p] && state.scratch.dynamic_key.has_value() &&
-                           range.byte_aligned() && range.bit_length != 0;
-    if (!batchable) {
-      // Missing F_parm (kState error), unaligned/empty coverage, or a
-      // sampled packet: exact run_fn semantics.
-      sample_this_packet_ = b.sampled[p] != 0;
-      if (!run_fn(fn, views_[p], b.ingress, b.now, state, b.results[p])) b.alive[p] = 0;
-      sample_this_packet_ = false;
+    const bytes::BitRange range = wave_fn(b, p).range();
+    if (!state.scratch.dynamic_key.has_value() || !range.byte_aligned() ||
+        range.bit_length == 0) {
+      // Missing F_parm (kState error) or unaligned/empty coverage: MacOp's
+      // own handling through wave_run_items, after this kernel.
+      rest[rest_n++] = items[k];
       continue;
     }
     if (cost > state.budget) {
@@ -630,7 +654,7 @@ void Router::wave_mac(BurstState& b, OpModule* module, const std::uint32_t* item
       continue;
     }
     state.budget -= cost;
-    ++executed;
+    sampled += b.sampled[p];
     state.scratch.mac.emplace();
     new (&batch[batch_n]) crypto::MacBatchItem{
         *state.scratch.dynamic_key,
@@ -641,8 +665,29 @@ void Router::wave_mac(BurstState& b, OpModule* module, const std::uint32_t* item
     ++batch_n;
   }
   if (batch_n != 0) crypto::two_em_mac_blocks({batch, batch_n});
+  record_kernel(OpKey::kMac, t0, batch_n, sampled);
+  if (rest_n != 0) wave_run_items(b, rest, rest_n);
+}
+
+bool Router::group_sampled(const BurstState& b, const std::uint32_t* items,
+                           std::size_t count) noexcept {
+  if (!b.timed) return false;
+  for (std::size_t k = 0; k < count; ++k) {
+    if (b.sampled[items[k]]) return true;
+  }
+  return false;
+}
+
+void Router::record_kernel(OpKey key, std::uint64_t t0, std::uint64_t executed,
+                           std::uint64_t sampled) {
+  const std::size_t slot = static_cast<std::size_t>(key) % env_.counters.fn_by_key.size();
   env_.counters.fn_executed += executed;
-  env_.counters.fn_by_key[key_slot] += executed;
+  env_.counters.fn_by_key[slot] += executed;
+  if (sampled == 0) return;
+  // Every execution's share of the kernel's wall time, once per sampled
+  // packet it ran: fn_ns[slot].count stays the sampled executions.
+  const std::uint64_t share = (telemetry::now_ns() - t0) / executed;
+  for (; sampled != 0; --sampled) env_.stats->fn_ns[slot].record(share);
 }
 
 void Router::record_trace(const HeaderView& view, FaceId ingress, SimTime now,
@@ -735,147 +780,68 @@ void Router::refresh_module_table() {
   module_epoch_ = registry_->epoch();
 }
 
-bool Router::run_fn(const FnTriple& fn, HeaderView& view, FaceId ingress, SimTime now,
-                    FnRunState& state, ProcessResult& result,
-                    std::optional<fib::NextHop> next_hop) {
+// Inline: this is the per-FN call of a lone packet and of the fallback
+// kernel, where an out-of-line call costs a lone packet measurably.
+inline void Router::run_fn(BurstState& b, std::size_t p,
+                           std::optional<fib::NextHop> next_hop, std::uint64_t walk_ns) {
+  const FnTriple& fn = wave_fn(b, p);
+  ProcessResult& result = b.results[p];
   // Algorithm 1, line 5: host-tagged operations are skipped by routers.
   if (fn.host_tagged()) {
     ++env_.counters.fn_skipped_host;
-    return true;
+    return;
   }
 
-  OpModule* module = find_module(fn.key());
-  if (module == nullptr || !env_.supports(fn.key())) {
+  const OpKey key = fn.key();
+  OpModule* module = find_module(key);
+  if (module == nullptr || !env_.supports(key)) {
     // §2.4 heterogeneous configuration: a path-critical FN that this node
     // cannot honor triggers an ICMP-like notification; others are skipped.
-    const auto info = fn_info(fn.key());
+    const auto info = fn_info(key);
     if (info && info->requires_full_path) {
-      result.fail_unsupported(fn.key());
-      return false;
+      result.fail_unsupported(key);
+      b.alive[p] = 0;
+      return;
     }
     ++env_.counters.fn_skipped_optional;
-    return true;
+    return;
   }
 
+  FnRunState& state = b.run[p];
   const std::uint32_t cost = module->cost();
   if (cost > state.budget) {
     // §2.4: hard per-packet processing limit.
     result.drop(DropReason::kBudgetExhausted);
-    return false;
+    b.alive[p] = 0;
+    return;
   }
   state.budget -= cost;
 
-  const OpKey key = fn.key();
   const std::size_t key_idx =
       static_cast<std::size_t>(key) % env_.counters.fn_by_key.size();
   // Per-FN latency, recorded only for packets the stats sampler picked
-  // (sample_this_packet_ is always false with stats disabled).
-  const std::uint64_t t0 = sample_this_packet_ ? telemetry::now_ns() : 0;
-
-  bool ok;
-  if (env_.flow_cache != nullptr &&
-      (key == OpKey::kMatch32 || key == OpKey::kMatch128)) {
-    ok = run_match(fn, module, view, ingress, now, state, result);
-  } else {
-    OpContext ctx;
-    ctx.locations = view.locations();
-    ctx.field = fn.range();
-    ctx.fn = fn;
-    ctx.payload = view.payload();
-    ctx.ingress = ingress;
-    ctx.now = now;
-    ctx.env = &env_;
-    ctx.result = &result;
-    ctx.scratch = &state.scratch;
-    ctx.next_hop = next_hop;
-
-    ++env_.counters.fn_executed;
-    ++env_.counters.fn_by_key[key_idx];
-    if (const auto st = module->execute(ctx); !st) {
-      result.drop(DropReason::kMalformed);
-      ok = false;
-    } else {
-      ok = result.action == Action::kForward;
-    }
-  }
-
-  if (sample_this_packet_) {
-    env_.stats->fn_ns[key_idx].record(telemetry::now_ns() - t0);
-  }
-  return ok;
-}
-
-bool Router::run_match(const FnTriple& fn, OpModule* module, HeaderView& view,
-                       FaceId ingress, SimTime now, FnRunState& state,
-                       ProcessResult& result) {
-  const OpKey key = fn.key();
-  const auto key_idx = static_cast<std::size_t>(key) % env_.counters.fn_by_key.size();
-  const bytes::BitRange range = fn.range();
-
-  // The cache key is the sliced match field. Only the canonical byte-aligned
-  // widths are memoized; anything else takes the module path untouched.
-  std::span<const std::uint8_t> slice;
-  std::uint64_t generation = 0;
-  bool cacheable = false;
-  if (range.byte_aligned()) {
-    const std::size_t len_bytes = range.bit_length / 8;
-    const bool width_ok = (key == OpKey::kMatch32 && len_bytes == 4) ||
-                          (key == OpKey::kMatch128 && len_bytes == 16);
-    const fib::Ipv4Lpm* f32 = env_.fib32_view();
-    const fib::Ipv6Lpm* f128 = env_.fib128_view();
-    if (width_ok && (key == OpKey::kMatch32 ? f32 != nullptr : f128 != nullptr)) {
-      slice = view.locations().subspan(range.bit_offset / 8, len_bytes);
-      generation = key == OpKey::kMatch32 ? f32->generation() : f128->generation();
-      cacheable = true;
-    }
-  }
-
-  if (cacheable) {
-    if (const FlowCache::Verdict* v = env_.flow_cache->find(slice, generation)) {
-      // The memoized verdict is exactly what the module would compute under
-      // this FIB generation; counters advance as if it had run.
-      ++env_.counters.flow_cache_hits;
-      ++env_.counters.fn_executed;
-      ++env_.counters.fn_by_key[key_idx];
-      if (v->no_route) {
-        result.drop(DropReason::kNoRoute);
-        return false;
-      }
-      result.egress.assign(1, v->egress);
-      return result.action == Action::kForward;
-    }
-    ++env_.counters.flow_cache_misses;
-  }
+  // (never with stats disabled).
+  const bool sampled = b.sampled[p] != 0;
+  const std::uint64_t t0 = sampled ? telemetry::now_ns() : 0;
 
   OpContext ctx;
-  ctx.locations = view.locations();
-  ctx.field = range;
+  ctx.locations = views_[p].locations();
+  ctx.field = fn.range();
   ctx.fn = fn;
-  ctx.payload = view.payload();
-  ctx.ingress = ingress;
-  ctx.now = now;
+  ctx.payload = views_[p].payload();
+  ctx.ingress = b.ingress;
+  ctx.now = b.now;
   ctx.env = &env_;
   ctx.result = &result;
   ctx.scratch = &state.scratch;
+  ctx.next_hop = next_hop;
 
   ++env_.counters.fn_executed;
   ++env_.counters.fn_by_key[key_idx];
-  const bool egress_was_empty = result.egress.empty();
-  if (const auto st = module->execute(ctx); !st) {
-    result.drop(DropReason::kMalformed);
-    return false;
-  }
+  if (const auto st = module->execute(ctx); !st) result.drop(DropReason::kMalformed);
+  if (result.action != Action::kForward) b.alive[p] = 0;
 
-  if (cacheable) {
-    if (result.action == Action::kForward && egress_was_empty &&
-        result.egress.size() == 1) {
-      env_.flow_cache->insert(slice, generation, {result.egress[0], false});
-    } else if (result.action == Action::kDrop &&
-               result.reason == DropReason::kNoRoute) {
-      env_.flow_cache->insert(slice, generation, {0, true});
-    }
-  }
-  return result.action == Action::kForward;
+  if (sampled) env_.stats->fn_ns[key_idx].record(telemetry::now_ns() - t0 + walk_ns);
 }
 
 }  // namespace dip::core

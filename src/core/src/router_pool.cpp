@@ -87,16 +87,25 @@ std::size_t RouterPool::shard_of(std::span<const std::uint8_t> packet,
 std::size_t RouterPool::submit(std::vector<std::uint8_t> packet, FaceId ingress,
                                SimTime now) {
   const std::size_t idx = shard_of(packet, workers_.size());
-  Worker& w = *workers_[idx];
   Item item{std::move(packet), ingress, now};
-  while (!w.ring.try_push(std::move(item))) {
-    if (config_.overload == OverloadPolicy::kShed) {
-      shed(idx, item);
-      return idx;
-    }
-    // Ring full: make sure the worker is draining it, then yield.
+  while (!enqueue(*workers_[idx], item)) std::this_thread::yield();
+  return idx;
+}
+
+std::optional<std::size_t> RouterPool::try_submit(std::vector<std::uint8_t> packet,
+                                                  FaceId ingress, SimTime now) {
+  const std::size_t idx = shard_of(packet, workers_.size());
+  Item item{std::move(packet), ingress, now};
+  if (enqueue(*workers_[idx], item)) return idx;
+  shed(idx, item);
+  return std::nullopt;
+}
+
+bool RouterPool::enqueue(Worker& w, Item& item) {
+  if (!w.ring.try_push(std::move(item))) {
+    // Ring full: make sure the worker is draining it.
     if (w.parked.exchange(false, std::memory_order_seq_cst)) wake(w);
-    std::this_thread::yield();
+    return false;
   }
   ++w.submitted;
   // Dekker handshake with the worker's park sequence (store parked; fence;
@@ -111,28 +120,7 @@ std::size_t RouterPool::submit(std::vector<std::uint8_t> packet, FaceId ingress,
       w.parked.exchange(false, std::memory_order_seq_cst)) {
     wake(w);
   }
-  return idx;
-}
-
-std::optional<std::size_t> RouterPool::try_submit(std::vector<std::uint8_t> packet,
-                                                  FaceId ingress, SimTime now) {
-  const std::size_t idx = shard_of(packet, workers_.size());
-  Worker& w = *workers_[idx];
-  Item item{std::move(packet), ingress, now};
-  if (!w.ring.try_push(std::move(item))) {
-    // Nudge the worker so the overload clears, then shed this packet.
-    if (w.parked.exchange(false, std::memory_order_seq_cst)) wake(w);
-    shed(idx, item);
-    return std::nullopt;
-  }
-  ++w.submitted;
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (w.ring.size() >= w.wake_threshold &&
-      w.parked.load(std::memory_order_relaxed) &&
-      w.parked.exchange(false, std::memory_order_seq_cst)) {
-    wake(w);
-  }
-  return idx;
+  return true;
 }
 
 void RouterPool::shed(std::size_t worker, Item& item) {
@@ -259,61 +247,20 @@ std::string_view key_slot_name(std::size_t slot) {
 }  // namespace
 
 void RouterPool::write_stats(telemetry::StatsWriter& w) const {
-  // Fleet view: aggregated counters, then latency histograms merged across
-  // every worker that has RouterEnv::stats installed.
+  // Fleet view: aggregated counters, then the RouterStats series merged
+  // across every worker that has RouterEnv::stats installed.
   telemetry::write_counter_snapshot(w, counters(), {}, &key_slot_name);
   w.counter("dip_shed_total", {}, shed_total());
 
-  telemetry::HistogramSnapshot bind, validate, dispatch;
-  std::array<telemetry::HistogramSnapshot, telemetry::RouterStats::kOpKeySlots> fn{};
-  std::uint64_t sampled = 0;
-  std::uint64_t trace_dropped = 0;
-  std::uint64_t burst_packets = 0, burst_bound = 0, burst_wave = 0,
-                burst_legacy = 0;
-  std::uint64_t arena_high_water = 0, arena_capacity = 0;
+  telemetry::RouterStats::Snapshot merged;
   bool any_stats = false;
   for (const auto& worker : workers_) {
-    const telemetry::RouterStats* stats = worker->router->env().stats.get();
-    if (stats == nullptr) continue;
-    any_stats = true;
-    bind += stats->phase_bind.snapshot();
-    validate += stats->phase_validate.snapshot();
-    dispatch += stats->phase_dispatch.snapshot();
-    for (std::size_t k = 0; k < fn.size(); ++k) fn[k] += stats->fn_ns[k].snapshot();
-    sampled += stats->trace.pushed();
-    trace_dropped += stats->trace.dropped();
-    burst_packets += stats->burst_packets.load();
-    burst_bound += stats->burst_bound.load();
-    burst_wave += stats->burst_wave.load();
-    burst_legacy += stats->burst_legacy.load();
-    arena_high_water = std::max(arena_high_water, stats->arena_high_water.load());
-    arena_capacity += stats->arena_capacity.load();
-  }
-  if (any_stats) {
-    const telemetry::Label bind_l[] = {{"phase", "bind"}};
-    const telemetry::Label validate_l[] = {{"phase", "validate"}};
-    const telemetry::Label dispatch_l[] = {{"phase", "dispatch"}};
-    telemetry::write_histogram(w, "dip_phase_latency_ns", bind_l, bind);
-    telemetry::write_histogram(w, "dip_phase_latency_ns", validate_l, validate);
-    telemetry::write_histogram(w, "dip_phase_latency_ns", dispatch_l, dispatch);
-    for (std::size_t k = 0; k < fn.size(); ++k) {
-      if (fn[k].count == 0) continue;
-      const telemetry::Label fn_l[] = {{"fn", key_slot_name(k)}};
-      telemetry::write_histogram(w, "dip_fn_latency_ns", fn_l, fn[k]);
+    if (const telemetry::RouterStats* stats = worker->router->env().stats.get()) {
+      merged += stats->snapshot();
+      any_stats = true;
     }
-    w.counter("dip_trace_sampled_total", {}, sampled);
-    w.counter("dip_trace_dropped_total", {}, trace_dropped);
-    // Burst-pipeline occupancy and arena footprint (fleet: counters sum,
-    // high-water takes the max across workers, capacity sums the retained
-    // per-worker reserves).
-    w.counter("dip_burst_packets_total", {}, burst_packets);
-    w.counter("dip_burst_bound_total", {}, burst_bound);
-    w.counter("dip_burst_wave_total", {}, burst_wave);
-    w.counter("dip_burst_legacy_total", {}, burst_legacy);
-    w.gauge("dip_arena_high_water_bytes", {},
-            static_cast<double>(arena_high_water));
-    w.gauge("dip_arena_capacity_bytes", {}, static_cast<double>(arena_capacity));
   }
+  if (any_stats) telemetry::write_router_stats(w, merged, {}, &key_slot_name);
 
   // Per-worker series: the fleet counters above are exactly the sum of
   // these (stats_test pins that invariant), plus live queue depths.

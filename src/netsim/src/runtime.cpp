@@ -113,7 +113,7 @@ void NodeRuntime::write_router_stats(telemetry::StatsWriter& w) const {
   };
   telemetry::write_counter_snapshot(w, env().counters.snapshot(), labels, +namer);
   if (const telemetry::RouterStats* stats = env().stats.get()) {
-    telemetry::write_router_stats(w, *stats, labels, +namer);
+    telemetry::write_router_stats(w, stats->snapshot(), labels, +namer);
   }
 }
 

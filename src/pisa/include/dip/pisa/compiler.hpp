@@ -107,8 +107,7 @@ struct PlacementReport {
 };
 
 struct CompileOptions {
-  bool aes_mac = false;   ///< F_MAC uses AES (10 rounds/block + resubmit)
-  bool parallel = false;  ///< packet-parameter parallel bit (§2.2)
+  bool aes_mac = false;  ///< F_MAC uses AES (10 rounds/block + resubmit)
 };
 
 class StageCompiler {

@@ -63,13 +63,11 @@ struct SwitchCostBreakdown {
   [[nodiscard]] Cycles total() const noexcept { return parse + match + crypto + transit; }
 };
 
-/// Price a whole FN program. `parallel` models the packet-parameter bit: FN
-/// module costs combine by max instead of sum where data-independent (§2.2,
-/// the modular-parallelism flag).
+/// Price a whole FN program: the router-side FN modules' costs add (the
+/// switch runs them in sequence).
 [[nodiscard]] SwitchCostBreakdown estimate_protocol_cycles(
     std::span<const core::FnTriple> fns, std::size_t locations_bytes,
-    const CostModel& model = default_cost_model(), bool parallel = false,
-    bool aes_mac = false);
+    const CostModel& model = default_cost_model(), bool aes_mac = false);
 
 /// Build a PISA parser that walks a real DIP packet: basic header, then one
 /// state per FN triple (unrolled — constraint 1), then the locations block

@@ -301,8 +301,8 @@ PlacementReport StageCompiler::compile(std::span<const FnTriple> fns,
       r.sram_bits += stage.sram_bits;
       r.tcam_bits += stage.tcam_bits;
     }
-    const SwitchCostBreakdown pass_cost = estimate_protocol_cycles(
-        pass.fns, locations_bytes, costs_, opts.parallel, opts.aes_mac);
+    const SwitchCostBreakdown pass_cost =
+        estimate_protocol_cycles(pass.fns, locations_bytes, costs_, opts.aes_mac);
     cycles += pass_cost.total();
     resubmissions += pass_cost.resubmissions;
   }

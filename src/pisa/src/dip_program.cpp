@@ -117,8 +117,7 @@ FnSwitchProfile fn_switch_profile(const FnTriple& fn, bool aes_mac) noexcept {
 
 SwitchCostBreakdown estimate_protocol_cycles(std::span<const FnTriple> fns,
                                              std::size_t locations_bytes,
-                                             const CostModel& model, bool parallel,
-                                             bool aes_mac) {
+                                             const CostModel& model, bool aes_mac) {
   SwitchCostBreakdown out;
   out.transit = model.pipeline_transit;
 
@@ -127,29 +126,16 @@ SwitchCostBreakdown estimate_protocol_cycles(std::span<const FnTriple> fns,
   const std::size_t parse_states = 1 + fns.size() + (locations_bytes + 3) / 4;
   out.parse = parse_states * model.parser_state;
 
-  Cycles match_sum = 0;
-  Cycles match_max = 0;
-  Cycles crypto_sum = 0;
-  Cycles crypto_max = 0;
-
+  // FN modules run in sequence: the ladder is a chain of dependent
+  // predicates, so their costs add.
   for (const FnTriple& fn : fns) {
     if (fn.host_tagged()) continue;  // switch skips host operations
     const FnSwitchProfile p = fn_switch_profile(fn, aes_mac);
-    const Cycles match = p.exact_lookups * model.table_exact +
-                         p.lpm_lookups * model.table_lpm +
-                         p.ternary_lookups * model.table_ternary +
-                         p.alu_ops * model.alu_op;
-    const Cycles crypto = p.crypto_rounds * model.crypto_round;
-    match_sum += match;
-    crypto_sum += crypto;
-    match_max = std::max(match_max, match);
-    crypto_max = std::max(crypto_max, crypto);
+    out.match += p.exact_lookups * model.table_exact + p.lpm_lookups * model.table_lpm +
+                 p.ternary_lookups * model.table_ternary + p.alu_ops * model.alu_op;
+    out.crypto += p.crypto_rounds * model.crypto_round;
     out.resubmissions += p.resubmits;
   }
-
-  // The packet-parameter parallel bit (§2.2): independent modules overlap.
-  out.match = parallel ? match_max : match_sum;
-  out.crypto = parallel ? crypto_max : crypto_sum;
 
   // Each resubmission re-runs the pipeline transit.
   out.transit += out.resubmissions * (model.pipeline_transit + model.resubmit_penalty);

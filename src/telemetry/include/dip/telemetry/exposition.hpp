@@ -1,7 +1,7 @@
 // Text exposition: Prometheus-style `name{label="v"} value` rendering.
 //
 // StatsWriter formats individual series lines; the write_* helpers render
-// whole snapshots (counters, histograms, a RouterStats block); and
+// whole snapshots (counters, histograms, a RouterStats snapshot); and
 // StatsRegistry collects named render callbacks so a process can compose
 // one exposition page from many sources (a RouterPool, simulator nodes,
 // app-level gauges) — the shape dump_stats() builds on.
@@ -152,40 +152,40 @@ inline void write_histogram(StatsWriter& w, std::string_view name,
   w.counter(std::string(name) + "_sum", base, h.sum);
 }
 
-/// Render a RouterStats block: phase + per-OpKey latency histograms and the
-/// trace ring's sampling meters.
-inline void write_router_stats(StatsWriter& w, const RouterStats& stats,
+/// Render a RouterStats snapshot (one router's, or several merged):
+/// phase + per-OpKey latency histograms, the trace ring's sampling meters,
+/// and the burst-pipeline occupancy and arena series.
+inline void write_router_stats(StatsWriter& w, const RouterStats::Snapshot& stats,
                                std::span<const Label> base,
                                KeyNamer namer = nullptr) {
   struct Phase {
     std::string_view name;
-    const LatencyHistogram& hist;
+    const HistogramSnapshot& hist;
   };
   const Phase phases[] = {{"bind", stats.phase_bind},
                           {"validate", stats.phase_validate},
                           {"dispatch", stats.phase_dispatch}};
   for (const auto& p : phases) {
     const auto labels = detail::with_label(base, {"phase", p.name});
-    write_histogram(w, "dip_phase_latency_ns", labels, p.hist.snapshot());
+    write_histogram(w, "dip_phase_latency_ns", labels, p.hist);
   }
   for (std::size_t i = 0; i < stats.fn_ns.size(); ++i) {
-    const HistogramSnapshot h = stats.fn_ns[i].snapshot();
+    const HistogramSnapshot& h = stats.fn_ns[i];
     if (h.count == 0) continue;
     const std::string fallback = "key" + std::to_string(i);
     const std::string_view name = namer != nullptr ? namer(i) : fallback;
     const auto labels = detail::with_label(base, {"fn", name});
     write_histogram(w, "dip_fn_latency_ns", labels, h);
   }
-  w.counter("dip_trace_sampled_total", base, stats.trace.pushed());
-  w.counter("dip_trace_dropped_total", base, stats.trace.dropped());
-  w.counter("dip_burst_packets_total", base, stats.burst_packets.load());
-  w.counter("dip_burst_bound_total", base, stats.burst_bound.load());
-  w.counter("dip_burst_wave_total", base, stats.burst_wave.load());
-  w.counter("dip_burst_legacy_total", base, stats.burst_legacy.load());
+  w.counter("dip_trace_sampled_total", base, stats.trace_sampled);
+  w.counter("dip_trace_dropped_total", base, stats.trace_dropped);
+  w.counter("dip_burst_packets_total", base, stats.burst_packets);
+  w.counter("dip_burst_bound_total", base, stats.burst_bound);
+  w.counter("dip_burst_wave_total", base, stats.burst_wave);
+  w.counter("dip_burst_legacy_total", base, stats.burst_legacy);
   w.gauge("dip_arena_high_water_bytes", base,
-          static_cast<double>(stats.arena_high_water.load()));
-  w.gauge("dip_arena_capacity_bytes", base,
-          static_cast<double>(stats.arena_capacity.load()));
+          static_cast<double>(stats.arena_high_water));
+  w.gauge("dip_arena_capacity_bytes", base, static_cast<double>(stats.arena_capacity));
 }
 
 /// Named render callbacks composing one exposition page. Registration is

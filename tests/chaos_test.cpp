@@ -391,56 +391,6 @@ TEST(Chaos, PoolShedsDeterministicallyWhenRingIsFull) {
   EXPECT_NE(page.find("dip_worker_shed_total{worker=\"0\"} 5"), std::string::npos);
 }
 
-TEST(Chaos, SubmitShedsUnderShedPolicyInsteadOfBlocking) {
-  // Under OverloadPolicy::kShed the blocking submit() path sheds too — a
-  // dispatcher that never learned about try_submit still cannot stall.
-  auto registry = netsim::make_default_registry();
-  std::mutex m;
-  std::condition_variable cv;
-  bool worker_blocked = false;
-  bool release = false;
-  std::atomic<std::uint64_t> first{0};
-
-  core::RouterPoolConfig config;
-  config.workers = 1;
-  config.ring_capacity = 2;
-  config.max_batch = 1;
-  config.overload = core::OverloadPolicy::kShed;
-  core::RouterPool pool(
-      registry.get(),
-      [](std::size_t) {
-        auto env = netsim::make_basic_env(0);
-        env.default_egress = 1;
-        return env;
-      },
-      config,
-      [&](std::size_t, core::RouterPool::Item&, core::ProcessResult& result) {
-        if (result.reason == core::DropReason::kOverloadShed) return;
-        if (++first == 1) {
-          std::unique_lock<std::mutex> lk(m);
-          worker_blocked = true;
-          cv.notify_all();
-          cv.wait(lk, [&] { return release; });
-        }
-      });
-  pool.submit(dip32_packet(0), 0, 0);
-  {
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return worker_blocked; });
-  }
-  pool.submit(dip32_packet(1), 0, 0);
-  pool.submit(dip32_packet(2), 0, 0);
-  pool.submit(dip32_packet(3), 0, 0);  // would deadlock under kBlock
-  EXPECT_EQ(pool.shed_total(), 1u);
-  {
-    std::lock_guard<std::mutex> lk(m);
-    release = true;
-  }
-  cv.notify_all();
-  pool.drain();
-  pool.stop();
-}
-
 // ---------- host-side recovery ----------
 
 TEST(Chaos, NdnConsumerSurvivesInjectedLossWithBackoff) {

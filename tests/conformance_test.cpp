@@ -672,7 +672,6 @@ TEST(Conformance, PoolShedsVisiblyUnderOverload) {
   core::RouterPoolConfig cfg;
   cfg.workers = 1;
   cfg.ring_capacity = 2;
-  cfg.overload = core::OverloadPolicy::kShed;
   core::RouterPool pool(
       registry.get(), make_env_factory(tables), cfg,
       [&](std::size_t, core::RouterPool::Item&, core::ProcessResult& result) {

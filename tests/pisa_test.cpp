@@ -232,8 +232,8 @@ struct ProtocolCost {
 };
 
 SwitchCostBreakdown cost_of(std::span<const FnTriple> fns, std::size_t loc_bytes,
-                            bool parallel = false, bool aes = false) {
-  return estimate_protocol_cycles(fns, loc_bytes, default_cost_model(), parallel, aes);
+                            bool aes = false) {
+  return estimate_protocol_cycles(fns, loc_bytes, default_cost_model(), aes);
 }
 
 TEST(Figure2Shape, OrderingMatchesPaper) {
@@ -265,19 +265,11 @@ TEST(Figure2Shape, OrderingMatchesPaper) {
 
 TEST(Figure2Shape, AesMacNeedsResubmitAndCostsMore) {
   const auto fns = opt::opt_fn_triples();
-  const auto em2 = cost_of(fns, opt::kBlockBytes, false, /*aes=*/false);
-  const auto aes = cost_of(fns, opt::kBlockBytes, false, /*aes=*/true);
+  const auto em2 = cost_of(fns, opt::kBlockBytes, /*aes=*/false);
+  const auto aes = cost_of(fns, opt::kBlockBytes, /*aes=*/true);
   EXPECT_EQ(em2.resubmissions, 0u) << "2EM completes in one pass (4.1)";
   EXPECT_EQ(aes.resubmissions, 1u) << "AES resubmits the packet (4.1)";
   EXPECT_GT(aes.total(), em2.total());
-}
-
-TEST(Figure2Shape, ParallelFlagReducesCost) {
-  const auto fns = opt::opt_fn_triples();
-  const auto seq = cost_of(fns, opt::kBlockBytes, /*parallel=*/false);
-  const auto par = cost_of(fns, opt::kBlockBytes, /*parallel=*/true);
-  EXPECT_LE(par.total(), seq.total());
-  EXPECT_LT(par.match, seq.match);
 }
 
 TEST(Figure2Shape, HostTaggedFnsCostNothingOnSwitch) {

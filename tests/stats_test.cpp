@@ -6,6 +6,7 @@
 // docs/OBSERVABILITY.md — change that doc if you change the format here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <map>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "dip/netsim/dip_node.hpp"
 #include "dip/netsim/topology.hpp"
 #include "dip/telemetry/exposition.hpp"
+#include "support/conformance.hpp"
 
 namespace dip::telemetry {
 namespace {
@@ -367,6 +369,68 @@ TEST(RouterStatsWiring, SamplerPicksAreDeterministicAcrossReplays) {
   const auto second = run(8);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, (std::vector<std::uint64_t>{0, 8, 16, 24, 32, 40, 48}));
+}
+
+// A sampled packet runs exactly the code an unsampled one runs, so the
+// per-FN histograms time the path every packet takes. One router samples
+// every packet and burst, its twin installs no stats; fed the conformance
+// stream in the same bursts, they agree on every verdict, rewritten byte,
+// flow-cache hit, miss and eviction and every execution count, and the
+// sampled router holds exactly one fn_ns sample per execution of each key.
+TEST(RouterStatsWiring, SampledRouterRunsTheUnsampledPathAndTimesEveryExecution) {
+  namespace cf = dip::conformance;
+  namespace w = dip::proptest::world;
+  const cf::SharedTables tables = cf::make_shared_tables();
+  const auto registry = cf::make_registry(/*with_dps=*/false);
+  const core::EnvFactory envf = cf::make_env_factory(tables);
+  core::RouterEnv sampled_env = envf(0);
+  sampled_env.stats = make_router_stats({.sample_period = 1, .burst_period = 1});
+  core::Router sampled(std::move(sampled_env), registry.get());
+  core::Router plain(envf(0), registry.get());
+
+  std::uint64_t seed = 0x5EED'2026'10'19ull;
+  for (const std::size_t burst : {1, 2, 7, 13, 32, 64}) {
+    const auto stream = proptest::gen::make_conformance_stream(seed++, 1'500);
+    for (std::size_t first = 0; first < stream.size(); first += burst) {
+      const std::size_t n = std::min(burst, stream.size() - first);
+      std::vector<std::vector<std::uint8_t>> a(stream.begin() + first,
+                                               stream.begin() + first + n);
+      std::vector<std::vector<std::uint8_t>> b = a;
+      const std::vector<core::PacketRef> refs_a(a.begin(), a.end());
+      const std::vector<core::PacketRef> refs_b(b.begin(), b.end());
+      std::vector<core::ProcessResult> got(n), want(n);
+      sampled.process_batch(refs_a, w::ingress_of(first), w::now_of(first), got);
+      plain.process_batch(refs_b, w::ingress_of(first), w::now_of(first), want);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(cf::image_of(got[i]), cf::image_of(want[i]))
+            << "burst " << burst << ", packet " << first + i << ": "
+            << cf::to_string(cf::image_of(got[i])) << " vs "
+            << cf::to_string(cf::image_of(want[i]));
+        ASSERT_EQ(a[i], b[i]) << "burst " << burst << ", packet " << first + i;
+      }
+    }
+  }
+
+  const CounterSnapshot s = sampled.env().counters.snapshot();
+  const CounterSnapshot p = plain.env().counters.snapshot();
+  EXPECT_GT(s.flow_cache_hits, 0u);
+  EXPECT_GT(s.flow_cache_misses, 0u);
+  EXPECT_EQ(s.flow_cache_hits, p.flow_cache_hits);
+  EXPECT_EQ(s.flow_cache_misses, p.flow_cache_misses);
+  EXPECT_EQ(sampled.env().flow_cache->evictions(), plain.env().flow_cache->evictions());
+  EXPECT_EQ(s.fn_executed, p.fn_executed);
+  const RouterStats& stats = *sampled.env().stats;
+  for (std::size_t k = 0; k < s.fn_by_key.size(); ++k) {
+    const std::string key(core::op_key_name(static_cast<core::OpKey>(k)));
+    EXPECT_EQ(s.fn_by_key[k], p.fn_by_key[k]) << key;
+    EXPECT_EQ(stats.fn_ns[k].snapshot().count, s.fn_by_key[k]) << key;
+  }
+  // The kernels the wave path batches all ran, so all were timed.
+  for (const core::OpKey key : {core::OpKey::kMatch32, core::OpKey::kMatch128,
+                                core::OpKey::kFib, core::OpKey::kParm,
+                                core::OpKey::kMac}) {
+    EXPECT_GT(s.fn_by_key[static_cast<std::size_t>(key)], 0u) << core::op_key_name(key);
+  }
 }
 
 // ------------------------------------------------------------ pool rollup
