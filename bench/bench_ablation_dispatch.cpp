@@ -4,7 +4,7 @@
 // if-else ladder on FN_Num. In software the ladder measured the same as the
 // loop (EXPERIMENTS.md A1): the hardware constraint, not performance, forced
 // it, so the router keeps only the loop and the ladder lives on as the PISA
-// model's max_unrolled_fns rule. BM_Loop measures the loop's per-packet cost
+// model's tna::kMaxUnrolledFns rule. BM_Loop measures the loop's per-packet cost
 // as FNs are added.
 #include <benchmark/benchmark.h>
 

@@ -71,10 +71,10 @@ BENCHMARK(BM_OptPacket_AesCmac);
 
 void print_switch_model() {
   const auto fns = opt::opt_fn_triples();
-  const auto em2 = pisa::estimate_protocol_cycles(
-      fns, opt::kBlockBytes, pisa::default_cost_model(), /*aes_mac=*/false);
-  const auto aes = pisa::estimate_protocol_cycles(
-      fns, opt::kBlockBytes, pisa::default_cost_model(), /*aes_mac=*/true);
+  const auto em2 =
+      pisa::estimate_protocol_cycles(fns, opt::kBlockBytes, /*aes_mac=*/false);
+  const auto aes =
+      pisa::estimate_protocol_cycles(fns, opt::kBlockBytes, /*aes_mac=*/true);
   std::printf("=== A2: modeled switch cycles for the OPT chain ===\n");
   std::printf("2EM      : total=%llu cycles, resubmissions=%u\n",
               static_cast<unsigned long long>(em2.total()), em2.resubmissions);

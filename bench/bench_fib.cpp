@@ -128,27 +128,6 @@ void BM_Lookup6TreeBitmap(benchmark::State& state) { run_lookup6<TreeBitmap<128>
 BENCHMARK(BM_Lookup6BinaryTrie);
 BENCHMARK(BM_Lookup6TreeBitmap);
 
-// Name FIB (control-plane F_FIB).
-void BM_NameFibLookup(benchmark::State& state) {
-  fib::NameFib name_fib;
-  crypto::Xoshiro256 rng(5);
-  std::vector<fib::Name> names;
-  for (int i = 0; i < 10000; ++i) {
-    fib::Name n;
-    n.append("org" + std::to_string(rng.below(64)));
-    n.append("site" + std::to_string(rng.below(256)));
-    n.append("obj" + std::to_string(i));
-    name_fib.insert(n.prefix(2), static_cast<std::uint32_t>(rng.below(16)));
-    names.push_back(std::move(n));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(name_fib.lookup(names[i++ % names.size()]));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_NameFibLookup);
-
 }  // namespace
 }  // namespace dip::bench
 

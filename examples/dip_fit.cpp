@@ -39,8 +39,6 @@ void print_row(const Row& row, const dip::pisa::PlacementReport& report) {
 
 int main(int argc, char** argv) {
   const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
-  const dip::pisa::StageCompiler compiler;
-  const auto& model = compiler.model();
 
   std::vector<Row> rows;
   for (const auto& comp : dip::pisa::table1_compositions()) {
@@ -55,15 +53,15 @@ int main(int argc, char** argv) {
   }
   rows.push_back({"sub-byte", {dip::core::FnTriple::router(0, 3, dip::core::OpKey::kMark)}, 4, {}});
 
+  namespace tna = dip::pisa::tna;
   std::printf("pisa fit matrix (stages=%zu, passes<=%zu, phv=%zu, parser<=%zu)\n",
-              model.stages, model.max_passes, model.phv_containers,
-              model.max_parser_states);
+              tna::kStages, tna::kMaxPasses, tna::kPhvContainers, tna::kParserStates);
   for (const Row& row : rows) {
-    const auto report = compiler.compile(row.fns, row.locations_bytes, row.opts);
+    const auto report = dip::pisa::compile(row.fns, row.locations_bytes, row.opts);
     print_row(row, report);
     if (verbose) {
-      const std::string text = dip::pisa::format_report(row.name, row.fns,
-                                                        row.locations_bytes, report, model);
+      const std::string text =
+          dip::pisa::format_report(row.name, row.fns, row.locations_bytes, report);
       std::printf("%s\n", text.c_str());
     }
   }

@@ -5,9 +5,9 @@
 //
 // Prints the basic header, the FN program (with Table-1 notation, tag bits,
 // the budget cost a default-registry router charges, path-criticality),
-// the locations block, the Tofino constraint check, and the modeled switch
-// cost — a one-stop debugging tool for anyone composing their own FN
-// programs.
+// the locations block, the stage-budget compiler's verdict on the
+// Tofino-like switch model, and the modeled switch cost — a one-stop
+// debugging tool for anyone composing their own FN programs.
 #include <cstdio>
 #include <string>
 
@@ -17,7 +17,7 @@
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
 #include "dip/opt/opt.hpp"
-#include "dip/pisa/dip_program.hpp"
+#include "dip/pisa/compiler.hpp"
 #include "dip/xia/xia.hpp"
 
 namespace {
@@ -60,11 +60,9 @@ void inspect(std::span<const std::uint8_t> packet) {
 
   std::printf("  locations    :\n%s", bytes::hex_dump(header->locations).c_str());
 
-  const auto constraint =
-      pisa::validate_program(header->fns, header->locations.size());
-  std::printf("  tofino check : %s\n",
-              constraint ? "fits the prototype constraints (4.1)"
-                         : "VIOLATES prototype constraints");
+  const auto fit = pisa::compile(header->fns, header->locations.size());
+  std::printf("  tofino check : %s (%s)\n",
+              std::string(pisa::to_string(fit.verdict)).c_str(), fit.reason.c_str());
 
   const auto cycles =
       pisa::estimate_protocol_cycles(header->fns, header->locations.size());

@@ -27,9 +27,11 @@
 //
 // The metric catalogue is documented in docs/OBSERVABILITY.md.
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -212,12 +214,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(node.env().counters.quarantined.load()));
 
   // Overload shedding: a deliberately tiny 1-worker pool under a burst —
-  // try_submit refuses work with a tagged verdict instead of stalling.
+  // try_submit refuses work with a tagged verdict instead of stalling. The
+  // worker is held inside its first completion for the whole burst, so the
+  // count is exact: one packet in the worker's hands, 64 in the ring, and
+  // every later one shed (20000 - 1 - 64 = 19935).
   core::RouterPoolConfig tiny;
   tiny.workers = 1;
   tiny.ring_capacity = 64;
+  tiny.max_batch = 1;  // the worker takes packets one at a time
   std::uint64_t shed_refusals = 0;
   {
+    std::mutex hold_mu;
+    std::condition_variable hold_cv;
+    bool worker_held = false;
+    bool released = false;
     core::RouterPool tiny_pool(
         registry.get(),
         [&fib32](std::size_t) {
@@ -225,13 +235,32 @@ int main(int argc, char** argv) {
           env.fib32 = fib32;
           return env;
         },
-        tiny);
-    for (std::size_t i = 0; i < 20000; ++i) {
-      auto packet = core::make_dip32_header(fib::ipv4_from_u32(flow_addr(i % kFlows)),
-                                            fib::parse_ipv4("172.16.0.1").value())
-                        ->serialize();
-      if (!tiny_pool.try_submit(std::move(packet), 0, i).has_value()) ++shed_refusals;
+        tiny,
+        [&](std::size_t, core::RouterPool::Item&, core::ProcessResult& result) {
+          // Shed completions run on the dispatcher thread: never hold those.
+          if (result.reason == core::DropReason::kOverloadShed) return;
+          std::unique_lock<std::mutex> lk(hold_mu);
+          if (worker_held) return;
+          worker_held = true;
+          hold_cv.notify_all();
+          hold_cv.wait(lk, [&] { return released; });
+        });
+    const auto packet = [](std::size_t i) {
+      return core::make_dip32_header(fib::ipv4_from_u32(flow_addr(i % kFlows)),
+                                     fib::parse_ipv4("172.16.0.1").value())
+          ->serialize();
+    };
+    (void)tiny_pool.try_submit(packet(0), 0, 0);
+    {
+      std::unique_lock<std::mutex> lk(hold_mu);
+      hold_cv.wait(lk, [&] { return worker_held; });
     }
+    for (std::size_t i = 1; i < 20000; ++i) (void)tiny_pool.try_submit(packet(i), 0, i);
+    {
+      const std::lock_guard<std::mutex> lk(hold_mu);
+      released = true;
+    }
+    hold_cv.notify_all();
     tiny_pool.drain();
     shed_refusals = tiny_pool.shed_total();
     tiny_pool.stop();
@@ -356,11 +385,10 @@ int main(int argc, char** argv) {
   };
   std::vector<PisaRow> pisa_rows;
   {
-    const pisa::StageCompiler compiler;
     std::printf("\n[pisa] Table-1 fit matrix (stages=%zu, passes<=%zu):\n",
-                compiler.model().stages, compiler.model().max_passes);
+                pisa::tna::kStages, pisa::tna::kMaxPasses);
     for (const auto& comp : pisa::table1_compositions()) {
-      PisaRow row{comp.name, compiler.compile(comp.fns, comp.locations_bytes)};
+      PisaRow row{comp.name, pisa::compile(comp.fns, comp.locations_bytes)};
       std::printf("  %-8s %-8s passes=%zu stages=%zu cycles=%llu\n", row.name.c_str(),
                   std::string(pisa::to_string(row.report.verdict)).c_str(),
                   row.report.passes.size(), row.report.stages_used,

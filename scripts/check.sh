@@ -2,10 +2,10 @@
 # Full verification pipeline: release build + tests + benches, then an
 # ASan/UBSan build + tests. This is what CI should run.
 #
-#   --fast   docs + no-getenv + single-FIB-type checks + release build +
-#            the unit/property/ctrl/fib/mesh/pisa/dtn test tiers only (see
-#            docs/TESTING.md): the inner-loop lane, no benches, no
-#            sanitizer rebuilds.
+#   --fast   docs + no-getenv + single-FIB-type + single-switch-model
+#            checks + release build + the unit/property/ctrl/fib/mesh/pisa/
+#            dtn test tiers only (see docs/TESTING.md): the inner-loop lane,
+#            no benches, no sanitizer rebuilds.
 #            `ctest -L fib` alone slices just the FIB lane
 #            (docs/FIB.md); `ctest -L mesh` the UDP mesh lane
 #            (docs/MESH.md); `ctest -L pisa` the stage-budget compiler +
@@ -68,6 +68,21 @@ if grep -rnwE 'LpmTable|make_lpm|LpmEngine' src tests bench examples ||
   exit 1
 fi
 echo "  fib::TreeBitmap is the only LPM type"
+
+echo "== one switch model, no name FIB =="
+# The PISA switch model is one fixed description (docs/PISA.md): no function
+# or constructor under src/pisa takes a TnaModel or CostModel, and the second
+# deployability check, the model factories and the stateful compiler stay
+# deleted. NDN names ride 32-bit codes through the IPv4 LPM, so the unread
+# name FIB and its control-plane lane stay deleted too (docs/FIB.md).
+if grep -rnwE 'NameFib|names_view|tables_ptr|TofinoConstraints|validate_program|default_tna_model|default_cost_model|StageCompiler' \
+     src tests bench examples ||
+   grep -rnE '(\(|,)\s*(const\s+)?(pisa::)?(TnaModel|CostModel)\b|^\s*(const\s+)?(pisa::)?(TnaModel|CostModel)\s*&?\s+[a-z_]+\s*[,)=]' \
+     src/pisa; then
+  echo "one switch model FAILED"
+  exit 1
+fi
+echo "  one fixed switch model; no name FIB"
 
 echo "== release build =="
 # Bench lanes depend on this being a real Release tree (-O3, NDEBUG):

@@ -33,8 +33,9 @@ struct EngineConfig {
   /// block of the stream: a burst is processed with its first packet's
   /// timestamp and ingress face.
   std::size_t batch_size = 32;
+  /// Pool engine workers; their rings have RouterPoolConfig's default
+  /// capacity.
   std::size_t pool_workers = 4;
-  std::size_t pool_ring_capacity = 1024;
   ValidationMode validation = ValidationMode::kStrict;
 };
 

@@ -74,9 +74,6 @@ struct RouterEnv {
   [[nodiscard]] const fib::XidTable* xid_view() const noexcept {
     return control ? control->xid.read() : xid_table.get();
   }
-  [[nodiscard]] const fib::NameFib* names_view() const noexcept {
-    return control ? control->names.read() : nullptr;
-  }
 
   /// Quiescent-state announcements (no-ops in static configuration). The
   /// router announces at burst boundaries; pool workers park/resume around

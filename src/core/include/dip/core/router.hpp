@@ -9,8 +9,8 @@
 //
 // Dispatch is the natural for-loop over FN[] (what the paper wanted). The
 // Tofino compromise of §4.1 — a fixed if-else ladder on FN_Num — is a
-// hardware constraint; the PISA model enforces it (max_unrolled_fns in
-// pisa/dip_program.hpp).
+// hardware constraint; the PISA model enforces it (tna::kMaxUnrolledFns in
+// pisa/tna_model.hpp).
 //
 // The fast path is process_batch: a run-to-completion, two-phase burst
 // pipeline. Phase one binds every HeaderView, then validates structure,

@@ -97,7 +97,6 @@ class PoolEngine final : public RouterEngine {
     std::mutex mu;
     RouterPoolConfig pool_config;
     pool_config.workers = workers;
-    pool_config.ring_capacity = config_.pool_ring_capacity;
     pool_config.max_batch = config_.batch_size;
     RouterPool pool(
         registry_, env_factory_, pool_config,

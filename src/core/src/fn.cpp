@@ -16,10 +16,11 @@ namespace {
 // The last column is burst_commutes (cross-packet commutation, the wave-
 // dispatch license): true for FNs that touch only their own packet or
 // memoized read-mostly tables (matches, the OPT chain — whose scratch is
-// per-packet even though it is order-dependent *within* the packet, EPIC).
-// False for anything whose shared state a later packet observes: PIT and
-// content store (kFib/kPit, and kDag/kIntent which read the CS), DPS
-// buckets, CC estimators.
+// per-packet even though it is order-dependent *within* the packet, EPIC,
+// and F_DAG, which reads only the XID-table snapshot and writes its own
+// DAG field). False for anything whose shared state a later packet
+// observes: PIT and content store (kFib/kPit, and kIntent, whose CID
+// intents read the CS), DPS buckets, CC estimators.
 constexpr FnInfo kFnTable[] = {
     {OpKey::kMatch32, "F_32_match", false, true, true},
     {OpKey::kMatch128, "F_128_match", false, true, true},
@@ -30,7 +31,7 @@ constexpr FnInfo kFnTable[] = {
     {OpKey::kMac, "F_MAC", true, false, true},
     {OpKey::kMark, "F_mark", true, false, true},
     {OpKey::kVer, "F_ver", true, false, true},
-    {OpKey::kDag, "F_DAG", false, false, false},
+    {OpKey::kDag, "F_DAG", false, false, true},
     {OpKey::kIntent, "F_intent", false, false, false},
     {OpKey::kPass, "F_pass", false, false, true},
     {OpKey::kTelemetry, "F_int", false, true, true},

@@ -95,10 +95,9 @@ class ControlPlane {
  private:
   struct Managed {
     netsim::DipRouterNode* node = nullptr;
+    /// Each recompute assigns the node's whole route set; the journal
+    /// enqueues only what changed.
     std::unique_ptr<RouteJournal> journal;
-    /// Last desired route set actually enqueued, keyed by prefix — diffed
-    /// against each recompute so journals only see real changes.
-    std::map<fib::Prefix<32>, fib::NextHop> desired;
   };
 
   struct Destination {

@@ -31,13 +31,11 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "dip/ctrl/tables.hpp"
 #include "dip/fib/address.hpp"
-#include "dip/fib/name_fib.hpp"
 #include "dip/fib/tree_bitmap.hpp"
 #include "dip/fib/xid_table.hpp"
 
@@ -62,14 +60,21 @@ struct JournalStats {
 
 class RouteJournal {
  public:
+  /// A whole IPv4 route set: (prefix, next hop), one entry per prefix.
+  using Routes32 = std::vector<std::pair<fib::Prefix<32>, fib::NextHop>>;
+  /// What assign_routes32() enqueued.
+  struct RouteDelta {
+    std::size_t installed = 0;  ///< adds: new prefixes and changed next hops
+    std::size_t withdrawn = 0;  ///< removes: prefixes the new set dropped
+  };
+
   explicit RouteJournal(std::shared_ptr<ControlTables> tables);
 
   /// Publish initial snapshots copied from existing (static) tables; null
   /// arguments are skipped. Call once before traffic if the node starts
   /// with pre-installed routes.
   void seed(const fib::Ipv4Lpm* fib32, const fib::Ipv6Lpm* fib128 = nullptr,
-            const fib::XidTable* xid = nullptr,
-            const fib::NameFib* names = nullptr);
+            const fib::XidTable* xid = nullptr);
 
   // -- pending operations (last write per key wins) ----------------------
   void add_route32(fib::Prefix<32> prefix, fib::NextHop nh);
@@ -79,8 +84,13 @@ class RouteJournal {
   void add_xid_route(fib::XidType type, const fib::Xid& xid, fib::NextHop nh);
   void remove_xid_route(fib::XidType type, const fib::Xid& xid);
   void set_xid_local(fib::XidType type, const fib::Xid& xid);
-  void add_name_route(const fib::Name& name, fib::NextHop nh);
-  void remove_name_route(const fib::Name& name);
+
+  /// Make `want` the route set this journal last assigned: enqueue an add
+  /// for every prefix that is new or changed its next hop, and a remove
+  /// for every prefix of the previous assignment that `want` lacks, so an
+  /// unchanged set enqueues nothing. Routes enqueued through add_route32/
+  /// remove_route32 are not part of the set.
+  RouteDelta assign_routes32(Routes32 want);
 
   /// Any pending operations not yet published?
   [[nodiscard]] bool dirty() const noexcept;
@@ -93,9 +103,6 @@ class RouteJournal {
 
   [[nodiscard]] const JournalStats& stats() const noexcept { return stats_; }
   [[nodiscard]] ControlTables& tables() noexcept { return *tables_; }
-  [[nodiscard]] std::shared_ptr<ControlTables> tables_ptr() const noexcept {
-    return tables_;
-  }
 
   /// An XID delta's key. Route keys sort before local marks, so a flush
   /// applies every route delta first, then the marks.
@@ -135,7 +142,7 @@ class RouteJournal {
   Lane<fib::Ipv4Lpm, fib::Prefix<32>> fib32_;
   Lane<fib::Ipv6Lpm, fib::Prefix<128>> fib128_;
   Lane<fib::XidTable, XidKey> xid_;
-  Lane<fib::NameFib, std::string> names_;  ///< keyed by canonical text
+  Routes32 assigned32_;  ///< sorted by prefix: the last assign_routes32 set
 };
 
 }  // namespace dip::ctrl

@@ -16,8 +16,7 @@ void ControlPlane::manage(netsim::DipRouterNode& node) {
   core::RouterEnv& env = node.env();
   // Carry the node's statically installed state into the first snapshots,
   // then retire the static pointers from the forwarding path.
-  journal->seed(env.fib32.get(), env.fib128.get(), env.xid_table.get(),
-                nullptr);
+  journal->seed(env.fib32.get(), env.fib128.get(), env.xid_table.get());
   env.control = tables;
   env.ctrl_reader = tables->register_reader();
   // The simulator thread is this node's reader; join the protocol now so
@@ -157,15 +156,16 @@ void ControlPlane::recompute() {
     for (const auto& [nb, face] : it->second) visit(nb);
   };
 
-  // Desired route set per node across all destinations: the shared SPF's
-  // first hop toward each anchor, out this node's lowest face toward it.
-  std::map<netsim::NodeId, std::map<fib::Prefix<32>, fib::NextHop>> desired;
-  for (const auto& [id, m] : managed_) {
+  // Each node's route set across all destinations: the shared SPF's first
+  // hop toward each anchor, out this node's lowest face toward it. The
+  // journal enqueues only what differs from the set it last assigned.
+  for (auto& [id, m] : managed_) {
     const auto hops = bootstrap::first_hops(id, neighbors);
+    std::map<fib::Prefix<32>, fib::NextHop> want;  // a later destination wins
     for (const Destination& dest : destinations_) {
       if (!managed_.contains(dest.anchor)) continue;
       if (id == dest.anchor) {
-        desired[id][dest.prefix] = dest.delivery_face;
+        want[dest.prefix] = dest.delivery_face;
         continue;
       }
       const auto hop = hops.find(dest.anchor);
@@ -173,27 +173,12 @@ void ControlPlane::recompute() {
       const auto& links = adj.at(id);
       const auto link = std::lower_bound(links.begin(), links.end(),
                                          std::make_pair(hop->second, netsim::FaceId{0}));
-      desired[id][dest.prefix] = link->second;
+      want[dest.prefix] = link->second;
     }
-  }
-
-  // Diff against what each journal last saw; enqueue only real changes.
-  for (auto& [id, m] : managed_) {
-    const auto& want = desired[id];
-    for (const auto& [prefix, nh] : want) {
-      const auto have = m.desired.find(prefix);
-      if (have == m.desired.end() || have->second != nh) {
-        m.journal->add_route32(prefix, nh);
-        ++stats_.routes_installed;
-      }
-    }
-    for (const auto& [prefix, nh] : m.desired) {
-      if (!want.contains(prefix)) {
-        m.journal->remove_route32(prefix);
-        ++stats_.routes_withdrawn;
-      }
-    }
-    m.desired = want;
+    const RouteJournal::RouteDelta delta =
+        m.journal->assign_routes32({want.begin(), want.end()});
+    stats_.routes_installed += delta.installed;
+    stats_.routes_withdrawn += delta.withdrawn;
   }
 }
 

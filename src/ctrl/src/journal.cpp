@@ -39,16 +39,6 @@ void apply(fib::XidTable& table, const RouteJournal::XidKey& key,
   }
 }
 
-void apply(fib::NameFib& table, const std::string& text,
-           const std::optional<fib::NextHop>& nh) {
-  const fib::Name name = fib::Name::parse(text);
-  if (nh) {
-    table.insert(name, *nh);
-  } else {
-    table.remove(name);
-  }
-}
-
 }  // namespace
 
 RouteJournal::RouteJournal(std::shared_ptr<ControlTables> tables)
@@ -67,11 +57,10 @@ void RouteJournal::seed_lane(Lane<T, Key>& lane, SnapshotTable<T>& table,
 }
 
 void RouteJournal::seed(const fib::Ipv4Lpm* fib32, const fib::Ipv6Lpm* fib128,
-                        const fib::XidTable* xid, const fib::NameFib* names) {
+                        const fib::XidTable* xid) {
   seed_lane(fib32_, tables_->fib32, fib32);
   seed_lane(fib128_, tables_->fib128, fib128);
   seed_lane(xid_, tables_->xid, xid);
-  seed_lane(names_, tables_->names, names);
 }
 
 template <typename T, typename Key>
@@ -116,19 +105,38 @@ void RouteJournal::set_xid_local(fib::XidType type, const fib::Xid& xid) {
   put(xid_, XidKey{true, static_cast<std::uint8_t>(type), xid.bytes}, Delta{});
 }
 
-void RouteJournal::add_name_route(const fib::Name& name, fib::NextHop nh) {
-  put(names_, name.to_string(), Delta{nh});
-}
-
-void RouteJournal::remove_name_route(const fib::Name& name) {
-  put(names_, name.to_string(), Delta{});
+RouteJournal::RouteDelta RouteJournal::assign_routes32(Routes32 want) {
+  for (auto& route : want) route.first.normalize();
+  std::sort(want.begin(), want.end());
+  // Merge the old and new sorted sets: a prefix only in `want`, or with a
+  // new next hop, is an add; a prefix only in the old set is a remove.
+  RouteDelta delta;
+  auto have = assigned32_.cbegin();
+  const auto end = assigned32_.cend();
+  for (const auto& [prefix, nh] : want) {
+    for (; have != end && have->first < prefix; ++have) {
+      remove_route32(have->first);
+      ++delta.withdrawn;
+    }
+    const bool listed = have != end && have->first == prefix;
+    const bool unchanged = listed && have->second == nh;
+    if (listed) ++have;
+    if (unchanged) continue;
+    add_route32(prefix, nh);
+    ++delta.installed;
+  }
+  for (; have != end; ++have) {
+    remove_route32(have->first);
+    ++delta.withdrawn;
+  }
+  assigned32_ = std::move(want);
+  return delta;
 }
 
 bool RouteJournal::dirty() const noexcept { return pending() != 0; }
 
 std::size_t RouteJournal::pending() const noexcept {
-  return fib32_.pending.size() + fib128_.pending.size() + xid_.pending.size() +
-         names_.pending.size();
+  return fib32_.pending.size() + fib128_.pending.size() + xid_.pending.size();
 }
 
 template <typename T, typename Key>
@@ -158,7 +166,6 @@ std::size_t RouteJournal::flush() {
   std::size_t published = flush_lane(fib32_, tables_->fib32);
   published += flush_lane(fib128_, tables_->fib128);
   published += flush_lane(xid_, tables_->xid);
-  published += flush_lane(names_, tables_->names);
 
   if (published != 0) {
     stats_.snapshots_published += published;

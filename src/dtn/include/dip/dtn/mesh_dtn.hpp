@@ -34,7 +34,6 @@ class MeshCustodyFleet {
     crypto::Block custody_key{};
     CustodyStore::Limits limits{};
     host::RetryPolicy retry{};
-    RetxScheduler::Config retx{};
     std::size_t frag_payload = 256;  ///< payload bytes per fragment
   };
 

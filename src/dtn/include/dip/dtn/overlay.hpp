@@ -54,7 +54,6 @@ class CustodyOverlay final : public netsim::NodeOverlay {
   struct Config {
     CustodyStore::Limits limits{};
     host::RetryPolicy retry{};  ///< custody retransmission schedule
-    RetxScheduler::Config retx{};
   };
   /// Runs `fn` after `delay` on the substrate's event loop.
   using Scheduler = std::function<void(SimDuration delay, std::function<void()> fn)>;

@@ -5,7 +5,7 @@
 // whole store into the link first-transmission traffic is using. The
 // scheduler reuses the CSFQ edge primitives (qos::EdgeLabeler) to measure
 // the node's first-transmission rate as one "flow", then paces
-// retransmissions at a configured *share* of that rate — custody drains at
+// retransmissions at a fixed *share* of that rate — custody drains at
 // lower priority, exactly the DPS labeling discipline applied to the
 // recovery band instead of a wire field. An idle link (primary rate decays
 // to ~0) falls back to the max-interval floor, so recovery always makes
@@ -22,19 +22,13 @@ namespace dip::dtn {
 
 class RetxScheduler {
  public:
-  struct Config {
-    /// Fraction of the observed first-transmission rate granted to the
-    /// retransmission band.
-    double share = 0.25;
-    /// Pacing clamp: a retransmission is never delayed by less/more than
-    /// this, whatever the rates say.
-    SimDuration min_gap = 1 * kMillisecond;
-    SimDuration max_gap = 50 * kMillisecond;
-    qos::EdgeLabeler::Config labeler{};
-  };
-
-  RetxScheduler() : RetxScheduler(Config{}) {}
-  explicit RetxScheduler(const Config& config) : config_(config), labeler_(config.labeler) {}
+  /// Fraction of the observed first-transmission rate granted to the
+  /// retransmission band.
+  static constexpr double kShare = 0.25;
+  /// Pacing clamp: a retransmission is never delayed by less/more than
+  /// this, whatever the rates say.
+  static constexpr SimDuration kMinGap = 1 * kMillisecond;
+  static constexpr SimDuration kMaxGap = 50 * kMillisecond;
 
   /// Record a first-transmission of `bytes` (the high-priority band).
   void on_primary(std::size_t bytes, SimTime now) {
@@ -42,17 +36,16 @@ class RetxScheduler {
   }
 
   /// Extra delay to impose before the next retransmission of `bytes` may
-  /// leave: bytes / (share * primary_rate), clamped to [min_gap, max_gap].
+  /// leave: bytes / (kShare * primary_rate), clamped to [kMinGap, kMaxGap].
   /// Heavier foreground traffic → longer gaps → lower effective priority.
   [[nodiscard]] SimDuration gap_for(std::size_t bytes) const noexcept {
-    const double budget =
-        config_.share * static_cast<double>(primary_rate_);  // bytes/sec
-    if (budget <= 0) return config_.max_gap;
+    const double budget = kShare * static_cast<double>(primary_rate_);  // bytes/sec
+    if (budget <= 0) return kMaxGap;
     const double gap_ns = static_cast<double>(bytes) *
                           static_cast<double>(kSecond) / budget;
-    if (gap_ns >= static_cast<double>(config_.max_gap)) return config_.max_gap;
+    if (gap_ns >= static_cast<double>(kMaxGap)) return kMaxGap;
     const auto gap = static_cast<SimDuration>(gap_ns);
-    return gap < config_.min_gap ? config_.min_gap : gap;
+    return gap < kMinGap ? kMinGap : gap;
   }
 
   [[nodiscard]] std::uint32_t primary_rate() const noexcept { return primary_rate_; }
@@ -60,8 +53,7 @@ class RetxScheduler {
  private:
   static constexpr std::uint32_t kPrimaryFlow = 1;
 
-  Config config_;
-  qos::EdgeLabeler labeler_;
+  qos::EdgeLabeler labeler_;  ///< default averaging constant
   std::uint32_t primary_rate_ = 0;
 };
 

@@ -15,7 +15,7 @@ std::shared_ptr<core::OpRegistry> MeshCustodyFleet::make_registry() {
 
 MeshCustodyFleet::MeshCustodyFleet(mesh::MeshNet& mesh, Config config)
     : mesh_(mesh), config_(config) {
-  const CustodyOverlay::Config overlay{config_.limits, config_.retry, config_.retx};
+  const CustodyOverlay::Config overlay{config_.limits, config_.retry};
   mesh::MeshEventLoop& loop = mesh_.loop();
   const auto schedule = [&loop](SimDuration delay, std::function<void()> fn) {
     (void)loop.schedule_in(delay, std::move(fn));

@@ -35,8 +35,7 @@ CustodyOverlay::CustodyOverlay(netsim::NodeRuntime& runtime, const Config& confi
     : runtime_(runtime),
       retry_(config.retry),
       schedule_(std::move(schedule)),
-      store_(std::make_shared<CustodyStore>(config.limits)),
-      retx_(config.retx) {
+      store_(std::make_shared<CustodyStore>(config.limits)) {
   runtime_.env().custody_store = store_;
   runtime_.set_overlay(this);
 }

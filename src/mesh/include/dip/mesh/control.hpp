@@ -37,9 +37,10 @@ namespace dip::mesh {
 /// Recompute and publish `router`'s FIB from its own LSDB: every reachable
 /// node's /24 toward the face of its next hop, the router's own /24 toward
 /// `local_face`, and a route *removal* for every node that had a route and
-/// is now unreachable (convergence under link failure). Only routes that
-/// differ from router.enqueued_routes() are enqueued, so an unchanged LSDB
-/// publishes nothing. Flushes the journal (at most one RCU publish).
+/// is now unreachable (convergence under link failure). The journal's
+/// assign_routes32 enqueues only routes that differ from the previous
+/// call's, so an unchanged LSDB publishes nothing. Flushes the journal (at
+/// most one RCU publish).
 /// Returns the number of destinations now routed.
 std::size_t publish_routes(MeshRouter& router, FaceId local_face);
 

@@ -82,7 +82,7 @@ class MeshEventLoop {
 
   TimerId schedule_at(std::uint64_t at_ns, Callback fn);
   TimerId schedule_in(std::uint64_t delay_ns, Callback fn) {
-    return schedule_at(now_ns() + delay_ns, fn);
+    return schedule_at(now_ns() + delay_ns, std::move(fn));
   }
   /// True if the timer was still pending.
   bool cancel_timer(TimerId id);

@@ -80,10 +80,6 @@ struct Lsa {
 /// iteration for SPF and AS-graph construction).
 using LinkStateDb = std::map<std::uint32_t, Lsa>;
 
-/// (origin node id, face its /24 leaves by), sorted by origin: one router's
-/// route set as mesh/control.hpp enqueues it.
-using RouteSet = std::vector<std::pair<std::uint32_t, FaceId>>;
-
 class MeshRouter : private netsim::NodePort {
  public:
   /// Delivery callback for local (host-facing) faces: full DIP packet bytes
@@ -115,9 +111,6 @@ class MeshRouter : private netsim::NodePort {
   [[nodiscard]] core::Router& router() noexcept { return runtime_.router(); }
   [[nodiscard]] core::RouterEnv& env() noexcept { return runtime_.env(); }
   [[nodiscard]] ctrl::RouteJournal& journal() noexcept { return journal_; }
-  /// The routes publish_routes() last enqueued into journal(); it diffs the
-  /// next recompute against them.
-  [[nodiscard]] RouteSet& enqueued_routes() noexcept { return enqueued_routes_; }
 
   /// Attach a wire face toward `peer`. `ordinal` is the mesh-wide
   /// half-link ordinal (the impairer PRNG stream selector); `faults`
@@ -187,12 +180,12 @@ class MeshRouter : private netsim::NodePort {
   }
   [[nodiscard]] SimTime now() const override { return loop_.now_ns(); }
 
-  /// The ledgered egress path: impair, frame, send (or hold back on a
-  /// reorder timer). Local faces deliver locally.
+  /// The ledgered egress path: frame, impair the frame's payload, send (or
+  /// hold back on a reorder timer). Local faces deliver locally.
   void send_data(FaceId face, std::span<const std::uint8_t> packet);
-  /// Frame + socket write + EAGAIN accounting for one (possibly delayed,
-  /// possibly duplicate) copy.
-  void emit_frame(FaceId face, PacketBytes frame_bytes, bool duplicate);
+  /// Socket write + EAGAIN accounting for one (possibly delayed, possibly
+  /// duplicate) framed copy.
+  void emit_frame(FaceId face, std::span<const std::uint8_t> frame_bytes, bool duplicate);
   void send_hello_on(FaceId face, const PacketBytes& payload);
 
   Config config_;
@@ -202,7 +195,6 @@ class MeshRouter : private netsim::NodePort {
   std::shared_ptr<ctrl::ControlTables> tables_;
   netsim::NodeRuntime runtime_;
   ctrl::RouteJournal journal_;
-  RouteSet enqueued_routes_;
 
   std::vector<Face> faces_;
   std::map<Endpoint, FaceId> ingress_of_;  ///< wire endpoint -> face

@@ -1,7 +1,7 @@
 // Zipf flow-churn traffic for the mesh (the soak workload).
 //
 // A fixed-size flow table: each flow is (src router, dst router, flow id),
-// destinations drawn from a Zipf popularity distribution over the mesh
+// destinations drawn from a Zipf(1.0) popularity distribution over the mesh
 // (netsim::ZipfSampler — the same skew the caching work uses), sources
 // uniform. churn() retires the oldest flows and admits fresh Zipf-sampled
 // ones, so the working set drifts the way real traffic mixes do while the
@@ -25,7 +25,6 @@ namespace dip::mesh {
 
 struct TrafficConfig {
   std::size_t flows = 64;       ///< concurrent flow-table size
-  double zipf_exponent = 1.0;   ///< destination popularity skew
   std::uint64_t seed = 1;
   std::size_t churn_flows = 4;  ///< flows replaced per churn() call
 };

@@ -1,7 +1,6 @@
 #include "dip/mesh/control.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "dip/bootstrap/spf.hpp"
@@ -32,17 +31,6 @@ namespace {
          std::binary_search(nb.begin(), nb.end(), a);
 }
 
-/// The face `routes` sends `origin`'s /24 out of, if it routes it.
-[[nodiscard]] std::optional<FaceId> face_of(const RouteSet& routes,
-                                            std::uint32_t origin) {
-  const auto it = std::lower_bound(routes.begin(), routes.end(), origin,
-                                   [](const auto& route, std::uint32_t key) {
-                                     return route.first < key;
-                                   });
-  if (it == routes.end() || it->first != origin) return std::nullopt;
-  return it->second;
-}
-
 }  // namespace
 
 std::map<std::uint32_t, std::uint32_t> compute_next_hops(const LinkStateDb& lsdb,
@@ -68,30 +56,22 @@ std::size_t publish_routes(MeshRouter& router, FaceId local_face) {
   const std::uint32_t self = router.node_id();
   const auto hops = compute_next_hops(router.lsdb(), self);
 
-  RouteSet want{{self, local_face}};
+  ctrl::RouteJournal::Routes32 want{{prefix_of(self), local_face}};
   for (const auto& [origin, lsa] : router.lsdb()) {
     if (origin == self) continue;
     const auto hop = hops.find(origin);
     if (hop == hops.end()) continue;  // unreachable
     if (const auto face = router.face_toward(hop->second)) {
-      want.emplace_back(origin, *face);
+      want.emplace_back(prefix_of(origin), *face);
     }
   }
-  std::sort(want.begin(), want.end());
-
-  // Enqueue only the difference from the last call: changed next hops,
-  // new routes, and withdrawals of routes that became unreachable.
-  RouteSet& have = router.enqueued_routes();
-  ctrl::RouteJournal& journal = router.journal();
-  for (const auto& [origin, face] : want) {
-    if (face_of(have, origin) != face) journal.add_route32(prefix_of(origin), face);
-  }
-  for (const auto& [origin, face] : have) {
-    if (!face_of(want, origin)) journal.remove_route32(prefix_of(origin));
-  }
-  have = std::move(want);
-  journal.flush();
-  return have.size();
+  const std::size_t routed = want.size();
+  // The journal enqueues only the difference from the last call: changed
+  // next hops, new routes, and withdrawals of routes that became
+  // unreachable.
+  router.journal().assign_routes32(std::move(want));
+  router.journal().flush();
+  return routed;
 }
 
 bootstrap::AsGraph as_graph_of(const LinkStateDb& lsdb) {

@@ -298,8 +298,14 @@ void MeshRouter::send_data(FaceId face_id, std::span<const std::uint8_t> packet)
     return;
   }
 
-  PacketBytes bytes(packet.begin(), packet.end());
-  const ImpairDecision d = face.impairer.next(loop_.now_ns(), bytes);
+  // One buffer per send: frame first, then let the impairer corrupt the
+  // frame's payload in place. The frame checksum covers only the header, so
+  // a corrupted frame still decodes and router validation sees the flips;
+  // tx_seq advances only for frames that leave.
+  PacketBytes frame =
+      encode_frame(FrameType::kData, config_.node_id, face.tx_seq, packet);
+  const ImpairDecision d = face.impairer.next(
+      loop_.now_ns(), std::span<std::uint8_t>(frame).subspan(FrameHeader::kWireSize));
   if (d.blackout) {
     ++ledger_.blackholed;
     return;
@@ -309,9 +315,8 @@ void MeshRouter::send_data(FaceId face_id, std::span<const std::uint8_t> packet)
     return;
   }
   if (d.corrupt_bytes != 0) ++ledger_.corrupted;
+  ++face.tx_seq;
 
-  PacketBytes frame =
-      encode_frame(FrameType::kData, config_.node_id, face.tx_seq++, bytes);
   if (d.extra_delay_ns != 0) {
     // Reorder hold-back: the copy leaves later, off a loop timer. Later
     // sends on this face overtake it — exactly netsim's reorder fault.
@@ -325,10 +330,11 @@ void MeshRouter::send_data(FaceId face_id, std::span<const std::uint8_t> packet)
     return;
   }
   emit_frame(face_id, frame, false);
-  if (d.duplicate) emit_frame(face_id, std::move(frame), true);
+  if (d.duplicate) emit_frame(face_id, frame, true);
 }
 
-void MeshRouter::emit_frame(FaceId face_id, PacketBytes frame_bytes, bool duplicate) {
+void MeshRouter::emit_frame(FaceId face_id, std::span<const std::uint8_t> frame_bytes,
+                            bool duplicate) {
   Face& face = faces_[face_id];
   if (duplicate) ++ledger_.duplicated;
   const IoStatus st = socket_->send_to(face.peer, frame_bytes);

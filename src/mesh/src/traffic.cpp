@@ -10,6 +10,7 @@ namespace {
 
 constexpr std::uint32_t kProbeMagic = 0x4D505231u;  // "MPR1"
 constexpr std::size_t kProbeBytes = 16;             // magic:4 flow:4 send_ns:8
+constexpr double kZipfExponent = 1.0;               // destination popularity skew
 
 void put32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 3; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -34,7 +35,7 @@ void put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 MeshTrafficGen::MeshTrafficGen(MeshNet& net, TrafficConfig config)
     : net_(net),
       config_(config),
-      zipf_(std::max<std::size_t>(net.size(), 1), config.zipf_exponent, config.seed),
+      zipf_(std::max<std::size_t>(net.size(), 1), kZipfExponent, config.seed),
       rng_(config.seed ^ 0xA5A5'5A5A'DEAD'BEEFull) {
   for (std::size_t i = 0; i < config_.flows; ++i) flows_.push_back(make_flow());
   net_.set_delivery([this](std::size_t node, std::span<const std::uint8_t> packet,

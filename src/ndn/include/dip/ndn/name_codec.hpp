@@ -7,7 +7,7 @@
 // can reuse the 32-bit LPM table (fib::Ipv4Lpm).
 //
 // This is deliberately lossy (the prototype compromise): two names can
-// collide in code space. The control plane keeps full Names (fib::NameFib);
+// collide in code space. Hosts and the gateway keep full Names (fib::Name);
 // collisions only matter on the 32-bit fast path and are quantified in
 // tests/ndn_test.
 #pragma once
@@ -15,7 +15,7 @@
 #include <cstdint>
 
 #include "dip/fib/address.hpp"
-#include "dip/fib/name_fib.hpp"
+#include "dip/fib/name.hpp"
 #include "dip/fib/tree_bitmap.hpp"
 
 namespace dip::ndn {

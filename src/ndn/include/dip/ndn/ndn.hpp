@@ -14,7 +14,7 @@
 
 #include "dip/core/builder.hpp"
 #include "dip/core/op_module.hpp"
-#include "dip/fib/name_fib.hpp"
+#include "dip/fib/name.hpp"
 #include "dip/ndn/name_codec.hpp"
 
 namespace dip::ndn {

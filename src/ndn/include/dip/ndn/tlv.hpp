@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "dip/bytes/expected.hpp"
-#include "dip/fib/name_fib.hpp"
+#include "dip/fib/name.hpp"
 
 namespace dip::ndn::tlv {
 

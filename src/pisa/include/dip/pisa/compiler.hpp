@@ -1,11 +1,11 @@
-// PISA stage-budget compiler: map an FN composition onto the TnaModel.
+// PISA stage-budget compiler: map an FN composition onto the switch model.
 //
 // The software router accepts any FN composition; real PISA hardware does
-// not. This compiler answers "would this composition deploy?" by placing
-// every router-side FN's micro-operations (dispatch gateways, match tables,
-// ALU slots, crypto rounds) into stages under the per-stage budgets of a
-// TnaModel, auto-splitting across recirculation passes when a pass runs out
-// of stages, ladder slots, or parser states.
+// not. compile() answers "would this composition deploy?" by placing every
+// router-side FN's micro-operations (dispatch gateways, match tables, ALU
+// slots, crypto rounds) into stages under the per-stage budgets of the
+// fixed switch model (tna_model.hpp), auto-splitting across recirculation
+// passes when a pass runs out of stages, ladder slots, or parser states.
 //
 // Verdicts:
 //   kFit     — single pass, no resubmission: deploys as-is.
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "dip/core/fn.hpp"
-#include "dip/pisa/cost_model.hpp"
 #include "dip/pisa/dip_program.hpp"
 #include "dip/pisa/tna_model.hpp"
 
@@ -110,33 +109,18 @@ struct CompileOptions {
   bool aes_mac = false;  ///< F_MAC uses AES (10 rounds/block + resubmit)
 };
 
-class StageCompiler {
- public:
-  explicit StageCompiler(TnaModel model = default_tna_model(),
-                         CostModel costs = default_cost_model()) noexcept
-      : model_(model), costs_(costs) {}
-
-  /// Place `fns` (with a locations block of `locations_bytes`) onto the
-  /// model. Never throws; structural violations come back as kUnfit with a
-  /// reason string.
-  [[nodiscard]] PlacementReport compile(std::span<const core::FnTriple> fns,
-                                        std::size_t locations_bytes,
-                                        const CompileOptions& opts = {}) const;
-
-  [[nodiscard]] const TnaModel& model() const noexcept { return model_; }
-  [[nodiscard]] const CostModel& costs() const noexcept { return costs_; }
-
- private:
-  TnaModel model_;
-  CostModel costs_;
-};
+/// Place `fns` (with a locations block of `locations_bytes`) onto the switch
+/// model. Never throws; structural violations come back as kUnfit with a
+/// reason string.
+[[nodiscard]] PlacementReport compile(std::span<const core::FnTriple> fns,
+                                      std::size_t locations_bytes,
+                                      const CompileOptions& opts = {});
 
 /// Render the deterministic text cost report ("pisa fit report v1") — this
 /// exact text is what the tests/vectors/pisa_*.txt goldens pin.
 [[nodiscard]] std::string format_report(std::string_view name,
                                         std::span<const core::FnTriple> fns,
                                         std::size_t locations_bytes,
-                                        const PlacementReport& report,
-                                        const TnaModel& model);
+                                        const PlacementReport& report);
 
 }  // namespace dip::pisa

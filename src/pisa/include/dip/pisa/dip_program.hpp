@@ -1,41 +1,28 @@
-// The DIP switch program: Tofino constraints and the FN cost compiler.
+// The DIP switch program: per-FN switch profiles, the analytical cost, and
+// the packet parser.
 //
 // §4.1 documents three compromises the paper made to fit DIP onto a real
-// Tofino; this header encodes them so they are checkable and measurable:
+// Tofino; the switch model (tna_model.hpp) states their budgets and the
+// stage-budget compiler (compiler.hpp) checks them:
 //
 //  1. no loops        — FN dispatch is an if-else ladder bounded by
-//                       kMaxUnrolledFns (validate_program enforces it);
+//                       tna::kMaxUnrolledFns;
 //  2. preset slices   — field slices cannot use variables; target fields
 //                       must be byte-aligned and drawn from preset widths;
 //  3. pre-written ops — the operation-key -> module binding is static
-//                       (fn_switch_cost is that static table, in cost form).
+//                       (fn_switch_profile is that static table).
 //
 // estimate_protocol_cycles() is the analytical counterpart of Figure 2: it
-// prices a full FN program in switch cycles under the CostModel.
+// prices a full FN program in the switch model's cycles.
 #pragma once
 
-#include <optional>
 #include <span>
 
-#include "dip/bytes/expected.hpp"
 #include "dip/core/fn.hpp"
-#include "dip/pisa/cost_model.hpp"
 #include "dip/pisa/parser.hpp"
+#include "dip/pisa/tna_model.hpp"
 
 namespace dip::pisa {
-
-struct TofinoConstraints {
-  std::size_t max_unrolled_fns = 8;      ///< if-else ladder depth
-  bool require_byte_aligned = true;      ///< no sub-byte slices
-  std::size_t max_locations_bytes = 128; ///< PHV budget for the loc block
-};
-
-/// Validate an FN program against the switch constraints. kUnsupported if
-/// the ladder is too short, kMalformed for slice violations, kOverflow for
-/// PHV exhaustion.
-[[nodiscard]] bytes::Status validate_program(std::span<const core::FnTriple> fns,
-                                             std::size_t locations_bytes,
-                                             const TofinoConstraints& limits = {});
 
 /// Per-FN switch execution profile (static, mirrors the pre-written modules).
 struct FnSwitchProfile {
@@ -67,12 +54,11 @@ struct SwitchCostBreakdown {
 /// switch runs them in sequence).
 [[nodiscard]] SwitchCostBreakdown estimate_protocol_cycles(
     std::span<const core::FnTriple> fns, std::size_t locations_bytes,
-    const CostModel& model = default_cost_model(), bool aes_mac = false);
+    bool aes_mac = false);
 
 /// Build a PISA parser that walks a real DIP packet: basic header, then one
 /// state per FN triple (unrolled — constraint 1), then the locations block
 /// into kLocBase containers. Supports up to 4 FNs and 32 location bytes.
-[[nodiscard]] Parser build_dip_parser(std::size_t fn_count, std::size_t locations_bytes,
-                                      CostModel model = default_cost_model());
+[[nodiscard]] Parser build_dip_parser(std::size_t fn_count, std::size_t locations_bytes);
 
 }  // namespace dip::pisa

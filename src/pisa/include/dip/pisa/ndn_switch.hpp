@@ -28,8 +28,7 @@ namespace dip::pisa {
 
 class NdnSwitchForwarder {
  public:
-  explicit NdnSwitchForwarder(std::size_t pit_cells = 4096,
-                              CostModel model = default_cost_model());
+  explicit NdnSwitchForwarder(std::size_t pit_cells = 4096);
 
   /// Install a name-code route (the F_FIB table).
   void add_name_route(const fib::Ipv4Prefix& code_prefix, fib::NextHop next_hop);
@@ -59,7 +58,6 @@ class NdnSwitchForwarder {
   Parser parser_;
   MatchTable fib_;
   RegisterArray pit_;
-  CostModel model_;
 };
 
 }  // namespace dip::pisa

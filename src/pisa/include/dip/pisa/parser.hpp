@@ -2,7 +2,9 @@
 //
 // Each state extracts preset byte slices (no variable offsets — the §4.1
 // Tofino restriction), optionally selects a container to branch on, advances
-// the cursor, and transitions. Terminals are kAccept and kReject.
+// the cursor, and transitions. Terminals are kAccept and kReject. A parse
+// visits at most the switch model's tna::kParserStates states (the loop
+// guard) and costs tna::kParserStateCycles per state.
 #pragma once
 
 #include <cstdint>
@@ -10,8 +12,8 @@
 #include <vector>
 
 #include "dip/bytes/expected.hpp"
-#include "dip/pisa/cost_model.hpp"
 #include "dip/pisa/phv.hpp"
+#include "dip/pisa/tna_model.hpp"
 
 namespace dip::pisa {
 
@@ -49,10 +51,6 @@ struct ParseOutcome {
 
 class Parser {
  public:
-  static constexpr std::size_t kMaxStatesVisited = 32;  ///< loop guard
-
-  explicit Parser(CostModel model = default_cost_model()) : model_(model) {}
-
   /// Append a state; returns its index.
   std::int16_t add_state(ParserState state) {
     states_.push_back(std::move(state));
@@ -67,7 +65,6 @@ class Parser {
 
  private:
   std::vector<ParserState> states_;
-  CostModel model_;
 };
 
 }  // namespace dip::pisa

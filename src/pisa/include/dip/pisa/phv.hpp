@@ -10,15 +10,16 @@
 #include <bitset>
 #include <cstdint>
 
+#include "dip/pisa/tna_model.hpp"
+
 namespace dip::pisa {
 
 /// Index of a 32-bit PHV container.
 using Container = std::uint8_t;
 
+/// The container pool is the switch model's (tna::kPhvContainers).
 class Phv {
  public:
-  static constexpr std::size_t kContainers = 64;
-
   [[nodiscard]] bool valid(Container c) const noexcept { return valid_[c]; }
 
   [[nodiscard]] std::uint32_t get(Container c) const noexcept { return regs_[c]; }
@@ -39,8 +40,8 @@ class Phv {
   [[nodiscard]] std::size_t valid_count() const noexcept { return valid_.count(); }
 
  private:
-  std::array<std::uint32_t, kContainers> regs_{};
-  std::bitset<kContainers> valid_;
+  std::array<std::uint32_t, tna::kPhvContainers> regs_{};
+  std::bitset<tna::kPhvContainers> valid_;
 };
 
 /// Well-known container assignments used by the DIP switch program.

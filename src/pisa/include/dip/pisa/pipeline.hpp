@@ -1,17 +1,17 @@
 // Pipeline: ordered stages of parallel match-action tables.
 //
 // Within a stage, tables run concurrently (stage cost = max of its tables);
-// stages run in sequence. A bounded resubmit count models the Tofino
-// behaviour the paper leaned on: AES-style MACs need the packet re-injected,
-// 2EM does not (§4.1).
+// stages run in sequence, at most the switch model's tna::kStages of them. A
+// bounded resubmit count models the Tofino behaviour the paper leaned on:
+// AES-style MACs need the packet re-injected, 2EM does not (§4.1).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "dip/bytes/expected.hpp"
-#include "dip/pisa/cost_model.hpp"
 #include "dip/pisa/table.hpp"
+#include "dip/pisa/tna_model.hpp"
 
 namespace dip::pisa {
 
@@ -27,14 +27,11 @@ struct PipelineRun {
 
 class Pipeline {
  public:
-  static constexpr std::size_t kMaxStages = 20;      ///< Tofino-ish budget
   static constexpr std::uint32_t kMaxResubmits = 4;  ///< runaway guard
-
-  explicit Pipeline(CostModel model = default_cost_model()) : model_(model) {}
 
   /// Append a stage; fails (returns false) past the hardware stage budget.
   bool add_stage(Stage stage) {
-    if (stages_.size() >= kMaxStages) return false;
+    if (stages_.size() >= tna::kStages) return false;
     stages_.push_back(std::move(stage));
     return true;
   }
@@ -46,7 +43,6 @@ class Pipeline {
   [[nodiscard]] Stage* mutable_stage(std::size_t index) noexcept {
     return index < stages_.size() ? &stages_[index] : nullptr;
   }
-  [[nodiscard]] const CostModel& model() const noexcept { return model_; }
 
   /// One pass over all stages (no resubmission).
   [[nodiscard]] PipelineRun run(Phv& phv) const;
@@ -57,7 +53,6 @@ class Pipeline {
 
  private:
   std::vector<Stage> stages_;
-  CostModel model_;
 };
 
 }  // namespace dip::pisa

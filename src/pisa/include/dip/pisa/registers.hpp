@@ -5,13 +5,13 @@
 // counters, Bloom filters, and (approximately) NDN PIT state without a
 // control-plane round trip. This models the primitive: an indexed array of
 // 32-bit cells with the small set of one-shot RMW operations hardware
-// offers, charged through the cost model.
+// offers, charged one ALU op each in the switch model (tna_model.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "dip/pisa/cost_model.hpp"
+#include "dip/pisa/tna_model.hpp"
 
 namespace dip::pisa {
 
@@ -32,8 +32,8 @@ class RegisterArray {
   /// One packet-time RMW. Out-of-range indices wrap (hardware masks the
   /// index to the array size; we emulate with modulo).
   std::uint32_t execute(RegisterOp op, std::size_t index, std::uint32_t operand,
-                        const CostModel& model, Cycles& cycles) {
-    cycles += model.alu_op;  // stateful ALU: one op per packet per array
+                        Cycles& cycles) {
+    cycles += tna::kAluCycles;  // stateful ALU: one op per packet per array
     std::uint32_t& cell = cells_[index % cells_.size()];
     switch (op) {
       case RegisterOp::kRead:

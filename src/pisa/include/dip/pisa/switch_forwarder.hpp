@@ -20,7 +20,7 @@ namespace dip::pisa {
 
 class SwitchForwarder {
  public:
-  explicit SwitchForwarder(CostModel model = default_cost_model());
+  SwitchForwarder();
 
   /// Install a DIP-32 route (mirrors fib::Ipv4Lpm::insert).
   void add_route(const fib::Ipv4Prefix& prefix, fib::NextHop next_hop);

@@ -9,8 +9,8 @@
 #include <optional>
 #include <vector>
 
-#include "dip/pisa/cost_model.hpp"
 #include "dip/pisa/phv.hpp"
+#include "dip/pisa/tna_model.hpp"
 
 namespace dip::pisa {
 
@@ -57,13 +57,13 @@ class MatchTable {
   /// Match against phv; returns the selected action (default if no hit).
   [[nodiscard]] Action lookup(const Phv& phv) const;
 
-  [[nodiscard]] Cycles lookup_cost(const CostModel& m) const noexcept {
+  [[nodiscard]] Cycles lookup_cost() const noexcept {
     switch (kind_) {
-      case MatchKind::kExact: return m.table_exact;
-      case MatchKind::kLpm: return m.table_lpm;
-      case MatchKind::kTernary: return m.table_ternary;
+      case MatchKind::kExact: return tna::kExactCycles;
+      case MatchKind::kLpm: return tna::kLpmCycles;
+      case MatchKind::kTernary: return tna::kTernaryCycles;
     }
-    return m.table_exact;
+    return tna::kExactCycles;
   }
 
  private:
@@ -74,6 +74,6 @@ class MatchTable {
 };
 
 /// Execute one action; returns its cycle cost.
-Cycles apply_action(const Action& action, Phv& phv, const CostModel& model) noexcept;
+Cycles apply_action(const Action& action, Phv& phv) noexcept;
 
 }  // namespace dip::pisa

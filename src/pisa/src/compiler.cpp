@@ -58,10 +58,9 @@ struct Demand {
   return std::clamp<std::uint32_t>(fn.field_len, 8, 32);
 }
 
-/// Translate one router-side FN into its stage demands under `model`.
+/// Translate one router-side FN into its stage demands.
 [[nodiscard]] std::vector<Demand> build_demands(const FnTriple& fn,
-                                                const CompileOptions& opts,
-                                                const TnaModel& model) {
+                                                const CompileOptions& opts) {
   const FnSwitchProfile p = fn_switch_profile(fn, opts.aes_mac);
   const bool has_work = p.exact_lookups + p.lpm_lookups + p.ternary_lookups +
                             p.alu_ops + p.crypto_rounds >
@@ -70,26 +69,26 @@ struct Demand {
   if (!has_work) return demands;  // carried, not acted upon (F_source)
 
   // FN dispatch predicates over the 6-byte triple: the parser/gateway may
-  // look at max_parser_condition_bytes per condition, so the triple costs
+  // look at tna::kConditionBytes per condition, so the triple costs
   // ceil(6 / limit) conditions. The first rides in the FN's first work
   // stage; each extra becomes its own gateway stage (§4.1, the "more than
   // 4 bytes on the same if statement" compromise).
-  const std::size_t cond_bytes = std::max<std::size_t>(1, model.max_parser_condition_bytes);
-  const std::size_t conditions = (FnTriple::kWireSize + cond_bytes - 1) / cond_bytes;
-  for (std::size_t i = 1; i < conditions; ++i) {
+  constexpr std::size_t kConditions =
+      (FnTriple::kWireSize + tna::kConditionBytes - 1) / tna::kConditionBytes;
+  for (std::size_t i = 1; i < kConditions; ++i) {
     Demand gw;
     gw.unit = StageUnit::kGateway;
-    gw.key_bits = static_cast<std::uint32_t>(8 * cond_bytes);
+    gw.key_bits = static_cast<std::uint32_t>(8 * tna::kConditionBytes);
     // One ladder row per unrollable FN slot.
-    gw.sram_bits = static_cast<std::uint64_t>(gw.key_bits) * model.max_unrolled_fns;
+    gw.sram_bits = static_cast<std::uint64_t>(gw.key_bits) * tna::kMaxUnrolledFns;
     demands.push_back(gw);
   }
 
   const std::uint32_t key_bits = lookup_key_bits(fn);
-  const auto sram_table = static_cast<std::uint64_t>(key_bits) * model.sram_entries_per_table;
+  const auto sram_table =
+      static_cast<std::uint64_t>(key_bits) * tna::kSramEntriesPerTable;
   // TCAM stores value+mask per entry.
-  const auto tcam_table =
-      2ull * key_bits * model.tcam_entries_per_table;
+  const auto tcam_table = 2ull * key_bits * tna::kTcamEntriesPerTable;
 
   // kMatch128's two LPM lookups are chained halves of one key; all other
   // multi-lookup modules probe independent tables and may share a stage.
@@ -109,10 +108,10 @@ struct Demand {
   for (std::uint32_t i = 0; i < p.lpm_lookups; ++i) add_lookup(StageUnit::kLpm, 0, tcam_table);
   for (std::uint32_t i = 0; i < p.ternary_lookups; ++i) add_lookup(StageUnit::kTernary, 0, tcam_table);
 
-  // Crypto rounds batch into stages of crypto_slots_per_stage rounds each,
-  // strictly chained (each round permutes the previous state).
+  // Crypto rounds batch into stages of tna::kCryptoSlotsPerStage rounds
+  // each, strictly chained (each round permutes the previous state).
   std::uint32_t rounds_left = p.crypto_rounds;
-  const auto slot_cap = static_cast<std::uint32_t>(std::max<std::size_t>(1, model.crypto_slots_per_stage));
+  constexpr auto slot_cap = static_cast<std::uint32_t>(tna::kCryptoSlotsPerStage);
   while (rounds_left > 0) {
     Demand d;
     d.unit = StageUnit::kCrypto;
@@ -124,7 +123,7 @@ struct Demand {
   // ALU ops execute in the FN's last work stage, spilling forward into
   // action-only stages if they exceed the per-stage VLIW slots.
   std::uint32_t alu_left = p.alu_ops;
-  const auto alu_cap = static_cast<std::uint32_t>(std::max<std::size_t>(1, model.action_slots_per_stage));
+  constexpr auto alu_cap = static_cast<std::uint32_t>(tna::kActionSlotsPerStage);
   if (alu_left > 0 && !demands.empty() && !is_table(demands.back().unit)) {
     // crypto stage hosts the epilogue ALU ops (whitening XORs etc.)
     const std::uint32_t take = std::min(alu_left, alu_cap);
@@ -146,14 +145,12 @@ struct Demand {
   return demands;
 }
 
-[[nodiscard]] bool demand_fits(const StagePlan& stage, const Demand& d,
-                               const TnaModel& model) {
-  if (is_table(d.unit) && stage.logical_tables + 1 > model.logical_tables_per_stage)
-    return false;
-  if (stage.sram_bits + d.sram_bits > model.sram_bits_per_stage) return false;
-  if (stage.tcam_bits + d.tcam_bits > model.tcam_bits_per_stage) return false;
-  if (stage.action_slots + d.alu_ops > model.action_slots_per_stage) return false;
-  if (stage.crypto_slots + d.crypto_rounds > model.crypto_slots_per_stage) return false;
+[[nodiscard]] bool demand_fits(const StagePlan& stage, const Demand& d) {
+  if (is_table(d.unit) && stage.logical_tables + 1 > tna::kTablesPerStage) return false;
+  if (stage.sram_bits + d.sram_bits > tna::kSramBitsPerStage) return false;
+  if (stage.tcam_bits + d.tcam_bits > tna::kTcamBitsPerStage) return false;
+  if (stage.action_slots + d.alu_ops > tna::kActionSlotsPerStage) return false;
+  if (stage.crypto_slots + d.crypto_rounds > tna::kCryptoSlotsPerStage) return false;
   return true;
 }
 
@@ -179,19 +176,18 @@ void commit(StagePlan& stage, const Demand& d, std::size_t fn_index, OpKey key) 
 /// used (FNs chain: the ladder decides FN i+1 from FN i's outcome). Returns
 /// false (pass untouched) when the FN would run past the last stage.
 [[nodiscard]] bool place_fn(PassPlan& pass, std::size_t fn_index, OpKey key,
-                            const std::vector<Demand>& demands,
-                            const TnaModel& model) {
+                            const std::vector<Demand>& demands) {
   std::vector<StagePlan> stages = pass.stages;  // simulate, commit on success
   std::ptrdiff_t prev = static_cast<std::ptrdiff_t>(stages.size()) - 1;
   bool first = true;
   for (const Demand& d : demands) {
     std::size_t target;
     if (!first && d.parallel_ok && prev >= 0 &&
-        demand_fits(stages[static_cast<std::size_t>(prev)], d, model)) {
+        demand_fits(stages[static_cast<std::size_t>(prev)], d)) {
       target = static_cast<std::size_t>(prev);
     } else {
       target = static_cast<std::size_t>(prev + 1);
-      if (target >= model.stages) return false;
+      if (target >= tna::kStages) return false;
       if (target >= stages.size()) stages.emplace_back();
     }
     commit(stages[target], d, fn_index, key);
@@ -211,13 +207,12 @@ void commit(StagePlan& stage, const Demand& d, std::size_t fn_index, OpKey key) 
 
 }  // namespace
 
-PlacementReport StageCompiler::compile(std::span<const FnTriple> fns,
-                                       std::size_t locations_bytes,
-                                       const CompileOptions& opts) const {
+PlacementReport compile(std::span<const FnTriple> fns, std::size_t locations_bytes,
+                        const CompileOptions& opts) {
   const std::size_t loc_states = (locations_bytes + 3) / 4;
 
   // --- structural checks (kUnfit regardless of placement) ---------------
-  if (locations_bytes > model_.max_locations_bytes) {
+  if (locations_bytes > tna::kMaxLocationsBytes) {
     return unfit("locations block exceeds the preset-slice budget");
   }
   std::size_t crypto_fns = 0;
@@ -242,7 +237,7 @@ PlacementReport StageCompiler::compile(std::span<const FnTriple> fns,
   // recirculation passes, so this is global, not per pass.
   PlacementReport r;
   r.phv_containers = 6 + 2 * fns.size() + loc_states + 2 * crypto_fns;
-  if (r.phv_containers > model_.phv_containers) {
+  if (r.phv_containers > tna::kPhvContainers) {
     return unfit("PHV container pool exhausted");
   }
 
@@ -250,7 +245,7 @@ PlacementReport StageCompiler::compile(std::span<const FnTriple> fns,
   // slice, and the whole locations block. If even a one-FN pass exceeds
   // the parser budget, no amount of recirculation helps.
   const std::size_t min_fns_state = fns.empty() ? 0 : 1;
-  if (1 + min_fns_state + loc_states > model_.max_parser_states) {
+  if (1 + min_fns_state + loc_states > tna::kParserStates) {
     return unfit("parser state budget exceeded");
   }
 
@@ -261,8 +256,8 @@ PlacementReport StageCompiler::compile(std::span<const FnTriple> fns,
     PassPlan* pass = &r.passes.back();
 
     auto pass_admits_fn = [&](const PassPlan& p) {
-      if (p.fns.size() + 1 > model_.max_unrolled_fns) return false;  // ladder
-      return 1 + (p.fns.size() + 1) + loc_states <= model_.max_parser_states;
+      if (p.fns.size() + 1 > tna::kMaxUnrolledFns) return false;  // ladder
+      return 1 + (p.fns.size() + 1) + loc_states <= tna::kParserStates;
     };
     if (!pass_admits_fn(*pass)) {
       r.passes.emplace_back();
@@ -275,18 +270,18 @@ PlacementReport StageCompiler::compile(std::span<const FnTriple> fns,
       continue;
     }
 
-    const std::vector<Demand> demands = build_demands(fn, opts, model_);
-    if (!place_fn(*pass, i, fn.key(), demands, model_)) {
+    const std::vector<Demand> demands = build_demands(fn, opts);
+    if (!place_fn(*pass, i, fn.key(), demands)) {
       // Out of stages: recirculate and restart this FN in a fresh pass.
       r.passes.emplace_back();
       pass = &r.passes.back();
-      if (!place_fn(*pass, i, fn.key(), demands, model_)) {
+      if (!place_fn(*pass, i, fn.key(), demands)) {
         return unfit("single FN exceeds one pipeline pass");
       }
     }
     pass->fns.push_back(fn);
   }
-  if (r.passes.size() > model_.max_passes) {
+  if (r.passes.size() > tna::kMaxPasses) {
     return unfit("recirculation budget exceeded");
   }
 
@@ -302,12 +297,12 @@ PlacementReport StageCompiler::compile(std::span<const FnTriple> fns,
       r.tcam_bits += stage.tcam_bits;
     }
     const SwitchCostBreakdown pass_cost =
-        estimate_protocol_cycles(pass.fns, locations_bytes, costs_, opts.aes_mac);
+        estimate_protocol_cycles(pass.fns, locations_bytes, opts.aes_mac);
     cycles += pass_cost.total();
     resubmissions += pass_cost.resubmissions;
   }
   // Each recirculation pass is a full re-injection on top of its transit.
-  cycles += (r.passes.size() - 1) * costs_.resubmit();
+  cycles += (r.passes.size() - 1) * tna::kTransitCycles;
   r.resubmissions = resubmissions;
   r.cycles = cycles;
 
@@ -332,20 +327,19 @@ PlacementReport StageCompiler::compile(std::span<const FnTriple> fns,
 }
 
 std::string format_report(std::string_view name, std::span<const FnTriple> fns,
-                          std::size_t locations_bytes, const PlacementReport& report,
-                          const TnaModel& model) {
+                          std::size_t locations_bytes, const PlacementReport& report) {
   std::ostringstream out;
   out << "# pisa fit report v1 (DIP_REGEN_VECTORS=1 ./pisa_test regenerates)\n";
   out << "composition: " << name << "\n";
-  out << "model: stages=" << model.stages << " passes=" << model.max_passes
-      << " sram/stage=" << model.sram_bits_per_stage << "b"
-      << " tcam/stage=" << model.tcam_bits_per_stage << "b"
-      << " tables/stage=" << model.logical_tables_per_stage
-      << " alu/stage=" << model.action_slots_per_stage
-      << " crypto/stage=" << model.crypto_slots_per_stage
-      << " phv=" << model.phv_containers << " parser=" << model.max_parser_states
-      << " cond=" << model.max_parser_condition_bytes << "B"
-      << " ladder=" << model.max_unrolled_fns << "\n";
+  out << "model: stages=" << tna::kStages << " passes=" << tna::kMaxPasses
+      << " sram/stage=" << tna::kSramBitsPerStage << "b"
+      << " tcam/stage=" << tna::kTcamBitsPerStage << "b"
+      << " tables/stage=" << tna::kTablesPerStage
+      << " alu/stage=" << tna::kActionSlotsPerStage
+      << " crypto/stage=" << tna::kCryptoSlotsPerStage
+      << " phv=" << tna::kPhvContainers << " parser=" << tna::kParserStates
+      << " cond=" << tna::kConditionBytes << "B"
+      << " ladder=" << tna::kMaxUnrolledFns << "\n";
   out << "fns: " << fns.size() << " =";
   for (const FnTriple& fn : fns) {
     out << " " << core::op_key_name(fn.key()) << (fn.host_tagged() ? "*" : "");
@@ -356,11 +350,10 @@ std::string format_report(std::string_view name, std::span<const FnTriple> fns,
   out << "reason: " << report.reason << "\n";
   if (!report.fits()) return std::move(out).str();
 
-  out << "passes: " << report.passes.size() << "/" << model.max_passes << "\n";
-  out << "stages_used: " << report.stages_used << "/" << model.stages << "\n";
-  out << "parser_states: " << report.parser_states << "/" << model.max_parser_states
-      << "\n";
-  out << "phv_containers: " << report.phv_containers << "/" << model.phv_containers
+  out << "passes: " << report.passes.size() << "/" << tna::kMaxPasses << "\n";
+  out << "stages_used: " << report.stages_used << "/" << tna::kStages << "\n";
+  out << "parser_states: " << report.parser_states << "/" << tna::kParserStates << "\n";
+  out << "phv_containers: " << report.phv_containers << "/" << tna::kPhvContainers
       << "\n";
   out << "sram_bits: " << report.sram_bits << "\n";
   out << "tcam_bits: " << report.tcam_bits << "\n";

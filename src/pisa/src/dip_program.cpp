@@ -7,25 +7,6 @@ namespace dip::pisa {
 using core::FnTriple;
 using core::OpKey;
 
-bytes::Status validate_program(std::span<const FnTriple> fns, std::size_t locations_bytes,
-                               const TofinoConstraints& limits) {
-  if (fns.size() > limits.max_unrolled_fns) {
-    return bytes::Unexpected{bytes::Error::kUnsupported};  // ladder too short
-  }
-  if (locations_bytes > limits.max_locations_bytes) {
-    return bytes::Unexpected{bytes::Error::kOverflow};  // PHV exhausted
-  }
-  for (const FnTriple& fn : fns) {
-    if (limits.require_byte_aligned && !fn.range().byte_aligned()) {
-      return bytes::Unexpected{bytes::Error::kMalformed};  // variable slicing
-    }
-    if (!bytes::fits(fn.range(), locations_bytes)) {
-      return bytes::Unexpected{bytes::Error::kOutOfRange};
-    }
-  }
-  return {};
-}
-
 FnSwitchProfile fn_switch_profile(const FnTriple& fn, bool aes_mac) noexcept {
   FnSwitchProfile p;
   const std::uint32_t field_bytes =
@@ -116,34 +97,32 @@ FnSwitchProfile fn_switch_profile(const FnTriple& fn, bool aes_mac) noexcept {
 }
 
 SwitchCostBreakdown estimate_protocol_cycles(std::span<const FnTriple> fns,
-                                             std::size_t locations_bytes,
-                                             const CostModel& model, bool aes_mac) {
+                                             std::size_t locations_bytes, bool aes_mac) {
   SwitchCostBreakdown out;
-  out.transit = model.pipeline_transit;
+  out.transit = tna::kTransitCycles;
 
   // Parsing: one state for the basic header, one per FN triple (the
   // unrolled ladder), one per 4 location bytes (32-bit containers).
   const std::size_t parse_states = 1 + fns.size() + (locations_bytes + 3) / 4;
-  out.parse = parse_states * model.parser_state;
+  out.parse = parse_states * tna::kParserStateCycles;
 
   // FN modules run in sequence: the ladder is a chain of dependent
   // predicates, so their costs add.
   for (const FnTriple& fn : fns) {
     if (fn.host_tagged()) continue;  // switch skips host operations
     const FnSwitchProfile p = fn_switch_profile(fn, aes_mac);
-    out.match += p.exact_lookups * model.table_exact + p.lpm_lookups * model.table_lpm +
-                 p.ternary_lookups * model.table_ternary + p.alu_ops * model.alu_op;
-    out.crypto += p.crypto_rounds * model.crypto_round;
+    out.match += p.exact_lookups * tna::kExactCycles + p.lpm_lookups * tna::kLpmCycles +
+                 p.ternary_lookups * tna::kTernaryCycles + p.alu_ops * tna::kAluCycles;
+    out.crypto += p.crypto_rounds * tna::kCryptoRoundCycles;
     out.resubmissions += p.resubmits;
   }
 
   // Each resubmission re-runs the pipeline transit.
-  out.transit += out.resubmissions * (model.pipeline_transit + model.resubmit_penalty);
+  out.transit += out.resubmissions * tna::kTransitCycles;
   return out;
 }
 
-Parser build_dip_parser(std::size_t fn_count, std::size_t locations_bytes,
-                        CostModel model) {
+Parser build_dip_parser(std::size_t fn_count, std::size_t locations_bytes) {
   fn_count = std::min<std::size_t>(fn_count, 4);
   locations_bytes = std::min<std::size_t>(locations_bytes, 32);
   const std::size_t loc_states = (locations_bytes + 3) / 4;
@@ -153,7 +132,7 @@ Parser build_dip_parser(std::size_t fn_count, std::size_t locations_bytes,
   const std::int16_t after_fns =
       loc_states == 0 ? ParserState::kAccept : first_loc;
 
-  Parser parser(model);
+  Parser parser;
 
   ParserState basic;
   basic.extracts = {

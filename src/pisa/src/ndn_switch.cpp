@@ -14,11 +14,10 @@ std::size_t pit_index(std::uint32_t name_code, std::size_t cells) {
 }
 }  // namespace
 
-NdnSwitchForwarder::NdnSwitchForwarder(std::size_t pit_cells, CostModel model)
-    : parser_(build_dip_parser(/*fn_count=*/1, /*locations_bytes=*/4, model)),
+NdnSwitchForwarder::NdnSwitchForwarder(std::size_t pit_cells)
+    : parser_(build_dip_parser(/*fn_count=*/1, /*locations_bytes=*/4)),
       fib_(MatchKind::kLpm, phv_layout::kLocBase),
-      pit_(pit_cells),
-      model_(model) {
+      pit_(pit_cells) {
   fib_.set_default_action(
       {ActionKind::kSetContainer, phv_layout::kEgressPort, 0, kNoEgress});
 }
@@ -37,7 +36,7 @@ bytes::Result<NdnSwitchForwarder::Outcome> NdnSwitchForwarder::process(
   if (!parsed) return bytes::Err(parsed.error());
 
   Outcome out;
-  out.cycles = parsed->cycles + model_.pipeline_transit;
+  out.cycles = parsed->cycles + tna::kTransitCycles;
 
   Phv phv = parsed->phv;
   const auto op = static_cast<std::uint16_t>(phv.get(phv_layout::kFnBase + 1));
@@ -48,20 +47,20 @@ bytes::Result<NdnSwitchForwarder::Outcome> NdnSwitchForwarder::process(
   if (key == core::OpKey::kFib) {
     // Interest: record ingress in the PIT cell (test-and-set), then FIB LPM.
     const std::uint32_t old = pit_.execute(RegisterOp::kReadAndSet, cell,
-                                           ingress_face + 1, model_, out.cycles);
+                                           ingress_face + 1, out.cycles);
     if (old != 0) {
       // A request is already pending. The single-cell PIT cannot hold a
       // second face: suppress (and restore the original face we clobbered).
-      pit_.execute(RegisterOp::kWrite, cell, old, model_, out.cycles);
+      pit_.execute(RegisterOp::kWrite, cell, old, out.cycles);
       out.status = Status::kSuppressed;
       return out;
     }
-    out.cycles += fib_.lookup_cost(model_);
+    out.cycles += fib_.lookup_cost();
     const Action action = fib_.lookup(phv);
-    out.cycles += apply_action(action, phv, model_);
+    out.cycles += apply_action(action, phv);
     if (phv.get(phv_layout::kEgressPort) == kNoEgress) {
       // No route: roll back the PIT cell so the name is not poisoned.
-      pit_.execute(RegisterOp::kWrite, cell, 0, model_, out.cycles);
+      pit_.execute(RegisterOp::kWrite, cell, 0, out.cycles);
       out.status = Status::kDropNoRoute;
       return out;
     }
@@ -73,7 +72,7 @@ bytes::Result<NdnSwitchForwarder::Outcome> NdnSwitchForwarder::process(
   if (key == core::OpKey::kPit) {
     // Data: read-and-clear the cell; the stored face is the egress.
     const std::uint32_t stored =
-        pit_.execute(RegisterOp::kReadAndSet, cell, 0, model_, out.cycles);
+        pit_.execute(RegisterOp::kReadAndSet, cell, 0, out.cycles);
     if (stored == 0) {
       out.status = Status::kDropPitMiss;
       return out;

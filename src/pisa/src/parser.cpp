@@ -10,12 +10,12 @@ bytes::Result<ParseOutcome> Parser::parse(std::span<const std::uint8_t> packet) 
   std::int16_t state_index = 0;
 
   while (true) {
-    if (out.states_visited >= kMaxStatesVisited) {
+    if (out.states_visited >= tna::kParserStates) {
       return bytes::Err(bytes::Error::kOverflow);  // parser loop guard
     }
     const ParserState& state = states_[static_cast<std::size_t>(state_index)];
     ++out.states_visited;
-    out.cycles += model_.parser_state;
+    out.cycles += tna::kParserStateCycles;
 
     for (const ExtractOp& op : state.extracts) {
       const std::size_t at = cursor + op.offset;
@@ -25,7 +25,6 @@ bytes::Result<ParseOutcome> Parser::parse(std::span<const std::uint8_t> packet) 
       std::uint32_t v = 0;
       for (std::uint8_t i = 0; i < op.width; ++i) v = (v << 8) | packet[at + i];
       out.phv.set(op.dst, v);
-      out.cycles += model_.extract_per_byte * op.width;
     }
 
     if (cursor + state.advance > packet.size()) {

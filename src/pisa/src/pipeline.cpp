@@ -6,7 +6,7 @@ namespace dip::pisa {
 
 PipelineRun Pipeline::run(Phv& phv) const {
   PipelineRun out;
-  out.cycles = model_.pipeline_transit;
+  out.cycles = tna::kTransitCycles;
 
   for (const Stage& stage : stages_) {
     // Tables within a stage are concurrent: lookups cost the max, actions
@@ -15,9 +15,9 @@ PipelineRun Pipeline::run(Phv& phv) const {
     Cycles stage_lookup = 0;
     Cycles stage_action = 0;
     for (const MatchTable& table : stage.tables) {
-      stage_lookup = std::max(stage_lookup, table.lookup_cost(model_));
+      stage_lookup = std::max(stage_lookup, table.lookup_cost());
       const Action action = table.lookup(phv);
-      stage_action = std::max(stage_action, apply_action(action, phv, model_));
+      stage_action = std::max(stage_action, apply_action(action, phv));
     }
     out.cycles += stage_lookup + stage_action;
     if (phv.get(phv_layout::kDropFlag) != 0) {
@@ -35,7 +35,7 @@ bytes::Result<PipelineRun> Pipeline::run_with_resubmits(Phv& phv,
   PipelineRun total = run(phv);
   for (std::uint32_t i = 0; i < resubmits && !total.dropped; ++i) {
     const PipelineRun pass = run(phv);
-    total.cycles += pass.cycles + model_.resubmit_penalty;
+    total.cycles += pass.cycles;
     total.dropped = pass.dropped;
     ++total.resubmissions;
   }

@@ -12,8 +12,7 @@ constexpr std::size_t kLocBytes = 8;
 constexpr std::uint32_t kNoEgress = 0xffffffffu;
 }  // namespace
 
-SwitchForwarder::SwitchForwarder(CostModel model)
-    : parser_(build_dip_parser(kFnCount, kLocBytes, model)), pipeline_(model) {
+SwitchForwarder::SwitchForwarder() : parser_(build_dip_parser(kFnCount, kLocBytes)) {
   // Stage 0: LPM on the destination container; default = mark no-route.
   Stage stage;
   MatchTable lpm(MatchKind::kLpm, phv_layout::kLocBase);

@@ -41,28 +41,28 @@ Action MatchTable::lookup(const Phv& phv) const {
   return default_action_;
 }
 
-Cycles apply_action(const Action& action, Phv& phv, const CostModel& model) noexcept {
+Cycles apply_action(const Action& action, Phv& phv) noexcept {
   switch (action.kind) {
     case ActionKind::kNoop:
       return 0;
     case ActionKind::kSetContainer:
       phv.set(action.a, action.imm);
-      return model.alu_op;
+      return tna::kAluCycles;
     case ActionKind::kCopy:
       phv.set(action.a, phv.get(action.b));
-      return model.alu_op;
+      return tna::kAluCycles;
     case ActionKind::kAdd:
       phv.set(action.a, phv.get(action.a) + action.imm);
-      return model.alu_op;
+      return tna::kAluCycles;
     case ActionKind::kXor:
       phv.set(action.a, phv.get(action.a) ^ action.imm);
-      return model.alu_op;
+      return tna::kAluCycles;
     case ActionKind::kXorReg:
       phv.set(action.a, phv.get(action.a) ^ phv.get(action.b));
-      return model.alu_op;
+      return tna::kAluCycles;
     case ActionKind::kDrop:
       phv.set(phv_layout::kDropFlag, 1);
-      return model.alu_op;
+      return tna::kAluCycles;
     case ActionKind::kCryptoRound: {
       // A lightweight stand-in mixing: enough to make data flow observable
       // in tests; the *cost* is what matters for the Figure-2 shape.
@@ -71,7 +71,7 @@ Cycles apply_action(const Action& action, Phv& phv, const CostModel& model) noex
       v = (v << 7) | (v >> 25);
       v *= 0x9e3779b1u;
       phv.set(action.a, v);
-      return model.crypto_round;
+      return tna::kCryptoRoundCycles;
     }
   }
   return 0;

@@ -165,9 +165,51 @@ TEST(Journal, FlushPublishesOnlyDirtyTables) {
 
   journal.add_route32({fib::ipv4_from_u32(0x0A000000), 8}, 1);
   journal.add_xid_route(fib::XidType::kAd, fib::Xid{}, 2);
-  EXPECT_EQ(journal.flush(), 2u) << "fib32 and xid dirty; fib128/names untouched";
+  EXPECT_EQ(journal.flush(), 2u) << "fib32 and xid dirty; fib128 untouched";
   EXPECT_EQ(tables->fib128.read(), nullptr);
   EXPECT_EQ(journal.flush(), 0u) << "nothing pending after a flush";
+}
+
+// assign_routes32 is the one route-set diff (ControlPlane and the mesh's
+// publish_routes both assign through it): it enqueues new and changed
+// prefixes and withdraws the ones the previous set had, whatever order the
+// set arrives in, and leaves routes enqueued directly alone.
+TEST(Journal, AssignRoutesEnqueuesOnlyTheDifference) {
+  auto tables = std::make_shared<ControlTables>();
+  RouteJournal journal(tables);
+  const auto prefix = [](std::uint32_t third_octet) {
+    return fib::Prefix<32>{fib::ipv4_from_u32(0x0A000000 | (third_octet << 8)), 24};
+  };
+  const auto route = [&](std::uint32_t third_octet) {
+    const fib::Ipv4Addr host = fib::ipv4_from_u32(0x0A000001 | (third_octet << 8));
+    return tables->fib32.read()->lookup(host);
+  };
+  journal.add_route32(prefix(9), 9);  // outside every assigned set
+
+  RouteJournal::RouteDelta d = journal.assign_routes32({{prefix(2), 2}, {prefix(1), 1}});
+  EXPECT_EQ(d.installed, 2u);
+  EXPECT_EQ(d.withdrawn, 0u);
+  journal.flush();
+
+  d = journal.assign_routes32({{prefix(3), 4}, {prefix(1), 1}, {prefix(2), 3}});
+  EXPECT_EQ(d.installed, 2u) << "prefix 2 moved, prefix 3 is new";
+  EXPECT_EQ(d.withdrawn, 0u);
+  EXPECT_EQ(journal.pending(), 2u);
+  journal.flush();
+
+  d = journal.assign_routes32({{prefix(2), 3}});
+  EXPECT_EQ(d.installed, 0u);
+  EXPECT_EQ(d.withdrawn, 2u) << "prefixes 1 and 3 left the set";
+  journal.flush();
+  EXPECT_EQ(route(1), std::nullopt);
+  EXPECT_EQ(route(2), std::optional<fib::NextHop>{3});
+  EXPECT_EQ(route(3), std::nullopt);
+  EXPECT_EQ(route(9), std::optional<fib::NextHop>{9})
+      << "a route enqueued directly is not in the set";
+
+  d = journal.assign_routes32({{prefix(2), 3}});
+  EXPECT_EQ(d.installed + d.withdrawn, 0u);
+  EXPECT_FALSE(journal.dirty()) << "an unchanged set enqueues nothing";
 }
 
 TEST(Journal, SeedClonesStaticTablesDeeply) {
@@ -332,23 +374,16 @@ TEST(Journal, LeftRightChurnMatchesOracle) {
   xid_seed.insert(fib::XidType::kAd, xid_of(1), 4);
   xid_routes[{fib::XidType::kAd, 1}] = 4;
 
-  const std::string kNames[] = {"/a", "/a/b", "/a/b/c", "/d", "/d/e", "/f/g", "/h"};
-  fib::NameFib names_seed;
-  std::map<std::string, fib::NextHop> name_routes;
-  names_seed.insert(fib::Name::parse("/a"), 2);
-  name_routes["/a"] = 2;
-
   auto tables = std::make_shared<ControlTables>();
   RouteJournal journal(tables);
-  journal.seed(&v4.seed, &v6.seed, &xid_seed, &names_seed);
+  journal.seed(&v4.seed, &v6.seed, &xid_seed);
   const ctrl::ReaderHandle reader = tables->register_reader();
   tables->domain.resume(reader);
 
   Alternation alt32{{tables->fib32.read()}};
   Alternation alt128{{tables->fib128.read()}};
   Alternation alt_xid{{tables->xid.read()}};
-  Alternation alt_names{{tables->names.read()}};
-  std::array<bool, 4> flushed_once{};
+  std::array<bool, 3> flushed_once{};
 
   for (int round = 0; round < 80; ++round) {
     SCOPED_TRACE(::testing::Message() << "round " << round);
@@ -357,8 +392,7 @@ TEST(Journal, LeftRightChurnMatchesOracle) {
     std::set<fib::Prefix<32>> touched32;
     std::set<fib::Prefix<128>> touched128;
     std::size_t xid_deltas = 0;
-    std::size_t name_deltas = 0;
-    const bool d32 = dirty(), d128 = dirty(), dxid = dirty(), dnames = dirty();
+    const bool d32 = dirty(), d128 = dirty(), dxid = dirty();
 
     if (d32) {
       for (std::uint64_t i = 0, n = 1 + rng.below(5); i < n; ++i) v4.churn(rng, journal, touched32);
@@ -392,31 +426,15 @@ TEST(Journal, LeftRightChurnMatchesOracle) {
       }
       xid_deltas = touched.size();
     }
-    if (dnames) {
-      std::set<std::string> touched;
-      for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i) {
-        const std::string& text = kNames[rng.below(std::size(kNames))];
-        if (rng.below(3) == 0) {
-          journal.remove_name_route(fib::Name::parse(text));
-          name_routes.erase(text);
-        } else {
-          const auto nh = static_cast<fib::NextHop>(1 + rng.below(6));
-          journal.add_name_route(fib::Name::parse(text), nh);
-          name_routes[text] = nh;
-        }
-        touched.insert(text);
-      }
-      name_deltas = touched.size();
-    }
 
     const std::uint64_t gen32 = tables->fib32.read()->generation();
     const std::uint64_t gen128 = tables->fib128.read()->generation();
     const std::uint64_t applied = journal.stats().updates_applied;
     const std::size_t published = journal.flush();
-    const std::array<bool, 4> dirtied{d32, d128, dxid, dnames};
+    const std::array<bool, 3> dirtied{d32, d128, dxid};
     EXPECT_EQ(published, static_cast<std::size_t>(std::count(dirtied.begin(), dirtied.end(), true)));
     EXPECT_EQ(journal.stats().updates_applied - applied,
-              touched32.size() + touched128.size() + xid_deltas + name_deltas);
+              touched32.size() + touched128.size() + xid_deltas);
 
     // A replay bumps the generation exactly as clone + apply does.
     const fib::Ipv4Lpm* live32 = tables->fib32.read();
@@ -427,10 +445,9 @@ TEST(Journal, LeftRightChurnMatchesOracle) {
     if (d32) alt32.expect_next(live32);
     if (d128) alt128.expect_next(live128);
     if (dxid) alt_xid.expect_next(tables->xid.read());
-    if (dnames) alt_names.expect_next(tables->names.read());
 
     // Only each table's first flush after seed() cloned.
-    for (std::size_t t = 0; t < 4; ++t) flushed_once[t] = flushed_once[t] || dirtied[t];
+    for (std::size_t t = 0; t < 3; ++t) flushed_once[t] = flushed_once[t] || dirtied[t];
     EXPECT_EQ(journal.stats().clones,
               static_cast<std::uint64_t>(
                   std::count(flushed_once.begin(), flushed_once.end(), true)));
@@ -447,18 +464,11 @@ TEST(Journal, LeftRightChurnMatchesOracle) {
         EXPECT_EQ(xid->is_local(type, xid_of(tag)), xid_local.contains({type, tag}));
       }
     }
-    const fib::NameFib* names = tables->names.read();
-    for (const std::string& text : kNames) {
-      const auto want = name_routes.find(text);
-      EXPECT_EQ(names->exact(fib::Name::parse(text)),
-                want == name_routes.end() ? std::nullopt
-                                          : std::optional<fib::NextHop>{want->second});
-    }
 
     // Burst boundary: the reader drops every pointer read above.
     tables->domain.quiesce(reader);
   }
-  for (const Alternation* a : {&alt32, &alt128, &alt_xid, &alt_names}) {
+  for (const Alternation* a : {&alt32, &alt128, &alt_xid}) {
     EXPECT_GE(a->history.size(), 10u) << "every table must churn through both copies";
   }
 

@@ -436,15 +436,14 @@ TEST(DtnStore, StatsExposeDtnSeries) {
 // ---- RetxScheduler (the qos/DPS pacing seam) ------------------------------
 
 TEST(DtnRetx, IdleLinkFallsBackToMaxGapAndTrafficShrinksIt) {
-  dtn::RetxScheduler::Config cfg;
-  dtn::RetxScheduler sched(cfg);
+  dtn::RetxScheduler sched;
 
   // No observed first-transmission traffic: pace at the floor interval so
   // recovery still progresses.
-  EXPECT_EQ(sched.gap_for(1500), cfg.max_gap);
+  EXPECT_EQ(sched.gap_for(1500), dtn::RetxScheduler::kMaxGap);
   EXPECT_EQ(sched.primary_rate(), 0u);
 
-  // Sustained foreground traffic: the recovery band gets `share` of it and
+  // Sustained foreground traffic: the recovery band gets kShare of it and
   // the gap lands inside the clamp.
   SimTime now = 0;
   for (int i = 0; i < 256; ++i) {
@@ -453,8 +452,8 @@ TEST(DtnRetx, IdleLinkFallsBackToMaxGapAndTrafficShrinksIt) {
   }
   EXPECT_GT(sched.primary_rate(), 0u);
   const SimDuration gap = sched.gap_for(1500);
-  EXPECT_GE(gap, cfg.min_gap);
-  EXPECT_LE(gap, cfg.max_gap);
+  EXPECT_GE(gap, dtn::RetxScheduler::kMinGap);
+  EXPECT_LE(gap, dtn::RetxScheduler::kMaxGap);
   // Smaller retransmissions never wait longer than bigger ones.
   EXPECT_LE(sched.gap_for(64), gap);
 }

@@ -9,7 +9,7 @@
 #include "dip/crypto/random.hpp"
 #include "dip/ctrl/journal.hpp"
 #include "dip/fib/address.hpp"
-#include "dip/fib/name_fib.hpp"
+#include "dip/fib/name.hpp"
 #include "dip/fib/synth.hpp"
 #include "dip/fib/tree_bitmap.hpp"
 #include "dip/fib/xid_table.hpp"
@@ -742,7 +742,7 @@ TEST(TreeBitmapChurn, PoolForwardsDuringTreeBitmapJournalFlush) {
       << "publishing flushes must record their latency";
 }
 
-// ---------- Name / NameFib ----------
+// ---------- Name ----------
 
 TEST(Name, ParseToString) {
   const Name n = Name::parse("/org/hotnets/prog");
@@ -768,51 +768,6 @@ TEST(Name, PrefixRelation) {
 
   EXPECT_EQ(full.prefix(2), Name::parse("/a/b"));
   EXPECT_EQ(full.prefix(9), full);
-}
-
-TEST(NameFib, LongestPrefixMatch) {
-  NameFib fib;
-  fib.insert(Name::parse("/org"), 1);
-  fib.insert(Name::parse("/org/hotnets"), 2);
-  fib.insert(Name::parse("/com/example"), 3);
-
-  EXPECT_EQ(fib.lookup(Name::parse("/org/hotnets/prog/22")).value(), 2u);
-  EXPECT_EQ(fib.lookup(Name::parse("/org/other")).value(), 1u);
-  EXPECT_EQ(fib.lookup(Name::parse("/com/example")).value(), 3u);
-  EXPECT_FALSE(fib.lookup(Name::parse("/net/x")));
-  EXPECT_EQ(fib.size(), 3u);
-}
-
-TEST(NameFib, ExactVsLpm) {
-  NameFib fib;
-  fib.insert(Name::parse("/a"), 1);
-  EXPECT_TRUE(fib.exact(Name::parse("/a")));
-  EXPECT_FALSE(fib.exact(Name::parse("/a/b")));
-  EXPECT_TRUE(fib.lookup(Name::parse("/a/b")));
-}
-
-TEST(NameFib, InsertReplaceRemove) {
-  NameFib fib;
-  const Name n = Name::parse("/x/y");
-  EXPECT_FALSE(fib.insert(n, 1));
-  EXPECT_EQ(fib.insert(n, 2).value(), 1u);
-  EXPECT_EQ(fib.remove(n).value(), 2u);
-  EXPECT_FALSE(fib.remove(n));
-  EXPECT_EQ(fib.size(), 0u);
-}
-
-TEST(NameFib, ComponentBoundariesMatter) {
-  // ("ab","c") must not collide with ("a","bc").
-  NameFib fib;
-  fib.insert(Name::parse("/ab/c"), 1);
-  EXPECT_FALSE(fib.exact(Name::parse("/a/bc")));
-  EXPECT_FALSE(fib.lookup(Name::parse("/a/bc")));
-}
-
-TEST(NameFib, RootEntryMatchesEverything) {
-  NameFib fib;
-  fib.insert(Name{}, 42);
-  EXPECT_EQ(fib.lookup(Name::parse("/anything/at/all")).value(), 42u);
 }
 
 // ---------- XID table ----------

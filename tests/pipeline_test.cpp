@@ -25,6 +25,7 @@
 #include "dip/qos/dps.hpp"
 #include "dip/telemetry/counters.hpp"
 #include "dip/telemetry/stats.hpp"
+#include "dip/xia/xia.hpp"
 
 namespace dip::core {
 namespace {
@@ -573,6 +574,124 @@ TEST(BatchEquivalence, StatefulFnsKeepArrivalOrderAcrossPositions) {
   EXPECT_EQ(results[0].egress, std::vector<FaceId>{1});
   EXPECT_TRUE(results[1].respond_from_cache);
   EXPECT_EQ(results[1].egress, std::vector<FaceId>{2});
+}
+
+// An XIA packet is F_DAG at position 0 and F_intent at position 1. F_DAG
+// reads only the XID-table snapshot and writes its own DAG field, so it
+// commutes across packets, and F_intent is the packet's only stateful FN: a
+// train of XIA packets never cuts a segment. The whole burst rides the
+// waves, and every verdict and rewritten byte matches Router::process over
+// the same mix of outcomes (direct intent, AD fallback, no route, local AD
+// traversal, CID intents that hit and miss the content store).
+TEST(BatchEquivalence, XiaTrainRunsInWavesAndMatchesPerPacket) {
+  const fib::Xid ad = xia::xid_from_label("wave-ad");
+  const fib::Xid ad2 = xia::xid_from_label("wave-ad2");
+  const fib::Xid hid = xia::xid_from_label("wave-hid");
+  const fib::Xid sid = xia::xid_from_label("wave-sid");
+  const fib::Xid lost = xia::xid_from_label("wave-lost");
+  const fib::Xid cached = xia::xid_from_label("wave-cached");
+  const fib::Xid absent = xia::xid_from_label("wave-absent");
+  const auto make_env = [&] {
+    RouterEnv env = routed_env();
+    env.stats = telemetry::make_router_stats();
+    env.content_store.emplace(8);
+    env.content_store->insert(xia::xid_code(cached), std::array<std::uint8_t, 2>{7, 7});
+    env.xid_table->insert(fib::XidType::kSid, sid, 42);
+    env.xid_table->insert(fib::XidType::kAd, ad, 7);
+    env.xid_table->set_local(fib::XidType::kAd, ad2);
+    env.xid_table->insert(fib::XidType::kHid, hid, 11);
+    env.xid_table->set_local(fib::XidType::kHid, hid);
+    env.xid_table->set_local(fib::XidType::kCid, cached);
+    env.xid_table->set_local(fib::XidType::kCid, absent);
+    return env;
+  };
+  Router batch_router(make_env(), registry().get());
+  Router seq_router(make_env(), registry().get());
+
+  const auto packet_for = [](const xia::Dag& dag, bool at_hid = false) {
+    auto wire = xia::make_xia_header(dag)->serialize();
+    // Enter at the HID node, as the previous hop leaves a packet for this
+    // host: the DAG's cursor byte follows the basic header and two triples.
+    if (at_hid) wire[6 + 12 + 1] = 1;
+    return wire;
+  };
+  const std::vector<std::vector<std::uint8_t>> kinds = {
+      packet_for(xia::make_service_dag(ad, hid, fib::XidType::kSid, sid)),
+      packet_for(xia::make_service_dag(ad, hid, fib::XidType::kSid, lost)),
+      packet_for(xia::make_service_dag(ad2, lost, fib::XidType::kSid, lost, false)),
+      packet_for(xia::make_service_dag(ad2, hid, fib::XidType::kSid, lost, false)),
+      packet_for(xia::make_service_dag(ad, hid, fib::XidType::kCid, cached, false), true),
+      packet_for(xia::make_service_dag(ad, hid, fib::XidType::kCid, absent, false), true),
+  };
+  std::vector<std::vector<std::uint8_t>> a;
+  for (std::size_t i = 0; i < 32; ++i) a.push_back(kinds[(i * 5) % kinds.size()]);
+  std::vector<std::vector<std::uint8_t>> b = a;
+  std::vector<PacketRef> refs(a.begin(), a.end());
+  std::vector<ProcessResult> results(a.size());
+  batch_router.process_batch(refs, 3, 0, results);
+
+  std::set<std::pair<Action, bool>> outcomes;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    expect_same_result(results[i], seq_router.process(b[i], 3, 0), i);
+    EXPECT_EQ(a[i], b[i]) << "packet bytes diverged at " << i;
+    outcomes.insert({results[i].action, results[i].respond_from_cache});
+  }
+  EXPECT_EQ(batch_router.env().stats->burst_wave.load(), a.size());
+  EXPECT_EQ(batch_router.env().stats->burst_legacy.load(), 0u);
+  // Forwarded, answered from the store, and dropped all occur.
+  EXPECT_EQ(outcomes.size(), 3u);
+}
+
+// F_intent stays ordered. An XIA packet's local CID intent shares its store
+// code with the NDN data packet right behind it in the burst, and that data
+// fills the content store. Per packet the intent runs first and misses. The
+// data's F_PIT sits at position 0 and the intent at position 1, so were
+// F_intent marked commuting, position-major waves would fill the store
+// before the intent read it.
+TEST(BatchEquivalence, XiaIntentReadsTheStoreInArrivalOrder) {
+  constexpr std::uint32_t kName = 0x0A000043;
+  // xid_code reads a CID's first 8 bytes: make it the NDN name code.
+  fib::Xid cid;
+  for (int i = 0; i < 4; ++i) {
+    cid.bytes[4 + i] = static_cast<std::uint8_t>(kName >> (24 - 8 * i));
+  }
+  ASSERT_EQ(xia::xid_code(cid), kName);
+  const fib::Xid ad = xia::xid_from_label("order-ad");
+  const fib::Xid hid = xia::xid_from_label("order-hid");
+  const auto make_env = [&] {
+    RouterEnv env = routed_env();
+    env.content_store.emplace(64);
+    env.xid_table->set_local(fib::XidType::kHid, hid);
+    env.xid_table->set_local(fib::XidType::kCid, cid);
+    return env;
+  };
+  Router batch_router(make_env(), registry().get());
+  Router seq_router(make_env(), registry().get());
+
+  auto pending_a = ndn::make_interest_header32(kName)->serialize();
+  auto pending_b = pending_a;
+  expect_same_result(batch_router.process(pending_a, 1, 0),
+                     seq_router.process(pending_b, 1, 0), 0);
+
+  auto xia_packet =
+      xia::make_xia_header(xia::make_service_dag(ad, hid, fib::XidType::kCid, cid, false))
+          ->serialize();
+  xia_packet[6 + 12 + 1] = 1;  // cursor on the local HID: the intent is next
+  std::vector<std::vector<std::uint8_t>> a{xia_packet,
+                                           ndn::make_data_header32(kName)->serialize()};
+  std::vector<std::vector<std::uint8_t>> b = a;
+  std::vector<PacketRef> refs(a.begin(), a.end());
+  std::vector<ProcessResult> results(a.size());
+  batch_router.process_batch(refs, 2, 1, results);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    expect_same_result(results[i], seq_router.process(b[i], 2, 1), i + 1);
+    EXPECT_EQ(a[i], b[i]) << "packet bytes diverged at " << i + 1;
+  }
+  EXPECT_FALSE(results[0].respond_from_cache)
+      << "the intent read the store after the data filled it";
+  EXPECT_EQ(results[0].reason, DropReason::kNoRoute);
+  EXPECT_EQ(results[1].egress, std::vector<FaceId>{1});
+  EXPECT_TRUE(batch_router.env().content_store->contains(kName));
 }
 
 // A wave group probes the flow cache ahead of its arrival-order pass (to

@@ -1,5 +1,5 @@
 // PISA model: parser state machine on real DIP bytes, match-action tables,
-// pipeline cost accounting, Tofino constraint validation, the
+// pipeline cost accounting against the fixed switch model, the
 // Figure-2-shaped analytical cost ordering, and the stage-budget compiler
 // (golden cost reports for the Table-1 fit matrix + a property suite over
 // generated compositions; see docs/PISA.md).
@@ -125,27 +125,25 @@ TEST(MatchTable, TernaryPriority) {
 
 TEST(Actions, AluSemantics) {
   Phv phv;
-  const CostModel m;
-  apply_action({ActionKind::kSetContainer, 3, 0, 7}, phv, m);
+  apply_action({ActionKind::kSetContainer, 3, 0, 7}, phv);
   EXPECT_EQ(phv.get(3), 7u);
-  apply_action({ActionKind::kAdd, 3, 0, 5}, phv, m);
+  apply_action({ActionKind::kAdd, 3, 0, 5}, phv);
   EXPECT_EQ(phv.get(3), 12u);
-  apply_action({ActionKind::kXor, 3, 0, 0xF}, phv, m);
+  apply_action({ActionKind::kXor, 3, 0, 0xF}, phv);
   EXPECT_EQ(phv.get(3), 3u);
   phv.set(4, 0xFF);
-  apply_action({ActionKind::kXorReg, 3, 4, 0}, phv, m);
+  apply_action({ActionKind::kXorReg, 3, 4, 0}, phv);
   EXPECT_EQ(phv.get(3), 0xFCu);
-  apply_action({ActionKind::kCopy, 5, 3, 0}, phv, m);
+  apply_action({ActionKind::kCopy, 5, 3, 0}, phv);
   EXPECT_EQ(phv.get(5), 0xFCu);
-  apply_action({ActionKind::kDrop, 0, 0, 0}, phv, m);
+  apply_action({ActionKind::kDrop, 0, 0, 0}, phv);
   EXPECT_EQ(phv.get(phv_layout::kDropFlag), 1u);
 }
 
 // ---------- pipeline ----------
 
 TEST(Pipeline, StageCostIsMaxOfTables) {
-  CostModel model;
-  Pipeline pipe(model);
+  Pipeline pipe;
   Stage stage;
   stage.tables.emplace_back(MatchKind::kExact, 0);   // cost 1
   stage.tables.emplace_back(MatchKind::kLpm, 1);     // cost 2
@@ -153,7 +151,7 @@ TEST(Pipeline, StageCostIsMaxOfTables) {
 
   Phv phv;
   const auto run = pipe.run(phv);
-  EXPECT_EQ(run.cycles, model.pipeline_transit + model.table_lpm);
+  EXPECT_EQ(run.cycles, tna::kTransitCycles + tna::kLpmCycles);
 }
 
 TEST(Pipeline, DropShortCircuitsRemainingStages) {
@@ -177,51 +175,22 @@ TEST(Pipeline, DropShortCircuitsRemainingStages) {
 }
 
 TEST(Pipeline, ResubmitsCostFullTransits) {
-  CostModel model;
-  Pipeline pipe(model);
+  Pipeline pipe;
   Phv phv;
   const auto once = pipe.run(phv);
   const auto twice = pipe.run_with_resubmits(phv, 1);
   ASSERT_TRUE(twice);
-  EXPECT_EQ(twice->cycles, 2 * once.cycles + model.resubmit_penalty);
+  EXPECT_EQ(twice->cycles, 2 * once.cycles);
   EXPECT_EQ(twice->resubmissions, 1u);
   EXPECT_FALSE(pipe.run_with_resubmits(phv, Pipeline::kMaxResubmits + 1));
 }
 
 TEST(Pipeline, StageBudgetEnforced) {
   Pipeline pipe;
-  for (std::size_t i = 0; i < Pipeline::kMaxStages; ++i) {
+  for (std::size_t i = 0; i < tna::kStages; ++i) {
     ASSERT_TRUE(pipe.add_stage(Stage{}));
   }
   EXPECT_FALSE(pipe.add_stage(Stage{}));
-}
-
-// ---------- Tofino constraints ----------
-
-TEST(Constraints, ByteAlignedSlicesRequired) {
-  const FnTriple odd = FnTriple::router(3, 13, OpKey::kSource);
-  const auto st = validate_program({&odd, 1}, 16);
-  ASSERT_FALSE(st);
-  EXPECT_EQ(st.error(), bytes::Error::kMalformed);
-}
-
-TEST(Constraints, LadderDepthEnforced) {
-  std::vector<FnTriple> fns(9, FnTriple::router(0, 32, OpKey::kSource));
-  const auto st = validate_program(fns, 16);
-  ASSERT_FALSE(st);
-  EXPECT_EQ(st.error(), bytes::Error::kUnsupported);
-}
-
-TEST(Constraints, PaperCompositionsAllFit) {
-  // Every §3 composition must satisfy the prototype's constraints.
-  const auto dip32 = core::make_dip32_header(fib::ipv4_from_u32(1), fib::ipv4_from_u32(2));
-  EXPECT_TRUE(validate_program(dip32->fns, dip32->locations.size()));
-
-  const auto ndn = ndn::make_interest_header32(7);
-  EXPECT_TRUE(validate_program(ndn->fns, ndn->locations.size()));
-
-  const auto fns = opt::opt_fn_triples();
-  EXPECT_TRUE(validate_program(fns, opt::kBlockBytes));
 }
 
 // ---------- Figure-2-shaped cost ordering ----------
@@ -233,7 +202,7 @@ struct ProtocolCost {
 
 SwitchCostBreakdown cost_of(std::span<const FnTriple> fns, std::size_t loc_bytes,
                             bool aes = false) {
-  return estimate_protocol_cycles(fns, loc_bytes, default_cost_model(), aes);
+  return estimate_protocol_cycles(fns, loc_bytes, aes);
 }
 
 TEST(Figure2Shape, OrderingMatchesPaper) {
@@ -450,26 +419,6 @@ TEST(Parser, DipParserSkipsLadderWhenFnNumIsZero) {
   EXPECT_EQ(outcome->consumed, wire.size());
 }
 
-// ---------- constraints: the untested validate_program outcomes ----------
-
-TEST(Constraints, LocationsBeyondPhvBudgetIsOverflow) {
-  const std::vector<FnTriple> fns = {FnTriple::router(0, 32, OpKey::kMatch32)};
-  const auto status = validate_program(fns, /*locations_bytes=*/129);
-  ASSERT_FALSE(status.has_value());
-  EXPECT_EQ(status.error(), bytes::Error::kOverflow);
-  EXPECT_TRUE(validate_program(fns, 128).has_value());
-}
-
-TEST(Constraints, FieldOutsideLocationsBlockIsOutOfRange) {
-  // Byte-aligned (passes the slice rule) but addressing bits the locations
-  // block does not have.
-  const std::vector<FnTriple> fns = {FnTriple::router(32, 32, OpKey::kMatch32)};
-  const auto status = validate_program(fns, /*locations_bytes=*/4);
-  ASSERT_FALSE(status.has_value());
-  EXPECT_EQ(status.error(), bytes::Error::kOutOfRange);
-  EXPECT_TRUE(validate_program(fns, 8).has_value());
-}
-
 // ---------- tables: replace semantics, default routes, stage overflow ----------
 
 TEST(MatchTable, LpmZeroQualifierIsADefaultRouteEntry) {
@@ -481,12 +430,12 @@ TEST(MatchTable, LpmZeroQualifierIsADefaultRouteEntry) {
 
   Phv phv;
   phv.set(phv_layout::kLocBase, 0xC0A80101u);  // only the default matches
-  Cycles cost = apply_action(table.lookup(phv), phv, default_cost_model());
+  Cycles cost = apply_action(table.lookup(phv), phv);
   EXPECT_EQ(phv.get(phv_layout::kEgressPort), 99u);
   EXPECT_GT(cost, 0u);
 
   phv.set(phv_layout::kLocBase, 0x0A010203u);  // /8 beats the default
-  cost = apply_action(table.lookup(phv), phv, default_cost_model());
+  cost = apply_action(table.lookup(phv), phv);
   EXPECT_EQ(phv.get(phv_layout::kEgressPort), 7u);
 }
 
@@ -501,7 +450,7 @@ TEST(MatchTable, ReAddedPrefixReplacesOlderEntry) {
 
   Phv phv;
   phv.set(phv_layout::kLocBase, 0x0A0B0C0Du);
-  (void)apply_action(table.lookup(phv), phv, default_cost_model());
+  (void)apply_action(table.lookup(phv), phv);
   EXPECT_EQ(phv.get(phv_layout::kEgressPort), 2u);
 
   // Ternary tables document the same override for equal priorities.
@@ -510,19 +459,19 @@ TEST(MatchTable, ReAddedPrefixReplacesOlderEntry) {
                      {ActionKind::kSetContainer, phv_layout::kEgressPort, 0, 3}});
   ternary.add_entry({0x0A000000u, 0xFF000000u, 5,
                      {ActionKind::kSetContainer, phv_layout::kEgressPort, 0, 4}});
-  (void)apply_action(ternary.lookup(phv), phv, default_cost_model());
+  (void)apply_action(ternary.lookup(phv), phv);
   EXPECT_EQ(phv.get(phv_layout::kEgressPort), 4u);
 }
 
 TEST(Pipeline, StageOverflowRefusedAndMutableStageBounded) {
   Pipeline pipe;
-  for (std::size_t i = 0; i < Pipeline::kMaxStages; ++i) {
+  for (std::size_t i = 0; i < tna::kStages; ++i) {
     EXPECT_TRUE(pipe.add_stage({})) << i;
   }
   EXPECT_FALSE(pipe.add_stage({})) << "stage past the hardware budget accepted";
-  EXPECT_EQ(pipe.stage_count(), Pipeline::kMaxStages);
-  EXPECT_NE(pipe.mutable_stage(Pipeline::kMaxStages - 1), nullptr);
-  EXPECT_EQ(pipe.mutable_stage(Pipeline::kMaxStages), nullptr);
+  EXPECT_EQ(pipe.stage_count(), tna::kStages);
+  EXPECT_NE(pipe.mutable_stage(tna::kStages - 1), nullptr);
+  EXPECT_EQ(pipe.mutable_stage(tna::kStages), nullptr);
 }
 
 TEST(Pipeline, DropShortCircuitsResubmissions) {
@@ -559,19 +508,18 @@ TEST(StageBudget, GoldenCostReportsForTable1) {
   // the Tofino-like model in a single pass with the 2EM MAC. Each report is
   // pinned byte-identical as a golden vector.
   const bool regen = std::getenv("DIP_REGEN_VECTORS") != nullptr;
-  const StageCompiler compiler;
   const auto& compositions = table1_compositions();
   ASSERT_EQ(compositions.size(), 6u);
 
   for (const auto& comp : compositions) {
     ASSERT_FALSE(comp.fns.empty()) << comp.name << ": composer failed";
-    const PlacementReport report = compiler.compile(comp.fns, comp.locations_bytes);
+    const PlacementReport report = compile(comp.fns, comp.locations_bytes);
     EXPECT_EQ(report.verdict, FitVerdict::kFit) << comp.name << ": " << report.reason;
     EXPECT_EQ(report.passes.size(), 1u) << comp.name;
-    EXPECT_LE(report.stages_used, compiler.model().stages) << comp.name;
+    EXPECT_LE(report.stages_used, tna::kStages) << comp.name;
 
-    const std::string text = format_report(comp.name, comp.fns, comp.locations_bytes,
-                                           report, compiler.model());
+    const std::string text =
+        format_report(comp.name, comp.fns, comp.locations_bytes, report);
     const auto path = pisa_vector_path(comp.name);
     if (regen) {
       std::filesystem::create_directories(path.parent_path());
@@ -609,16 +557,14 @@ TEST(StageBudget, CustodyCompositionGoldenFitReport) {
       crypto::Block{});
   ASSERT_TRUE(header.has_value());
 
-  const StageCompiler compiler;
   const PlacementReport report =
-      compiler.compile(header->fns, header->locations.size());
+      compile(header->fns, header->locations.size());
   EXPECT_EQ(report.verdict, FitVerdict::kFit) << report.reason;
   EXPECT_EQ(report.passes.size(), 1u) << "custody must not recirculate";
-  EXPECT_LE(report.stages_used, compiler.model().stages);
+  EXPECT_LE(report.stages_used, tna::kStages);
 
-  const std::string text = format_report("dip32_custody", header->fns,
-                                         header->locations.size(), report,
-                                         compiler.model());
+  const std::string text =
+      format_report("dip32_custody", header->fns, header->locations.size(), report);
   const auto path = pisa_vector_path("dip32_custody");
   if (regen) {
     std::filesystem::create_directories(path.parent_path());
@@ -639,14 +585,13 @@ TEST(StageBudget, EveryModuleTableRowPlaces) {
   // Drift guard on the introspection seam: every FN the router can bind
   // (core::fn_table()) must have a placement story — a single instance over
   // a modest field always fits, router- or host-tagged.
-  const StageCompiler compiler;
   for (const core::FnInfo& row : core::fn_table()) {
     const std::vector<FnTriple> router_fn = {FnTriple::router(0, 32, row.key)};
-    const auto r = compiler.compile(router_fn, 64);
+    const auto r = compile(router_fn, 64);
     EXPECT_EQ(r.verdict, FitVerdict::kFit) << row.notation << ": " << r.reason;
 
     const std::vector<FnTriple> host_fn = {FnTriple::host(0, 32, row.key)};
-    const auto h = compiler.compile(host_fn, 64);
+    const auto h = compile(host_fn, 64);
     EXPECT_EQ(h.verdict, FitVerdict::kFit) << row.notation << "*: " << h.reason;
     EXPECT_EQ(h.stages_used, 0u) << row.notation << "*: host FNs use no stages";
   }
@@ -656,16 +601,15 @@ TEST(StageBudget, AesMacDegradesWhere2EmFits) {
   // §4.1's MAC choice as verdicts: the same OPT composition fits with 2EM
   // but degrades with AES (resubmission + recirculation), at strictly
   // higher cycle cost.
-  const StageCompiler compiler;
   const auto& opt = table1_compositions()[3];
   ASSERT_EQ(opt.name, "opt");
 
-  const auto em2 = compiler.compile(opt.fns, opt.locations_bytes);
+  const auto em2 = compile(opt.fns, opt.locations_bytes);
   ASSERT_EQ(em2.verdict, FitVerdict::kFit);
 
   CompileOptions aes;
   aes.aes_mac = true;
-  const auto degraded = compiler.compile(opt.fns, opt.locations_bytes, aes);
+  const auto degraded = compile(opt.fns, opt.locations_bytes, aes);
   ASSERT_EQ(degraded.verdict, FitVerdict::kDegrade) << degraded.reason;
   EXPECT_EQ(degraded.resubmissions, 1u);
   EXPECT_GT(degraded.passes.size(), 1u);
@@ -674,41 +618,40 @@ TEST(StageBudget, AesMacDegradesWhere2EmFits) {
   // Recirculation splits must themselves deploy: each pass, compiled alone
   // under the same options, stays on the hardware.
   for (const PassPlan& pass : degraded.passes) {
-    const auto sub = compiler.compile(pass.fns, opt.locations_bytes, aes);
+    const auto sub = compile(pass.fns, opt.locations_bytes, aes);
     EXPECT_TRUE(sub.fits()) << sub.reason;
     EXPECT_EQ(sub.passes.size(), 1u);
   }
 }
 
 TEST(StageBudget, UnfitReasonsAreStructural) {
-  const StageCompiler compiler;
 
   // Sub-byte slice: the preset-slice compromise.
   const std::vector<FnTriple> subbyte = {FnTriple::router(0, 3, OpKey::kMark)};
-  auto r = compiler.compile(subbyte, 4);
+  auto r = compile(subbyte, 4);
   EXPECT_EQ(r.verdict, FitVerdict::kUnfit);
   EXPECT_NE(r.reason.find("byte-aligned"), std::string::npos) << r.reason;
 
   // Field outside the locations block.
   const std::vector<FnTriple> outside = {FnTriple::router(32, 32, OpKey::kMatch32)};
-  r = compiler.compile(outside, 4);
+  r = compile(outside, 4);
   EXPECT_EQ(r.verdict, FitVerdict::kUnfit);
   EXPECT_NE(r.reason.find("outside"), std::string::npos) << r.reason;
 
   // Locations block past the preset budget.
   const std::vector<FnTriple> plain = {FnTriple::router(0, 32, OpKey::kMatch32)};
-  r = compiler.compile(plain, compiler.model().max_locations_bytes + 1);
+  r = compile(plain, tna::kMaxLocationsBytes + 1);
   EXPECT_EQ(r.verdict, FitVerdict::kUnfit);
 
   // Unknown operation key (not in the module table).
   const std::vector<FnTriple> unknown = {{0, 32, 500}};
-  r = compiler.compile(unknown, 4);
+  r = compile(unknown, 4);
   EXPECT_EQ(r.verdict, FitVerdict::kUnfit);
   EXPECT_NE(r.reason.find("unknown"), std::string::npos) << r.reason;
 
   // Parser state budget: a locations block needing more states than the
   // parser has, regardless of recirculation.
-  r = compiler.compile(plain, 124);
+  r = compile(plain, 124);
   EXPECT_EQ(r.verdict, FitVerdict::kUnfit);
   EXPECT_NE(r.reason.find("parser"), std::string::npos) << r.reason;
 
@@ -717,7 +660,7 @@ TEST(StageBudget, UnfitReasonsAreStructural) {
   // budget, while staying inside the PHV pool (no crypto scratch).
   std::vector<FnTriple> dps;
   for (int i = 0; i < 28; ++i) dps.push_back(FnTriple::router(0, 32, OpKey::kDps));
-  r = compiler.compile(dps, 4);
+  r = compile(dps, 4);
   EXPECT_EQ(r.verdict, FitVerdict::kUnfit);
   EXPECT_NE(r.reason.find("recirculation"), std::string::npos) << r.reason;
 
@@ -725,14 +668,13 @@ TEST(StageBudget, UnfitReasonsAreStructural) {
   // placement is even attempted (two scratch containers per crypto FN).
   std::vector<FnTriple> macs;
   for (int i = 0; i < 16; ++i) macs.push_back(FnTriple::router(0, 416, OpKey::kMac));
-  r = compiler.compile(macs, 52);
+  r = compile(macs, 52);
   EXPECT_EQ(r.verdict, FitVerdict::kUnfit);
   EXPECT_NE(r.reason.find("PHV"), std::string::npos) << r.reason;
 }
 
 TEST(StageBudget, EmptyCompositionFitsTrivially) {
-  const StageCompiler compiler;
-  const auto r = compiler.compile({}, 0);
+  const auto r = compile({}, 0);
   EXPECT_EQ(r.verdict, FitVerdict::kFit);
   EXPECT_EQ(r.stages_used, 0u);
   EXPECT_EQ(r.passes.size(), 1u);
@@ -786,16 +728,14 @@ proptest::Packet composition_packet(std::span<const FnTriple> fns,
 }
 
 bool determinism_violated(std::span<const FnTriple> fns, std::size_t loc) {
-  const StageCompiler a, b;
-  return format_report("p", fns, loc, a.compile(fns, loc), a.model()) !=
-         format_report("p", fns, loc, b.compile(fns, loc), b.model());
+  return format_report("p", fns, loc, compile(fns, loc)) !=
+         format_report("p", fns, loc, compile(fns, loc));
 }
 
 bool monotonicity_violated(std::span<const FnTriple> fns, std::size_t loc) {
-  const StageCompiler compiler;
   bool seen_unfit = false;
   for (std::size_t k = 1; k <= fns.size(); ++k) {
-    const bool fits = compiler.compile(fns.subspan(0, k), loc).fits();
+    const bool fits = compile(fns.subspan(0, k), loc).fits();
     if (!fits) seen_unfit = true;
     else if (seen_unfit) return true;  // adding an FN flipped unfit -> fit
   }
@@ -803,11 +743,10 @@ bool monotonicity_violated(std::span<const FnTriple> fns, std::size_t loc) {
 }
 
 bool split_revalidation_violated(std::span<const FnTriple> fns, std::size_t loc) {
-  const StageCompiler compiler;
-  const auto report = compiler.compile(fns, loc);
+  const auto report = compile(fns, loc);
   if (!report.fits() || report.passes.size() < 2) return false;
   for (const PassPlan& pass : report.passes) {
-    const auto sub = compiler.compile(pass.fns, loc);
+    const auto sub = compile(pass.fns, loc);
     if (sub.verdict != FitVerdict::kFit || sub.passes.size() != 1) return true;
   }
   return false;
@@ -841,7 +780,6 @@ TEST(StageBudgetProperty, DeterministicMonotonicSplitValid) {
   std::size_t fit = 0;
   std::size_t multipass = 0;
   std::size_t unfit = 0;
-  const StageCompiler compiler;
 
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const GenComposition g = gen_composition(seed);
@@ -854,7 +792,7 @@ TEST(StageBudgetProperty, DeterministicMonotonicSplitValid) {
     if (split_revalidation_violated(g.fns, g.locations_bytes)) {
       fail_with_shrunk("split-revalidation", seed, g, split_revalidation_violated);
     }
-    const auto report = compiler.compile(g.fns, g.locations_bytes);
+    const auto report = compile(g.fns, g.locations_bytes);
     if (!report.fits()) ++unfit;
     else if (report.passes.size() > 1) ++multipass;
     else ++fit;
