@@ -4,8 +4,9 @@
 // mechanisms (similar to DHCP) to get the set of available FNs."
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -14,17 +15,21 @@
 
 namespace dip::bootstrap {
 
-/// The FNs a node/AS supports.
+/// The FNs a node/AS supports: one sorted vector of distinct keys, so a
+/// copy is one allocation. Any 16-bit key is accepted, named or not.
 class CapabilitySet {
  public:
   CapabilitySet() = default;
-  CapabilitySet(std::initializer_list<core::OpKey> keys) : keys_(keys) {}
+  CapabilitySet(std::initializer_list<core::OpKey> keys);
 
-  void add(core::OpKey key) { keys_.insert(key); }
-  void remove(core::OpKey key) { keys_.erase(key); }
-  [[nodiscard]] bool supports(core::OpKey key) const { return keys_.contains(key); }
+  void add(core::OpKey key);
+  void remove(core::OpKey key);
+  [[nodiscard]] bool supports(core::OpKey key) const {
+    return std::binary_search(keys_.begin(), keys_.end(), key);
+  }
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
-  [[nodiscard]] const std::set<core::OpKey>& keys() const noexcept { return keys_; }
+  /// The keys in ascending order.
+  [[nodiscard]] std::span<const core::OpKey> keys() const noexcept { return keys_; }
 
   /// True iff every key in `required` is present.
   [[nodiscard]] bool covers(const CapabilitySet& required) const;
@@ -40,7 +45,7 @@ class CapabilitySet {
   friend bool operator==(const CapabilitySet&, const CapabilitySet&) = default;
 
  private:
-  std::set<core::OpKey> keys_;
+  std::vector<core::OpKey> keys_;  ///< ascending, no repeats
 };
 
 /// Every FN of the paper's prototype (Table 1 + extensions).

@@ -1,19 +1,34 @@
 #include "dip/bootstrap/capability.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace dip::bootstrap {
 
+CapabilitySet::CapabilitySet(std::initializer_list<core::OpKey> keys) : keys_(keys) {
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+}
+
+void CapabilitySet::add(core::OpKey key) {
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it == keys_.end() || *it != key) keys_.insert(it, key);
+}
+
+void CapabilitySet::remove(core::OpKey key) {
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it != keys_.end() && *it == key) keys_.erase(it);
+}
+
 bool CapabilitySet::covers(const CapabilitySet& required) const {
-  return std::all_of(required.keys_.begin(), required.keys_.end(),
-                     [&](core::OpKey k) { return keys_.contains(k); });
+  return std::includes(keys_.begin(), keys_.end(), required.keys_.begin(),
+                       required.keys_.end());
 }
 
 CapabilitySet CapabilitySet::intersect(const CapabilitySet& other) const {
   CapabilitySet out;
-  for (core::OpKey k : keys_) {
-    if (other.keys_.contains(k)) out.add(k);
-  }
+  std::set_intersection(keys_.begin(), keys_.end(), other.keys_.begin(), other.keys_.end(),
+                        std::back_inserter(out.keys_));
   return out;
 }
 
@@ -21,7 +36,7 @@ std::vector<std::uint8_t> CapabilitySet::serialize() const {
   std::vector<std::uint8_t> out;
   out.reserve(1 + keys_.size() * 2);
   out.push_back(static_cast<std::uint8_t>(keys_.size()));
-  for (core::OpKey k : keys_) {  // std::set iterates sorted
+  for (core::OpKey k : keys_) {
     const auto v = static_cast<std::uint16_t>(k);
     out.push_back(static_cast<std::uint8_t>(v >> 8));
     out.push_back(static_cast<std::uint8_t>(v));
@@ -35,12 +50,16 @@ bytes::Result<CapabilitySet> CapabilitySet::parse(std::span<const std::uint8_t> 
   if (data.size() < 1 + count * 2) return bytes::Err(bytes::Error::kTruncated);
 
   CapabilitySet out;
+  out.keys_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto v =
         static_cast<std::uint16_t>((data[1 + 2 * i] << 8) | data[2 + 2 * i]);
-    out.add(static_cast<core::OpKey>(v));
+    out.keys_.push_back(static_cast<core::OpKey>(v));
   }
-  if (out.size() != count) return bytes::Err(bytes::Error::kMalformed);  // dupes
+  std::sort(out.keys_.begin(), out.keys_.end());
+  if (std::adjacent_find(out.keys_.begin(), out.keys_.end()) != out.keys_.end()) {
+    return bytes::Err(bytes::Error::kMalformed);  // dupes
+  }
   return out;
 }
 

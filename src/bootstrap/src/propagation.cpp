@@ -26,17 +26,22 @@ const CapabilitySet* AsGraph::capabilities(AsNumber asn) const {
 
 std::vector<AsNumber> AsGraph::shortest_path(AsNumber from, AsNumber to) const {
   if (!nodes_.contains(from) || !nodes_.contains(to)) return {};
-  const auto neighbors = [this](AsNumber as, auto&& visit) {
-    for (const AsNumber n : nodes_.at(as).neighbors) visit(n);
-  };
+  std::vector<AsNumber> ids;
+  ids.reserve(nodes_.size());
+  for (const auto& [asn, node] : nodes_) ids.push_back(asn);
+  std::sort(ids.begin(), ids.end());
+  SpfGraph graph(std::move(ids));
+  for (const AsNumber asn : graph.ids()) {
+    for (const AsNumber n : nodes_.at(asn).neighbors) graph.add_neighbor(graph.index_of(n));
+    graph.end_row();
+  }
   // Hop by hop, each AS forwards to its SPF first hop toward `to`.
+  const std::uint32_t target = graph.index_of(to);
   std::vector<AsNumber> path{from};
-  for (AsNumber at = from; at != to;) {
-    const auto hops = first_hops(at, neighbors);
-    const auto next = hops.find(to);
-    if (next == hops.end()) return {};
-    at = next->second;
-    path.push_back(at);
+  for (std::uint32_t at = graph.index_of(from); at != target;) {
+    at = first_hops(graph, at)[target];
+    if (at == SpfGraph::kNone) return {};
+    path.push_back(graph.ids()[at]);
   }
   return path;
 }

@@ -138,47 +138,68 @@ void ControlPlane::refresh(bool force) {
 
 void ControlPlane::recompute() {
   ++stats_.recomputes;
+  constexpr std::uint32_t kNone = bootstrap::SpfGraph::kNone;
 
-  // Adjacency over usable managed-to-managed links, sorted by (neighbor,
-  // face) so the first link toward a neighbour is its lowest face.
-  std::map<netsim::NodeId, std::vector<std::pair<netsim::NodeId, netsim::FaceId>>> adj;
-  for (const auto& [key, usable] : link_state_) {
-    if (!usable) continue;
-    const auto peer = net_.peer_of(*managed_.at(key.first).node, key.second);
-    if (!peer) continue;
-    adj[key.first].emplace_back(peer->first, key.second);
+  // One graph over every managed node (index i = the i-th managed id) and
+  // the usable managed-to-managed links. `faces` runs beside the graph's
+  // rows: arc k of node i's row leaves through faces[face_row[i] + k]. Rows
+  // are sorted by (neighbour, face), so the first arc toward a neighbour is
+  // the lowest face toward it.
+  std::vector<std::uint32_t> ids;
+  ids.reserve(managed_.size());
+  for (const auto& [id, m] : managed_) ids.push_back(id);
+  bootstrap::SpfGraph graph(std::move(ids));
+  std::vector<netsim::FaceId> faces;
+  std::vector<std::size_t> face_row;
+  face_row.reserve(managed_.size());
+  std::vector<std::pair<std::uint32_t, netsim::FaceId>> row;
+  for (const auto& [id, m] : managed_) {
+    row.clear();
+    for (auto link = link_state_.lower_bound({id, 0});
+         link != link_state_.end() && link->first.first == id; ++link) {
+      if (!link->second) continue;
+      const auto peer = net_.peer_of(*m.node, link->first.second);
+      if (!peer) continue;
+      const std::uint32_t nb = graph.index_of(peer->first);
+      if (nb != kNone) row.emplace_back(nb, link->first.second);
+    }
+    std::sort(row.begin(), row.end());
+    face_row.push_back(faces.size());
+    for (const auto& [nb, face] : row) {
+      graph.add_neighbor(nb);
+      faces.push_back(face);
+    }
+    graph.end_row();
   }
-  for (auto& [id, neighbors] : adj) std::sort(neighbors.begin(), neighbors.end());
-
-  const auto neighbors = [&adj](std::uint32_t node, auto&& visit) {
-    const auto it = adj.find(node);
-    if (it == adj.end()) return;
-    for (const auto& [nb, face] : it->second) visit(nb);
-  };
+  std::vector<std::uint32_t> anchors;  // per destination: its anchor's index
+  anchors.reserve(destinations_.size());
+  for (const Destination& dest : destinations_) anchors.push_back(graph.index_of(dest.anchor));
 
   // Each node's route set across all destinations: the shared SPF's first
   // hop toward each anchor, out this node's lowest face toward it. The
   // journal enqueues only what differs from the set it last assigned.
+  std::uint32_t i = 0;
   for (auto& [id, m] : managed_) {
-    const auto hops = bootstrap::first_hops(id, neighbors);
+    const std::vector<std::uint32_t> hops = bootstrap::first_hops(graph, i);
+    const auto neighbors = graph.neighbors(i);
     std::map<fib::Prefix<32>, fib::NextHop> want;  // a later destination wins
-    for (const Destination& dest : destinations_) {
-      if (!managed_.contains(dest.anchor)) continue;
-      if (id == dest.anchor) {
+    for (std::size_t d = 0; d < destinations_.size(); ++d) {
+      const Destination& dest = destinations_[d];
+      if (anchors[d] == kNone) continue;  // anchor not managed
+      if (anchors[d] == i) {
         want[dest.prefix] = dest.delivery_face;
         continue;
       }
-      const auto hop = hops.find(dest.anchor);
-      if (hop == hops.end()) continue;  // unreachable: no route (blackhole)
-      const auto& links = adj.at(id);
-      const auto link = std::lower_bound(links.begin(), links.end(),
-                                         std::make_pair(hop->second, netsim::FaceId{0}));
-      want[dest.prefix] = link->second;
+      const std::uint32_t hop = hops[anchors[d]];
+      if (hop == kNone) continue;  // unreachable: no route (blackhole)
+      const auto arc = std::find(neighbors.begin(), neighbors.end(), hop) - neighbors.begin();
+      want[dest.prefix] = faces[face_row[i] + static_cast<std::size_t>(arc)];
     }
     const RouteJournal::RouteDelta delta =
         m.journal->assign_routes32({want.begin(), want.end()});
     stats_.routes_installed += delta.installed;
     stats_.routes_withdrawn += delta.withdrawn;
+    ++i;
   }
 }
 

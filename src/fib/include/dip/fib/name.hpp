@@ -32,9 +32,6 @@ class Name {
   /// The first n components as a new name.
   [[nodiscard]] Name prefix(std::size_t n) const;
 
-  /// True iff this name is a (non-strict) component prefix of `other`.
-  [[nodiscard]] bool is_prefix_of(const Name& other) const;
-
   /// Canonical "/a/b/c" form ("/" for the empty name).
   [[nodiscard]] std::string to_string() const;
 

@@ -26,14 +26,6 @@ Name Name::prefix(std::size_t n) const {
   return out;
 }
 
-bool Name::is_prefix_of(const Name& other) const {
-  if (components_.size() > other.components_.size()) return false;
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i] != other.components_[i]) return false;
-  }
-  return true;
-}
-
 std::string Name::to_string() const {
   if (components_.empty()) return "/";
   std::string out;

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "dip/bootstrap/propagation.hpp"
 #include "dip/fib/address.hpp"
@@ -28,19 +28,28 @@ namespace dip::mesh {
 /// The /24 prefix node `n` originates (10.x.y.0/24).
 [[nodiscard]] fib::Prefix<32> prefix_of(std::uint32_t node) noexcept;
 
-/// SPF next hops from `self` over the LSDB: destination node -> neighbor
-/// node id of the first hop. Unreachable destinations (and `self`) are
-/// absent. Deterministic for a given LSDB.
-[[nodiscard]] std::map<std::uint32_t, std::uint32_t> compute_next_hops(
-    const LinkStateDb& lsdb, std::uint32_t self);
+/// Toward `destination`, forward to neighbour node `via`.
+struct NextHop {
+  std::uint32_t destination = 0;
+  std::uint32_t via = 0;
+
+  friend bool operator==(const NextHop&, const NextHop&) = default;
+};
+
+/// SPF next hops from `self` over the LSDB, one per reachable destination,
+/// sorted by destination. Unreachable destinations (and `self`) are absent.
+/// Builds one bootstrap::SpfGraph from the LSDB, keeping only edges both
+/// endpoints advertise. Deterministic for a given LSDB.
+[[nodiscard]] std::vector<NextHop> compute_next_hops(const LinkStateDb& lsdb,
+                                                     std::uint32_t self);
 
 /// Recompute and publish `router`'s FIB from its own LSDB: every reachable
-/// node's /24 toward the face of its next hop, the router's own /24 toward
-/// `local_face`, and a route *removal* for every node that had a route and
-/// is now unreachable (convergence under link failure). The journal's
-/// assign_routes32 enqueues only routes that differ from the previous
-/// call's, so an unchanged LSDB publishes nothing. Flushes the journal (at
-/// most one RCU publish).
+/// node's /24 toward the face of its next hop (in origin order), the
+/// router's own /24 toward `local_face`, and a route *removal* for every
+/// node that had a route and is now unreachable (convergence under link
+/// failure). The journal's assign_routes32 enqueues only routes that differ
+/// from the previous call's, so an unchanged LSDB publishes nothing.
+/// Flushes the journal (at most one RCU publish).
 /// Returns the number of destinations now routed.
 std::size_t publish_routes(MeshRouter& router, FaceId local_face);
 

@@ -27,6 +27,12 @@
 // learns which node sits behind each face from the frame src_node, floods
 // fresh LSAs on, and exposes its LinkStateDb for route computation
 // (mesh/control.hpp) and AS-graph capability queries.
+//
+// LSDB bound: the address plan (mesh/control.hpp) gives node n the /24
+// 10.(n>>8).(n&255).0 and so names nodes 1..kMaxNodeId. A router ignores
+// (and counts, `lsa_out_of_plan`) every LSA whose origin lies outside that
+// range, so its LSDB holds at most kMaxNodeId = 65,535 entries; the
+// `dip_mesh_lsdb_entries` gauge reports the size.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +58,10 @@ namespace dip::mesh {
 using PacketBytes = std::vector<std::uint8_t>;
 using FaceId = std::uint32_t;
 
+/// The largest node id the address plan can route (0 is the unknown-peer
+/// sentinel); also the bound on LSDB entries.
+inline constexpr std::uint32_t kMaxNodeId = 0xFFFF;
+
 /// One node's wire-path counters: the conservation buckets (catalogue
 /// above) plus informational series outside the equation.
 struct WireLedger : netsim::TransportLedger {
@@ -60,6 +70,7 @@ struct WireLedger : netsim::TransportLedger {
   std::uint64_t unknown_source = 0;  ///< datagrams from unmapped endpoints
   std::uint64_t hello_tx = 0;
   std::uint64_t hello_rx = 0;
+  std::uint64_t lsa_out_of_plan = 0;  ///< LSAs ignored: origin 0 or > kMaxNodeId
 
   WireLedger& operator+=(const WireLedger& o) noexcept;
 };
@@ -77,7 +88,7 @@ struct Lsa {
 };
 
 /// origin node id -> latest accepted announcement (ordered: deterministic
-/// iteration for SPF and AS-graph construction).
+/// iteration for SPF and AS-graph construction). Origins are 1..kMaxNodeId.
 using LinkStateDb = std::map<std::uint32_t, Lsa>;
 
 class MeshRouter : private netsim::NodePort {
@@ -151,8 +162,8 @@ class MeshRouter : private netsim::NodePort {
     return runtime_.drops(reason);
   }
 
-  /// `dip_mesh_*` per-node series, labelled node="<id>" (catalogue in
-  /// docs/OBSERVABILITY.md).
+  /// `dip_mesh_*` per-node series, labelled node="<id>", including the
+  /// `dip_mesh_lsdb_entries` gauge (catalogue in docs/OBSERVABILITY.md).
   void write_stats(telemetry::StatsWriter& w) const;
 
  private:

@@ -33,36 +33,47 @@ namespace {
 
 }  // namespace
 
-std::map<std::uint32_t, std::uint32_t> compute_next_hops(const LinkStateDb& lsdb,
-                                                         std::uint32_t self) {
-  if (!lsdb.contains(self)) return {};
-  return bootstrap::first_hops(
-      self,
-      [&lsdb](std::uint32_t u, auto&& visit) {
-        const auto it = lsdb.find(u);
-        if (it == lsdb.end()) return;
-        for (const std::uint32_t v : it->second.neighbors) visit(v);
-      },
-      // u advertises v; the edge counts only if v advertises u back.
-      [&lsdb](std::uint32_t u, std::uint32_t v) {
-        const auto back = lsdb.find(v);
-        if (back == lsdb.end()) return false;
-        const auto& nv = back->second.neighbors;
-        return std::binary_search(nv.begin(), nv.end(), u);
-      });
+std::vector<NextHop> compute_next_hops(const LinkStateDb& lsdb, std::uint32_t self) {
+  // Index i is the i-th origin in id order; an edge enters the graph only
+  // when both endpoints advertise it.
+  std::vector<std::uint32_t> ids;
+  std::vector<const Lsa*> lsas;
+  ids.reserve(lsdb.size());
+  lsas.reserve(lsdb.size());
+  for (const auto& [origin, lsa] : lsdb) {
+    ids.push_back(origin);
+    lsas.push_back(&lsa);
+  }
+  bootstrap::SpfGraph graph(std::move(ids));
+  const std::uint32_t source = graph.index_of(self);
+  if (source == bootstrap::SpfGraph::kNone) return {};
+  for (std::uint32_t i = 0; i < graph.size(); ++i) {
+    const std::uint32_t u = graph.ids()[i];
+    for (const std::uint32_t v : lsas[i]->neighbors) {
+      const std::uint32_t j = graph.index_of(v);
+      if (j == bootstrap::SpfGraph::kNone) continue;
+      const auto& back = lsas[j]->neighbors;
+      if (std::binary_search(back.begin(), back.end(), u)) graph.add_neighbor(j);
+    }
+    graph.end_row();
+  }
+
+  const std::vector<std::uint32_t> first_hop = bootstrap::first_hops(graph, source);
+  std::vector<NextHop> hops;
+  hops.reserve(graph.size());
+  for (std::uint32_t i = 0; i < graph.size(); ++i) {
+    if (first_hop[i] == bootstrap::SpfGraph::kNone) continue;
+    hops.push_back({graph.ids()[i], graph.ids()[first_hop[i]]});
+  }
+  return hops;
 }
 
 std::size_t publish_routes(MeshRouter& router, FaceId local_face) {
   const std::uint32_t self = router.node_id();
-  const auto hops = compute_next_hops(router.lsdb(), self);
-
   ctrl::RouteJournal::Routes32 want{{prefix_of(self), local_face}};
-  for (const auto& [origin, lsa] : router.lsdb()) {
-    if (origin == self) continue;
-    const auto hop = hops.find(origin);
-    if (hop == hops.end()) continue;  // unreachable
-    if (const auto face = router.face_toward(hop->second)) {
-      want.emplace_back(prefix_of(origin), *face);
+  for (const NextHop& hop : compute_next_hops(router.lsdb(), self)) {
+    if (const auto face = router.face_toward(hop.via)) {
+      want.emplace_back(prefix_of(hop.destination), *face);
     }
   }
   const std::size_t routed = want.size();

@@ -84,6 +84,7 @@ WireLedger& WireLedger::operator+=(const WireLedger& o) noexcept {
   unknown_source += o.unknown_source;
   hello_tx += o.hello_tx;
   hello_rx += o.hello_rx;
+  lsa_out_of_plan += o.lsa_out_of_plan;
   return *this;
 }
 
@@ -101,6 +102,7 @@ void write_ledger(telemetry::StatsWriter& w, const WireLedger& ledger,
   w.counter("dip_mesh_unknown_source_total", labels, ledger.unknown_source);
   w.counter("dip_mesh_hello_tx_total", labels, ledger.hello_tx);
   w.counter("dip_mesh_hello_rx_total", labels, ledger.hello_rx);
+  w.counter("dip_mesh_lsa_out_of_plan_total", labels, ledger.lsa_out_of_plan);
 }
 
 MeshRouter::MeshRouter(Config config, MeshEventLoop& loop,
@@ -169,11 +171,12 @@ void MeshRouter::originate_lsa(std::uint8_t ttl) {
   }
   std::sort(h.neighbors.begin(), h.neighbors.end());
   h.capabilities = config_.capabilities;
-
-  // Our own LSDB entry first (SPF and AS-graph queries see self).
-  lsdb_[h.origin] = Lsa{h.version, h.neighbors, h.capabilities};
-
   const PacketBytes payload = encode_hello(h);
+
+  // Our own LSDB entry before the flood (SPF and AS-graph queries see self).
+  lsdb_.insert_or_assign(h.origin,
+                         Lsa{h.version, std::move(h.neighbors), std::move(h.capabilities)});
+
   for (std::size_t i = 0; i < faces_.size(); ++i) {
     if (faces_[i].kind == FaceKind::kWire && faces_[i].up) {
       send_hello_on(static_cast<FaceId>(i), payload);
@@ -253,9 +256,13 @@ void MeshRouter::handle_datagram(std::span<const std::uint8_t> datagram,
 }
 
 void MeshRouter::handle_hello(const Frame& frame, FaceId ingress) {
-  const auto hello = decode_hello(frame.payload);
+  auto hello = decode_hello(frame.payload);
   if (!hello) return;
   if (hello->origin == config_.node_id) return;  // our own flood, looped back
+  if (hello->origin == 0 || hello->origin > kMaxNodeId) {
+    ++ledger_.lsa_out_of_plan;  // no /24 in the address plan: never stored
+    return;
+  }
 
   // Versions are 16-bit serial numbers (RFC 1982): an LSA is fresh when it
   // is ahead of the stored one by less than half the space, so an origin
@@ -264,13 +271,20 @@ void MeshRouter::handle_hello(const Frame& frame, FaceId ingress) {
   const bool fresh = it == lsdb_.end() ||
                      static_cast<std::int16_t>(hello->version - it->second.version) > 0;
   if (!fresh) return;
-  lsdb_[hello->origin] = Lsa{hello->version, hello->neighbors, hello->capabilities};
 
-  if (hello->ttl <= 1) return;
-  // Re-flood with decremented TTL on every other live wire face.
-  HelloImage fwd = *hello;
-  fwd.ttl = static_cast<std::uint8_t>(hello->ttl - 1);
-  const PacketBytes payload = encode_hello(fwd);
+  // Encode the re-flood (TTL decremented) before the decoded lists move
+  // into the LSDB, which stores them without a copy.
+  PacketBytes payload;
+  const bool reflood = hello->ttl > 1;
+  if (reflood) {
+    --hello->ttl;
+    payload = encode_hello(*hello);
+  }
+  lsdb_.insert_or_assign(hello->origin, Lsa{hello->version, std::move(hello->neighbors),
+                                             std::move(hello->capabilities)});
+  if (!reflood) return;
+
+  // Re-flood on every other live wire face.
   for (std::size_t i = 0; i < faces_.size(); ++i) {
     if (i == ingress) continue;
     if (faces_[i].kind == FaceKind::kWire && faces_[i].up) {
@@ -348,6 +362,7 @@ void MeshRouter::write_stats(telemetry::StatsWriter& w) const {
   const telemetry::Label labels[] = {{"node", node_id}};
   write_ledger(w, ledger_, labels);
   w.counter("dip_mesh_local_delivered_total", labels, local_delivered_);
+  w.gauge("dip_mesh_lsdb_entries", labels, static_cast<double>(lsdb_.size()));
   runtime_.write_drops(w, "dip_mesh_verdict_drops_total");
 }
 

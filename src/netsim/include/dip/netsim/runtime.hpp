@@ -87,6 +87,7 @@ class NodeRuntime {
 
   /// Copy `packet` into `ingress`'s burst bucket (unless the overlay
   /// consumes it); flush() runs every bucket through process_batch.
+  /// Buckets reuse their buffers from burst to burst (see Bucket).
   void enqueue(FaceId ingress, std::span<const std::uint8_t> packet);
   void flush(SimTime now);
 
@@ -120,11 +121,19 @@ class NodeRuntime {
   std::array<std::uint64_t, 16> drop_counts_{};
 
   // Ingress burst buckets: per-face packet copies collected during a drain,
-  // then run through process_batch. Kept across flushes so the steady path
-  // reuses capacity.
+  // then run through process_batch. A bucket keeps its buffers across
+  // flushes and copies each packet into the next free one (`assign`), so a
+  // steady stream allocates nothing here; a port that takes the last egress
+  // buffer (netsim's) leaves an empty one behind. Bound: a flush that runs
+  // D packets in all trims every bucket to at most 2·D buffers, so between
+  // flushes no face keeps more than twice the last drain's packet count,
+  // each buffer no larger than the largest packet it held. A flood's
+  // buffers go at the next drain that is not a flood; a flush with nothing
+  // to run changes nothing.
   struct Bucket {
     FaceId face = 0;
     std::vector<PacketBytes> packets;
+    std::size_t count = 0;  ///< packets of the open burst: packets[0, count)
   };
   std::vector<Bucket> buckets_;
   std::vector<core::PacketRef> burst_refs_;

@@ -24,22 +24,34 @@ void NodeRuntime::enqueue(FaceId ingress, std::span<const std::uint8_t> packet) 
     if (b.face == ingress) bucket = &b;
   }
   if (bucket == nullptr) {
-    buckets_.push_back({ingress, {}});
+    buckets_.push_back({ingress, {}, 0});
     bucket = &buckets_.back();
   }
-  bucket->packets.emplace_back(packet.begin(), packet.end());
+  if (bucket->count < bucket->packets.size()) {
+    bucket->packets[bucket->count].assign(packet.begin(), packet.end());
+  } else {
+    bucket->packets.emplace_back(packet.begin(), packet.end());
+  }
+  ++bucket->count;
 }
 
 void NodeRuntime::flush(SimTime now) {
+  std::size_t drained = 0;
+  for (const Bucket& bucket : buckets_) drained += bucket.count;
+  if (drained == 0) return;
   for (Bucket& bucket : buckets_) {
-    if (bucket.packets.empty()) continue;
-    burst_refs_.assign(bucket.packets.begin(), bucket.packets.end());
-    burst_results_.resize(bucket.packets.size());
+    // The bound (see Bucket): at most twice this drain's packets stay.
+    if (bucket.packets.size() > 2 * drained) bucket.packets.resize(2 * drained);
+    if (bucket.count == 0) continue;
+    const std::size_t n = bucket.count;
+    const auto burst = std::span(bucket.packets).first(n);
+    burst_refs_.assign(burst.begin(), burst.end());
+    burst_results_.resize(n);
     router_.process_batch(burst_refs_, bucket.face, now, burst_results_);
-    for (std::size_t i = 0; i < bucket.packets.size(); ++i) {
-      apply_verdict(bucket.face, bucket.packets[i], &bucket.packets[i], burst_results_[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      apply_verdict(bucket.face, burst[i], &burst[i], burst_results_[i]);
     }
-    bucket.packets.clear();
+    bucket.count = 0;
   }
 }
 

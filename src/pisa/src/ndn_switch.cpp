@@ -46,12 +46,11 @@ bytes::Result<NdnSwitchForwarder::Outcome> NdnSwitchForwarder::process(
 
   if (key == core::OpKey::kFib) {
     // Interest: record ingress in the PIT cell (test-and-set), then FIB LPM.
-    const std::uint32_t old = pit_.execute(RegisterOp::kReadAndSet, cell,
-                                           ingress_face + 1, out.cycles);
+    const std::uint32_t old = pit_.exchange(cell, ingress_face + 1, out.cycles);
     if (old != 0) {
       // A request is already pending. The single-cell PIT cannot hold a
       // second face: suppress (and restore the original face we clobbered).
-      pit_.execute(RegisterOp::kWrite, cell, old, out.cycles);
+      pit_.exchange(cell, old, out.cycles);
       out.status = Status::kSuppressed;
       return out;
     }
@@ -60,7 +59,7 @@ bytes::Result<NdnSwitchForwarder::Outcome> NdnSwitchForwarder::process(
     out.cycles += apply_action(action, phv);
     if (phv.get(phv_layout::kEgressPort) == kNoEgress) {
       // No route: roll back the PIT cell so the name is not poisoned.
-      pit_.execute(RegisterOp::kWrite, cell, 0, out.cycles);
+      pit_.exchange(cell, 0, out.cycles);
       out.status = Status::kDropNoRoute;
       return out;
     }
@@ -71,8 +70,7 @@ bytes::Result<NdnSwitchForwarder::Outcome> NdnSwitchForwarder::process(
 
   if (key == core::OpKey::kPit) {
     // Data: read-and-clear the cell; the stored face is the egress.
-    const std::uint32_t stored =
-        pit_.execute(RegisterOp::kReadAndSet, cell, 0, out.cycles);
+    const std::uint32_t stored = pit_.exchange(cell, 0, out.cycles);
     if (stored == 0) {
       out.status = Status::kDropPitMiss;
       return out;

@@ -2,6 +2,9 @@
 // AS-level propagation with end-to-end intersection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dip/bootstrap/capability.hpp"
 #include "dip/bootstrap/dhcp.hpp"
 #include "dip/bootstrap/propagation.hpp"
@@ -51,6 +54,44 @@ TEST(CapabilitySet, ParseRejectsTruncation) {
   const auto wire = table1_capability_set().serialize();
   EXPECT_FALSE(CapabilitySet::parse(std::span<const std::uint8_t>(wire.data(), 4)));
   EXPECT_FALSE(CapabilitySet::parse({}));
+}
+
+// A capability is any 16-bit key, named by an OpKey enumerator or not:
+// such keys survive parse and serialize, sort among the named ones, and a
+// repeated key is still malformed.
+TEST(CapabilitySet, KeysOutsideTheEnumeratorsKeepTheirPlace) {
+  const auto unnamed = static_cast<OpKey>(0xFFFE);
+  const auto reserved = static_cast<OpKey>(0x0100);
+  CapabilitySet set{unnamed, OpKey::kFib, reserved};
+  set.add(OpKey::kMatch32);
+  set.add(unnamed);  // already present
+  EXPECT_TRUE(set.supports(unnamed));
+  EXPECT_FALSE(set.supports(static_cast<OpKey>(0xFFFF)));
+  const std::vector<OpKey> sorted{OpKey::kMatch32, OpKey::kFib, reserved, unnamed};
+  EXPECT_TRUE(std::ranges::equal(set.keys(), sorted));
+
+  const auto wire = set.serialize();
+  EXPECT_EQ(wire, (std::vector<std::uint8_t>{4, 0x00, 0x01, 0x00, 0x04, 0x01, 0x00, 0xFF,
+                                             0xFE}));
+  const auto back = CapabilitySet::parse(wire);
+  ASSERT_TRUE(back);
+  EXPECT_EQ(*back, set);
+
+  // A wire list out of order parses into the same sorted set.
+  const std::vector<std::uint8_t> unsorted = {2, 0xFF, 0xFE, 0x00, 0x04};
+  const auto parsed = CapabilitySet::parse(unsorted);
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(*parsed, (CapabilitySet{OpKey::kFib, unnamed}));
+  EXPECT_EQ(parsed->serialize(), (std::vector<std::uint8_t>{2, 0x00, 0x04, 0xFF, 0xFE}));
+
+  const std::vector<std::uint8_t> dupes = {3, 0xFF, 0xFE, 0x00, 0x04, 0xFF, 0xFE};
+  const auto rejected = CapabilitySet::parse(dupes);
+  ASSERT_FALSE(rejected.has_value());
+  EXPECT_EQ(rejected.error(), bytes::Error::kMalformed);
+
+  set.remove(unnamed);
+  EXPECT_FALSE(set.supports(unnamed));
+  EXPECT_EQ(set.size(), 3u);
 }
 
 TEST(CapabilitySet, Table1HasElevenFns) {

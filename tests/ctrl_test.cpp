@@ -808,10 +808,11 @@ TEST(SpfRule, MeshAndControlPlaneMatchSmallestIdShortestPathOracle) {
         const auto want = oracle.next_hop(u, dst);
         SCOPED_TRACE(::testing::Message() << "seed " << seed << " node " << u << " dst " << dst);
 
-        const auto mesh_hop = mesh_hops.find(dst + 1);
+        const auto mesh_hop =
+            std::ranges::find(mesh_hops, dst + 1, &mesh::NextHop::destination);
         ASSERT_EQ(mesh_hop != mesh_hops.end(), want.has_value());
         if (want) {
-          EXPECT_EQ(mesh_hop->second, *want + 1);
+          EXPECT_EQ(mesh_hop->via, *want + 1);
         }
 
         const auto face = fib->lookup(prefix_of(dst).addr);

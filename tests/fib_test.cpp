@@ -755,19 +755,9 @@ TEST(Name, ParseToString) {
   EXPECT_TRUE(Name::parse("/").empty());
   EXPECT_TRUE(Name::parse("//bad").empty());  // empty component -> rejected
   EXPECT_EQ(Name{}.to_string(), "/");
-}
 
-TEST(Name, PrefixRelation) {
-  const Name full = Name::parse("/a/b/c");
-  EXPECT_TRUE(Name::parse("/a").is_prefix_of(full));
-  EXPECT_TRUE(Name::parse("/a/b").is_prefix_of(full));
-  EXPECT_TRUE(full.is_prefix_of(full));
-  EXPECT_FALSE(Name::parse("/a/c").is_prefix_of(full));
-  EXPECT_FALSE(Name::parse("/a/b/c/d").is_prefix_of(full));
-  EXPECT_TRUE(Name{}.is_prefix_of(full));  // root prefixes everything
-
-  EXPECT_EQ(full.prefix(2), Name::parse("/a/b"));
-  EXPECT_EQ(full.prefix(9), full);
+  EXPECT_EQ(n.prefix(2), Name::parse("/org/hotnets"));
+  EXPECT_EQ(n.prefix(9), n);
 }
 
 // ---------- XID table ----------

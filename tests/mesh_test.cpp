@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -410,6 +411,78 @@ TEST(MeshLsdb, LsaVersionWrapIsFreshAndAReplayIsIgnored) {
   EXPECT_EQ(router.ledger().hello_rx, 5u);
 }
 
+// The address plan names nodes 1..kMaxNodeId: prefix_of keeps 16 bits of
+// the id. An LSA from any other origin must not enter the LSDB, or origin
+// 65,537 claims 10.0.1.0/24 (node 1's own prefix) and pulls node 1's
+// traffic onto a wire face. A peer floods fresh LSAs for in-plan and
+// out-of-plan origins, each with a symmetric edge to the peer.
+TEST(MeshLsdb, OutOfPlanOriginsAreNeitherStoredNorRouted) {
+  ManualClock clock;
+  MeshEventLoop loop(&clock);
+  MockFabric fabric;
+  auto sock = fabric.create(1);
+  auto peer = fabric.create(2);
+
+  MeshRouter::Config cfg;
+  cfg.node_id = 1;
+  MeshRouter router(cfg, loop, std::move(sock), netsim::make_default_registry());
+  // Faces in MeshNet's order: the local face first, then the wire face.
+  const FaceId local = router.add_local_face([](std::span<const std::uint8_t>, std::uint64_t) {});
+  const FaceId wire = router.add_wire_face(peer->local_endpoint(), 0);
+
+  // TTL-1 kHellos sent by node 2, version 1. Payload: origin:32 version:16
+  // ttl:8 nnbr:16 neighbor:32 each, then the CapabilitySet wire form.
+  std::uint64_t seq = 0;
+  const auto flood = [&](std::uint32_t origin, const std::vector<std::uint32_t>& neighbors) {
+    PacketBytes payload(9 + 4 * neighbors.size());
+    const auto put32 = [&payload](std::size_t at, std::uint32_t v) {
+      for (std::size_t i = 0; i < 4; ++i) payload[at + i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+    };
+    put32(0, origin);
+    payload[5] = 1;  // version
+    payload[6] = 1;  // TTL
+    payload[8] = static_cast<std::uint8_t>(neighbors.size());
+    for (std::size_t i = 0; i < neighbors.size(); ++i) put32(9 + 4 * i, neighbors[i]);
+    const PacketBytes caps = bootstrap::CapabilitySet{}.serialize();
+    payload.insert(payload.end(), caps.begin(), caps.end());
+    ASSERT_EQ(peer->send_to({.port = 1}, encode_frame(FrameType::kHello, 2, seq++, payload)),
+              IoStatus::kOk);
+    loop.run_until_idle();
+  };
+  const std::vector<std::uint32_t> out_of_plan = {0, 0x10000, 0x10001, 0xFFFFFFFF};
+  flood(2, {1, 7, 0, 0x10000, 0x10001, 0xFFFFFFFF});
+  flood(7, {2});
+  for (const std::uint32_t origin : out_of_plan) flood(origin, {2});
+  router.originate_lsa(1);  // node 1's own LSA: neighbour 2, learned from the frames
+
+  const LinkStateDb& lsdb = router.lsdb();
+  EXPECT_EQ(router.ledger().lsa_out_of_plan, out_of_plan.size());
+  EXPECT_EQ(lsdb.size(), 3u);  // nodes 1, 2 and 7
+  for (const std::uint32_t origin : out_of_plan) {
+    EXPECT_FALSE(lsdb.contains(origin)) << "origin " << origin << " was stored";
+  }
+  EXPECT_LE(lsdb.size(), kMaxNodeId);
+  const std::vector<NextHop> hops = compute_next_hops(lsdb, 1);
+  EXPECT_EQ(hops, (std::vector<NextHop>{{2, 2}, {7, 2}}));
+
+  EXPECT_EQ(publish_routes(router, local), 3u);
+  const fib::Ipv4Lpm* fib = router.env().control->fib32.read();
+  ASSERT_NE(fib, nullptr);
+  EXPECT_EQ(fib->size(), 3u);
+  EXPECT_EQ(fib->lookup(addr_of(1)), local) << "node 1's own prefix stays local";
+  EXPECT_EQ(fib->lookup(addr_of(2)), wire);
+  EXPECT_EQ(fib->lookup(addr_of(7)), wire);
+
+  telemetry::StatsWriter w;
+  router.write_stats(w);
+  EXPECT_NE(w.text().find("dip_mesh_lsdb_entries{node=\"1\"} " +
+                          std::to_string(lsdb.size()) + "\n"),
+            std::string::npos)
+      << w.text();
+  EXPECT_NE(w.text().find("dip_mesh_lsa_out_of_plan_total{node=\"1\"} 4\n"),
+            std::string::npos);
+}
+
 // ---- impairment determinism ----------------------------------------------
 
 TEST(MeshImpair, DecisionsAreDeterministicPerSeedAndOrdinal) {
@@ -664,8 +737,8 @@ TEST(MeshControl, AddressPlanAndSymmetricEdgeSpf) {
   sym[3] = Lsa{1, {2}, {}};
   const auto hops = compute_next_hops(sym, 1);
   ASSERT_EQ(hops.size(), 2u);
-  EXPECT_EQ(hops.at(2), 2u);
-  EXPECT_EQ(hops.at(3), 2u);  // first hop propagates through the BFS
+  EXPECT_EQ(hops[0], (NextHop{2, 2}));
+  EXPECT_EQ(hops[1], (NextHop{3, 2}));  // first hop propagates through the BFS
 }
 
 // ---- soak: seeded impairments, conservation, replay ------------------------

@@ -22,25 +22,23 @@ TEST(RegisterArray, RmwSemantics) {
   Cycles cycles = 0;
   RegisterArray regs(8);
 
-  EXPECT_EQ(regs.execute(RegisterOp::kRead, 3, 0, cycles), 0u);
-  EXPECT_EQ(regs.execute(RegisterOp::kWrite, 3, 42, cycles), 0u);
-  EXPECT_EQ(regs.execute(RegisterOp::kRead, 3, 0, cycles), 42u);
-  EXPECT_EQ(regs.execute(RegisterOp::kAdd, 3, 8, cycles), 50u);
-  EXPECT_EQ(regs.execute(RegisterOp::kReadAndSet, 3, 7, cycles), 50u);
+  // exchange writes the new value and returns the old one.
+  EXPECT_EQ(regs.exchange(3, 42, cycles), 0u);
+  EXPECT_EQ(regs.peek(3), 42u);
+  EXPECT_EQ(regs.exchange(3, 7, cycles), 42u);
   EXPECT_EQ(regs.peek(3), 7u);
-  EXPECT_EQ(regs.execute(RegisterOp::kClearOnMatch, 3, 9, cycles), 0u);
-  EXPECT_EQ(regs.peek(3), 7u) << "no clear on mismatch";
-  EXPECT_EQ(regs.execute(RegisterOp::kClearOnMatch, 3, 7, cycles), 1u);
+  EXPECT_EQ(regs.exchange(3, 0, cycles), 7u) << "read-and-clear";
   EXPECT_EQ(regs.peek(3), 0u);
+  EXPECT_EQ(regs.peek(2), 0u) << "other cells untouched";
 
   // Every op charged one stateful-ALU cycle.
-  EXPECT_EQ(cycles, 7 * tna::kAluCycles);
+  EXPECT_EQ(cycles, 3 * tna::kAluCycles);
 }
 
 TEST(RegisterArray, IndexWrapsLikeHardwareMasking) {
   Cycles cycles = 0;
   RegisterArray regs(4);
-  regs.execute(RegisterOp::kWrite, 6, 9, cycles);  // 6 % 4 == 2
+  regs.exchange(6, 9, cycles);  // 6 % 4 == 2
   EXPECT_EQ(regs.peek(2), 9u);
   regs.clear();
   EXPECT_EQ(regs.peek(2), 0u);
