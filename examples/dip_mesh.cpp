@@ -9,7 +9,8 @@
 // convergence measurement, and the conservation-ledger check
 //   transmitted + duplicated == delivered + lost + blackholed + dropped
 // asserted exactly (a violation is the process exit status). With --out the
-// run writes a BENCH_mesh.json-style report: per-router packet rate,
+// run writes a BENCH_mesh.json-style report: discovery time (discovery
+// plus the first SPF) and its hello frames, per-router packet rate,
 // end-to-end latency, and convergence-under-link-failure.
 //
 // Flags: --rows N --cols N --waves N --wave-packets N --flows N --seed N
@@ -113,10 +114,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::size_t routed = net.recompute_routes();
+  const std::uint64_t discovery_ns = wall_ns() - t_discover;
+  const std::uint64_t hello_frames = net.aggregate_ledger().hello_tx;
   std::printf("discovery + SPF: %zu LSDB entries/node, %zu routes published "
-              "in %.1f ms\n",
+              "in %.1f ms (%llu hello frames)\n",
               net.router(0).lsdb().size(), routed,
-              static_cast<double>(wall_ns() - t_discover) / 1e6);
+              static_cast<double>(discovery_ns) / 1e6,
+              static_cast<unsigned long long>(hello_frames));
 
   // Zipf flow-churn soak under the seeded impairments.
   mesh::TrafficConfig tcfg;
@@ -215,6 +219,8 @@ int main(int argc, char** argv) {
         << "  \"faults\": {\"drop_rate\": " << opt.drop
         << ", \"duplicate_rate\": " << opt.dup
         << ", \"reorder_rate\": " << opt.reorder << "},\n"
+        << "  \"discovery_ns\": " << discovery_ns << ",\n"
+        << "  \"hello_frames\": " << hello_frames << ",\n"
         << "  \"traffic\": {\"sent\": " << ts.sent
         << ", \"received\": " << ts.received
         << ", \"flows_churned\": " << ts.flows_churned << "},\n"

@@ -16,12 +16,19 @@
 namespace dip::bootstrap {
 
 /// The FNs a node/AS supports: one sorted vector of distinct keys, so a
-/// copy is one allocation. Any 16-bit key is accepted, named or not.
+/// copy is one allocation. Any 16-bit key is accepted, named or not, up to
+/// kMaxKeys of them.
 class CapabilitySet {
  public:
+  /// The wire form counts keys in one byte, so a set holds at most 255.
+  static constexpr std::size_t kMaxKeys = 255;
+
   CapabilitySet() = default;
+  /// Adds the keys in list order; keys past kMaxKeys are refused.
   CapabilitySet(std::initializer_list<core::OpKey> keys);
 
+  /// Leaves the set unchanged when `key` is new and the set already holds
+  /// kMaxKeys keys.
   void add(core::OpKey key);
   void remove(core::OpKey key);
   [[nodiscard]] bool supports(core::OpKey key) const {

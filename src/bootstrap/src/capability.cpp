@@ -5,14 +5,14 @@
 
 namespace dip::bootstrap {
 
-CapabilitySet::CapabilitySet(std::initializer_list<core::OpKey> keys) : keys_(keys) {
-  std::sort(keys_.begin(), keys_.end());
-  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+CapabilitySet::CapabilitySet(std::initializer_list<core::OpKey> keys) {
+  keys_.reserve(std::min(keys.size(), kMaxKeys));
+  for (const core::OpKey key : keys) add(key);
 }
 
 void CapabilitySet::add(core::OpKey key) {
   const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) keys_.insert(it, key);
+  if ((it == keys_.end() || *it != key) && keys_.size() < kMaxKeys) keys_.insert(it, key);
 }
 
 void CapabilitySet::remove(core::OpKey key) {

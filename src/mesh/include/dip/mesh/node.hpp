@@ -22,11 +22,20 @@
 // `corrupted` stays informational — flipped payloads are still delivered
 // and surface as router-level drop reasons at the far end.
 //
-// Discovery is in-band: kHello frames carry link-state announcements
-// (origin, version, TTL, neighbor list, bootstrap::CapabilitySet). A router
-// learns which node sits behind each face from the frame src_node, floods
-// fresh LSAs on, and exposes its LinkStateDb for route computation
-// (mesh/control.hpp) and AS-graph capability queries.
+// Discovery is in-band: a kHello frame carries a sequence of self-framing
+// link-state announcement records (origin, version, TTL, neighbor list,
+// bootstrap::CapabilitySet). A router learns which node sits behind each
+// face from the frame src_node, stores each fresh record and exposes its
+// LinkStateDb for route computation (mesh/control.hpp) and AS-graph
+// capability queries.
+//
+// Flooding is bundled, like OSPF's Link State Update: a fresh record is
+// queued at TTL-1 with the face it arrived on, and the queue flushes at the
+// end of each socket drain (and at once in originate_lsa). Each live wire
+// face then gets one frame holding every queued record that did not arrive
+// on it, split only where a frame would pass FrameHeader::kMaxPayload. A
+// newer version of an origin replaces its queued record. `hello_tx` and
+// `hello_rx` count frames, not records.
 //
 // LSDB bound: the address plan (mesh/control.hpp) gives node n the /24
 // 10.(n>>8).(n&255).0 and so names nodes 1..kMaxNodeId. A router ignores
@@ -65,11 +74,12 @@ inline constexpr std::uint32_t kMaxNodeId = 0xFFFF;
 /// One node's wire-path counters: the conservation buckets (catalogue
 /// above) plus informational series outside the equation.
 struct WireLedger : netsim::TransportLedger {
-  std::uint64_t decode_errors = 0;   ///< frames that failed decode_frame
-  std::uint64_t seq_gaps = 0;        ///< per-face receive sequence breaks
-  std::uint64_t unknown_source = 0;  ///< datagrams from unmapped endpoints
-  std::uint64_t hello_tx = 0;
-  std::uint64_t hello_rx = 0;
+  std::uint64_t decode_errors = 0;    ///< frames that failed decode_frame
+  std::uint64_t seq_gaps = 0;         ///< per-face receive sequence breaks
+  std::uint64_t unknown_source = 0;   ///< datagrams from unmapped endpoints
+  std::uint64_t hello_tx = 0;         ///< hello frames handed to the socket
+  std::uint64_t hello_rx = 0;         ///< hello frames received
+  std::uint64_t hello_dropped = 0;    ///< hello frames the socket refused (never resent)
   std::uint64_t lsa_out_of_plan = 0;  ///< LSAs ignored: origin 0 or > kMaxNodeId
 
   WireLedger& operator+=(const WireLedger& o) noexcept;
@@ -142,8 +152,9 @@ class MeshRouter : private netsim::NodePort {
   [[nodiscard]] std::optional<FaceId> face_toward(std::uint32_t peer_node) const;
 
   /// Originate/refresh this node's LSA (neighbors = peers learned so far)
-  /// and flood it with `ttl`. ttl=1 is the initial who-is-there probe that
-  /// teaches direct neighbors our node id.
+  /// and flood it with `ttl` at once, together with any queued records.
+  /// ttl=1 is the initial who-is-there probe that teaches direct neighbors
+  /// our node id.
   void originate_lsa(std::uint8_t ttl);
 
   [[nodiscard]] const LinkStateDb& lsdb() const noexcept { return lsdb_; }
@@ -180,9 +191,23 @@ class MeshRouter : private netsim::NodePort {
     LocalDelivery delivery;  ///< kLocal only
   };
 
+  /// A fresh LSA record waiting for the next flush: its bytes, TTL already
+  /// decremented, are flood_bytes_[offset, offset + size).
+  struct QueuedLsa {
+    std::uint32_t origin = 0;
+    FaceId ingress = 0;  ///< split horizon: never sent back out this face
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+
   void on_readable();
   void handle_datagram(std::span<const std::uint8_t> datagram, Endpoint from);
-  void handle_hello(const Frame& frame, FaceId ingress);
+  /// Walk a kHello payload's records; each one is checked by accept_lsa.
+  void handle_hello(std::span<const std::uint8_t> payload, FaceId ingress);
+  void accept_lsa(std::span<const std::uint8_t> record, FaceId ingress);
+  /// Send the queued records, one bundle per live wire face, and empty the
+  /// queue.
+  void flush_floods();
 
   // NodePort: the runtime's transmissions take the ledgered egress path.
   using netsim::NodePort::send;
@@ -197,7 +222,7 @@ class MeshRouter : private netsim::NodePort {
   /// Socket write + EAGAIN accounting for one (possibly delayed, possibly
   /// duplicate) framed copy.
   void emit_frame(FaceId face, std::span<const std::uint8_t> frame_bytes, bool duplicate);
-  void send_hello_on(FaceId face, const PacketBytes& payload);
+  void send_hello_on(FaceId face, std::span<const std::uint8_t> payload);
 
   Config config_;
   MeshEventLoop& loop_;
@@ -212,6 +237,8 @@ class MeshRouter : private netsim::NodePort {
 
   LinkStateDb lsdb_;
   std::uint16_t lsa_version_ = 0;
+  std::vector<QueuedLsa> flood_queue_;  ///< arrival order; one entry per origin
+  PacketBytes flood_bytes_;
 
   WireLedger ledger_;
   std::uint64_t local_delivered_ = 0;

@@ -25,45 +25,32 @@ void put32(PacketBytes& out, std::uint32_t v) {
   return (static_cast<std::uint32_t>(get16(p)) << 16) | get16(p + 2);
 }
 
-// kHello payload: origin:32 version:16 ttl:8 nnbr:16 neighbor:32 each,
-// then the CapabilitySet wire form. Compact, fixed-order, self-framing.
-struct HelloImage {
-  std::uint32_t origin = 0;
-  std::uint16_t version = 0;
-  std::uint8_t ttl = 0;
-  std::vector<std::uint32_t> neighbors;
-  bootstrap::CapabilitySet capabilities;
-};
+// kHello payload: a sequence of LSA records, each
+//   origin:32 version:16 ttl:8 nnbr:16 neighbor:32 × nnbr,
+//   then the CapabilitySet wire form (count:8 key:16 × count),
+// so every record frames itself from its header; a one-record payload is
+// one LSA. Neighbor ids ascend (a repeat is a parallel link).
+constexpr std::size_t kRecordHeader = 9;  // origin, version, ttl, nnbr
+constexpr std::size_t kTtlAt = 6;
+constexpr FaceId kNoFace = ~FaceId{0};  // ingress of our own records
 
-[[nodiscard]] PacketBytes encode_hello(const HelloImage& h) {
-  PacketBytes out;
-  put32(out, h.origin);
-  put16(out, h.version);
-  out.push_back(h.ttl);
-  put16(out, static_cast<std::uint16_t>(h.neighbors.size()));
-  for (const std::uint32_t n : h.neighbors) put32(out, n);
-  const PacketBytes caps = h.capabilities.serialize();
-  out.insert(out.end(), caps.begin(), caps.end());
-  return out;
+/// Size of the record at the front of `payload`, or 0 if it is truncated.
+[[nodiscard]] std::size_t record_size(std::span<const std::uint8_t> payload) {
+  if (payload.size() < kRecordHeader) return 0;
+  const std::size_t caps_at = kRecordHeader + 4 * std::size_t{get16(payload.data() + 7)};
+  if (payload.size() <= caps_at) return 0;
+  const std::size_t size = caps_at + 1 + 2 * std::size_t{payload[caps_at]};
+  return payload.size() < size ? 0 : size;
 }
 
-[[nodiscard]] std::optional<HelloImage> decode_hello(
-    std::span<const std::uint8_t> payload) {
-  if (payload.size() < 9) return std::nullopt;
-  HelloImage h;
-  h.origin = get32(payload.data());
-  h.version = get16(payload.data() + 4);
-  h.ttl = payload[6];
-  const std::size_t nnbr = get16(payload.data() + 7);
-  if (payload.size() < 9 + nnbr * 4) return std::nullopt;
-  h.neighbors.reserve(nnbr);
-  for (std::size_t i = 0; i < nnbr; ++i) {
-    h.neighbors.push_back(get32(payload.data() + 9 + i * 4));
-  }
-  auto caps = bootstrap::CapabilitySet::parse(payload.subspan(9 + nnbr * 4));
-  if (!caps) return std::nullopt;
-  h.capabilities = std::move(*caps);
-  return h;
+void put_record(PacketBytes& out, std::uint32_t origin, const Lsa& lsa, std::uint8_t ttl) {
+  put32(out, origin);
+  put16(out, lsa.version);
+  out.push_back(ttl);
+  put16(out, static_cast<std::uint16_t>(lsa.neighbors.size()));
+  for (const std::uint32_t n : lsa.neighbors) put32(out, n);
+  const PacketBytes caps = lsa.capabilities.serialize();
+  out.insert(out.end(), caps.begin(), caps.end());
 }
 
 [[nodiscard]] core::RouterEnv make_env(std::uint32_t node_id,
@@ -84,6 +71,7 @@ WireLedger& WireLedger::operator+=(const WireLedger& o) noexcept {
   unknown_source += o.unknown_source;
   hello_tx += o.hello_tx;
   hello_rx += o.hello_rx;
+  hello_dropped += o.hello_dropped;
   lsa_out_of_plan += o.lsa_out_of_plan;
   return *this;
 }
@@ -102,6 +90,7 @@ void write_ledger(telemetry::StatsWriter& w, const WireLedger& ledger,
   w.counter("dip_mesh_unknown_source_total", labels, ledger.unknown_source);
   w.counter("dip_mesh_hello_tx_total", labels, ledger.hello_tx);
   w.counter("dip_mesh_hello_rx_total", labels, ledger.hello_rx);
+  w.counter("dip_mesh_hello_dropped_total", labels, ledger.hello_dropped);
   w.counter("dip_mesh_lsa_out_of_plan_total", labels, ledger.lsa_out_of_plan);
 }
 
@@ -160,40 +149,54 @@ std::optional<FaceId> MeshRouter::face_toward(std::uint32_t peer_node) const {
 }
 
 void MeshRouter::originate_lsa(std::uint8_t ttl) {
-  HelloImage h;
-  h.origin = config_.node_id;
-  h.version = ++lsa_version_;
-  h.ttl = ttl;
+  Lsa self{++lsa_version_, {}, config_.capabilities};
   for (const Face& f : faces_) {
     if (f.kind == FaceKind::kWire && f.up && f.peer_node != 0) {
-      h.neighbors.push_back(f.peer_node);
+      self.neighbors.push_back(f.peer_node);
     }
   }
-  std::sort(h.neighbors.begin(), h.neighbors.end());
-  h.capabilities = config_.capabilities;
-  const PacketBytes payload = encode_hello(h);
+  std::sort(self.neighbors.begin(), self.neighbors.end());
+  const std::size_t offset = flood_bytes_.size();
+  put_record(flood_bytes_, config_.node_id, self, ttl);
+  flood_queue_.push_back({config_.node_id, kNoFace, offset, flood_bytes_.size() - offset});
 
   // Our own LSDB entry before the flood (SPF and AS-graph queries see self).
-  lsdb_.insert_or_assign(h.origin,
-                         Lsa{h.version, std::move(h.neighbors), std::move(h.capabilities)});
-
-  for (std::size_t i = 0; i < faces_.size(); ++i) {
-    if (faces_[i].kind == FaceKind::kWire && faces_[i].up) {
-      send_hello_on(static_cast<FaceId>(i), payload);
-    }
-  }
+  lsdb_.insert_or_assign(config_.node_id, std::move(self));
+  flush_floods();
 }
 
-void MeshRouter::send_hello_on(FaceId face, const PacketBytes& payload) {
+void MeshRouter::flush_floods() {
+  if (flood_queue_.empty()) return;
+  PacketBytes bundle;
+  for (std::size_t face = 0; face < faces_.size(); ++face) {
+    if (faces_[face].kind != FaceKind::kWire || !faces_[face].up) continue;
+    bundle.clear();
+    for (const QueuedLsa& q : flood_queue_) {
+      if (q.ingress == face) continue;
+      if (!bundle.empty() && bundle.size() + q.size > FrameHeader::kMaxPayload) {
+        send_hello_on(static_cast<FaceId>(face), bundle);
+        bundle.clear();
+      }
+      const auto first = flood_bytes_.begin() + static_cast<std::ptrdiff_t>(q.offset);
+      bundle.insert(bundle.end(), first, first + static_cast<std::ptrdiff_t>(q.size));
+    }
+    if (!bundle.empty()) send_hello_on(static_cast<FaceId>(face), bundle);
+  }
+  // Floods come in bursts far apart: keep no buffers between them.
+  flood_queue_ = std::vector<QueuedLsa>();
+  flood_bytes_ = PacketBytes();
+}
+
+void MeshRouter::send_hello_on(FaceId face, std::span<const std::uint8_t> payload) {
   // Gossip is control traffic: exempt from impairment and outside the data
   // ledger (netsim's faults only apply to forwarded packets, same here).
   // Hellos do not consume data seq numbers (receivers only sequence-check
-  // kData); the version inside the payload is their ordering.
-  Face& f = faces_[face];
+  // kData); the versions inside the payload are their ordering. Nothing
+  // resends a refused frame, so each one is counted.
   const PacketBytes frame =
       encode_frame(FrameType::kHello, config_.node_id, 0, payload);
-  (void)socket_->send_to(f.peer, frame);
   ++ledger_.hello_tx;
+  if (socket_->send_to(faces_[face].peer, frame) != IoStatus::kOk) ++ledger_.hello_dropped;
 }
 
 void MeshRouter::on_readable() {
@@ -205,6 +208,7 @@ void MeshRouter::on_readable() {
     const std::size_t have = std::min(out.size, recv_buf_.size());
     handle_datagram(std::span(recv_buf_.data(), have), out.from);
   }
+  flush_floods();
   runtime_.flush(loop_.now_ns());
 }
 
@@ -246,7 +250,7 @@ void MeshRouter::handle_datagram(std::span<const std::uint8_t> datagram,
     }
     case FrameType::kHello: {
       ++ledger_.hello_rx;
-      handle_hello(frame, face_id);
+      handle_hello(frame.payload, face_id);
       return;
     }
     case FrameType::kVerdict:
@@ -255,42 +259,52 @@ void MeshRouter::handle_datagram(std::span<const std::uint8_t> datagram,
   }
 }
 
-void MeshRouter::handle_hello(const Frame& frame, FaceId ingress) {
-  auto hello = decode_hello(frame.payload);
-  if (!hello) return;
-  if (hello->origin == config_.node_id) return;  // our own flood, looped back
-  if (hello->origin == 0 || hello->origin > kMaxNodeId) {
+void MeshRouter::handle_hello(std::span<const std::uint8_t> payload, FaceId ingress) {
+  // A truncated record ends the walk: nothing behind it can be framed.
+  for (std::size_t size = record_size(payload); size != 0; size = record_size(payload)) {
+    accept_lsa(payload.first(size), ingress);
+    payload = payload.subspan(size);
+  }
+}
+
+void MeshRouter::accept_lsa(std::span<const std::uint8_t> record, FaceId ingress) {
+  const std::uint32_t origin = get32(record.data());
+  const std::uint16_t version = get16(record.data() + 4);
+  if (origin == config_.node_id) return;  // our own flood, looped back
+  if (origin == 0 || origin > kMaxNodeId) {
     ++ledger_.lsa_out_of_plan;  // no /24 in the address plan: never stored
     return;
   }
 
   // Versions are 16-bit serial numbers (RFC 1982): an LSA is fresh when it
   // is ahead of the stored one by less than half the space, so an origin
-  // stays heard after its version wraps from 65,535 to 0.
-  const auto it = lsdb_.find(hello->origin);
-  const bool fresh = it == lsdb_.end() ||
-                     static_cast<std::int16_t>(hello->version - it->second.version) > 0;
-  if (!fresh) return;
+  // stays heard after its version wraps from 65,535 to 0. Most copies a
+  // flood delivers are stale and leave here, before any decoding.
+  const auto it = lsdb_.find(origin);
+  const bool known = it != lsdb_.end();
+  if (known && static_cast<std::int16_t>(version - it->second.version) <= 0) return;
 
-  // Encode the re-flood (TTL decremented) before the decoded lists move
-  // into the LSDB, which stores them without a copy.
-  PacketBytes payload;
-  const bool reflood = hello->ttl > 1;
-  if (reflood) {
-    --hello->ttl;
-    payload = encode_hello(*hello);
+  const std::size_t nnbr = get16(record.data() + 7);
+  std::vector<std::uint32_t> neighbors(nnbr);
+  for (std::size_t i = 0; i < nnbr; ++i) {
+    neighbors[i] = get32(record.data() + kRecordHeader + 4 * i);
   }
-  lsdb_.insert_or_assign(hello->origin, Lsa{hello->version, std::move(hello->neighbors),
-                                             std::move(hello->capabilities)});
-  if (!reflood) return;
+  // SPF binary-searches neighbor lists, so an unsorted one is refused.
+  if (!std::is_sorted(neighbors.begin(), neighbors.end())) return;
+  auto caps = bootstrap::CapabilitySet::parse(record.subspan(kRecordHeader + 4 * nnbr));
+  if (!caps) return;  // a repeated key
 
-  // Re-flood on every other live wire face.
-  for (std::size_t i = 0; i < faces_.size(); ++i) {
-    if (i == ingress) continue;
-    if (faces_[i].kind == FaceKind::kWire && faces_[i].up) {
-      send_hello_on(static_cast<FaceId>(i), payload);
-    }
+  // A newer version replaces the queued one, so only the newest leaves.
+  if (known) {
+    std::erase_if(flood_queue_, [origin](const QueuedLsa& q) { return q.origin == origin; });
   }
+  if (record[kTtlAt] > 1) {
+    const std::size_t offset = flood_bytes_.size();
+    flood_bytes_.insert(flood_bytes_.end(), record.begin(), record.end());
+    --flood_bytes_[offset + kTtlAt];
+    flood_queue_.push_back({origin, ingress, offset, record.size()});
+  }
+  lsdb_.insert_or_assign(it, origin, Lsa{version, std::move(neighbors), std::move(*caps)});
 }
 
 void MeshRouter::inject(std::span<std::uint8_t> packet, FaceId ingress) {

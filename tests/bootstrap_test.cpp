@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "dip/bootstrap/capability.hpp"
@@ -92,6 +93,38 @@ TEST(CapabilitySet, KeysOutsideTheEnumeratorsKeepTheirPlace) {
   set.remove(unnamed);
   EXPECT_FALSE(set.supports(unnamed));
   EXPECT_EQ(set.size(), 3u);
+}
+
+// The wire form counts keys in one byte. A 256th key would serialize as
+// count 0, parse as the empty set, and inside a mesh hello bundle its 512
+// key bytes would be read as the records behind it; so a set refuses it.
+template <std::size_t... I>
+CapabilitySet keys_from_one(std::index_sequence<I...>) {
+  return CapabilitySet{static_cast<OpKey>(I + 1)...};
+}
+
+TEST(CapabilitySet, HoldsAtMostTheKeysItsCountByteCarries) {
+  CapabilitySet set;
+  for (std::uint32_t key = 1; key <= 256; ++key) set.add(static_cast<OpKey>(key));
+  EXPECT_EQ(set.size(), 255u);
+  EXPECT_TRUE(set.supports(static_cast<OpKey>(255)));
+  EXPECT_FALSE(set.supports(static_cast<OpKey>(256))) << "the 256th key is refused";
+
+  const auto wire = set.serialize();
+  ASSERT_EQ(wire.size(), 1u + 2 * 255);
+  EXPECT_EQ(wire[0], 255);
+  const auto back = CapabilitySet::parse(wire);
+  ASSERT_TRUE(back);
+  EXPECT_EQ(*back, set);
+
+  // The list constructor keeps the first 255 keys in list order.
+  const CapabilitySet listed = keys_from_one(std::make_index_sequence<256>{});
+  EXPECT_EQ(listed, set);
+
+  set.remove(static_cast<OpKey>(7));
+  set.add(static_cast<OpKey>(256));
+  EXPECT_TRUE(set.supports(static_cast<OpKey>(256))) << "room again after a remove";
+  EXPECT_EQ(set.size(), 255u);
 }
 
 TEST(CapabilitySet, Table1HasElevenFns) {

@@ -6,16 +6,22 @@
 //   * MeshRouter/MeshNet — in-band discovery, SPF route publication,
 //     end-to-end forwarding, failed-link convergence, the §2.4
 //     FN-unsupported notification;
+//   * bundled LSA flooding — one frame per face per drain, split horizon,
+//     whole records under the frame bound, newest version only, and a
+//     seeded flood of hostile hello payloads;
 //   * soak/chaos — seeded FaultPlan impairments with the conservation
 //     ledger checked exactly (transmitted + duplicated == delivered + lost
 //     + blackholed + dropped) and bit-identical replay under the same seed;
 //   * NDN recovery-through-loss over an impaired mesh link;
 //   * a two-thread real-UDP exchange (the TSan lane's race probe: routers
 //     are thread-confined, datagrams are the only channel).
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -315,6 +321,48 @@ TEST(MeshRouterLedger, SendEagainCountsAsDropped) {
   EXPECT_EQ(frame->header.seq, 1u);
 }
 
+// Discovery never resends a hello, so a refused frame loses every record
+// it carried; the count is its own series, outside the data equation.
+TEST(MeshRouterLedger, RefusedHelloFramesAreCounted) {
+  ManualClock clock;
+  MeshEventLoop loop(&clock);
+  MockFabric fabric;
+  auto sock = fabric.create(1);
+  MockSocket* raw = sock.get();
+  auto peer_a = fabric.create(2);
+  auto peer_b = fabric.create(3);
+
+  MeshRouter::Config cfg;
+  cfg.node_id = 1;
+  MeshRouter router(cfg, loop, std::move(sock), netsim::make_default_registry());
+  (void)router.add_wire_face(peer_a->local_endpoint(), 0);
+  (void)router.add_wire_face(peer_b->local_endpoint(), 1);
+
+  raw->fail_next_sends(1);
+  router.originate_lsa(1);
+  EXPECT_EQ(router.ledger().hello_tx, 2u);
+  EXPECT_EQ(router.ledger().hello_dropped, 1u);
+  EXPECT_FALSE(peer_a->poll_readable()) << "the refused frame went nowhere";
+  EXPECT_TRUE(peer_b->poll_readable());
+  EXPECT_EQ(router.ledger().imbalance(), 0) << "hellos stay outside the data ledger";
+
+  telemetry::StatsWriter node;
+  router.write_stats(node);
+  EXPECT_NE(node.text().find("dip_mesh_hello_dropped_total{node=\"1\"} 1\n"),
+            std::string::npos)
+      << node.text();
+
+  MeshConfig mcfg;
+  mcfg.use_mock = true;
+  mcfg.clock = &clock;
+  MeshNet net(mcfg);
+  net.build_line(2);
+  ASSERT_TRUE(net.discover(kSecond));
+  telemetry::StatsWriter mesh;
+  net.write_stats(mesh);
+  EXPECT_NE(mesh.text().find("dip_mesh_hello_dropped_total 0\n"), std::string::npos);
+}
+
 TEST(MeshRouterLedger, UnknownSourcesAndDecodeErrorsAreCounted) {
   ManualClock clock;
   MeshEventLoop loop(&clock);
@@ -450,7 +498,7 @@ TEST(MeshLsdb, OutOfPlanOriginsAreNeitherStoredNorRouted) {
     loop.run_until_idle();
   };
   const std::vector<std::uint32_t> out_of_plan = {0, 0x10000, 0x10001, 0xFFFFFFFF};
-  flood(2, {1, 7, 0, 0x10000, 0x10001, 0xFFFFFFFF});
+  flood(2, {0, 1, 7, 0x10000, 0x10001, 0xFFFFFFFF});  // ascending, as the wire requires
   flood(7, {2});
   for (const std::uint32_t origin : out_of_plan) flood(origin, {2});
   router.originate_lsa(1);  // node 1's own LSA: neighbour 2, learned from the frames
@@ -481,6 +529,476 @@ TEST(MeshLsdb, OutOfPlanOriginsAreNeitherStoredNorRouted) {
       << w.text();
   EXPECT_NE(w.text().find("dip_mesh_lsa_out_of_plan_total{node=\"1\"} 4\n"),
             std::string::npos);
+}
+
+// ---- bundled LSA flooding --------------------------------------------------
+
+// One kHello LSA record: origin:32 version:16 ttl:8 nnbr:16 neighbor:32
+// each, then the CapabilitySet wire form. A payload is records back to back.
+[[nodiscard]] PacketBytes lsa_record(std::uint32_t origin, std::uint16_t version,
+                                     std::uint8_t ttl,
+                                     const std::vector<std::uint32_t>& neighbors = {},
+                                     const bootstrap::CapabilitySet& caps = {}) {
+  PacketBytes out;
+  const auto put = [&out](std::uint64_t v, int bytes) {
+    for (int i = bytes - 1; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put(origin, 4);
+  put(version, 2);
+  put(ttl, 1);
+  put(neighbors.size(), 2);
+  for (const std::uint32_t n : neighbors) put(n, 4);
+  const PacketBytes wire = caps.serialize();
+  out.insert(out.end(), wire.begin(), wire.end());
+  return out;
+}
+
+[[nodiscard]] std::uint32_t be32(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) | (std::uint32_t{p[2]} << 8) |
+         p[3];
+}
+
+[[nodiscard]] PacketBytes with_ttl(PacketBytes record, std::uint8_t ttl) {
+  record[6] = ttl;
+  return record;
+}
+
+[[nodiscard]] PacketBytes concat(const std::vector<PacketBytes>& records) {
+  PacketBytes out;
+  for (const PacketBytes& r : records) out.insert(out.end(), r.begin(), r.end());
+  return out;
+}
+
+// The records of a kHello payload, cut at their headers; fails the test
+// unless the payload ends on a record boundary.
+[[nodiscard]] std::vector<PacketBytes> split_records(std::span<const std::uint8_t> p) {
+  std::vector<PacketBytes> out;
+  while (!p.empty()) {
+    const std::size_t caps_at = p.size() < 9 ? 0 : 9 + 4 * std::size_t((p[7] << 8) | p[8]);
+    const std::size_t size = caps_at == 0 || p.size() <= caps_at ? 0 : caps_at + 1 + 2 * p[caps_at];
+    if (size == 0 || size > p.size()) {
+      ADD_FAILURE() << "a payload ends inside a record";
+      break;
+    }
+    out.emplace_back(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(size));
+    p = p.subspan(size);
+  }
+  return out;
+}
+
+// Router 1 on a MockFabric with one wire face toward each peer socket;
+// peer i is node i + 2 and stands for a neighbour that sends and listens.
+struct HelloRig {
+  explicit HelloRig(std::size_t peer_count) {
+    auto sock = fabric.create(1);
+    MeshRouter::Config cfg;
+    cfg.node_id = 1;
+    router = std::make_unique<MeshRouter>(cfg, loop, std::move(sock),
+                                          netsim::make_default_registry());
+    for (std::size_t i = 0; i < peer_count; ++i) {
+      peers.push_back(fabric.create(static_cast<std::uint16_t>(i + 2)));
+      (void)router->add_wire_face(peers.back()->local_endpoint(), static_cast<std::uint32_t>(i));
+    }
+  }
+
+  // Peer `i` sends one kHello frame; the router reads it at the next loop run.
+  void send(std::size_t i, std::span<const std::uint8_t> payload) {
+    ASSERT_EQ(peers[i]->send_to({.port = 1},
+                                encode_frame(FrameType::kHello,
+                                             static_cast<std::uint32_t>(i + 2), seq++, payload)),
+              IoStatus::kOk);
+  }
+
+  // Every kHello payload waiting at peer `i`, each checked to be a whole
+  // frame within the bound.
+  [[nodiscard]] std::vector<PacketBytes> received(std::size_t i) {
+    std::vector<PacketBytes> out;
+    std::vector<std::uint8_t> buf(FrameHeader::kWireSize + FrameHeader::kMaxPayload + 64);
+    while (true) {
+      const RecvOutcome r = peers[i]->recv_from(buf);
+      if (r.status != IoStatus::kOk) break;
+      EXPECT_FALSE(r.truncated);
+      const auto frame = decode_frame(std::span(buf.data(), std::min(r.size, buf.size())));
+      if (!frame) {
+        ADD_FAILURE() << "a re-flooded frame does not decode";
+        continue;
+      }
+      EXPECT_EQ(frame->header.type, FrameType::kHello);
+      EXPECT_EQ(frame->header.src_node, 1u);
+      EXPECT_LE(frame->payload.size(), FrameHeader::kMaxPayload);
+      out.emplace_back(frame->payload.begin(), frame->payload.end());
+    }
+    return out;
+  }
+
+  ManualClock clock;
+  MeshEventLoop loop{&clock};
+  MockFabric fabric;
+  std::vector<std::unique_ptr<MockSocket>> peers;
+  std::unique_ptr<MeshRouter> router;
+  std::uint64_t seq = 0;
+};
+
+// One frame of k fresh TTL-2 records: one frame out of each other face
+// carrying all k at TTL 1, nothing back out the face they came in on.
+TEST(MeshFlood, FreshRecordsLeaveAsOneBundlePerOtherFace) {
+  HelloRig rig(3);
+  std::vector<PacketBytes> sent;
+  for (std::uint32_t origin = 10; origin < 15; ++origin) {
+    sent.push_back(lsa_record(origin, 1, 2, {2, origin + 1}, bootstrap::table1_capability_set()));
+  }
+  rig.send(0, concat(sent));
+  rig.loop.run_until_idle();
+
+  EXPECT_EQ(rig.router->lsdb().size(), sent.size());
+  EXPECT_EQ(rig.router->ledger().hello_rx, 1u);
+  EXPECT_EQ(rig.router->ledger().hello_tx, 2u);
+  EXPECT_TRUE(rig.received(0).empty()) << "split horizon: nothing back to the sender";
+  std::vector<PacketBytes> expected;
+  for (const PacketBytes& r : sent) expected.push_back(with_ttl(r, 1));
+  for (const std::size_t peer : {1u, 2u}) {
+    const auto frames = rig.received(peer);
+    ASSERT_EQ(frames.size(), 1u) << "peer " << peer;
+    EXPECT_EQ(split_records(frames[0]), expected) << "peer " << peer;
+  }
+}
+
+// Only fresh records are decoded, stored and forwarded; stale, self,
+// out-of-plan, unsorted and malformed ones are not, and the walk goes on
+// past each of them.
+TEST(MeshFlood, OnlyTheFreshRecordsOfAMixedFrameAreStoredAndForwarded) {
+  HelloRig rig(3);
+  rig.send(0, lsa_record(20, 5, 1, {2}));  // TTL 1: stored, not forwarded
+  rig.loop.run_until_idle();
+  ASSERT_EQ(rig.router->lsdb().at(20).version, 5u);
+  EXPECT_EQ(rig.router->ledger().hello_tx, 0u);
+
+  PacketBytes repeated_key = lsa_record(24, 1, 3);
+  repeated_key.back() = 2;  // two capability keys, both kFib
+  repeated_key.insert(repeated_key.end(), {0x00, 0x04, 0x00, 0x04});
+  const PacketBytes fresh_a = lsa_record(21, 1, 3, {1, 22});
+  const PacketBytes fresh_b = lsa_record(22, 1, 3, {21, 21}, {core::OpKey::kFib});  // parallel links
+  rig.send(0, concat({fresh_a, lsa_record(20, 4, 3), lsa_record(20, 5, 3), lsa_record(1, 9, 3),
+                      lsa_record(0, 1, 3), lsa_record(0x10000, 1, 3), lsa_record(23, 1, 3, {5, 4}),
+                      repeated_key, fresh_b}));
+  rig.loop.run_until_idle();
+
+  const LinkStateDb& lsdb = rig.router->lsdb();
+  std::vector<std::uint32_t> origins;
+  for (const auto& [origin, lsa] : lsdb) origins.push_back(origin);
+  EXPECT_EQ(origins, (std::vector<std::uint32_t>{20, 21, 22}));
+  EXPECT_EQ(lsdb.at(20).version, 5u);
+  EXPECT_EQ(lsdb.at(21).neighbors, (std::vector<std::uint32_t>{1, 22}));
+  EXPECT_EQ(lsdb.at(22).neighbors, (std::vector<std::uint32_t>{21, 21}));
+  EXPECT_EQ(lsdb.at(22).capabilities, (bootstrap::CapabilitySet{core::OpKey::kFib}));
+  EXPECT_EQ(rig.router->ledger().lsa_out_of_plan, 2u);
+
+  EXPECT_TRUE(rig.received(0).empty());
+  for (const std::size_t peer : {1u, 2u}) {
+    const auto frames = rig.received(peer);
+    ASSERT_EQ(frames.size(), 1u) << "peer " << peer;
+    EXPECT_EQ(split_records(frames[0]),
+              (std::vector<PacketBytes>{with_ttl(fresh_a, 2), with_ttl(fresh_b, 2)}));
+  }
+}
+
+// Versions of one origin heard in one drain: only the newest leaves,
+// out of every face but the one it came in on. A newer version that may
+// not travel (TTL 1) takes the older one off the queue too.
+TEST(MeshFlood, OnlyTheNewestVersionHeardInOneDrainIsForwarded) {
+  HelloRig rig(3);
+  rig.send(0, concat({lsa_record(30, 1, 4), lsa_record(31, 2, 4), lsa_record(32, 1, 4)}));
+  rig.send(1, concat({lsa_record(30, 2, 4), lsa_record(31, 1, 4), lsa_record(32, 2, 1)}));
+  rig.loop.run_until_idle();
+
+  const LinkStateDb& lsdb = rig.router->lsdb();
+  EXPECT_EQ(lsdb.at(30).version, 2u);
+  EXPECT_EQ(lsdb.at(31).version, 2u);
+  EXPECT_EQ(lsdb.at(32).version, 2u);
+  const PacketBytes v2_30 = lsa_record(30, 2, 3);
+  const PacketBytes v2_31 = lsa_record(31, 2, 3);
+  EXPECT_EQ(rig.received(0), (std::vector<PacketBytes>{v2_30}));
+  EXPECT_EQ(rig.received(1), (std::vector<PacketBytes>{v2_31}));
+  EXPECT_EQ(rig.received(2), (std::vector<PacketBytes>{concat({v2_31, v2_30})}));
+  EXPECT_EQ(rig.router->ledger().hello_tx, 3u);
+}
+
+// A queue larger than one frame leaves as several, each of whole
+// records, each within kMaxPayload, cut only where the next record would
+// not fit, and in arrival order.
+TEST(MeshFlood, AQueuePastTheFrameBoundLeavesAsWholeRecordsInOrder) {
+  HelloRig rig(2);
+  std::vector<PacketBytes> sent;
+  PacketBytes frame;
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    std::vector<std::uint32_t> neighbors(40 + (i * 37) % 150);
+    for (std::size_t n = 0; n < neighbors.size(); ++n) neighbors[n] = static_cast<std::uint32_t>(n + 2);
+    PacketBytes record = lsa_record(100 + i, 1, 8, neighbors, bootstrap::full_capability_set());
+    if (frame.size() + record.size() > FrameHeader::kMaxPayload) {
+      rig.send(0, frame);
+      frame.clear();
+    }
+    frame.insert(frame.end(), record.begin(), record.end());
+    sent.push_back(std::move(record));
+  }
+  rig.send(0, frame);
+  rig.loop.run_until_idle();  // one drain reads every frame
+
+  ASSERT_EQ(rig.router->lsdb().size(), sent.size());
+  const auto frames = rig.received(1);
+  ASSERT_GE(frames.size(), 3u);
+  EXPECT_EQ(rig.router->ledger().hello_tx, frames.size());
+  std::vector<PacketBytes> forwarded;
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    EXPECT_LE(frames[f].size(), FrameHeader::kMaxPayload);
+    const auto records = split_records(frames[f]);
+    forwarded.insert(forwarded.end(), records.begin(), records.end());
+    if (f + 1 < frames.size()) {
+      EXPECT_GT(frames[f].size() + split_records(frames[f + 1]).front().size(),
+                FrameHeader::kMaxPayload)
+          << "frame " << f << " was cut early";
+    }
+  }
+  std::vector<PacketBytes> expected;
+  for (const PacketBytes& r : sent) expected.push_back(with_ttl(r, 7));
+  EXPECT_EQ(forwarded, expected);
+}
+
+// A record whose neighbour or capability count runs past the payload ends
+// the walk: it is neither stored nor forwarded, and the records before it
+// are.
+TEST(MeshFlood, ARecordCutShortEndsTheWalk) {
+  HelloRig rig(2);
+  const PacketBytes first = lsa_record(40, 1, 3, {2});
+  PacketBytes short_caps = lsa_record(41, 1, 3, {0}, {core::OpKey::kFib});
+  short_caps[13] = 2;  // two keys claimed, one present
+  const PacketBytes second = lsa_record(43, 1, 3);
+  PacketBytes short_neighbors = lsa_record(42, 1, 3, {0});
+  short_neighbors[8] = 3;  // three neighbours claimed, one present
+  rig.send(0, concat({first, short_caps}));
+  rig.send(0, concat({second, short_neighbors}));
+  rig.loop.run_until_idle();
+
+  std::vector<std::uint32_t> origins;
+  for (const auto& [origin, lsa] : rig.router->lsdb()) origins.push_back(origin);
+  EXPECT_EQ(origins, (std::vector<std::uint32_t>{40, 43}));
+  EXPECT_EQ(rig.router->ledger().lsa_out_of_plan, 0u);
+  const auto frames = rig.received(1);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(split_records(frames[0]),
+            (std::vector<PacketBytes>{with_ttl(first, 2), with_ttl(second, 2)}));
+}
+
+// A record with 255 capability keys, the most a set holds, still frames
+// the record behind it.
+TEST(MeshFlood, ARecordWithTheMostCapabilitiesFramesTheOneBehindIt) {
+  HelloRig rig(1);
+  bootstrap::CapabilitySet many;
+  for (std::uint32_t key = 1; key <= 256; ++key) many.add(static_cast<core::OpKey>(key));
+  ASSERT_EQ(many.size(), bootstrap::CapabilitySet::kMaxKeys);
+  rig.send(0, concat({lsa_record(5, 1, 1, {2}, many), lsa_record(6, 1, 1, {2})}));
+  rig.loop.run_until_idle();
+
+  ASSERT_TRUE(rig.router->lsdb().contains(5));
+  ASSERT_TRUE(rig.router->lsdb().contains(6));
+  EXPECT_EQ(rig.router->lsdb().at(5).capabilities, many);
+  EXPECT_EQ(rig.router->lsdb().at(6).neighbors, (std::vector<std::uint32_t>{2}));
+}
+
+// A 9x12 torus floods its discovery in bundles and learns exactly the
+// state the one-frame-per-LSA flood did: every LSDB holds every origin at
+// version 2 (the TTL-64 round) with its four torus neighbours and the full
+// capability set, and every FIB follows the smallest-id shortest path. One
+// frame per LSA per face sent 35,532 frames here and 646 for the failure.
+TEST(MeshFlood, TorusDiscoveryBundlesItsFloodAndLearnsTheSameState) {
+  constexpr std::size_t kRows = 9, kCols = 12, kNodes = kRows * kCols;
+  ManualClock clock;
+  MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  MeshNet net(cfg);
+  net.build_torus(kRows, kCols);
+  ASSERT_TRUE(net.discover(10 * kSecond));
+  EXPECT_LE(net.aggregate_ledger().hello_tx, 2000u);
+  EXPECT_EQ(net.aggregate_ledger().hello_dropped, 0u);
+
+  LinkStateDb expected;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const std::size_t r = i / kCols, c = i % kCols;
+    std::vector<std::uint32_t> neighbors;
+    for (const std::size_t n : {r * kCols + (c + 1) % kCols, r * kCols + (c + kCols - 1) % kCols,
+                                ((r + 1) % kRows) * kCols + c,
+                                ((r + kRows - 1) % kRows) * kCols + c}) {
+      neighbors.push_back(static_cast<std::uint32_t>(n + 1));
+    }
+    std::sort(neighbors.begin(), neighbors.end());
+    expected[static_cast<std::uint32_t>(i + 1)] =
+        Lsa{2, std::move(neighbors), bootstrap::full_capability_set()};
+  }
+  const auto expect_state = [&net](const LinkStateDb& want) {
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      MeshRouter& router = net.router(i);
+      ASSERT_EQ(router.lsdb().size(), want.size()) << "router " << i;
+      for (const auto& [origin, lsa] : want) {
+        const Lsa& got = router.lsdb().at(origin);
+        EXPECT_EQ(got.version, lsa.version) << "router " << i << " origin " << origin;
+        EXPECT_EQ(got.neighbors, lsa.neighbors) << "router " << i << " origin " << origin;
+        EXPECT_EQ(got.capabilities, lsa.capabilities) << "router " << i << " origin " << origin;
+      }
+      const fib::Ipv4Lpm* fib = router.env().control->fib32.read();
+      ASSERT_NE(fib, nullptr);
+      EXPECT_EQ(fib->size(), want.size());
+      EXPECT_EQ(fib->lookup(addr_of(router.node_id())), net.local_face_of(i));
+      for (const NextHop& hop : compute_next_hops(want, router.node_id())) {
+        EXPECT_EQ(fib->lookup(addr_of(hop.destination)), router.face_toward(hop.via))
+            << "router " << i << " toward " << hop.destination;
+      }
+    }
+  };
+  ASSERT_EQ(net.recompute_routes(), kNodes * kNodes);
+  expect_state(expected);
+
+  const std::uint64_t before = net.aggregate_ledger().hello_tx;
+  net.fail_link(0, 1);
+  net.loop().run_until_idle();
+  EXPECT_LE(net.aggregate_ledger().hello_tx - before, 400u);
+  for (const std::uint32_t origin : {1u, 2u}) {
+    expected[origin].version = 3;
+    std::erase(expected[origin].neighbors, 3 - origin);
+  }
+  ASSERT_GT(net.recompute_routes(), 0u);
+  expect_state(expected);
+}
+
+// Hostile hello payloads (ROADMAP item 10): valid bundles, truncation at
+// every offset, huge neighbour counts, capability counts past the payload,
+// repeated keys, unsorted lists, out-of-plan origins and random bytes. The
+// router must neither crash nor store anything the LSDB contract forbids,
+// and every frame it floods must decode into whole, valid records.
+TEST(MeshFloodAdversarial, SeededHostileHelloPayloadsKeepTheLsdbContract) {
+  HelloRig rig(3);
+  std::mt19937_64 rng(0xD1F0'5EED);
+  const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  const auto random_record = [&](bool hostile_origin) {
+    std::uint32_t origin = static_cast<std::uint32_t>(1 + below(400));
+    if (hostile_origin) {
+      const std::uint32_t out_of_plan[] = {0, 0x10000, 0x10001, 0xFFFFFFFF,
+                                           static_cast<std::uint32_t>(0x10000 + below(1u << 20))};
+      origin = out_of_plan[below(5)];
+    }
+    std::vector<std::uint32_t> neighbors(below(12));
+    for (std::uint32_t& n : neighbors) n = static_cast<std::uint32_t>(below(600));
+    std::sort(neighbors.begin(), neighbors.end());
+    bootstrap::CapabilitySet caps;
+    const std::size_t keys = below(8) == 0 ? 255 : below(20);
+    while (caps.size() < keys) caps.add(static_cast<core::OpKey>(below(0x10000)));
+    return lsa_record(origin, static_cast<std::uint16_t>(below(0x10000)),
+                      static_cast<std::uint8_t>(below(6)), neighbors, caps);
+  };
+  const auto random_bundle = [&](std::size_t max_records) {
+    std::vector<PacketBytes> records;
+    const std::size_t n = 1 + below(max_records);
+    std::size_t size = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      PacketBytes r = random_record(below(10) == 0);
+      if (size + r.size() > FrameHeader::kMaxPayload) break;
+      size += r.size();
+      records.push_back(std::move(r));
+    }
+    return concat(records);
+  };
+
+  std::vector<PacketBytes> payloads;
+  for (int i = 0; i < 8; ++i) {  // truncation at every offset of a small bundle
+    const PacketBytes bundle = random_bundle(3);
+    for (std::size_t cut = 0; cut < bundle.size(); ++cut) {
+      payloads.emplace_back(bundle.begin(), bundle.begin() + static_cast<std::ptrdiff_t>(cut));
+    }
+  }
+  while (payloads.size() < 10'000) {
+    switch (below(7)) {
+      case 0: {  // a neighbour count up to 0xFFFF that the bytes cannot back
+        PacketBytes p = random_bundle(4);
+        const std::uint16_t nnbr = static_cast<std::uint16_t>(below(0x10000));
+        p[7] = static_cast<std::uint8_t>(nnbr >> 8);
+        p[8] = static_cast<std::uint8_t>(nnbr);
+        payloads.push_back(std::move(p));
+        break;
+      }
+      case 1: {  // a capability count running past the payload
+        PacketBytes p = random_record(false);
+        const std::size_t caps_at = 9 + 4 * std::size_t((p[7] << 8) | p[8]);
+        p[caps_at] = static_cast<std::uint8_t>(1 + below(255));
+        p.resize(caps_at + 1 + below(2 * std::size_t{p[caps_at]}));
+        payloads.push_back(concat({random_record(false), p}));
+        break;
+      }
+      case 2: {  // a repeated capability key, then a valid record
+        PacketBytes p = lsa_record(static_cast<std::uint32_t>(1 + below(400)),
+                                   static_cast<std::uint16_t>(below(0x10000)), 3);
+        const auto key = static_cast<std::uint8_t>(below(256));
+        p.back() = 2;
+        p.insert(p.end(), {0, key, 0, key});
+        payloads.push_back(concat({p, random_record(false)}));
+        break;
+      }
+      case 3: {  // an unsorted neighbour list
+        PacketBytes p = lsa_record(static_cast<std::uint32_t>(1 + below(400)),
+                                   static_cast<std::uint16_t>(below(0x10000)), 3,
+                                   {static_cast<std::uint32_t>(10 + below(100)), 3, 2});
+        payloads.push_back(concat({random_record(false), p}));
+        break;
+      }
+      case 4:  // out-of-plan origins among in-plan ones
+        payloads.push_back(concat({random_record(true), random_record(false), random_record(true)}));
+        break;
+      case 5: {  // random bytes
+        PacketBytes p(below(600));
+        for (std::uint8_t& b : p) b = static_cast<std::uint8_t>(rng());
+        payloads.push_back(std::move(p));
+        break;
+      }
+      default:  // concatenated valid records
+        payloads.push_back(random_bundle(30));
+        break;
+    }
+  }
+
+  std::size_t flooded_frames = 0;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    rig.send(0, payloads[i]);
+    rig.loop.run_until_idle();
+    ASSERT_LE(rig.router->lsdb().size(), kMaxNodeId);
+    ASSERT_TRUE(rig.received(0).empty()) << "payload " << i;
+    for (const std::size_t peer : {1u, 2u}) {
+      for (const PacketBytes& frame : rig.received(peer)) {
+        ++flooded_frames;
+        for (const PacketBytes& record : split_records(frame)) {
+          const std::uint32_t origin = be32(record.data());
+          EXPECT_GE(origin, 2u) << "payload " << i;
+          EXPECT_LE(origin, kMaxNodeId) << "payload " << i;
+          EXPECT_GE(record[6], 1) << "payload " << i;
+          std::vector<std::uint32_t> neighbors;
+          const std::size_t nnbr = (record[7] << 8) | record[8];
+          for (std::size_t n = 0; n < nnbr; ++n) neighbors.push_back(be32(record.data() + 9 + 4 * n));
+          EXPECT_TRUE(std::is_sorted(neighbors.begin(), neighbors.end())) << "payload " << i;
+          EXPECT_TRUE(bootstrap::CapabilitySet::parse(std::span(record).subspan(9 + 4 * nnbr)))
+              << "payload " << i;
+        }
+      }
+    }
+  }
+
+  const LinkStateDb& lsdb = rig.router->lsdb();
+  EXPECT_GT(lsdb.size(), 100u) << "the valid records were stored";
+  EXPECT_GT(flooded_frames, 100u) << "and flooded";
+  EXPECT_GT(rig.router->ledger().lsa_out_of_plan, 0u);
+  for (const auto& [origin, lsa] : lsdb) {
+    EXPECT_GE(origin, 1u);
+    EXPECT_LE(origin, kMaxNodeId);
+    EXPECT_LE(lsa.capabilities.size(), bootstrap::CapabilitySet::kMaxKeys);
+    EXPECT_TRUE(std::is_sorted(lsa.neighbors.begin(), lsa.neighbors.end())) << origin;
+  }
 }
 
 // ---- impairment determinism ----------------------------------------------
