@@ -149,12 +149,12 @@ NetsimReport run_netsim_chaos(const Options& opt) {
 
   dtn::BundleSender::Config sc;
   sc.self = mesh::addr_of(99);
-  sc.dst = mesh::addr_of(100);
   sc.node_id = 99;
   sc.custody_key = key;
   sc.frag_payload = 64;
   sc.retry.max_retries = 8;  // outlive the blackout even if R1 refuses
-  dtn::BundleSender sender(a, fa, sc);
+  host::NetsimPort port_a(a, fa);
+  dtn::BundleSender sender(port_a, sc);
   a.set_receiver([&](netsim::FaceId, netsim::PacketBytes p, SimTime) {
     sender.on_packet(p);
   });
@@ -165,7 +165,8 @@ NetsimReport run_netsim_chaos(const Options& opt) {
   dtn::BundleReceiver::Config bc;
   bc.self = mesh::addr_of(100);
   bc.custody_key = key;
-  dtn::BundleReceiver receiver(b, fb, bc,
+  host::NetsimPort port_b(b, fb);
+  dtn::BundleReceiver receiver(port_b, bc,
                                [&](std::uint32_t id, std::vector<std::uint8_t> p) {
                                  delivered[id] = std::move(p);
                                  completed_at[id] = rx_now;
@@ -183,7 +184,7 @@ NetsimReport run_netsim_chaos(const Options& opt) {
     for (std::size_t i = 0; i < payload.size(); ++i) {
       payload[i] = static_cast<std::uint8_t>(i * 7 + n * 31 + 1);
     }
-    ids.push_back(sender.send(payload));
+    ids.push_back(sender.send(mesh::addr_of(100), payload));
     payloads.push_back(std::move(payload));
   }
   net.run();

@@ -2,8 +2,9 @@
 # Full verification pipeline: release build + tests + benches, then an
 # ASan/UBSan build + tests. This is what CI should run.
 #
-#   --fast   docs + no-getenv + single-FIB-type + single-switch-model
-#            checks + release build + the unit/property/ctrl/fib/mesh/pisa/
+#   --fast   docs + no-getenv + single-FIB-type + single-switch-model +
+#            series-catalogue + one-host-side checks + release build +
+#            the unit/property/ctrl/fib/mesh/pisa/
 #            dtn test tiers only (see docs/TESTING.md): the inner-loop lane,
 #            no benches, no sanitizer rebuilds.
 #            `ctest -L fib` alone slices just the FIB lane
@@ -83,6 +84,55 @@ if grep -rnwE 'NameFib|names_view|tables_ptr|TofinoConstraints|validate_program|
   exit 1
 fi
 echo "  one fixed switch model; no name FIB"
+
+echo "== every emitted series is catalogued =="
+# Each "dip_..." series literal under src/ must appear in
+# docs/OBSERVABILITY.md. A catalogue name may group alternatives in braces
+# (`dip_mesh_{lost,dropped}_total`), which expand before the comparison; a
+# series added without a catalogue row fails here.
+python3 - <<'PY'
+import pathlib, re, sys
+doc = pathlib.Path("docs/OBSERVABILITY.md").read_text()
+token = re.compile(r"dip_[A-Za-z0-9_]*(?:\{[A-Za-z0-9_,]+\}[A-Za-z0-9_]*)*")
+def expand(name):
+    group = re.search(r"\{([A-Za-z0-9_,]+)\}", name)
+    if not group:
+        return [name]
+    return [n for alt in group.group(1).split(",")
+            for n in expand(name[:group.start()] + alt + name[group.end():])]
+catalogued = {n for t in token.findall(doc) for n in expand(t)}
+emitted = set()
+for path in pathlib.Path("src").rglob("*"):
+    if path.suffix in (".cpp", ".hpp"):
+        emitted.update(re.findall(r'"(dip_[A-Za-z0-9_]+)"', path.read_text()))
+missing = sorted(emitted - catalogued)
+if missing:
+    sys.exit("series missing from docs/OBSERVABILITY.md: " + ", ".join(missing)
+             + "\nseries catalogue FAILED")
+print(f"  all {len(emitted)} series literals under src/ are catalogued")
+PY
+
+echo "== one host side =="
+# Each host role has one implementation (docs/DTN.md): custody headers are
+# minted and the chain digest seeded by dtn::BundleSender alone, and
+# host::ReliableSender is the one retransmission loop. A second file calling
+# either function, or the deleted consumer config, fleet reassembly state or
+# retired-sender list coming back, means a host role was copied again.
+for pattern in 'make_dip32_custody_header(' 'chain_mix(0,'; do
+  callers=$(grep -rlF -- "$pattern" src |
+    grep -vE '^src/dtn/(src/custody\.cpp|include/dip/dtn/custody\.hpp)$' || true)
+  if [ "$(printf '%s\n' "$callers" | sed '/^$/d' | wc -l)" -gt 1 ]; then
+    echo "  $pattern is called from more than one file under src/:"
+    printf '    %s\n' $callers
+    echo "one host side FAILED"
+    exit 1
+  fi
+done
+if grep -rnwE 'ConsumerConfig|RxBundle|retired_' src; then
+  echo "one host side FAILED"
+  exit 1
+fi
+echo "  one custody fragment minter, one ReliableSender"
 
 echo "== release build =="
 # Bench lanes depend on this being a real Release tree (-O3, NDEBUG):

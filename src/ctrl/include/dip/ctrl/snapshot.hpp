@@ -122,7 +122,7 @@ class QsbrDomain {
     const std::uint64_t tag =
         version_.fetch_add(1, std::memory_order_seq_cst) + 1;
     std::lock_guard lock(mu_);
-    retired_.push_back(Retired{std::move(obj), tag});
+    backlog_.push_back(Retired{std::move(obj), tag});
     return tag;
   }
 
@@ -142,11 +142,11 @@ class QsbrDomain {
     {
       std::lock_guard lock(mu_);
       const std::uint64_t horizon = min_seen_locked();
-      auto it = retired_.begin();
-      while (it != retired_.end()) {
+      auto it = backlog_.begin();
+      while (it != backlog_.end()) {
         if (it->tag <= horizon) {
           free_list.push_back(std::move(it->obj));
-          it = retired_.erase(it);
+          it = backlog_.erase(it);
           ++freed;
         } else {
           ++it;
@@ -160,7 +160,7 @@ class QsbrDomain {
   /// Retired-but-not-yet-freed object count (telemetry: reclamation backlog).
   [[nodiscard]] std::size_t backlog() const {
     std::lock_guard lock(mu_);
-    return retired_.size();
+    return backlog_.size();
   }
 
   /// Lifetime total of objects released by try_reclaim (telemetry).
@@ -192,7 +192,7 @@ class QsbrDomain {
   std::atomic<std::uint64_t> version_{1};
   mutable std::mutex mu_;
   std::vector<std::weak_ptr<ReaderSlot>> slots_;
-  std::vector<Retired> retired_;
+  std::vector<Retired> backlog_;
   std::uint64_t reclaimed_total_ = 0;
 };
 

@@ -1,14 +1,17 @@
 // Host-side bundle transfer: BundleSender / BundleReceiver.
 //
-// The host half of docs/DTN.md. A bundle is an application payload cut into
+// The host half of docs/DTN.md, one implementation for every substrate:
+// both endpoints send (and the sender schedules) through a host::HostPort —
+// a netsim HostNode face, or a mesh router's local face inside
+// dtn::MeshCustodyFleet. A bundle is an application payload cut into
 // fragments; each fragment travels as one dip32+custody packet
 // (make_dip32_custody_header) whose payload is the fragment bytes. The
-// sender is the bundle's *initial custodian*: every fragment is driven by a
-// host::ReliableSender until the first custody-capable router ACKs — from
-// then on recovery is the custodians' job, hop by hop, and the sender can
-// forget the fragment. The receiver verifies the chain MAC, ACKs the last
-// custodian (completing the final custody transfer), deduplicates, and
-// reassembles.
+// sender is the bundle's *initial custodian*: every fragment is driven by
+// the sender's host::ReliableSender, keyed by frag_key, until the first
+// custody-capable router ACKs — from then on recovery is the custodians'
+// job, hop by hop, and the sender forgets the fragment. The receiver
+// verifies the chain MAC, ACKs the last custodian (completing the final
+// custody transfer), deduplicates, and reassembles.
 //
 // Reassembly policy mirrors the router's ValidationMode split:
 //   * strict  — a fragment whose `total` disagrees with the bundle's
@@ -22,8 +25,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "dip/dtn/custody.hpp"
@@ -38,8 +41,9 @@ class BundleSender {
     /// mesh::addr_of(node_id), so pick self = mesh::addr_of(node_id) (and
     /// route mesh::prefix_of(node_id) back to this host) for end-to-end ACKs.
     fib::Ipv4Addr self{};
-    fib::Ipv4Addr dst{};
-    std::uint32_t node_id = 0;  ///< seeds the custody chain as first custodian
+    /// Seeds the custody chain as first custodian, and the high half of
+    /// every bundle id: one of the address plan's node ids, 1..65,535.
+    std::uint32_t node_id = 0;
     crypto::Block custody_key{};
     crypto::MacKind mac = crypto::MacKind::kEm2;
     std::size_t frag_payload = 512;  ///< payload bytes per fragment
@@ -47,47 +51,42 @@ class BundleSender {
     host::RetryPolicy retry{};
   };
 
-  /// `node` must outlive the sender and be attached to a network. Hook the
-  /// node's receiver to on_packet (directly or via a demux that also feeds
-  /// other consumers).
-  BundleSender(netsim::HostNode& node, netsim::FaceId face, Config config)
-      : node_(node), face_(face), config_(config) {}
+  /// `port` must outlive the sender. Hook the host's receiver to on_packet
+  /// (directly or via a demux that also feeds other consumers).
+  BundleSender(host::HostPort& port, Config config)
+      : config_(config), retry_(port, config.retry) {}
+  BundleSender(const BundleSender&) = delete;
+  BundleSender& operator=(const BundleSender&) = delete;
 
-  /// Fragment `payload` and launch every fragment under retry. Returns the
-  /// bundle id.
-  std::uint32_t send(std::span<const std::uint8_t> payload);
+  /// Fragment `payload` toward `dst` and launch every fragment under retry.
+  /// Returns the bundle id: node_id in the high 16 bits and the sender's
+  /// bundle sequence in the low 16, so senders with distinct node ids (the
+  /// hosts of one mesh) never mint the same id, and the custody stores'
+  /// frag_key stays unique. A sender's 65,537th bundle reuses its first id.
+  std::uint32_t send(const fib::Ipv4Addr& dst, std::span<const std::uint8_t> payload);
 
-  /// Feed an incoming packet; returns true when it was a custody ACK for one
-  /// of our in-flight fragments (consumed), false otherwise.
+  /// Feed an incoming packet; returns true when it was a custody ACK
+  /// addressed to us (consumed), false otherwise.
   bool on_packet(std::span<const std::uint8_t> packet);
 
   /// Fragments still awaiting their first custody transfer.
-  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_.size(); }
+  [[nodiscard]] std::size_t in_flight() const noexcept { return retry_.in_flight(); }
   /// Fragments the network has taken custody of.
   [[nodiscard]] std::uint64_t committed() const noexcept { return committed_; }
   /// Fragments whose retry budget ran out before any custody ACK.
   [[nodiscard]] std::uint64_t failures() const noexcept { return failures_; }
-  [[nodiscard]] std::uint64_t retransmissions() const noexcept;
+  [[nodiscard]] std::uint64_t retransmissions() const noexcept {
+    return retry_.retransmissions();
+  }
 
  private:
-  struct Flight {
-    std::unique_ptr<host::ReliableSender> sender;
-    host::ReliableSender::Epoch epoch = 0;
-    std::vector<std::uint8_t> payload;
-    FragInfo frag;
-  };
+  [[nodiscard]] std::vector<std::uint8_t> build_packet(
+      const fib::Ipv4Addr& dst, const FragInfo& frag,
+      std::span<const std::uint8_t> payload) const;
 
-  [[nodiscard]] netsim::PacketBytes build_packet(
-      const FragInfo& frag, std::span<const std::uint8_t> payload) const;
-
-  netsim::HostNode& node_;
-  netsim::FaceId face_;
   Config config_;
-  std::map<std::uint64_t, Flight> in_flight_;  ///< frag_key -> flight
-  /// Retired senders are kept alive: their armed loop timers capture the
-  /// sender object and must find it valid when they fire.
-  std::vector<std::unique_ptr<host::ReliableSender>> retired_;
-  std::uint32_t next_bundle_ = 1;
+  host::ReliableSender retry_;  ///< keyed by frag_key
+  std::uint16_t next_sequence_ = 1;
   std::uint64_t committed_ = 0;
   std::uint64_t failures_ = 0;
 };
@@ -105,21 +104,26 @@ class BundleReceiver {
   using BundleHandler =
       std::function<void(std::uint32_t bundle_id, std::vector<std::uint8_t> payload)>;
 
-  BundleReceiver(netsim::HostNode& node, netsim::FaceId face, Config config,
-                 BundleHandler handler)
-      : node_(node), face_(face), config_(config), handler_(std::move(handler)) {}
+  /// `port` must outlive the receiver; ACKs leave through it.
+  BundleReceiver(host::HostPort& port, Config config, BundleHandler handler)
+      : port_(port), config_(config), handler_(std::move(handler)) {}
 
   /// Feed an incoming packet; returns true when it was a custody-tagged
   /// fragment addressed to us (consumed — ACKed/deduped/assembled).
   bool on_packet(std::span<const std::uint8_t> packet);
 
   [[nodiscard]] std::uint64_t bundles_completed() const noexcept { return completed_.size(); }
+  [[nodiscard]] bool completed(std::uint32_t bundle) const { return completed_.contains(bundle); }
+  /// Every custody fragment addressed to us: rejected, duplicate or new.
   [[nodiscard]] std::uint64_t fragments_received() const noexcept { return fragments_; }
   [[nodiscard]] std::uint64_t duplicate_fragments() const noexcept { return duplicates_; }
   /// Bad MAC, malformed geometry, or (lenient) conflicting fragments.
   [[nodiscard]] std::uint64_t rejected_fragments() const noexcept { return rejected_; }
   /// Strict mode: bundles abandoned on a geometry conflict.
   [[nodiscard]] std::uint64_t poisoned_bundles() const noexcept { return poisoned_; }
+  /// Custody ACKs sent: one per new or duplicate fragment, none for a
+  /// rejected one.
+  [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_; }
 
  private:
   struct Pending {
@@ -130,8 +134,7 @@ class BundleReceiver {
 
   void send_ack(const CustodyTag& tag, const FragInfo& frag);
 
-  netsim::HostNode& node_;
-  netsim::FaceId face_;
+  host::HostPort& port_;
   Config config_;
   BundleHandler handler_;
   std::map<std::uint32_t, Pending> pending_;
@@ -140,6 +143,7 @@ class BundleReceiver {
   std::uint64_t duplicates_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t poisoned_ = 0;
+  std::uint64_t acks_ = 0;
 };
 
 }  // namespace dip::dtn

@@ -1,62 +1,52 @@
 #include "dip/dtn/bundle.hpp"
 
+#include <algorithm>
+
 #include "dip/dtn/overlay.hpp"
 #include "dip/mesh/control.hpp"
 
 namespace dip::dtn {
 
-std::uint32_t BundleSender::send(std::span<const std::uint8_t> payload) {
-  const std::uint32_t bundle = next_bundle_++;
+std::uint32_t BundleSender::send(const fib::Ipv4Addr& dst,
+                                 std::span<const std::uint8_t> payload) {
+  const std::uint32_t bundle = (config_.node_id << 16) | next_sequence_++;
   const std::size_t per = config_.frag_payload == 0 ? 1 : config_.frag_payload;
   const std::size_t total =
       payload.empty() ? 1 : (payload.size() + per - 1) / per;
 
   for (std::size_t i = 0; i < total; ++i) {
-    Flight flight;
-    flight.frag.index = static_cast<std::uint16_t>(i);
-    flight.frag.total = static_cast<std::uint16_t>(total);
-    flight.frag.bundle_id = bundle;
-    const std::size_t off = i * per;
-    const std::size_t len = std::min(per, payload.size() - std::min(off, payload.size()));
-    flight.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(off),
-                          payload.begin() + static_cast<std::ptrdiff_t>(off + len));
-    flight.sender =
-        std::make_unique<host::ReliableSender>(node_, face_, config_.retry);
-
-    const std::uint64_t key = frag_key(bundle, flight.frag.index);
-    // The factory owns copies of everything it needs: it outlives the
-    // Flight map entry (armed timers fire after acknowledge/failure).
-    const FragInfo frag = flight.frag;
-    std::vector<std::uint8_t> frag_payload = flight.payload;
-    flight.epoch = flight.sender->send(
-        [this, frag, frag_payload](std::uint32_t) {
-          return build_packet(frag, frag_payload);
+    FragInfo frag;
+    frag.index = static_cast<std::uint16_t>(i);
+    frag.total = static_cast<std::uint16_t>(total);
+    frag.bundle_id = bundle;
+    const std::size_t off = std::min(i * per, payload.size());
+    const std::size_t len = std::min(per, payload.size() - off);
+    // The bytes are the same on every attempt; retry_ drops them with the
+    // fragment's state on its ACK or final failure.
+    retry_.send(
+        frag_key(bundle, frag.index),
+        [packet = build_packet(dst, frag, payload.subspan(off, len))](std::uint32_t) {
+          return packet;
         },
-        [this, key] {
-          auto it = in_flight_.find(key);
-          if (it == in_flight_.end()) return;
-          ++failures_;
-          retired_.push_back(std::move(it->second.sender));
-          in_flight_.erase(it);
-        });
-    in_flight_.emplace(key, std::move(flight));
+        [this] { ++failures_; });
   }
   return bundle;
 }
 
-netsim::PacketBytes BundleSender::build_packet(
-    const FragInfo& frag, std::span<const std::uint8_t> payload) const {
+std::vector<std::uint8_t> BundleSender::build_packet(
+    const fib::Ipv4Addr& dst, const FragInfo& frag,
+    std::span<const std::uint8_t> payload) const {
   CustodyTag tag;
   tag.flags = kCustodyRequest;
   tag.chain_len = 0;
   tag.bundle_id = frag.bundle_id;
   tag.custodian = config_.node_id;  // the sender is the initial custodian
   tag.chain_digest = chain_mix(0, config_.node_id);
-  const auto header =
-      make_dip32_custody_header(config_.dst, config_.self, tag, frag,
-                                config_.custody_key, config_.mac, config_.hop_limit);
+  const auto header = make_dip32_custody_header(dst, config_.self, tag, frag,
+                                                config_.custody_key, config_.mac,
+                                                config_.hop_limit);
   if (!header) return {};
-  netsim::PacketBytes packet = header->serialize();
+  std::vector<std::uint8_t> packet = header->serialize();
   packet.insert(packet.end(), payload.begin(), payload.end());
   return packet;
 }
@@ -69,23 +59,9 @@ bool BundleSender::on_packet(std::span<const std::uint8_t> packet) {
   const auto tag =
       verify_custody_tag(view->tag_field, config_.custody_key, config_.mac);
   if (!tag) return true;  // forged/corrupt ACK: consumed, ignored
-
-  const std::uint64_t key = frag_key(tag->bundle_id, view->frag.index);
-  auto it = in_flight_.find(key);
-  if (it == in_flight_.end()) return true;  // duplicate ACK of a retired flight
-  if (it->second.sender->acknowledge(it->second.epoch)) {
-    ++committed_;
-    retired_.push_back(std::move(it->second.sender));
-    in_flight_.erase(it);
-  }
+  // A duplicate ACK finds the fragment already retired.
+  if (retry_.acknowledge(frag_key(tag->bundle_id, view->frag.index))) ++committed_;
   return true;
-}
-
-std::uint64_t BundleSender::retransmissions() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& [key, flight] : in_flight_) sum += flight.sender->retransmissions();
-  for (const auto& sender : retired_) sum += sender->retransmissions();
-  return sum;
 }
 
 bool BundleReceiver::on_packet(std::span<const std::uint8_t> packet) {
@@ -166,7 +142,8 @@ void BundleReceiver::send_ack(const CustodyTag& tag, const FragInfo& frag) {
       make_custody_ack_header(mesh::addr_of(tag.custodian), config_.self, tag, frag,
                               config_.custody_key, config_.mac);
   if (!ack) return;
-  node_.send(face_, ack->serialize());
+  ++acks_;
+  port_.send(ack->serialize());
 }
 
 }  // namespace dip::dtn

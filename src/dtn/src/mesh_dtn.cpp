@@ -7,6 +7,53 @@
 
 namespace dip::dtn {
 
+namespace {
+
+/// Σ fn(item) over a vector of unique_ptrs: the fleet aggregates.
+template <typename Items, typename Fn>
+std::uint64_t sum(const Items& items, Fn fn) {
+  std::uint64_t total = 0;
+  for (const auto& item : items) total += fn(*item);
+  return total;
+}
+
+}  // namespace
+
+struct MeshCustodyFleet::Host {
+  /// Router i's local face. A send is injected one loop round later, so an
+  /// ACK the host sends from inside its router's delivery never re-enters
+  /// that router's verdict path.
+  class Port final : public host::HostPort {
+   public:
+    Port(mesh::MeshNet& mesh, std::size_t i) : mesh_(mesh), i_(i) {}
+
+    void send(std::vector<std::uint8_t> packet) override {
+      mesh_.loop().schedule_in(
+          0, [&mesh = mesh_, i = i_, bytes = std::move(packet)]() mutable {
+            mesh.router(i).inject(bytes, mesh.local_face_of(i));
+          });
+    }
+    void schedule(SimDuration delay, Callback fn) override {
+      mesh_.loop().schedule_in(delay, std::move(fn));
+    }
+
+   private:
+    mesh::MeshNet& mesh_;
+    std::size_t i_;
+  };
+
+  Host(mesh::MeshNet& mesh, std::size_t i, const BundleSender::Config& sender_config,
+       const BundleReceiver::Config& receiver_config,
+       BundleReceiver::BundleHandler on_bundle)
+      : port(mesh, i),
+        sender(port, sender_config),
+        receiver(port, receiver_config, std::move(on_bundle)) {}
+
+  Port port;
+  BundleSender sender;
+  BundleReceiver receiver;
+};
+
 std::shared_ptr<core::OpRegistry> MeshCustodyFleet::make_registry() {
   auto registry = netsim::make_default_registry();
   add_custody_modules(*registry);
@@ -18,121 +65,84 @@ MeshCustodyFleet::MeshCustodyFleet(mesh::MeshNet& mesh, Config config)
   const CustodyOverlay::Config overlay{config_.limits, config_.retry};
   mesh::MeshEventLoop& loop = mesh_.loop();
   const auto schedule = [&loop](SimDuration delay, std::function<void()> fn) {
-    (void)loop.schedule_in(delay, std::move(fn));
+    loop.schedule_in(delay, std::move(fn));
+  };
+  const auto on_bundle = [this](std::uint32_t bundle, std::vector<std::uint8_t>) {
+    if (const auto it = bundle_times_.find(bundle); it != bundle_times_.end()) {
+      it->second.second = mesh_.loop().now_ns();
+    }
   };
   overlays_.reserve(mesh_.size());
+  hosts_.reserve(mesh_.size());
   for (std::size_t i = 0; i < mesh_.size(); ++i) {
     mesh::MeshRouter& r = mesh_.router(i);
     r.env().custody_key = config_.custody_key;
     r.env().accept_custody = true;
     overlays_.push_back(std::make_unique<CustodyOverlay>(r.runtime(), overlay, schedule));
+
+    // The host keeps its router's id and address.
+    BundleSender::Config sender;
+    sender.self = mesh::addr_of(node_id(i));
+    sender.node_id = node_id(i);
+    sender.custody_key = config_.custody_key;
+    sender.mac = r.env().mac_kind;
+    sender.frag_payload = config_.frag_payload;
+    sender.retry = config_.retry;
+    BundleReceiver::Config receiver;
+    receiver.self = sender.self;
+    receiver.custody_key = config_.custody_key;
+    receiver.mac = r.env().mac_kind;
+    hosts_.push_back(std::make_unique<Host>(mesh_, i, sender, receiver, on_bundle));
   }
   mesh_.set_delivery([this](std::size_t i, std::span<const std::uint8_t> packet,
-                            std::uint64_t now) { on_delivery(i, packet, now); });
+                            std::uint64_t) {
+    Host& host = *hosts_[i];
+    if (!host.sender.on_packet(packet)) host.receiver.on_packet(packet);
+  });
 }
+
+MeshCustodyFleet::~MeshCustodyFleet() = default;
 
 std::uint32_t MeshCustodyFleet::send(std::size_t src, std::size_t dst,
                                      std::span<const std::uint8_t> payload) {
-  const std::uint32_t bundle = next_bundle_++;
-  const std::size_t per = config_.frag_payload == 0 ? 1 : config_.frag_payload;
-  const std::size_t total = payload.empty() ? 1 : (payload.size() + per - 1) / per;
-  bundle_times_[bundle] = {mesh_.loop().now_ns(), 0};
-
-  for (std::size_t f = 0; f < total; ++f) {
-    CustodyTag tag;
-    tag.flags = kCustodyRequest;
-    tag.custodian = node_id(src);  // the source router is the initial custodian
-    tag.prev_custodian = static_cast<std::uint16_t>(node_id(src));
-    tag.bundle_id = bundle;
-    tag.chain_digest = chain_mix(0, node_id(src));
-    FragInfo frag;
-    frag.index = static_cast<std::uint16_t>(f);
-    frag.total = static_cast<std::uint16_t>(total);
-    frag.bundle_id = bundle;
-
-    const auto header = make_dip32_custody_header(
-        mesh::addr_of(node_id(dst)), mesh::addr_of(node_id(src)), tag, frag,
-        config_.custody_key, mesh_.router(src).env().mac_kind);
-    if (!header) continue;
-    mesh::PacketBytes packet = header->serialize();
-    const std::size_t off = f * per;
-    const std::size_t len =
-        std::min(per, payload.size() - std::min(off, payload.size()));
-    packet.insert(packet.end(), payload.begin() + static_cast<std::ptrdiff_t>(off),
-                  payload.begin() + static_cast<std::ptrdiff_t>(off + len));
-    offer(src, frag_key(bundle, frag.index), packet, 0);
-  }
+  const std::uint64_t now = mesh_.loop().now_ns();
+  const std::uint32_t bundle =
+      hosts_.at(src)->sender.send(mesh::addr_of(node_id(dst)), payload);
+  bundle_times_[bundle] = {now, 0};
   return bundle;
 }
 
-void MeshCustodyFleet::offer(std::size_t src, std::uint64_t key,
-                             const mesh::PacketBytes& packet, std::uint32_t attempt) {
-  // The source router accepts custody of its own injection: its overlay
-  // commits the fragment before it ever touches a wire — or refuses it.
-  mesh::PacketBytes copy = packet;  // the router rewrites the tag in place
-  mesh_.router(src).inject(copy, mesh_.local_face_of(src));
-  if (overlays_[src]->store().contains(key)) return;
-  if (attempt >= config_.retry.max_retries) {
-    ++send_failures_;
-    return;
-  }
-  (void)mesh_.loop().schedule_in(config_.retry.timeout_for(attempt),
-                                 [this, src, key, packet, attempt] {
-                                   offer(src, key, packet, attempt + 1);
-                                 });
+bool MeshCustodyFleet::bundle_complete(std::uint32_t bundle) const {
+  return std::ranges::any_of(hosts_,
+                             [bundle](const auto& h) { return h->receiver.completed(bundle); });
 }
 
-void MeshCustodyFleet::on_delivery(std::size_t i, std::span<const std::uint8_t> packet,
-                                   std::uint64_t now) {
-  const auto view = CustodyView::parse(packet);
-  if (!view) return;
-  mesh::MeshRouter& r = mesh_.router(i);
-  const auto tag =
-      verify_custody_tag(view->tag_field, config_.custody_key, r.env().mac_kind);
-  if (!tag || tag->is_ack()) return;  // forged/corrupt custody plane: ignore
-
-  // Terminal data fragment: ACK the custodian that delivered it (this
-  // router), dedup, and assemble. The ACK enters through the local face
-  // like any host packet, deferred so the router never re-enters its own
-  // verdict path; its overlay consumes it.
-  const auto ack = make_custody_ack_header(mesh::addr_of(tag->custodian),
-                                           mesh::addr_of(node_id(i)), *tag, view->frag,
-                                           config_.custody_key, r.env().mac_kind);
-  if (ack) {
-    ++delivery_acks_;
-    (void)mesh_.loop().schedule_in(0, [this, i, bytes = ack->serialize()]() mutable {
-      mesh_.router(i).inject(bytes, mesh_.local_face_of(i));
-    });
-  }
-  const std::uint64_t key = frag_key(tag->bundle_id, view->frag.index);
-  if (!rx_frags_.insert(key).second) {
-    ++duplicates_;
-    return;
-  }
-  ++fragments_delivered_;
-  if (rx_complete_.count(tag->bundle_id) != 0) return;
-  RxBundle& rx = rx_pending_[tag->bundle_id];
-  if (rx.total == 0) rx.total = view->frag.total;
-  rx.got.insert(view->frag.index);
-  if (rx.total != 0 && rx.got.size() >= rx.total) {
-    rx_complete_.insert(tag->bundle_id);
-    rx_pending_.erase(tag->bundle_id);
-    if (auto it = bundle_times_.find(tag->bundle_id); it != bundle_times_.end()) {
-      it->second.second = now;
-    }
-  }
+std::size_t MeshCustodyFleet::bundles_completed() const {
+  return sum(hosts_, [](const Host& h) { return h.receiver.bundles_completed(); });
 }
 
-std::uint64_t MeshCustodyFleet::acks_sent() const noexcept {
-  std::uint64_t total = delivery_acks_;
-  for (const auto& o : overlays_) total += o->acks_sent();
-  return total;
+std::uint64_t MeshCustodyFleet::fragments_delivered() const {
+  return sum(hosts_, [](const Host& h) {
+    const BundleReceiver& r = h.receiver;
+    return r.fragments_received() - r.duplicate_fragments() - r.rejected_fragments();
+  });
 }
 
-std::uint64_t MeshCustodyFleet::custody_drops() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& o : overlays_) total += o->custody_drops();
-  return total;
+std::uint64_t MeshCustodyFleet::duplicate_fragments() const {
+  return sum(hosts_, [](const Host& h) { return h.receiver.duplicate_fragments(); });
+}
+
+std::uint64_t MeshCustodyFleet::acks_sent() const {
+  return sum(overlays_, [](const CustodyOverlay& o) { return o.acks_sent(); }) +
+         sum(hosts_, [](const Host& h) { return h.receiver.acks_sent(); });
+}
+
+std::uint64_t MeshCustodyFleet::custody_drops() const {
+  return sum(overlays_, [](const CustodyOverlay& o) { return o.custody_drops(); });
+}
+
+std::uint64_t MeshCustodyFleet::send_failures() const {
+  return sum(hosts_, [](const Host& h) { return h.sender.failures(); });
 }
 
 bool MeshCustodyFleet::stores_empty() const {
@@ -178,11 +188,11 @@ void MeshCustodyFleet::write_stats(telemetry::StatsWriter& w) const {
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
     overlays_[i]->store().write_stats(w, node_id(i));
   }
-  w.counter("dip_dtn_fragments_delivered_total", {}, fragments_delivered_);
-  w.counter("dip_dtn_duplicate_fragments_total", {}, duplicates_);
+  w.counter("dip_dtn_fragments_delivered_total", {}, fragments_delivered());
+  w.counter("dip_dtn_duplicate_fragments_total", {}, duplicate_fragments());
   w.counter("dip_dtn_acks_total", {}, acks_sent());
   w.counter("dip_dtn_custody_drops_total", {}, custody_drops());
-  w.gauge("dip_dtn_bundles_completed", {}, static_cast<double>(rx_complete_.size()));
+  w.gauge("dip_dtn_bundles_completed", {}, static_cast<double>(bundles_completed()));
 }
 
 }  // namespace dip::dtn

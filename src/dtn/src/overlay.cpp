@@ -83,14 +83,14 @@ bool CustodyOverlay::admit(netsim::FaceId ingress, std::span<const std::uint8_t>
     ++custody_drops_;  // refused: no ACK, no forward — upstream retries
     return false;
   }
-  if (view->tag.prev_custodian != static_cast<std::uint16_t>(env.node_id)) {
-    const auto ack = make_custody_ack_header(mesh::addr_of(view->tag.prev_custodian),
-                                             address(), view->tag, view->frag,
-                                             env.custody_key, env.mac_kind);
-    if (ack) {
-      ++acks_sent_;
-      runtime_.port().send(ingress, ack->serialize());
-    }
+  // The previous custodian may be this node's own host (a mesh host keeps
+  // its router's id): the ACK then leaves through the local face it came in.
+  const auto ack = make_custody_ack_header(mesh::addr_of(view->tag.prev_custodian),
+                                           address(), view->tag, view->frag,
+                                           env.custody_key, env.mac_kind);
+  if (ack) {
+    ++acks_sent_;
+    runtime_.port().send(ingress, ack->serialize());
   }
   if (duplicate) {
     // Upstream retransmitted before our ACK landed: re-ACKed above, but a

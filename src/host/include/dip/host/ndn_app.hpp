@@ -3,7 +3,8 @@
 // F_pass labels).
 //
 // These sit on top of netsim::HostNode and give examples/tests a realistic
-// application layer instead of hand-rolled receiver lambdas.
+// application layer instead of hand-rolled receiver lambdas. The consumer's
+// retransmissions run on the shared host::ReliableSender, keyed by name.
 #pragma once
 
 #include <functional>
@@ -19,28 +20,14 @@
 
 namespace dip::host {
 
-/// Consumer knobs (namespace scope so brace defaults work as default args).
-struct ConsumerConfig {
-  SimDuration retransmit_timeout = 100 * kMillisecond;
-  std::uint32_t max_retries = 3;
-  /// Timeout multiplier per retransmission (1.0 = fixed interval, the
-  /// historical behaviour; >1 backs off under sustained loss).
-  double backoff = 1.0;
-  /// Ceiling for the backed-off timeout.
-  SimDuration max_timeout = 2 * kSecond;
-
-  [[nodiscard]] RetryPolicy policy() const noexcept {
-    return {max_retries, retransmit_timeout, backoff, max_timeout};
-  }
-};
-
 class NdnConsumer {
  public:
-  using Config = ConsumerConfig;
+  /// A fixed 100 ms timeout and three retries.
+  static constexpr RetryPolicy kDefaultRetry{3, 100 * kMillisecond, 1.0, 2 * kSecond};
 
   /// `node` must outlive the consumer and be attached to a network.
   NdnConsumer(netsim::HostNode& node, netsim::FaceId face,
-              Config config = ConsumerConfig());
+              RetryPolicy retry = kDefaultRetry);
 
   using DataHandler =
       std::function<void(const fib::Name&, std::span<const std::uint8_t> payload)>;
@@ -52,28 +39,21 @@ class NdnConsumer {
                         FailureHandler on_failure = {});
 
   [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }
-  [[nodiscard]] std::uint64_t retransmissions() const noexcept { return retx_; }
+  [[nodiscard]] std::uint64_t retransmissions() const noexcept {
+    return retry_.retransmissions();
+  }
 
  private:
   struct PendingInterest {
     fib::Name name;
     DataHandler on_data;
-    FailureHandler on_failure;
-    std::uint32_t retries_left = 0;
-    std::uint32_t attempt = 0;  ///< transmissions so far minus one (backoff)
-    std::uint64_t epoch = 0;  ///< invalidates stale timers
   };
 
   void on_packet(netsim::FaceId face, netsim::PacketBytes packet, SimTime now);
-  void send_interest(std::uint32_t code);
-  void arm_timer(std::uint32_t code, std::uint64_t epoch);
 
-  netsim::HostNode& node_;
-  netsim::FaceId face_;
-  Config config_;
+  NetsimPort port_;
+  ReliableSender retry_;  ///< keyed by name code
   std::unordered_map<std::uint32_t, PendingInterest> pending_;
-  std::uint64_t retx_ = 0;
-  std::uint64_t next_epoch_ = 1;
 };
 
 /// Producer knobs.

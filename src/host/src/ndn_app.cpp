@@ -6,9 +6,9 @@ namespace dip::host {
 
 // ---------- consumer ----------
 
-NdnConsumer::NdnConsumer(netsim::HostNode& node, netsim::FaceId face, Config config)
-    : node_(node), face_(face), config_(config) {
-  node_.set_receiver([this](netsim::FaceId f, netsim::PacketBytes p, SimTime now) {
+NdnConsumer::NdnConsumer(netsim::HostNode& node, netsim::FaceId face, RetryPolicy retry)
+    : port_(node, face), retry_(port_, retry) {
+  node.set_receiver([this](netsim::FaceId f, netsim::PacketBytes p, SimTime now) {
     on_packet(f, std::move(p), now);
   });
 }
@@ -16,46 +16,17 @@ NdnConsumer::NdnConsumer(netsim::HostNode& node, netsim::FaceId face, Config con
 void NdnConsumer::express_interest(const fib::Name& name, DataHandler on_data,
                                    FailureHandler on_failure) {
   const std::uint32_t code = ndn::encode_name32(name);
-  PendingInterest pi;
-  pi.name = name;
-  pi.on_data = std::move(on_data);
-  pi.on_failure = std::move(on_failure);
-  pi.retries_left = config_.max_retries;
-  pi.epoch = next_epoch_++;
-  const std::uint64_t epoch = pi.epoch;
-  pending_[code] = std::move(pi);
-
-  send_interest(code);
-  arm_timer(code, epoch);
-}
-
-void NdnConsumer::send_interest(std::uint32_t code) {
-  node_.send(face_, ndn::make_interest_header32(code)->serialize());
-}
-
-void NdnConsumer::arm_timer(std::uint32_t code, std::uint64_t epoch) {
-  const auto armed = pending_.find(code);
-  if (armed == pending_.end()) return;
-  const SimDuration timeout = config_.policy().timeout_for(armed->second.attempt);
-  node_.network()->loop().schedule_in(timeout, [this, code, epoch] {
-    const auto it = pending_.find(code);
-    if (it == pending_.end() || it->second.epoch != epoch) return;  // satisfied
-    PendingInterest& pi = it->second;
-    if (pi.retries_left == 0) {
-      const auto on_failure = std::move(pi.on_failure);
-      const fib::Name name = pi.name;
-      pending_.erase(it);
-      if (on_failure) on_failure(name);
-      return;
-    }
-    --pi.retries_left;
-    ++pi.attempt;
-    ++retx_;
-    const std::uint64_t fresh = next_epoch_++;
-    pi.epoch = fresh;
-    send_interest(code);
-    arm_timer(code, fresh);
-  });
+  pending_[code] = PendingInterest{name, std::move(on_data)};
+  retry_.send(
+      code,
+      [code](std::uint32_t) { return ndn::make_interest_header32(code)->serialize(); },
+      [this, code, on_failure = std::move(on_failure)] {
+        const auto it = pending_.find(code);
+        if (it == pending_.end()) return;
+        const fib::Name failed = std::move(it->second.name);
+        pending_.erase(it);
+        if (on_failure) on_failure(failed);
+      });
 }
 
 void NdnConsumer::on_packet(netsim::FaceId, netsim::PacketBytes packet, SimTime) {
@@ -68,6 +39,7 @@ void NdnConsumer::on_packet(netsim::FaceId, netsim::PacketBytes packet, SimTime)
   const auto it = pending_.find(static_cast<std::uint32_t>(*code));
   if (it == pending_.end()) return;  // unsolicited / already satisfied
 
+  retry_.acknowledge(it->first);
   const auto on_data = std::move(it->second.on_data);
   const fib::Name name = it->second.name;
   pending_.erase(it);

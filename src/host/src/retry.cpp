@@ -2,32 +2,45 @@
 
 namespace dip::host {
 
-ReliableSender::Epoch ReliableSender::send(PacketFactory factory,
+ReliableSender::Epoch ReliableSender::send(Key key, PacketFactory factory,
                                            FailureHandler on_failure) {
-  factory_ = std::move(factory);
-  on_failure_ = std::move(on_failure);
-  pending_ = true;
-  attempt_ = 0;
-  const Epoch epoch = ++epoch_;
-  node_.send(face_, factory_(0));
-  arm(epoch);
+  const Epoch epoch = next_epoch_++;
+  Flight& flight = flights_[key];
+  flight = Flight{std::move(factory), std::move(on_failure), epoch, 0};
+  port_.send(flight.factory(0));
+  arm(key, epoch, 0);
   return epoch;
 }
 
-void ReliableSender::arm(std::uint64_t epoch) {
-  node_.network()->loop().schedule_in(
-      policy_.timeout_for(attempt_), [this, epoch] {
-        if (!pending_ || epoch != epoch_) return;  // satisfied or superseded
-        if (attempt_ >= policy_.max_retries) {
-          pending_ = false;
-          if (on_failure_) on_failure_();
-          return;
-        }
-        ++attempt_;
-        ++retx_;
-        node_.send(face_, factory_(attempt_));
-        arm(epoch);
-      });
+bool ReliableSender::acknowledge(Key key, Epoch epoch) noexcept {
+  const auto it = flights_.find(key);
+  if (it == flights_.end() || it->second.epoch != epoch) return false;
+  flights_.erase(it);
+  return true;
+}
+
+bool ReliableSender::acknowledge(Key key) noexcept { return flights_.erase(key) != 0; }
+
+void ReliableSender::arm(Key key, Epoch epoch, std::uint32_t attempt) {
+  port_.schedule(policy_.timeout_for(attempt),
+                 [this, key, epoch] { on_timeout(key, epoch); });
+}
+
+void ReliableSender::on_timeout(Key key, Epoch epoch) {
+  const auto it = flights_.find(key);
+  // Acknowledged, failed, or superseded by a newer send() of the key.
+  if (it == flights_.end() || it->second.epoch != epoch) return;
+  Flight& flight = it->second;
+  if (flight.attempt >= policy_.max_retries) {
+    const FailureHandler on_failure = std::move(flight.on_failure);
+    flights_.erase(it);
+    if (on_failure) on_failure();
+    return;
+  }
+  const std::uint32_t attempt = ++flight.attempt;
+  ++retx_;
+  port_.send(flight.factory(attempt));
+  arm(key, epoch, attempt);
 }
 
 }  // namespace dip::host

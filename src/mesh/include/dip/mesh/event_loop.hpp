@@ -20,7 +20,6 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "dip/mesh/socket.hpp"
@@ -65,7 +64,6 @@ class MeshEventLoop {
  public:
   using Callback = std::function<void()>;
   using SocketId = std::uint32_t;
-  using TimerId = std::uint64_t;
 
   /// `clock` must outlive the loop; nullptr installs an owned SteadyClock.
   explicit MeshEventLoop(MeshClock* clock = nullptr);
@@ -80,12 +78,12 @@ class MeshEventLoop {
   /// Safe from inside any callback (including the socket's own handler).
   void remove_socket(SocketId id);
 
-  TimerId schedule_at(std::uint64_t at_ns, Callback fn);
-  TimerId schedule_in(std::uint64_t delay_ns, Callback fn) {
-    return schedule_at(now_ns() + delay_ns, std::move(fn));
+  /// Timers cannot be cancelled: a callback that may go stale checks its
+  /// own generation when it fires (as the custody and retry timers do).
+  void schedule_at(std::uint64_t at_ns, Callback fn);
+  void schedule_in(std::uint64_t delay_ns, Callback fn) {
+    schedule_at(now_ns() + delay_ns, std::move(fn));
   }
-  /// True if the timer was still pending.
-  bool cancel_timer(TimerId id);
 
   /// One non-blocking round: fire timers due at now, then dispatch every
   /// currently-readable socket once. Returns timers fired + handlers run.
@@ -102,13 +100,11 @@ class MeshEventLoop {
   std::size_t run(std::uint64_t deadline_ns = ~std::uint64_t{0});
   void stop() noexcept { stopped_ = true; }
 
-  [[nodiscard]] std::size_t pending_timers() const noexcept {
-    return live_timers_.size();
-  }
+  [[nodiscard]] std::size_t pending_timers() const noexcept { return timers_.size(); }
   /// Delay from now to the earliest pending timer (nullopt = none). Lets a
   /// manual-clock driver advance time straight to the next event.
   [[nodiscard]] std::optional<std::uint64_t> next_timer_delay() const {
-    if (live_timers_.empty()) return std::nullopt;
+    if (timers_.empty()) return std::nullopt;
     return ns_to_next_timer();
   }
   [[nodiscard]] std::size_t socket_count() const noexcept;
@@ -120,12 +116,12 @@ class MeshEventLoop {
  private:
   struct Timer {
     std::uint64_t at;
-    TimerId id;
+    std::uint64_t seq;  ///< schedule order: breaks deadline ties
     Callback fn;
   };
   struct TimerLater {
     bool operator()(const Timer& a, const Timer& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.id > b.id;
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
   struct Source {
@@ -146,11 +142,8 @@ class MeshEventLoop {
   std::vector<Source> sources_;
   bool dispatching_ = false;  ///< defer compaction while iterating sources_
   SocketId next_socket_id_ = 1;
-  TimerId next_timer_id_ = 1;
+  std::uint64_t next_timer_seq_ = 0;
   std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
-  /// Ids scheduled but not yet fired or cancelled (cancel = erase here; the
-  /// queue entry is skipped when popped).
-  std::set<TimerId> live_timers_;
   bool stopped_ = false;
   LoopStats stats_;
 };

@@ -53,22 +53,12 @@ std::size_t MeshEventLoop::socket_count() const noexcept {
   return n;
 }
 
-MeshEventLoop::TimerId MeshEventLoop::schedule_at(std::uint64_t at_ns,
-                                                  Callback fn) {
-  const TimerId id = next_timer_id_++;
-  timers_.push({at_ns, id, std::move(fn)});
-  live_timers_.insert(id);
-  return id;
-}
-
-bool MeshEventLoop::cancel_timer(TimerId id) {
-  return live_timers_.erase(id) > 0;
+void MeshEventLoop::schedule_at(std::uint64_t at_ns, Callback fn) {
+  timers_.push({at_ns, next_timer_seq_++, std::move(fn)});
 }
 
 std::uint64_t MeshEventLoop::ns_to_next_timer() const {
-  // Cancelled entries may head the queue; they are popped lazily by
-  // fire_due_timers, so peek conservatively (an early wakeup is harmless).
-  if (live_timers_.empty()) return ~std::uint64_t{0};
+  if (timers_.empty()) return ~std::uint64_t{0};
   const std::uint64_t now = clock_->now_ns();
   const std::uint64_t at = timers_.top().at;
   return at > now ? at - now : 0;
@@ -80,9 +70,8 @@ std::size_t MeshEventLoop::fire_due_timers() {
   const std::uint64_t now = clock_->now_ns();
   std::vector<Timer> due;
   while (!timers_.empty() && timers_.top().at <= now) {
-    Timer t = std::move(const_cast<Timer&>(timers_.top()));
+    due.push_back(std::move(const_cast<Timer&>(timers_.top())));
     timers_.pop();
-    if (live_timers_.erase(t.id) > 0) due.push_back(std::move(t));
   }
   for (Timer& t : due) {
     ++stats_.timers_fired;

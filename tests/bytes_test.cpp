@@ -3,7 +3,6 @@
 #include "dip/bytes/bitfield.hpp"
 #include "dip/bytes/cursor.hpp"
 #include "dip/bytes/hex.hpp"
-#include "dip/bytes/packet.hpp"
 #include "dip/crypto/random.hpp"
 
 namespace dip::bytes {
@@ -182,53 +181,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BitRangeCase{3, 4}, BitRangeCase{1, 1}, BitRangeCase{7, 9},
                       BitRangeCase{13, 113}, BitRangeCase{120, 136},
                       BitRangeCase{255, 1}, BitRangeCase{100, 156}));
-
-// ---------- packet ----------
-
-TEST(Packet, PushPopFront) {
-  const std::array<std::uint8_t, 4> content = {1, 2, 3, 4};
-  Packet p{std::span<const std::uint8_t>(content)};
-  EXPECT_EQ(p.size(), 4u);
-
-  auto front = p.push_front(2);
-  front[0] = 0xAA;
-  front[1] = 0xBB;
-  EXPECT_EQ(p.size(), 6u);
-  EXPECT_EQ(p.data()[0], 0xAA);
-  EXPECT_EQ(p.data()[2], 1);
-
-  ASSERT_TRUE(p.pop_front(2));
-  EXPECT_EQ(p.size(), 4u);
-  EXPECT_EQ(p.data()[0], 1);
-}
-
-TEST(Packet, HeadroomGrowsWhenExceeded) {
-  Packet p(4, /*headroom=*/2);
-  p.data()[0] = 7;
-  (void)p.push_front(100);  // exceeds the 2-byte headroom
-  EXPECT_EQ(p.size(), 104u);
-  EXPECT_EQ(p.data()[100], 7);
-}
-
-TEST(Packet, PushPopBack) {
-  Packet p(2);
-  auto tail = p.push_back(3);
-  tail[2] = 9;
-  EXPECT_EQ(p.size(), 5u);
-  EXPECT_EQ(p.data()[4], 9);
-  ASSERT_TRUE(p.pop_back(4));
-  EXPECT_EQ(p.size(), 1u);
-  EXPECT_FALSE(p.pop_back(2));
-}
-
-TEST(Packet, EqualityIsContentBased) {
-  const std::array<std::uint8_t, 3> content = {1, 2, 3};
-  Packet a{std::span<const std::uint8_t>(content)};
-  Packet b{std::span<const std::uint8_t>(content), /*headroom=*/7};
-  EXPECT_EQ(a, b);
-  b.data()[0] = 9;
-  EXPECT_FALSE(a == b);
-}
 
 // ---------- hex ----------
 

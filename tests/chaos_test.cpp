@@ -413,12 +413,12 @@ TEST(Chaos, NdnConsumerSurvivesInjectedLossWithBackoff) {
   host::NdnProducer producer(path->destination, path->destination_face);
   producer.publish(fib::Name::parse("/chaos/x"), {'x'});
 
-  host::NdnConsumer::Config config;
-  config.retransmit_timeout = 10 * kMillisecond;
-  config.max_retries = 15;
-  config.backoff = 2.0;
-  config.max_timeout = 200 * kMillisecond;
-  host::NdnConsumer consumer(path->source, path->source_face, config);
+  host::RetryPolicy retry;
+  retry.initial_timeout = 10 * kMillisecond;
+  retry.max_retries = 15;
+  retry.backoff = 2.0;
+  retry.max_timeout = 200 * kMillisecond;
+  host::NdnConsumer consumer(path->source, path->source_face, retry);
   bool got = false;
   bool failed = false;
   consumer.express_interest(
@@ -487,15 +487,18 @@ TEST(Chaos, OptTrafficSurvivesInjectedLossWithReliableSender) {
   policy.initial_timeout = 10 * kMillisecond;
   policy.backoff = 2.0;
   policy.max_timeout = 100 * kMillisecond;
-  host::ReliableSender sender_driver(client, client_face, policy);
+  host::NetsimPort client_port(client, client_face);
+  host::ReliableSender sender_driver(client_port, policy);
+  constexpr host::ReliableSender::Key kRequest = 1;
   host::ReliableSender::Epoch request_epoch = 0;
   bool acked = false;
   bool gave_up = false;
   client.set_receiver([&](netsim::FaceId, netsim::PacketBytes, SimTime) {
     acked = true;
-    sender_driver.acknowledge(request_epoch);
+    sender_driver.acknowledge(kRequest, request_epoch);
   });
   request_epoch = sender_driver.send(
+      kRequest,
       [&](std::uint32_t) {
         // Fresh tags per attempt: each traversal rewrites the OPT chain.
         auto wire = opt::make_opt_header(session, payload, 1234)->serialize();
@@ -510,7 +513,7 @@ TEST(Chaos, OptTrafficSurvivesInjectedLossWithReliableSender) {
                      << ", retx=" << sender_driver.retransmissions() << ")";
   EXPECT_GE(verified, 1u) << "the server must OPT-verify at least one attempt";
   EXPECT_GT(sender_driver.retransmissions(), 0u);
-  EXPECT_FALSE(sender_driver.pending());
+  EXPECT_FALSE(sender_driver.pending(kRequest));
 }
 
 // ---------- custody recovery vs the conservation ledger ----------
@@ -552,11 +555,11 @@ TEST(Chaos, CustodyRecoveryKeepsConservationLedgerBalanced) {
 
   dtn::BundleSender::Config sc;
   sc.self = mesh::addr_of(99);
-  sc.dst = mesh::addr_of(100);
   sc.node_id = 99;
   sc.custody_key = key;
   sc.frag_payload = 48;
-  dtn::BundleSender sender(a, fa, sc);
+  host::NetsimPort port_a(a, fa);
+  dtn::BundleSender sender(port_a, sc);
   a.set_receiver([&](netsim::FaceId, netsim::PacketBytes p, SimTime) {
     sender.on_packet(p);
   });
@@ -565,7 +568,8 @@ TEST(Chaos, CustodyRecoveryKeepsConservationLedgerBalanced) {
   bc.self = mesh::addr_of(100);
   bc.custody_key = key;
   std::map<std::uint32_t, std::vector<std::uint8_t>> delivered;
-  dtn::BundleReceiver receiver(b, fb, bc,
+  host::NetsimPort port_b(b, fb);
+  dtn::BundleReceiver receiver(port_b, bc,
                                [&](std::uint32_t id, std::vector<std::uint8_t> p) {
                                  delivered[id] = std::move(p);
                                });
@@ -577,7 +581,8 @@ TEST(Chaos, CustodyRecoveryKeepsConservationLedgerBalanced) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i * 13 + 5);
   }
-  const std::uint32_t bundle = sender.send(payload);  // t=0: middle link dark
+  const std::uint32_t bundle =
+      sender.send(mesh::addr_of(100), payload);  // t=0: middle link dark
   net.run();
 
   // Full recovery through the outage...

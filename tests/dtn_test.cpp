@@ -16,8 +16,11 @@
 //   * host reassembly — reordered, duplicated, corrupted, and
 //     geometry-conflicting fragments, strict vs lenient;
 //   * mesh — a 3x3 torus soak through a blackout window with the
-//     conservation ledger balanced at quiescence, and a store-pressure line
-//     where refusals never leave an ACK pointing at a router without a copy.
+//     conservation ledger balanced at quiescence, a destination host that
+//     poisons conflicting geometry as the netsim receiver does, host sends
+//     that reach their router one loop round later and are ACKed out the
+//     local face, and a store-pressure line where refusals never leave an
+//     ACK pointing at a router without a copy.
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -485,12 +488,12 @@ struct BlackoutRig {
 
     dtn::BundleSender::Config sc;
     sc.self = mesh::addr_of(99);
-    sc.dst = mesh::addr_of(100);
     sc.node_id = 99;
     sc.custody_key = test_key();
     sc.frag_payload = 48;
     sc.retry = sender_retry;
-    sender.emplace(a, fa, sc);
+    port_a.emplace(a, fa);
+    sender.emplace(*port_a, sc);
     a.set_receiver([this](netsim::FaceId, netsim::PacketBytes p, SimTime) {
       sender->on_packet(p);
     });
@@ -498,7 +501,8 @@ struct BlackoutRig {
     dtn::BundleReceiver::Config bc;
     bc.self = mesh::addr_of(100);
     bc.custody_key = test_key();
-    receiver.emplace(b, fb, bc, [this](std::uint32_t id, std::vector<std::uint8_t> p) {
+    port_b.emplace(b, fb);
+    receiver.emplace(*port_b, bc, [this](std::uint32_t id, std::vector<std::uint8_t> p) {
       delivered[id] = std::move(p);
     });
     b.set_receiver([this](netsim::FaceId, netsim::PacketBytes p, SimTime) {
@@ -515,6 +519,7 @@ struct BlackoutRig {
   std::shared_ptr<core::OpRegistry> registry;
   dtn::CustodyRouterNode r1, r2;
   netsim::FaceId fa = 0, fb = 0;
+  std::optional<host::NetsimPort> port_a, port_b;
   std::optional<dtn::BundleSender> sender;
   std::optional<dtn::BundleReceiver> receiver;
   std::map<std::uint32_t, std::vector<std::uint8_t>> delivered;
@@ -532,7 +537,8 @@ TEST(DtnNetsim, CommittedBundlesRecoverThroughMultiSecondBlackout) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i * 7 + 1);
   }
-  const std::uint32_t bundle = rig.sender->send(payload);  // t=0: link is dark
+  const std::uint32_t bundle =
+      rig.sender->send(mesh::addr_of(100), payload);  // t=0: link is dark
   rig.net.run();
 
   // 100% recovery: the bundle assembled byte-identically after the outage.
@@ -577,7 +583,7 @@ TEST(DtnNetsim, StoreFullRefusalsUnderChaosNeverLoseCommittedBundles) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i ^ 0x5A);
   }
-  const std::uint32_t bundle = rig.sender->send(payload);
+  const std::uint32_t bundle = rig.sender->send(mesh::addr_of(100), payload);
   rig.net.run();
 
   ASSERT_EQ(rig.delivered.size(), 1u);
@@ -657,7 +663,8 @@ struct ReceiverRig {
     cfg.self = mesh::addr_of(100);
     cfg.custody_key = test_key();
     cfg.strict = strict;
-    receiver.emplace(rx, frx_, cfg, [this](std::uint32_t id, std::vector<std::uint8_t> p) {
+    port.emplace(rx, frx_);
+    receiver.emplace(*port, cfg, [this](std::uint32_t id, std::vector<std::uint8_t> p) {
       delivered[id] = std::move(p);
     });
   }
@@ -671,6 +678,7 @@ struct ReceiverRig {
 
   netsim::Network net{7};
   netsim::HostNode rx, sink;
+  std::optional<host::NetsimPort> port;
   std::optional<dtn::BundleReceiver> receiver;
   std::map<std::uint32_t, std::vector<std::uint8_t>> delivered;
 };
@@ -824,6 +832,91 @@ TEST(DtnMesh, TorusCustodySoakRecoversEveryBundleThroughBlackout) {
   fleet.write_stats(w);
   EXPECT_NE(w.text().find("dip_dtn_fragments_delivered_total"), std::string::npos);
   EXPECT_NE(w.text().find("dip_dtn_bundles_completed"), std::string::npos);
+}
+
+TEST(DtnMesh, DestinationHostPoisonsConflictingGeometry) {
+  // The mesh's destination host is the netsim BundleReceiver: a MAC-valid
+  // fragment whose `total` disagrees with its bundle's first fragment is
+  // rejected and poisons the bundle, which then never completes — what
+  // DtnReassembly.GeometryConflictPoisonsStrictBundles pins for netsim.
+  mesh::ManualClock clock;
+  mesh::MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  cfg.registry = dtn::MeshCustodyFleet::make_registry();
+  mesh::MeshNet net(cfg);
+  net.build_line(3);
+  ASSERT_TRUE(net.discover(kSecond));
+  ASSERT_GT(net.recompute_routes(), 0u);
+
+  dtn::MeshCustodyFleet::Config fleet_cfg;
+  fleet_cfg.custody_key = test_key();
+  fleet_cfg.frag_payload = 32;
+  dtn::MeshCustodyFleet fleet(net, fleet_cfg);
+
+  // Hand-built fragments of one bundle, injected at router 0's local face
+  // with router 0 as their first custodian: index 0 of 2, index 2 claiming
+  // 3 fragments, then the well-formed index 1 of 2, which a strict host
+  // refuses once the bundle is poisoned.
+  constexpr std::uint32_t kBundle = 0xC0FFEE;
+  const std::vector<std::uint8_t> piece{'p', 'q'};
+  for (const auto& [index, total] : {std::pair<std::uint16_t, std::uint16_t>{0, 2},
+                                     std::pair<std::uint16_t, std::uint16_t>{2, 3},
+                                     std::pair<std::uint16_t, std::uint16_t>{1, 2}}) {
+    auto packet = frag_packet(mesh::addr_of(3), kBundle, index, total, piece,
+                              test_key(), /*custodian=*/1);
+    net.router(0).inject(packet, net.local_face_of(0));
+    net.loop().run_until_idle();
+  }
+  // A well-formed bundle on the same path still completes.
+  const std::uint32_t clean = fleet.send(0, 2, std::vector<std::uint8_t>(64, 'c'));
+  net.loop().run_until_idle();
+  EXPECT_TRUE(net.drain(clock, 60 * kSecond));
+
+  EXPECT_TRUE(fleet.bundle_complete(clean));
+  EXPECT_FALSE(fleet.bundle_complete(kBundle)) << "indices 0 and 1 of a 2-fragment "
+                                                  "bundle arrived after one claimed 3";
+  EXPECT_EQ(fleet.bundles_completed(), 1u);
+  // The clean bundle's two fragments plus index 0 of the poisoned one: the
+  // conflicting fragment and the one after it were rejected, not taken in.
+  EXPECT_EQ(fleet.fragments_delivered(), 3u);
+  EXPECT_TRUE(net.ledger_balanced());
+}
+
+TEST(DtnMesh, HostSendsEnterTheirRouterOneLoopRoundLater) {
+  // A mesh host's port defers every send to the next loop round, so the
+  // ACK a destination host sends from inside its router's delivery never
+  // re-enters that router's verdict path. The source router takes custody
+  // from its own host and ACKs it out the local face.
+  mesh::ManualClock clock;
+  mesh::MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  cfg.registry = dtn::MeshCustodyFleet::make_registry();
+  mesh::MeshNet net(cfg);
+  net.build_line(2);
+  ASSERT_TRUE(net.discover(kSecond));
+  ASSERT_GT(net.recompute_routes(), 0u);
+
+  dtn::MeshCustodyFleet::Config fleet_cfg;
+  fleet_cfg.custody_key = test_key();
+  fleet_cfg.frag_payload = 32;
+  dtn::MeshCustodyFleet fleet(net, fleet_cfg);
+
+  const std::uint64_t local_before = net.router(0).local_delivered();
+  const std::uint32_t bundle =
+      fleet.send(0, 1, std::vector<std::uint8_t>(64, 'h'));  // 2 fragments
+  EXPECT_EQ(fleet.store(0).stats().commits, 0u) << "the host's send waits for the loop";
+  net.loop().run_ready();
+  EXPECT_EQ(fleet.store(0).stats().commits, 2u);
+  EXPECT_EQ(net.router(0).local_delivered() - local_before, 2u)
+      << "one custody ACK per fragment back to the source host";
+
+  EXPECT_TRUE(net.drain(clock, 10 * kSecond));
+  EXPECT_TRUE(fleet.bundle_complete(bundle));
+  EXPECT_TRUE(fleet.stores_empty());
+  EXPECT_EQ(fleet.send_failures(), 0u);
+  EXPECT_TRUE(net.ledger_balanced());
 }
 
 TEST(DtnMesh, StorePressureRefusesWithoutAckingAndStillRecoversEveryBundle) {

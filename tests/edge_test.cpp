@@ -4,7 +4,6 @@
 
 #include "dip/bootstrap/capability.hpp"
 #include "dip/bytes/hex.hpp"
-#include "dip/bytes/packet.hpp"
 #include "dip/core/registry.hpp"
 #include "dip/core/ip.hpp"
 #include "dip/fib/tree_bitmap.hpp"
@@ -18,19 +17,6 @@ namespace dip {
 namespace {
 
 // ---------- bytes ----------
-
-TEST(Edge, PacketCloneIsDeepAndPopsBound) {
-  const std::array<std::uint8_t, 3> content = {1, 2, 3};
-  bytes::Packet a{std::span<const std::uint8_t>(content)};
-  bytes::Packet b = a.clone();
-  a.data()[0] = 9;
-  EXPECT_EQ(b.data()[0], 1) << "clone must not alias";
-
-  EXPECT_FALSE(a.pop_front(10));
-  EXPECT_FALSE(a.pop_back(10));
-  EXPECT_TRUE(a.pop_front(3));
-  EXPECT_TRUE(a.empty());
-}
 
 TEST(Edge, HexEmptyInputs) {
   EXPECT_EQ(bytes::to_hex({}), "");

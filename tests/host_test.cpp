@@ -1,5 +1,7 @@
 // Host-side engine: session store, F_ver execution on received packets,
 // telemetry readout, and the NDN consumer/producer application endpoints.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "dip/core/ip.hpp"
@@ -127,37 +129,97 @@ TEST(ReliableSender, DuplicateAckFromEarlierEpochCannotCancelNewerSend) {
   RetryPolicy policy;
   policy.max_retries = 2;
   policy.initial_timeout = 10 * kMillisecond;
-  ReliableSender sender(client, client_face, policy);
+  NetsimPort port(client, client_face);
+  ReliableSender sender(port, policy);
+  constexpr ReliableSender::Key kKey = 1;
 
   const auto first =
-      sender.send([](std::uint32_t) { return netsim::PacketBytes{'A'}; });
-  EXPECT_TRUE(sender.pending());
-  EXPECT_TRUE(sender.acknowledge(first));   // the genuine ACK retires it
-  EXPECT_FALSE(sender.pending());
-  EXPECT_FALSE(sender.acknowledge(first));  // a duplicate of it is a no-op
+      sender.send(kKey, [](std::uint32_t) { return netsim::PacketBytes{'A'}; });
+  EXPECT_TRUE(sender.pending(kKey));
+  EXPECT_TRUE(sender.acknowledge(kKey, first));   // the genuine ACK retires it
+  EXPECT_FALSE(sender.pending(kKey));
+  EXPECT_FALSE(sender.acknowledge(kKey, first));  // a duplicate of it is a no-op
 
   bool second_failed = false;
   const auto second =
-      sender.send([](std::uint32_t) { return netsim::PacketBytes{'B'}; },
+      sender.send(kKey, [](std::uint32_t) { return netsim::PacketBytes{'B'}; },
                   [&] { second_failed = true; });
   EXPECT_NE(first, second);
   // A link-duplicated copy of the first ACK lands after the sender moved
   // on; it must not cancel the in-flight second request.
-  EXPECT_FALSE(sender.acknowledge(first));
-  EXPECT_TRUE(sender.pending());
+  EXPECT_FALSE(sender.acknowledge(kKey, first));
+  EXPECT_TRUE(sender.pending(kKey));
 
   // The second request's retransmission schedule survived the stale ACK:
   // unacknowledged, it retries to budget exhaustion and reports failure.
   net.run();
   EXPECT_EQ(sender.retransmissions(), 2u);
   EXPECT_TRUE(second_failed);
-  EXPECT_FALSE(sender.pending());
+  EXPECT_FALSE(sender.pending(kKey));
 
   // A fresh epoch still acknowledges normally.
   const auto third =
-      sender.send([](std::uint32_t) { return netsim::PacketBytes{'C'}; });
-  EXPECT_TRUE(sender.acknowledge(third));
-  EXPECT_FALSE(sender.pending());
+      sender.send(kKey, [](std::uint32_t) { return netsim::PacketBytes{'C'}; });
+  EXPECT_TRUE(sender.acknowledge(kKey, third));
+  EXPECT_FALSE(sender.pending(kKey));
+}
+
+TEST(ReliableSender, KeyedRequestsRetireIndependently) {
+  // One sender, many requests: each key has its own attempts, timer and
+  // epoch, and its state goes on its ACK or its last retry.
+  netsim::Network net(7);
+  netsim::HostNode client, server;
+  net.add_node(client);
+  net.add_node(server);
+  const auto [client_face, server_face] = net.connect(client, server);
+  (void)server_face;
+  std::string heard;  // every packet the server hears, one letter each
+  server.set_receiver([&](netsim::FaceId, netsim::PacketBytes p, SimTime) {
+    heard.push_back(static_cast<char>(p.at(0)));
+  });
+
+  RetryPolicy policy;
+  policy.max_retries = 2;
+  policy.initial_timeout = 10 * kMillisecond;
+  NetsimPort port(client, client_face);
+  ReliableSender sender(port, policy);
+  const auto packet = [](char letter) {
+    return [letter](std::uint32_t) { return netsim::PacketBytes{static_cast<std::uint8_t>(letter)}; };
+  };
+
+  // Two requests in flight; ACKing one leaves the other retransmitting.
+  bool a_failed = false, b_failed = false;
+  const auto a = sender.send(1, packet('A'), [&] { a_failed = true; });
+  const auto b = sender.send(2, packet('B'), [&] { b_failed = true; });
+  EXPECT_NE(a, b);
+  EXPECT_EQ(sender.in_flight(), 2u);
+  EXPECT_FALSE(sender.acknowledge(1, b)) << "another key's epoch retires nothing";
+  EXPECT_TRUE(sender.acknowledge(1, a));
+  EXPECT_FALSE(sender.pending(1));
+  EXPECT_TRUE(sender.pending(2));
+  net.run();
+  EXPECT_EQ(heard, "ABBB");  // A once; B, then its two retransmissions
+  EXPECT_EQ(sender.retransmissions(), 2u);
+  EXPECT_FALSE(a_failed);
+  EXPECT_TRUE(b_failed);
+  EXPECT_FALSE(sender.pending(2)) << "no state after the last retry";
+  EXPECT_EQ(sender.in_flight(), 0u);
+
+  // A newer send of a key supersedes the older one: the stale epoch cannot
+  // cancel it, and the superseded request neither retransmits nor fails.
+  heard.clear();
+  bool c_failed = false;
+  const auto c = sender.send(3, packet('C'), [&] { c_failed = true; });
+  const auto d = sender.send(3, packet('D'));
+  EXPECT_EQ(sender.in_flight(), 1u);
+  EXPECT_FALSE(sender.acknowledge(3, c));
+  EXPECT_TRUE(sender.pending(3));
+  EXPECT_TRUE(sender.acknowledge(3, d));
+  EXPECT_FALSE(sender.pending(3)) << "no state after the ACK";
+  net.run();
+  EXPECT_EQ(heard, "CD");
+  EXPECT_EQ(sender.retransmissions(), 2u);
+  EXPECT_FALSE(c_failed);
 }
 
 TEST(HostEngine, PlainPacketDeliversWithoutVerification) {
@@ -261,9 +323,9 @@ TEST_F(NdnAppFixture, ConsumerRetransmitsThroughLoss) {
   NdnProducer producer(lossy_path->destination, lossy_path->destination_face);
   producer.publish(fib::Name::parse("/app/x"), {'x'});
 
-  NdnConsumer::Config config;
-  config.max_retries = 60;
-  NdnConsumer consumer(lossy_path->source, lossy_path->source_face, config);
+  RetryPolicy retry = NdnConsumer::kDefaultRetry;
+  retry.max_retries = 60;
+  NdnConsumer consumer(lossy_path->source, lossy_path->source_face, retry);
   bool got = false;
   bool failed = false;
   consumer.express_interest(
@@ -278,10 +340,10 @@ TEST_F(NdnAppFixture, ConsumerRetransmitsThroughLoss) {
 
 TEST_F(NdnAppFixture, ConsumerFailureAfterRetriesExhausted) {
   // No producer: interests die upstream (no route at last router).
-  NdnConsumer::Config config;
-  config.max_retries = 2;
-  config.retransmit_timeout = 10 * kMillisecond;
-  NdnConsumer consumer(path->source, path->source_face, config);
+  RetryPolicy retry = NdnConsumer::kDefaultRetry;
+  retry.max_retries = 2;
+  retry.initial_timeout = 10 * kMillisecond;
+  NdnConsumer consumer(path->source, path->source_face, retry);
 
   bool failed = false;
   consumer.express_interest(

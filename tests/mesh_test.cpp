@@ -1,6 +1,6 @@
 // Mesh suite (docs/MESH.md, docs/TESTING.md):
 //   * frame codec — round trip, truncation vs. malformation vs. checksum;
-//   * MeshEventLoop — timer ordering, cancellation, fd churn mid-dispatch,
+//   * MeshEventLoop — timer ordering, fd churn mid-dispatch,
 //     EAGAIN / spurious wakeup / truncated-datagram handling, all against
 //     ManualClock + MockFabric (no real sleeps, fixed seeds);
 //   * MeshRouter/MeshNet — in-band discovery, SPF route publication,
@@ -159,22 +159,6 @@ TEST(MeshEventLoopTimers, FireInDeadlineThenScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));  // same deadline: id order
   EXPECT_EQ(loop.pending_timers(), 0u);
   EXPECT_FALSE(loop.next_timer_delay().has_value());
-}
-
-TEST(MeshEventLoopTimers, CancelledTimerNeverFires) {
-  ManualClock clock;
-  MeshEventLoop loop(&clock);
-  bool fired = false;
-  const auto id = loop.schedule_at(10, [&] { fired = true; });
-  loop.schedule_at(10, [] {});
-
-  EXPECT_TRUE(loop.cancel_timer(id));
-  EXPECT_FALSE(loop.cancel_timer(id));  // already gone
-  EXPECT_EQ(loop.pending_timers(), 1u);
-
-  clock.set(10);
-  EXPECT_EQ(loop.run_ready(), 1u);  // only the surviving timer
-  EXPECT_FALSE(fired);
 }
 
 TEST(MeshEventLoopTimers, TimerScheduledFromCallbackWaitsForNextRound) {
