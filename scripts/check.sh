@@ -197,10 +197,11 @@ echo "== benchmark link-time seams + route recompute cost (short traced perfbenc
 # still links, but its traced metric then reads 0 (or the run crashes), so
 # every seam metric must be non-zero after a short traced run.
 # ctrl.spf_ns is the median mesh::publish_routes call (SPF over the LSDB,
-# route diff, journal flush) on the 108-router torus: ~25 us when the SPF
-# runs over one dense graph per call, 74-93 us when it walks the std::map
-# LSDB per edge. A route computation that falls back to per-edge map
-# lookups fails the 60 us bound.
+# route diff, journal flush) on the 108-router torus: 10-14 us when SPF
+# reads the origin-indexed LSDB and the route set arrives sorted, 21-28 us
+# when it gathers the LSAs from a std::map LSDB and the journal sorts the
+# set, 74-93 us when it walks the map per edge. A return to the
+# map-walking gather fails the 20 us bound.
 seam_json=$(python3 perfbench/run.py --workload mesh_torus --seed 1 --seconds 4 --trace 1 | tail -n 1)
 python3 - "$seam_json" <<'PY'
 import json, sys
@@ -211,8 +212,8 @@ dead = [name for name in seams if not metrics.get(name, {}).get("value")]
 if dead:
     sys.exit("perfbench seams read 0: " + ", ".join(dead))
 spf = metrics.get("ctrl.spf_ns", {}).get("value") or 0.0
-if not 0 < spf < 60_000:
-    sys.exit(f"ctrl.spf_ns = {spf!r} ns, not in (0, 60000): route recompute walks the LSDB map")
+if not 0 < spf < 20_000:
+    sys.exit(f"ctrl.spf_ns = {spf!r} ns, not in (0, 20000): route recompute walks the LSDB map")
 print("  all seams traced: " + ", ".join(f"{n}={metrics[n]['value']:.4g}" for n in seams)
       + f"; spf = {spf:.4g} ns")
 PY

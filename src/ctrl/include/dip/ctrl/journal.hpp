@@ -89,7 +89,10 @@ class RouteJournal {
   /// for every prefix that is new or changed its next hop, and a remove
   /// for every prefix of the previous assignment that `want` lacks, so an
   /// unchanged set enqueues nothing. Routes enqueued through add_route32/
-  /// remove_route32 are not part of the set.
+  /// remove_route32 are not part of the set. Prefixes are normalized, and
+  /// entries that normalize to one prefix collapse to the last of them in
+  /// input order (the add_route32 rule). Input already in prefix order is
+  /// not sorted again.
   RouteDelta assign_routes32(Routes32 want);
 
   /// Any pending operations not yet published?

@@ -107,7 +107,17 @@ void RouteJournal::set_xid_local(fib::XidType type, const fib::Xid& xid) {
 
 RouteJournal::RouteDelta RouteJournal::assign_routes32(Routes32 want) {
   for (auto& route : want) route.first.normalize();
-  std::sort(want.begin(), want.end());
+  const auto by_prefix = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (!std::is_sorted(want.begin(), want.end(), by_prefix)) {
+    std::stable_sort(want.begin(), want.end(), by_prefix);
+  }
+  // Entries that normalize to one prefix now sit together in input order;
+  // keep the last of each run. std::unique keeps the first of a run, so it
+  // walks backwards and the kept entries end up at the back.
+  const auto kept = std::unique(want.rbegin(), want.rend(), [](const auto& a, const auto& b) {
+    return a.first == b.first;
+  });
+  want.erase(want.begin(), kept.base());
   // Merge the old and new sorted sets: a prefix only in `want`, or with a
   // new next hop, is an add; a prefix only in the old set is a remove.
   RouteDelta delta;

@@ -75,9 +75,15 @@ struct Prefix {
   Address<W> addr{};
   std::uint8_t length = 0;  ///< 0..W
 
-  /// Zero all bits beyond `length` so equal prefixes compare equal.
+  /// Zero all bits beyond `length` so equal prefixes compare equal: mask
+  /// the byte the boundary falls in, then clear the bytes after it.
   constexpr void normalize() noexcept {
-    for (std::size_t i = length; i < W; ++i) addr.set_bit(i, false);
+    std::size_t byte = length / 8;
+    if (byte >= Address<W>::kBytes) return;
+    if (const std::size_t kept = length % 8; kept != 0) {
+      addr.bytes[byte++] &= static_cast<std::uint8_t>(0xFF00u >> kept);
+    }
+    for (; byte < Address<W>::kBytes; ++byte) addr.bytes[byte] = 0;
   }
 
   /// True iff `a` falls inside this prefix.

@@ -38,16 +38,17 @@ struct NextHop {
 
 /// SPF next hops from `self` over the LSDB, one per reachable destination,
 /// sorted by destination. Unreachable destinations (and `self`) are absent.
-/// Builds one bootstrap::SpfGraph from the LSDB, keeping only edges both
-/// endpoints advertise. Deterministic for a given LSDB.
+/// Builds one bootstrap::SpfGraph from the LSDB's origin index, keeping
+/// only edges both endpoints advertise. Deterministic for a given set of
+/// LSAs, whatever order they arrived in.
 [[nodiscard]] std::vector<NextHop> compute_next_hops(const LinkStateDb& lsdb,
                                                      std::uint32_t self);
 
 /// Recompute and publish `router`'s FIB from its own LSDB: every reachable
-/// node's /24 toward the face of its next hop (in origin order), the
-/// router's own /24 toward `local_face`, and a route *removal* for every
-/// node that had a route and is now unreachable (convergence under link
-/// failure). The journal's assign_routes32 enqueues only routes that differ
+/// node's /24 toward the face of its next hop and the router's own /24
+/// toward `local_face`, handed over in prefix order, and a route *removal*
+/// for every node that had a route and is now unreachable (convergence
+/// under link failure). The journal's assign_routes32 enqueues only routes that differ
 /// from the previous call's, so an unchanged LSDB publishes nothing.
 /// Flushes the journal (at most one RCU publish).
 /// Returns the number of destinations now routed.

@@ -31,23 +31,28 @@
 //
 // Flooding is bundled, like OSPF's Link State Update: a fresh record is
 // queued at TTL-1 with the face it arrived on, and the queue flushes at the
-// end of each socket drain (and at once in originate_lsa). Each live wire
-// face then gets one frame holding every queued record that did not arrive
-// on it, split only where a frame would pass FrameHeader::kMaxPayload. A
-// newer version of an origin replaces its queued record. `hello_tx` and
-// `hello_rx` count frames, not records.
+// end of each socket drain (and at once in originate_lsa). A later copy of
+// the same version in that drain adds its face to the record's heard set,
+// an implied acknowledgement (RFC 2328 §13): that neighbour already holds
+// the version. Each live wire face then gets one frame holding every
+// queued record not heard on it, split only where a frame would pass
+// FrameHeader::kMaxPayload. A newer version of an origin replaces its
+// queued record. `hello_tx` and `hello_rx` count frames, not records.
 //
 // LSDB bound: the address plan (mesh/control.hpp) gives node n the /24
 // 10.(n>>8).(n&255).0 and so names nodes 1..kMaxNodeId. A router ignores
 // (and counts, `lsa_out_of_plan`) every LSA whose origin lies outside that
-// range, so its LSDB holds at most kMaxNodeId = 65,535 entries; the
-// `dip_mesh_lsdb_entries` gauge reports the size.
+// range, so its LSDB holds at most kMaxNodeId = 65,535 entries and its
+// origin index at most kLsdbIndexSlots; the `dip_mesh_lsdb_entries` gauge
+// reports the size.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -70,6 +75,9 @@ using FaceId = std::uint32_t;
 /// The largest node id the address plan can route (0 is the unknown-peer
 /// sentinel); also the bound on LSDB entries.
 inline constexpr std::uint32_t kMaxNodeId = 0xFFFF;
+/// The bound on an LSDB's origin index: one 4-byte slot per origin id
+/// 0..kMaxNodeId, 65,536 slots or 256 KiB per router.
+inline constexpr std::size_t kLsdbIndexSlots = std::size_t{kMaxNodeId} + 1;
 
 /// One node's wire-path counters: the conservation buckets (catalogue
 /// above) plus informational series outside the equation.
@@ -97,9 +105,61 @@ struct Lsa {
   bootstrap::CapabilitySet capabilities;
 };
 
-/// origin node id -> latest accepted announcement (ordered: deterministic
-/// iteration for SPF and AS-graph construction). Origins are 1..kMaxNodeId.
-using LinkStateDb = std::map<std::uint32_t, Lsa>;
+/// origin node id -> latest accepted announcement. The entries sit in one
+/// vector in arrival order (an origin keeps the slot of its first LSA), and
+/// a slot index by origin id, grown to the largest origin stored, makes
+/// lookup and insert O(1) for any arrival order. Range-for visits
+/// (origin, Lsa) in arrival order; slots() is the origin-ordered view that
+/// SPF walks. Origins are 0..kMaxNodeId (a router stores 1..kMaxNodeId):
+/// inserting a larger one throws std::out_of_range, so the index never
+/// holds more than kLsdbIndexSlots slots.
+class LinkStateDb {
+ public:
+  using value_type = std::pair<const std::uint32_t, Lsa>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+  /// An index slot no origin holds.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  [[nodiscard]] iterator begin() noexcept { return entries_.begin(); }
+  [[nodiscard]] iterator end() noexcept { return entries_.end(); }
+  [[nodiscard]] const_iterator begin() const noexcept { return entries_.begin(); }
+  [[nodiscard]] const_iterator end() const noexcept { return entries_.end(); }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+  [[nodiscard]] const_iterator find(std::uint32_t origin) const noexcept {
+    const std::uint32_t s = slot_of(origin);
+    return s == kNoSlot ? end() : begin() + s;
+  }
+  [[nodiscard]] bool contains(std::uint32_t origin) const noexcept {
+    return slot_of(origin) != kNoSlot;
+  }
+  /// Throws std::out_of_range when `origin` is not stored.
+  [[nodiscard]] const Lsa& at(std::uint32_t origin) const;
+  /// The stored LSA of `origin`, default-inserted when absent.
+  Lsa& operator[](std::uint32_t origin);
+  /// Store `lsa` for `origin`, replacing any earlier one in its slot.
+  void insert_or_assign(std::uint32_t origin, Lsa lsa) { (*this)[origin] = std::move(lsa); }
+
+  /// The origin index: entry o is the arrival slot of origin o's LSA
+  /// (entry(slot) holds it), or kNoSlot. Its length is the largest origin
+  /// stored + 1.
+  [[nodiscard]] std::span<const std::uint32_t> slots() const noexcept { return index_; }
+  [[nodiscard]] const value_type& entry(std::uint32_t slot) const { return entries_[slot]; }
+  /// Slots the origin index holds in memory; at most kLsdbIndexSlots.
+  [[nodiscard]] std::size_t index_capacity() const noexcept { return index_.capacity(); }
+
+ private:
+  [[nodiscard]] std::uint32_t slot_of(std::uint32_t origin) const noexcept {
+    return origin < index_.size() ? index_[origin] : kNoSlot;
+  }
+  /// The slot of a new origin: grows the index (never past kLsdbIndexSlots)
+  /// and appends a default entry.
+  std::uint32_t add(std::uint32_t origin);
+
+  std::vector<value_type> entries_;   ///< arrival order
+  std::vector<std::uint32_t> index_;  ///< origin id -> slot in entries_
+};
 
 class MeshRouter : private netsim::NodePort {
  public:
@@ -196,6 +256,9 @@ class MeshRouter : private netsim::NodePort {
   struct QueuedLsa {
     std::uint32_t origin = 0;
     FaceId ingress = 0;  ///< split horizon: never sent back out this face
+    /// Bit f: a later copy of this version arrived on face f (< 64) in the
+    /// same drain, so the record is not sent out of that face either.
+    std::uint64_t heard = 0;
     std::size_t offset = 0;
     std::size_t size = 0;
   };

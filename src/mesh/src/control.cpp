@@ -1,6 +1,7 @@
 #include "dip/mesh/control.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "dip/bootstrap/spf.hpp"
@@ -34,24 +35,31 @@ namespace {
 }  // namespace
 
 std::vector<NextHop> compute_next_hops(const LinkStateDb& lsdb, std::uint32_t self) {
-  // Index i is the i-th origin in id order; an edge enters the graph only
-  // when both endpoints advertise it.
+  // Node i is the i-th origin in id order: walk the origin index, not the
+  // arrival-ordered entries. dense[o] is origin o's node index, so each
+  // neighbour id costs one load; an edge enters the graph only when both
+  // endpoints advertise it.
+  constexpr std::uint32_t kNone = bootstrap::SpfGraph::kNone;
+  const std::span<const std::uint32_t> slots = lsdb.slots();
+  std::vector<std::uint32_t> dense(slots.size(), kNone);
   std::vector<std::uint32_t> ids;
   std::vector<const Lsa*> lsas;
   ids.reserve(lsdb.size());
   lsas.reserve(lsdb.size());
-  for (const auto& [origin, lsa] : lsdb) {
+  for (std::uint32_t origin = 0; origin < slots.size(); ++origin) {
+    if (slots[origin] == LinkStateDb::kNoSlot) continue;
+    dense[origin] = static_cast<std::uint32_t>(ids.size());
     ids.push_back(origin);
-    lsas.push_back(&lsa);
+    lsas.push_back(&lsdb.entry(slots[origin]).second);
   }
+  if (self >= dense.size() || dense[self] == kNone) return {};
+  const std::uint32_t source = dense[self];
   bootstrap::SpfGraph graph(std::move(ids));
-  const std::uint32_t source = graph.index_of(self);
-  if (source == bootstrap::SpfGraph::kNone) return {};
   for (std::uint32_t i = 0; i < graph.size(); ++i) {
     const std::uint32_t u = graph.ids()[i];
     for (const std::uint32_t v : lsas[i]->neighbors) {
-      const std::uint32_t j = graph.index_of(v);
-      if (j == bootstrap::SpfGraph::kNone) continue;
+      const std::uint32_t j = v < dense.size() ? dense[v] : kNone;
+      if (j == kNone) continue;
       const auto& back = lsas[j]->neighbors;
       if (std::binary_search(back.begin(), back.end(), u)) graph.add_neighbor(j);
     }
@@ -62,7 +70,7 @@ std::vector<NextHop> compute_next_hops(const LinkStateDb& lsdb, std::uint32_t se
   std::vector<NextHop> hops;
   hops.reserve(graph.size());
   for (std::uint32_t i = 0; i < graph.size(); ++i) {
-    if (first_hop[i] == bootstrap::SpfGraph::kNone) continue;
+    if (first_hop[i] == kNone) continue;
     hops.push_back({graph.ids()[i], graph.ids()[first_hop[i]]});
   }
   return hops;
@@ -70,12 +78,23 @@ std::vector<NextHop> compute_next_hops(const LinkStateDb& lsdb, std::uint32_t se
 
 std::size_t publish_routes(MeshRouter& router, FaceId local_face) {
   const std::uint32_t self = router.node_id();
-  ctrl::RouteJournal::Routes32 want{{prefix_of(self), local_face}};
-  for (const NextHop& hop : compute_next_hops(router.lsdb(), self)) {
+  const std::vector<NextHop> hops = compute_next_hops(router.lsdb(), self);
+  // prefix_of ascends with the node id and the hops ascend by destination,
+  // so the set is built in prefix order, with the router's own /24 in its
+  // place, and the journal need not sort it.
+  ctrl::RouteJournal::Routes32 want;
+  want.reserve(hops.size() + 1);
+  bool self_added = false;
+  for (const NextHop& hop : hops) {
+    if (!self_added && hop.destination > self) {
+      want.emplace_back(prefix_of(self), local_face);
+      self_added = true;
+    }
     if (const auto face = router.face_toward(hop.via)) {
       want.emplace_back(prefix_of(hop.destination), *face);
     }
   }
+  if (!self_added) want.emplace_back(prefix_of(self), local_face);
   const std::size_t routed = want.size();
   // The journal enqueues only the difference from the last call: changed
   // next hops, new routes, and withdrawals of routes that became

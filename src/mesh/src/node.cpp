@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 namespace dip::mesh {
 
@@ -63,6 +64,33 @@ void put_record(PacketBytes& out, std::uint32_t origin, const Lsa& lsa, std::uin
 }
 
 }  // namespace
+
+const Lsa& LinkStateDb::at(std::uint32_t origin) const {
+  const std::uint32_t s = slot_of(origin);
+  if (s == kNoSlot) throw std::out_of_range("LinkStateDb::at: origin not stored");
+  return entries_[s].second;
+}
+
+Lsa& LinkStateDb::operator[](std::uint32_t origin) {
+  const std::uint32_t s = slot_of(origin);
+  return entries_[s == kNoSlot ? add(origin) : s].second;
+}
+
+std::uint32_t LinkStateDb::add(std::uint32_t origin) {
+  if (origin >= kLsdbIndexSlots) throw std::out_of_range("LinkStateDb: origin above kMaxNodeId");
+  if (origin >= index_.size()) {
+    // Geometric growth, capped at the declared bound.
+    if (origin >= index_.capacity()) {
+      index_.reserve(std::min(std::max(std::size_t{origin} + 1, 2 * index_.capacity()),
+                              kLsdbIndexSlots));
+    }
+    index_.resize(std::size_t{origin} + 1, kNoSlot);
+  }
+  const auto s = static_cast<std::uint32_t>(entries_.size());
+  entries_.emplace_back(origin, Lsa{});
+  index_[origin] = s;
+  return s;
+}
 
 WireLedger& WireLedger::operator+=(const WireLedger& o) noexcept {
   netsim::TransportLedger::operator+=(o);
@@ -158,7 +186,7 @@ void MeshRouter::originate_lsa(std::uint8_t ttl) {
   std::sort(self.neighbors.begin(), self.neighbors.end());
   const std::size_t offset = flood_bytes_.size();
   put_record(flood_bytes_, config_.node_id, self, ttl);
-  flood_queue_.push_back({config_.node_id, kNoFace, offset, flood_bytes_.size() - offset});
+  flood_queue_.push_back({config_.node_id, kNoFace, 0, offset, flood_bytes_.size() - offset});
 
   // Our own LSDB entry before the flood (SPF and AS-graph queries see self).
   lsdb_.insert_or_assign(config_.node_id, std::move(self));
@@ -172,7 +200,7 @@ void MeshRouter::flush_floods() {
     if (faces_[face].kind != FaceKind::kWire || !faces_[face].up) continue;
     bundle.clear();
     for (const QueuedLsa& q : flood_queue_) {
-      if (q.ingress == face) continue;
+      if (q.ingress == face || (face < 64 && (q.heard >> face & 1) != 0)) continue;
       if (!bundle.empty() && bundle.size() + q.size > FrameHeader::kMaxPayload) {
         send_hello_on(static_cast<FaceId>(face), bundle);
         bundle.clear();
@@ -282,7 +310,18 @@ void MeshRouter::accept_lsa(std::span<const std::uint8_t> record, FaceId ingress
   // flood delivers are stale and leave here, before any decoding.
   const auto it = lsdb_.find(origin);
   const bool known = it != lsdb_.end();
-  if (known && static_cast<std::int16_t>(version - it->second.version) <= 0) return;
+  if (known) {
+    const auto ahead = static_cast<std::int16_t>(version - it->second.version);
+    if (ahead == 0) {
+      // The stored version again: if its record still waits in this drain's
+      // queue, this neighbour needs no copy of it (RFC 2328 §13's implied
+      // acknowledgement).
+      const auto q = std::find_if(flood_queue_.begin(), flood_queue_.end(),
+                                  [origin](const QueuedLsa& e) { return e.origin == origin; });
+      if (q != flood_queue_.end() && ingress < 64) q->heard |= std::uint64_t{1} << ingress;
+    }
+    if (ahead <= 0) return;
+  }
 
   const std::size_t nnbr = get16(record.data() + 7);
   std::vector<std::uint32_t> neighbors(nnbr);
@@ -302,9 +341,9 @@ void MeshRouter::accept_lsa(std::span<const std::uint8_t> record, FaceId ingress
     const std::size_t offset = flood_bytes_.size();
     flood_bytes_.insert(flood_bytes_.end(), record.begin(), record.end());
     --flood_bytes_[offset + kTtlAt];
-    flood_queue_.push_back({origin, ingress, offset, record.size()});
+    flood_queue_.push_back({origin, ingress, 0, offset, record.size()});
   }
-  lsdb_.insert_or_assign(it, origin, Lsa{version, std::move(neighbors), std::move(*caps)});
+  lsdb_.insert_or_assign(origin, Lsa{version, std::move(neighbors), std::move(*caps)});
 }
 
 void MeshRouter::inject(std::span<std::uint8_t> packet, FaceId ingress) {

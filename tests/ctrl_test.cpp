@@ -212,6 +212,38 @@ TEST(Journal, AssignRoutesEnqueuesOnlyTheDifference) {
   EXPECT_FALSE(journal.dirty()) << "an unchanged set enqueues nothing";
 }
 
+// Entries that normalize to one prefix are one route: the last of them in
+// input order wins, as with add_route32. Kept side by side, a later set
+// naming the prefix once enqueued an add and then a remove for it; the
+// remove won, and every identical set after that reported no change.
+TEST(Journal, AssignRoutesKeepsTheLastOfEntriesThatNormalizeAlike) {
+  auto tables = std::make_shared<ControlTables>();
+  RouteJournal journal(tables);
+  const fib::Prefix<32> net{fib::ipv4_from_u32(0x0A000100), 24};   // 10.0.1.0/24
+  const fib::Prefix<32> host{fib::ipv4_from_u32(0x0A000105), 24};  // 10.0.1.5/24
+  const auto route = [&] { return tables->fib32.read()->lookup(fib::ipv4_from_u32(0x0A000101)); };
+
+  RouteJournal::RouteDelta d = journal.assign_routes32({{net, 1}, {host, 2}});
+  EXPECT_EQ(d.installed, 1u);
+  journal.flush();
+  EXPECT_EQ(route(), std::optional<fib::NextHop>{2});
+
+  d = journal.assign_routes32({{net, 2}});
+  EXPECT_EQ(d.installed + d.withdrawn, 0u) << "the set still routes 10.0.1.0/24 to 2";
+  journal.flush();
+  EXPECT_EQ(route(), std::optional<fib::NextHop>{2});
+
+  // Out of prefix order, so the journal sorts; the run keeps its input order.
+  const fib::Prefix<32> next{fib::ipv4_from_u32(0x0A000200), 24};  // 10.0.2.0/24
+  d = journal.assign_routes32({{next, 7}, {host, 3}, {net, 4}});
+  EXPECT_EQ(d.installed, 2u);
+  EXPECT_EQ(d.withdrawn, 0u);
+  journal.flush();
+  EXPECT_EQ(route(), std::optional<fib::NextHop>{4});
+  EXPECT_EQ(tables->fib32.read()->lookup(fib::ipv4_from_u32(0x0A000201)),
+            std::optional<fib::NextHop>{7});
+}
+
 TEST(Journal, SeedClonesStaticTablesDeeply) {
   const auto seed_fib = std::make_unique<fib::Ipv4Lpm>();
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
@@ -835,6 +867,65 @@ TEST(SpfRule, MeshAndControlPlaneMatchSmallestIdShortestPathOracle) {
 // was a data race; through SnapshotTable it must be TSan-clean AND every
 // retired table must eventually be reclaimed.
 // ---------------------------------------------------------------------------
+
+// The mesh SPF reads the LSDB in origin order, whatever order the LSAs
+// arrived in: the same 40 graphs, each LSDB filled ascending, descending
+// and shuffled, give the same hops, and they are the oracle's. An SPF that
+// walked arrival order would number the nodes differently and break the
+// smallest-id tie-break (or, descending, the SpfGraph's ascending ids).
+TEST(SpfRule, MeshSpfIsIndependentOfLsdbInsertionOrder) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const RandomGraph g = random_graph(seed);
+    const SpfOracle oracle(g);
+    std::vector<mesh::Lsa> lsas(g.nodes);
+    for (mesh::Lsa& lsa : lsas) lsa.version = 1;
+    for (const auto& [a, b] : g.edges) {
+      const auto [lo, hi] = std::minmax(a, b);
+      lsas[lo].neighbors.push_back(hi + 1);
+      if (std::minmax(a, b) != std::minmax(g.failed.first, g.failed.second)) {
+        lsas[hi].neighbors.push_back(lo + 1);
+      }
+    }
+    for (mesh::Lsa& lsa : lsas) {
+      std::sort(lsa.neighbors.begin(), lsa.neighbors.end());
+      lsa.neighbors.erase(std::unique(lsa.neighbors.begin(), lsa.neighbors.end()),
+                          lsa.neighbors.end());
+    }
+
+    std::vector<std::uint32_t> ascending(g.nodes);
+    for (std::uint32_t u = 0; u < g.nodes; ++u) ascending[u] = u;
+    std::vector<std::uint32_t> descending(ascending.rbegin(), ascending.rend());
+    std::vector<std::uint32_t> shuffled = ascending;
+    crypto::Xoshiro256 rng(seed * 7919);
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    }
+    std::vector<mesh::LinkStateDb> dbs(3);
+    for (const auto& [db, order] : {std::pair{&dbs[0], &ascending}, std::pair{&dbs[1], &descending},
+                                    std::pair{&dbs[2], &shuffled}}) {
+      for (const std::uint32_t u : *order) db->insert_or_assign(u + 1, lsas[u]);
+    }
+
+    for (std::uint32_t u = 0; u < g.nodes; ++u) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " node " << u);
+      const auto hops = mesh::compute_next_hops(dbs[0], u + 1);
+      EXPECT_EQ(mesh::compute_next_hops(dbs[1], u + 1), hops) << "descending insertion";
+      EXPECT_EQ(mesh::compute_next_hops(dbs[2], u + 1), hops) << "shuffled insertion";
+      for (std::uint32_t dst = 0; dst < g.nodes; ++dst) {
+        if (dst == u) continue;
+        const auto want = oracle.next_hop(u, dst);
+        const auto hop = std::ranges::find(hops, dst + 1, &mesh::NextHop::destination);
+        ASSERT_EQ(hop != hops.end(), want.has_value()) << "dst " << dst;
+        if (want) {
+          EXPECT_EQ(hop->via, *want + 1) << "dst " << dst;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 400u);
+}
 
 TEST(CtrlRace, ConcurrentChurnAndForwardingIsCleanAndReclaims) {
   auto tables = std::make_shared<ControlTables>();

@@ -7,8 +7,11 @@
 //     end-to-end forwarding, failed-link convergence, the §2.4
 //     FN-unsupported notification;
 //   * bundled LSA flooding — one frame per face per drain, split horizon,
-//     whole records under the frame bound, newest version only, and a
-//     seeded flood of hostile hello payloads;
+//     no copy back to a face that sent the same version, whole records
+//     under the frame bound, newest version only, every link of a torus
+//     failed and restored, and a seeded flood of hostile hello payloads;
+//   * the LSDB's origin index — linear in hostile origin order, within
+//     its declared bound;
 //   * soak/chaos — seeded FaultPlan impairments with the conservation
 //     ledger checked exactly (transmitted + duplicated == delivered + lost
 //     + blackholed + dropped) and bit-identical replay under the same seed;
@@ -19,10 +22,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <ctime>
 #include <memory>
 #include <optional>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -852,6 +857,201 @@ TEST(MeshFlood, TorusDiscoveryBundlesItsFloodAndLearnsTheSameState) {
   }
   ASSERT_GT(net.recompute_routes(), 0u);
   expect_state(expected);
+}
+
+// A copy of the version a router has queued, heard on another face in the
+// same drain, is an implied acknowledgement (RFC 2328 §13): that neighbour
+// holds the version, so the record leaves only on the other faces. An
+// older copy acknowledges nothing, and a newer version starts a new set.
+TEST(MeshFlood, ACopyOfTheQueuedVersionKeepsTheRecordOffItsFace) {
+  HelloRig rig(4);
+  const PacketBytes older = lsa_record(50, 1, 3, {2, 3});
+  const PacketBytes record = lsa_record(50, 2, 3, {2, 3, 4});
+  rig.send(3, older);   // fresh, queued with face 3 ...
+  rig.send(1, record);  // ... replaced by version 2 from face 1
+  rig.send(2, record);  // the same version: face 2 already holds it
+  rig.send(0, older);   // stale: face 0 still needs version 2
+  rig.loop.run_until_idle();
+
+  EXPECT_EQ(rig.router->lsdb().at(50).version, 2u);
+  EXPECT_EQ(rig.router->ledger().hello_rx, 4u);
+  EXPECT_TRUE(rig.received(1).empty()) << "face 1 sent it";
+  EXPECT_TRUE(rig.received(2).empty()) << "face 2 sent the same version";
+  for (const std::size_t peer : {0u, 3u}) {
+    EXPECT_EQ(rig.received(peer), (std::vector<PacketBytes>{with_ttl(record, 2)}))
+        << "peer " << peer;
+  }
+  EXPECT_EQ(rig.router->ledger().hello_tx, 2u);
+}
+
+// Every link of a 9x12 torus fails and comes back in turn. A failure flood
+// skips each neighbour that sent the record's version, so it stays small
+// wherever the link sits in the loop's socket order (without the skip:
+// 356 / 413 / 622 frames min / median / max, and 1,914 for discovery), and
+// after each restore every LSDB and FIB is the whole torus again.
+TEST(MeshFlood, EveryTorusLinkFailsAndRestoresWithSmallFloodsAndTheSameState) {
+  constexpr std::size_t kRows = 9, kCols = 12, kNodes = kRows * kCols;
+  ManualClock clock;
+  MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  MeshNet net(cfg);
+  net.build_torus(kRows, kCols);
+  ASSERT_TRUE(net.discover(10 * kSecond));
+  EXPECT_LE(net.aggregate_ledger().hello_tx, 1750u);
+  ASSERT_EQ(net.recompute_routes(), kNodes * kNodes);
+
+  // The torus state: origin n + 1's sorted neighbours, its version (2 after
+  // discovery, one more per originate), and each router's face per node.
+  std::vector<std::pair<std::size_t, std::size_t>> links;
+  std::vector<std::vector<std::uint32_t>> neighbors(kNodes);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = 0; c < kCols; ++c) {
+      const std::size_t here = r * kCols + c;
+      for (const std::size_t there : {r * kCols + (c + 1) % kCols, ((r + 1) % kRows) * kCols + c}) {
+        links.emplace_back(here, there);
+        neighbors[here].push_back(static_cast<std::uint32_t>(there + 1));
+        neighbors[there].push_back(static_cast<std::uint32_t>(here + 1));
+      }
+    }
+  }
+  ASSERT_EQ(links.size(), 2 * kNodes);
+  LinkStateDb torus;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    std::sort(neighbors[n].begin(), neighbors[n].end());
+    torus[static_cast<std::uint32_t>(n + 1)] = Lsa{2, neighbors[n], bootstrap::full_capability_set()};
+  }
+  std::vector<std::vector<std::optional<fib::NextHop>>> faces(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    MeshRouter& router = net.router(i);
+    faces[i].assign(kNodes + 1, std::nullopt);
+    faces[i][router.node_id()] = net.local_face_of(i);
+    for (const NextHop& hop : compute_next_hops(torus, router.node_id())) {
+      faces[i][hop.destination] = router.face_toward(hop.via);
+    }
+  }
+  // The first difference from the torus state, or "".
+  const auto mismatch = [&]() -> std::string {
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      MeshRouter& router = net.router(i);
+      const std::string at = "router " + std::to_string(i) + ": ";
+      if (router.lsdb().size() != kNodes) return at + "LSDB size " + std::to_string(router.lsdb().size());
+      for (const auto& [origin, want] : torus) {
+        const Lsa& got = router.lsdb().at(origin);
+        if (got.version != want.version || got.neighbors != want.neighbors ||
+            got.capabilities != want.capabilities) {
+          return at + "origin " + std::to_string(origin) + " version " + std::to_string(got.version);
+        }
+      }
+      const fib::Ipv4Lpm* fib = router.env().control->fib32.read();
+      if (fib == nullptr || fib->size() != kNodes) return at + "FIB size";
+      for (std::uint32_t node = 1; node <= kNodes; ++node) {
+        if (fib->lookup(addr_of(node)) != faces[i][node]) return at + "route to " + std::to_string(node);
+      }
+    }
+    return "";
+  };
+
+  std::vector<std::uint64_t> floods;
+  for (const auto& [a, b] : links) {
+    SCOPED_TRACE(::testing::Message() << "link " << a << "-" << b);
+    const std::uint64_t before = net.aggregate_ledger().hello_tx;
+    net.fail_link(a, b);
+    net.loop().run_until_idle();
+    floods.push_back(net.aggregate_ledger().hello_tx - before);
+    ASSERT_GT(net.recompute_routes(), 0u);
+
+    MeshRouter& ra = net.router(a);
+    MeshRouter& rb = net.router(b);
+    ra.set_face_up(*ra.face_toward(rb.node_id()), true);
+    rb.set_face_up(*rb.face_toward(ra.node_id()), true);
+    ra.originate_lsa(32);
+    rb.originate_lsa(32);
+    net.loop().run_until_idle();
+    ASSERT_EQ(net.recompute_routes(), kNodes * kNodes);
+    torus[ra.node_id()].version += 2;  // the failure's LSA and the restore's
+    torus[rb.node_id()].version += 2;
+    ASSERT_EQ(mismatch(), "");
+  }
+  EXPECT_EQ(net.aggregate_ledger().hello_dropped, 0u);
+  std::sort(floods.begin(), floods.end());
+  EXPECT_LE(floods.back(), 450u);
+  EXPECT_LE(floods[floods.size() / 2], 300u);
+}
+
+// The LSDB stays O(1) per lookup and insert whatever order origins arrive
+// in, and its origin index within its bound (ROADMAP item 10). A peer floods
+// every in-plan origin but the router's own, 2..65,535, in a seeded random
+// order as bundled TTL-1 records: a chain 1-2-...-65,535. A sorted-vector
+// LSDB takes seconds here; the index takes milliseconds.
+TEST(MeshLsdb, EveryOriginInHostileOrderStaysLinearAndBounded) {
+  HelloRig rig(1);
+  const FaceId local = rig.router->add_local_face([](std::span<const std::uint8_t>, std::uint64_t) {});
+  std::vector<std::uint32_t> origins(kMaxNodeId - 1);
+  for (std::size_t i = 0; i < origins.size(); ++i) origins[i] = static_cast<std::uint32_t>(i + 2);
+  std::mt19937_64 rng(0x0D1D'5EED);
+  std::shuffle(origins.begin(), origins.end(), rng);
+  std::vector<PacketBytes> payloads(1);
+  for (const std::uint32_t origin : origins) {
+    std::vector<std::uint32_t> neighbors{origin - 1};
+    if (origin < kMaxNodeId) neighbors.push_back(origin + 1);
+    const PacketBytes record = lsa_record(origin, 1, 1, neighbors);
+    if (payloads.back().size() + record.size() > FrameHeader::kMaxPayload) payloads.emplace_back();
+    payloads.back().insert(payloads.back().end(), record.begin(), record.end());
+  }
+
+  const auto cpu_ns = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return std::uint64_t(ts.tv_sec) * 1'000'000'000u + std::uint64_t(ts.tv_nsec);
+  };
+  const std::uint64_t t0 = cpu_ns();
+  for (const PacketBytes& payload : payloads) {
+    rig.send(0, payload);
+    rig.loop.run_until_idle();
+  }
+  const std::uint64_t flood_ns = cpu_ns() - t0;
+  EXPECT_LT(flood_ns, 2'000'000'000u) << "the flood took " << flood_ns / 1000 << " us of CPU";
+
+  const LinkStateDb& lsdb = rig.router->lsdb();
+  ASSERT_EQ(lsdb.size(), origins.size());
+  for (std::uint32_t origin = 2; origin <= kMaxNodeId; ++origin) {
+    ASSERT_TRUE(lsdb.contains(origin)) << origin;
+  }
+  EXPECT_LE(lsdb.index_capacity(), kLsdbIndexSlots);
+  EXPECT_EQ(lsdb.slots().size(), kLsdbIndexSlots);
+  telemetry::StatsWriter w;
+  rig.router->write_stats(w);
+  EXPECT_NE(w.text().find("dip_mesh_lsdb_entries{node=\"1\"} 65534\n"), std::string::npos);
+
+  rig.router->originate_lsa(1);  // node 1 lists peer 2: the chain's head
+  EXPECT_EQ(publish_routes(*rig.router, local), std::size_t{kMaxNodeId});
+  const fib::Ipv4Lpm* fib = rig.router->env().control->fib32.read();
+  ASSERT_NE(fib, nullptr);
+  EXPECT_EQ(fib->lookup(addr_of(kMaxNodeId)), std::optional<fib::NextHop>{0});
+  EXPECT_EQ(fib->lookup(addr_of(1)), std::optional<fib::NextHop>{local});
+}
+
+// One record from the largest in-plan origin grows the index to exactly its
+// declared size, an out-of-plan origin does not grow it, and the container
+// refuses an origin beyond the plan.
+TEST(MeshLsdb, TheLargestOriginGrowsTheIndexToItsDeclaredSize) {
+  HelloRig rig(1);
+  rig.send(0, concat({lsa_record(kMaxNodeId, 1, 1, {2}), lsa_record(kMaxNodeId + 1, 1, 1, {2})}));
+  rig.loop.run_until_idle();
+  const LinkStateDb& lsdb = rig.router->lsdb();
+  EXPECT_EQ(lsdb.size(), 1u);
+  EXPECT_TRUE(lsdb.contains(kMaxNodeId));
+  EXPECT_EQ(rig.router->ledger().lsa_out_of_plan, 1u);
+  EXPECT_EQ(lsdb.slots().size(), kLsdbIndexSlots);
+  EXPECT_EQ(lsdb.index_capacity(), kLsdbIndexSlots);
+  EXPECT_EQ(kLsdbIndexSlots * sizeof(std::uint32_t), 256u * 1024u);
+
+  LinkStateDb db;
+  EXPECT_THROW(db.insert_or_assign(kMaxNodeId + 1, Lsa{}), std::out_of_range);
+  EXPECT_THROW((void)db[kMaxNodeId + 1], std::out_of_range);
+  EXPECT_EQ(db.size(), 0u);
+  EXPECT_EQ(db.index_capacity(), 0u);
 }
 
 // Hostile hello payloads (ROADMAP item 10): valid bundles, truncation at
