@@ -4,8 +4,10 @@
 // and both must be ~free when nothing is failing:
 //   * netsim::Network::send now consults LinkParams::faults — measured with
 //     no plan, an all-zero (inactive) plan, and a live low-rate plan;
-//   * Router lenient validation adds an fns_fit pass in phase 1b — measured
-//     as strict vs lenient process_batch over 32 clean DIP-32 packets.
+//   * Router lenient validation quarantines bind failures instead of
+//     dropping them as malformed (a branch on the bind-failure path only) —
+//     measured as strict vs lenient process_batch over 32 clean DIP-32
+//     packets.
 //
 // JSON output (--benchmark_out) is committed as BENCH_chaos.json; the
 // lenient/strict items_per_second ratio is the <2% check.

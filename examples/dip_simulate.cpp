@@ -122,7 +122,7 @@ RunResult run_scenario(const Scenario& s) {
   netsim::LinkParams link;
   link.latency = s.latency_us * kMicrosecond;
   link.bandwidth_bps = s.bandwidth_mbps * 1'000'000;
-  link.loss_rate = s.loss;
+  link.faults.drop_rate = s.loss;
 
   auto path = netsim::make_linear_path(net, s.hops, registry, [](std::size_t i) {
     return netsim::make_basic_env(static_cast<std::uint32_t>(i));

@@ -400,10 +400,11 @@ int main(int argc, char** argv) {
   // --- 7. Full exposition page via a StatsRegistry: pool + node + --------
   // --- network + control plane + FIB + PISA fit. --------------------------
   telemetry::StatsRegistry page;
-  pool.register_stats(page);
-  node.register_stats(page);
-  net.register_stats(page);
-  cp.register_stats(page);
+  page.add("router_pool", [&](telemetry::StatsWriter& w) { pool.write_stats(w); });
+  page.add("node " + std::to_string(node.env().node_id),
+           [&](telemetry::StatsWriter& w) { node.write_stats(w); });
+  page.add("network", [&](telemetry::StatsWriter& w) { net.write_stats(w); });
+  page.add("control_plane", [&](telemetry::StatsWriter& w) { cp.write_stats(w); });
   page.add("fib", [&](telemetry::StatsWriter& w) {
     const telemetry::Label engine{"engine", "tree_bitmap"};
     const telemetry::Label plain[]{engine};

@@ -3,7 +3,8 @@
 # ASan/UBSan build + tests. This is what CI should run.
 #
 #   --fast   docs + no-getenv + single-FIB-type + single-switch-model +
-#            series-catalogue + one-host-side checks + release build +
+#            series-catalogue + one-host-side + each-rule-once checks +
+#            release build +
 #            the unit/property/ctrl/fib/mesh/pisa/
 #            dtn test tiers only (see docs/TESTING.md): the inner-loop lane,
 #            no benches, no sanitizer rebuilds.
@@ -133,6 +134,51 @@ if grep -rnwE 'ConsumerConfig|RxBundle|retired_' src; then
   exit 1
 fi
 echo "  one custody fragment minter, one ReliableSender"
+
+echo "== each rule stated once =="
+# Four rules have one statement each (docs/MESH.md, docs/FAULTS.md,
+# docs/PISA.md): a mesh router advertises the FNs its registry runs, so
+# neither mesh config carries a capability set; a netsim link loses packets
+# through FaultPlan::drop_rate alone; HeaderView::bind_into is the one
+# FN-slice overrun check; the PISA emulator's transit budget is
+# tna::kMaxPasses. A stats source has one entry point, write_stats
+# (docs/OBSERVABILITY.md). A second copy of any of these fails here.
+if grep -rnwE 'loss_rate|kMaxResubmits|fns_fit|register_stats|dump_stats' \
+     src tests bench examples; then
+  echo "each rule stated once FAILED"
+  exit 1
+fi
+python3 - <<'PY'
+import pathlib, re, sys
+
+def body(text, start):
+    # The brace-balanced block that opens after `start` in `text`.
+    open_at = text.index("{", start)
+    depth = 0
+    for i in range(open_at, len(text)):
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        if depth == 0:
+            return text[open_at:i + 1]
+    return text[open_at:]
+
+configs = []
+for path in pathlib.Path("src").rglob("*.hpp"):
+    text = path.read_text()
+    for m in re.finditer(r"\bstruct\s+MeshConfig\s*\{", text):
+        configs.append((f"{path}: MeshConfig", body(text, m.start())))
+    for m in re.finditer(r"\bclass\s+MeshRouter\b[^;{]*\{", text):
+        router = body(text, m.start())
+        for c in re.finditer(r"\bstruct\s+Config\s*\{", router):
+            configs.append((f"{path}: MeshRouter::Config", body(router, c.start())))
+if len(configs) != 2:
+    sys.exit(f"expected MeshConfig and MeshRouter::Config under src/, found {len(configs)}"
+             "\neach rule stated once FAILED")
+bad = [name for name, text in configs if "CapabilitySet" in text]
+if bad:
+    sys.exit("a mesh config declares a CapabilitySet: " + ", ".join(bad)
+             + "\neach rule stated once FAILED")
+PY
+echo "  one advertisement, loss model, overrun check, transit budget and stats entry point"
 
 echo "== release build =="
 # Bench lanes depend on this being a real Release tree (-O3, NDEBUG):

@@ -103,10 +103,6 @@ class FlowCache {
   void insert(std::span<const std::uint8_t> key, std::uint64_t generation,
               Verdict verdict) noexcept;
 
-  /// Drop every entry (operator action; generation stamping makes this
-  /// unnecessary for route changes).
-  void clear() noexcept;
-
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t entries() const noexcept { return entries_; }
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }

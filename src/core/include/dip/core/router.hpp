@@ -65,10 +65,12 @@ namespace dip::core {
 /// How the router treats structurally damaged packets (chaos links flip
 /// bytes; see docs/FAULTS.md).
 ///   * kStrict  — bind failures drop as kMalformed (historical behaviour).
-///   * kLenient — bind failures *and* FN slices that overrun the locations
-///     block are quarantined: dropped as kCorruptQuarantine, counted in
-///     counters.quarantined, and force-recorded into the TraceRing (the
-///     sampler is bypassed so no corrupt packet escapes the ledger).
+///   * kLenient — bind failures are quarantined: dropped as
+///     kCorruptQuarantine, counted in counters.quarantined, and
+///     force-recorded into the TraceRing (the sampler is bypassed so no
+///     corrupt packet escapes the ledger). An FN slice that overruns the
+///     locations block fails bind (HeaderView::bind_into), so it is
+///     quarantined here too.
 enum class ValidationMode : std::uint8_t { kStrict, kLenient };
 
 /// One slot of a burst handed to Router::process_batch: a view over the
@@ -122,14 +124,9 @@ class Router {
   void record_trace(const HeaderView& view, FaceId ingress, SimTime now,
                     std::uint64_t t_start, const ProcessResult& result);
 
-  /// Lenient-mode quarantine: tag the result, bump the quarantined counter,
-  /// and force a trace-ring record (`view` may be null when bind failed).
-  void quarantine(const HeaderView* view, FaceId ingress, SimTime now,
-                  ProcessResult& result);
-
-  /// True when every FN slice fits inside the locations block (lenient-mode
-  /// structural check; corrupt loc/len triples fail this).
-  [[nodiscard]] static bool fns_fit(const HeaderView& view) noexcept;
+  /// Lenient-mode quarantine of a packet that failed bind: tag the result,
+  /// bump the quarantined counter, and force a trace-ring record.
+  void quarantine(FaceId ingress, SimTime now, ProcessResult& result);
 
   /// Phase-2 state of one burst: per-packet arrays indexed by burst
   /// position, arena-backed and rewound with the arena at the next burst.

@@ -116,12 +116,6 @@ class RouterPool {
   /// series catalogue in docs/OBSERVABILITY.md.
   void write_stats(telemetry::StatsWriter& w) const;
 
-  /// write_stats as a StatsRegistry section named "router_pool".
-  void register_stats(telemetry::StatsRegistry& registry) const;
-
-  /// One-call text exposition of write_stats().
-  [[nodiscard]] std::string dump_stats() const;
-
  private:
   struct Worker {
     explicit Worker(std::size_t ring_capacity) : ring(ring_capacity) {}

@@ -81,9 +81,4 @@ void FlowCache::insert(std::span<const std::uint8_t> key, std::uint64_t generati
   std::memcpy(victim->key.data(), key.data(), key.size());
 }
 
-void FlowCache::clear() noexcept {
-  for (Slot& slot : slots_) slot.hash = 0;
-  entries_ = 0;
-}
-
 }  // namespace dip::core

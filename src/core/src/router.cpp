@@ -89,23 +89,20 @@ void Router::process_batch(std::span<const PacketRef> packets, FaceId ingress,
     bound_[i] = HeaderView::bind_into(packets[i].bytes, views_[i]) ? 1 : 0;
     if (bound_[i]) continue;
     if (lenient) {
-      quarantine(nullptr, ingress, now, results[i]);
+      quarantine(ingress, now, results[i]);
     } else {
       results[i].drop(DropReason::kMalformed);
     }
   }
   if (burst_timed) lap(stats->phase_bind);
 
-  // Phase 1b: structural checks + hop-limit decrement for every bound
-  // packet.
+  // Phase 1b: the FN-count limit + hop-limit decrement for every bound
+  // packet (bind already refused every FN slice that overruns the
+  // locations block).
   std::uint64_t dropped = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (bound_[i]) {
-      if (lenient && !fns_fit(views_[i])) {
-        // A bindable header whose FN slices overrun the locations block is
-        // byte damage, not a protocol violation: quarantine it.
-        quarantine(&views_[i], ingress, now, results[i]);
-      } else if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
+      if (views_[i].fns().size() > env_.limits.max_fn_per_packet) {
         results[i].drop(DropReason::kBudgetExhausted);
       } else if (!views_[i].decrement_hop_limit()) {
         results[i].drop(DropReason::kHopLimitExceeded);
@@ -711,19 +708,7 @@ void Router::record_trace(const HeaderView& view, FaceId ingress, SimTime now,
   env_.stats->trace.push(rec);
 }
 
-bool Router::fns_fit(const HeaderView& view) noexcept {
-  const std::size_t loc_bits = view.locations().size() * 8;
-  for (const FnTriple& fn : view.fns()) {
-    if (fn.host_tagged()) continue;  // routers never slice host-tagged fields
-    if (static_cast<std::size_t>(fn.field_loc) + fn.field_len > loc_bits) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void Router::quarantine(const HeaderView* view, FaceId ingress, SimTime now,
-                        ProcessResult& result) {
+void Router::quarantine(FaceId ingress, SimTime now, ProcessResult& result) {
   result.drop(DropReason::kCorruptQuarantine);
   ++env_.counters.quarantined;
   telemetry::RouterStats* stats = env_.stats.get();
@@ -736,13 +721,6 @@ void Router::quarantine(const HeaderView* view, FaceId ingress, SimTime now,
   rec.duration_ns = 0;
   rec.ingress = ingress;
   rec.fn_count = 0;
-  if (view != nullptr) {
-    const auto fns = view->fns();
-    rec.fn_count = static_cast<std::uint8_t>(fns.size());
-    for (std::size_t i = 0; i < fns.size(); ++i) {
-      rec.fns[i] = {fns[i].field_loc, fns[i].field_len, fns[i].op};
-    }
-  }
   rec.action = static_cast<std::uint8_t>(result.action);
   rec.reason = static_cast<std::uint8_t>(result.reason);
   rec.egress_count = 0;

@@ -275,15 +275,4 @@ void RouterPool::write_stats(telemetry::StatsWriter& w) const {
   }
 }
 
-void RouterPool::register_stats(telemetry::StatsRegistry& registry) const {
-  registry.add("router_pool",
-               [this](telemetry::StatsWriter& w) { write_stats(w); });
-}
-
-std::string RouterPool::dump_stats() const {
-  telemetry::StatsWriter w;
-  write_stats(w);
-  return w.take();
-}
-
 }  // namespace dip::core

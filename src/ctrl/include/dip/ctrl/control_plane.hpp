@@ -89,8 +89,6 @@ class ControlPlane {
   /// `dip_ctrl_*` series (catalogue in docs/OBSERVABILITY.md): global
   /// poll/convergence counters plus per-node journal and QSBR gauges.
   void write_stats(telemetry::StatsWriter& w) const;
-  /// write_stats as a StatsRegistry section named "control_plane".
-  void register_stats(telemetry::StatsRegistry& registry) const;
 
  private:
   struct Managed {

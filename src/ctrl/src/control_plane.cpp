@@ -292,9 +292,4 @@ void ControlPlane::write_stats(telemetry::StatsWriter& w) const {
   }
 }
 
-void ControlPlane::register_stats(telemetry::StatsRegistry& registry) const {
-  registry.add("control_plane",
-               [this](telemetry::StatsWriter& w) { write_stats(w); });
-}
-
 }  // namespace dip::ctrl

@@ -73,8 +73,6 @@ enum class VerifyResult : std::uint8_t {
   kMalformed,
 };
 
-[[nodiscard]] std::string_view to_string(VerifyResult r) noexcept;
-
 /// Destination side: confirm every hop verified-and-stamped in order.
 [[nodiscard]] VerifyResult verify_packet(const opt::Session& session,
                                          std::span<const std::uint8_t> locations,

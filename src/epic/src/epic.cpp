@@ -118,18 +118,6 @@ bytes::Result<core::DipHeader> make_epic_header(const opt::Session& session,
   return b.build();
 }
 
-std::string_view to_string(VerifyResult r) noexcept {
-  switch (r) {
-    case VerifyResult::kOk: return "ok";
-    case VerifyResult::kBadDataHash: return "bad-data-hash";
-    case VerifyResult::kBadSession: return "bad-session";
-    case VerifyResult::kIncompletePath: return "incomplete-path";
-    case VerifyResult::kBadProof: return "bad-proof";
-    case VerifyResult::kMalformed: return "malformed";
-  }
-  return "unknown";
-}
-
 VerifyResult verify_packet(const opt::Session& session,
                            std::span<const std::uint8_t> locations,
                            std::span<const std::uint8_t> payload,

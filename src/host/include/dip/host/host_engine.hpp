@@ -26,8 +26,6 @@ enum class DeliveryStatus : std::uint8_t {
   kMalformed,
 };
 
-[[nodiscard]] std::string_view to_string(DeliveryStatus s) noexcept;
-
 struct Delivery {
   DeliveryStatus status = DeliveryStatus::kMalformed;
   /// Payload bytes (views into the caller's packet).

@@ -2,16 +2,6 @@
 
 namespace dip::host {
 
-std::string_view to_string(DeliveryStatus s) noexcept {
-  switch (s) {
-    case DeliveryStatus::kDelivered: return "delivered";
-    case DeliveryStatus::kVerifyFailed: return "verify-failed";
-    case DeliveryStatus::kUnknownSession: return "unknown-session";
-    case DeliveryStatus::kMalformed: return "malformed";
-  }
-  return "unknown";
-}
-
 Delivery HostEngine::receive(std::span<const std::uint8_t> packet) const {
   Delivery out;
   const auto header = core::DipHeader::parse(packet);

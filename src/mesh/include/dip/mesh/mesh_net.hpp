@@ -35,10 +35,10 @@ struct MeshConfig {
   MeshClock* clock = nullptr;
   std::uint64_t fault_seed = 1;
   core::ValidationMode validation = core::ValidationMode::kStrict;
-  bootstrap::CapabilitySet capabilities;  ///< advertised by every router
   /// Module registry shared by every router; nullptr = the default stack
   /// (netsim::make_default_registry()). Overlays extend it — the DTN soak
-  /// adds the custody modules here (dtn/mesh_dtn.hpp).
+  /// adds the custody modules here (dtn/mesh_dtn.hpp). Each router
+  /// advertises these modules minus the keys its own env disables.
   std::shared_ptr<const core::OpRegistry> registry;
 };
 
@@ -67,12 +67,17 @@ class MeshNet {
 
   /// Bidirectional link between routers `a` and `b` (indices) with the
   /// same FaultPlan on both half-links (each gets its own PRNG stream).
+  /// Two routers share at most one link: a second connect() of the same
+  /// pair throws std::invalid_argument (MeshRouter::add_wire_face).
   void connect(std::size_t a, std::size_t b, const netsim::FaultPlan& faults = {});
 
   // Topology builders (indices are created on demand via add_router).
   void build_line(std::size_t n, const netsim::FaultPlan& faults = {});
-  /// rows x cols torus: 4-regular, diameter (rows+cols)/2 — the 100+-node
-  /// soak topology.
+  /// rows x cols torus, diameter rows/2 + cols/2 (each rounded down) — the
+  /// 100+-node soak topology. Each pair of routers is linked once, so the
+  /// torus is 4-regular only when rows and cols are both at least 3: a
+  /// dimension of 2 is a ring of two routers and one link, and a dimension
+  /// of 1 adds no link.
   void build_torus(std::size_t rows, std::size_t cols,
                    const netsim::FaultPlan& faults = {});
 

@@ -24,10 +24,12 @@
 //
 // Discovery is in-band: a kHello frame carries a sequence of self-framing
 // link-state announcement records (origin, version, TTL, neighbor list,
-// bootstrap::CapabilitySet). A router learns which node sits behind each
-// face from the frame src_node, stores each fresh record and exposes its
-// LinkStateDb for route computation (mesh/control.hpp) and AS-graph
-// capability queries.
+// bootstrap::CapabilitySet). A router advertises the FNs it runs: its
+// registry's modules minus the keys its RouterEnv refuses (§2.3/§2.4), read
+// at every origination, so a module upgrade or a newly disabled key reaches
+// the next LSA. A router learns which node sits behind each face from the
+// frame src_node, stores each fresh record and exposes its LinkStateDb for
+// route computation (mesh/control.hpp) and AS-graph capability queries.
 //
 // Flooding is bundled, like OSPF's Link State Update: a fresh record is
 // queued at TTL-1 with the face it arrived on, and the queue flushes at the
@@ -172,7 +174,6 @@ class MeshRouter : private netsim::NodePort {
     core::ValidationMode validation = core::ValidationMode::kStrict;
     /// Mesh-wide fault seed; per-face streams mix in the link ordinal.
     std::uint64_t fault_seed = 0;
-    bootstrap::CapabilitySet capabilities;
   };
 
   /// `loop` and `registry` must outlive the router; the socket is owned.
@@ -195,7 +196,8 @@ class MeshRouter : private netsim::NodePort {
 
   /// Attach a wire face toward `peer`. `ordinal` is the mesh-wide
   /// half-link ordinal (the impairer PRNG stream selector); `faults`
-  /// defaults inactive.
+  /// defaults inactive. The one socket tells faces apart by the sender's
+  /// endpoint, so a second face toward `peer` throws std::invalid_argument.
   FaceId add_wire_face(Endpoint peer, std::uint32_t ordinal,
                        const netsim::FaultPlan& faults = {});
   /// Attach a host-facing face; forwarding to it delivers locally.
@@ -206,13 +208,12 @@ class MeshRouter : private netsim::NodePort {
   void set_face_up(FaceId face, bool up);
 
   [[nodiscard]] std::size_t face_count() const noexcept { return faces_.size(); }
-  /// Peer node id learned for a wire face (0 until a frame arrived from it).
-  [[nodiscard]] std::uint32_t peer_of(FaceId face) const;
   /// Wire face toward `peer_node`, or nullopt if not (yet) learned.
   [[nodiscard]] std::optional<FaceId> face_toward(std::uint32_t peer_node) const;
 
-  /// Originate/refresh this node's LSA (neighbors = peers learned so far)
-  /// and flood it with `ttl` at once, together with any queued records.
+  /// Originate/refresh this node's LSA (neighbors = peers learned so far,
+  /// capabilities = the FNs the router runs now) and flood it with `ttl` at
+  /// once, together with any queued records.
   /// ttl=1 is the initial who-is-there probe that teaches direct neighbors
   /// our node id.
   void originate_lsa(std::uint8_t ttl);

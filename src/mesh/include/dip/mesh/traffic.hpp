@@ -56,9 +56,6 @@ class MeshTrafficGen {
 
   [[nodiscard]] const TrafficStats& stats() const noexcept { return stats_; }
 
-  /// `dip_mesh_traffic_*` series.
-  void write_stats(telemetry::StatsWriter& w) const;
-
  private:
   struct Flow {
     std::size_t src = 0;

@@ -10,11 +10,7 @@ MeshNet::MeshNet(MeshConfig config)
     : config_(std::move(config)),
       fabric_(config_.use_mock ? std::make_unique<MockFabric>() : nullptr),
       loop_(config_.clock),
-      registry_(config_.registry ? config_.registry : netsim::make_default_registry()) {
-  if (config_.capabilities.size() == 0) {
-    config_.capabilities = bootstrap::full_capability_set();
-  }
-}
+      registry_(config_.registry ? config_.registry : netsim::make_default_registry()) {}
 
 MeshNet::~MeshNet() = default;
 
@@ -28,7 +24,6 @@ MeshRouter& MeshNet::add_router() {
   cfg.node_id = static_cast<std::uint32_t>(routers_.size() + 1);
   cfg.validation = config_.validation;
   cfg.fault_seed = config_.fault_seed;
-  cfg.capabilities = config_.capabilities;
   auto router = std::make_unique<MeshRouter>(cfg, loop_, make_socket(), registry_);
   const std::size_t index = routers_.size();
   const FaceId local = router->add_local_face(
@@ -61,8 +56,9 @@ void MeshNet::build_torus(std::size_t rows, std::size_t cols,
       const std::size_t here = r * cols + c;
       const std::size_t right = r * cols + (c + 1) % cols;
       const std::size_t down = ((r + 1) % rows) * cols + c;
-      if (cols > 1) connect(here, right, faults);
-      if (rows > 1) connect(here, down, faults);
+      // In a ring of two the wrap-around link would repeat the first.
+      if (cols > 2 || c + 1 < cols) connect(here, right, faults);
+      if (rows > 2 || r + 1 < rows) connect(here, down, faults);
     }
   }
 }

@@ -140,13 +140,16 @@ MeshRouter::~MeshRouter() { loop_.remove_socket(socket_id_); }
 
 FaceId MeshRouter::add_wire_face(Endpoint peer, std::uint32_t ordinal,
                                  const netsim::FaultPlan& faults) {
+  const FaceId id = static_cast<FaceId>(faces_.size());
+  // The socket tells faces apart by the sender's endpoint alone.
+  if (!ingress_of_.emplace(peer, id).second) {
+    throw std::invalid_argument("MeshRouter::add_wire_face: a face toward this endpoint exists");
+  }
   Face f;
   f.kind = FaceKind::kWire;
   f.peer = peer;
   f.impairer = LinkImpairer(faults, config_.fault_seed, ordinal);
-  const FaceId id = static_cast<FaceId>(faces_.size());
   faces_.push_back(std::move(f));
-  ingress_of_[peer] = id;
   return id;
 }
 
@@ -163,10 +166,6 @@ void MeshRouter::set_face_up(FaceId face, bool up) {
   if (face < faces_.size()) faces_[face].up = up;
 }
 
-std::uint32_t MeshRouter::peer_of(FaceId face) const {
-  return face < faces_.size() ? faces_[face].peer_node : 0;
-}
-
 std::optional<FaceId> MeshRouter::face_toward(std::uint32_t peer_node) const {
   for (std::size_t i = 0; i < faces_.size(); ++i) {
     if (faces_[i].kind == FaceKind::kWire && faces_[i].peer_node == peer_node) {
@@ -177,7 +176,10 @@ std::optional<FaceId> MeshRouter::face_toward(std::uint32_t peer_node) const {
 }
 
 void MeshRouter::originate_lsa(std::uint8_t ttl) {
-  Lsa self{++lsa_version_, {}, config_.capabilities};
+  Lsa self{++lsa_version_, {}, {}};
+  for (const core::OpKey key : runtime_.registry().keys()) {
+    if (env().supports(key)) self.capabilities.add(key);
+  }
   for (const Face& f : faces_) {
     if (f.kind == FaceKind::kWire && f.up && f.peer_node != 0) {
       self.neighbors.push_back(f.peer_node);

@@ -101,14 +101,4 @@ void MeshTrafficGen::on_delivered(std::size_t /*node*/,
   stats_.latency_max_ns = std::max(stats_.latency_max_ns, latency);
 }
 
-void MeshTrafficGen::write_stats(telemetry::StatsWriter& w) const {
-  w.counter("dip_mesh_traffic_sent_total", {}, stats_.sent);
-  w.counter("dip_mesh_traffic_received_total", {}, stats_.received);
-  w.counter("dip_mesh_traffic_mismatched_total", {}, stats_.mismatched);
-  w.counter("dip_mesh_traffic_flows_churned_total", {}, stats_.flows_churned);
-  w.gauge("dip_mesh_traffic_mean_latency_ns", {}, stats_.mean_latency_ns());
-  w.gauge("dip_mesh_traffic_max_latency_ns", {},
-          static_cast<double>(stats_.latency_max_ns));
-}
-
 }  // namespace dip::mesh

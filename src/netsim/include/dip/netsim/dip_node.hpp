@@ -44,12 +44,6 @@ class DipRouterNode : public Node, private NodePort {
   /// docs/OBSERVABILITY.md.
   virtual void write_stats(telemetry::StatsWriter& w) const;
 
-  /// write_stats as a StatsRegistry section named "node <node_id>".
-  void register_stats(telemetry::StatsRegistry& registry) const;
-
-  /// One-call text exposition of write_stats().
-  [[nodiscard]] std::string dump_stats() const;
-
  private:
   void send(FaceId face, std::span<const std::uint8_t> packet) override {
     network()->send(*this, face, PacketBytes(packet.begin(), packet.end()));

@@ -45,9 +45,8 @@ enum class FaultKind : std::uint8_t {
 /// Per-link fault schedule. Default-constructed plans are inactive and the
 /// send path pays a single branch for them.
 struct FaultPlan {
-  /// Independent per-packet loss probability (drawn from the link PRNG;
-  /// separate from LinkParams::loss_rate, which predates the fault layer
-  /// and draws from the network-wide PRNG).
+  /// Independent per-packet loss probability, drawn from the link PRNG: a
+  /// netsim link's one loss model.
   double drop_rate = 0.0;
   /// Probability a packet is delivered twice (the copy rides back to back
   /// behind the original and skips the queue check it already passed).

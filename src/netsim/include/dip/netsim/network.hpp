@@ -2,8 +2,9 @@
 //
 // Topology model: nodes are added first, then connected pairwise; each
 // connection allocates one face id on each endpoint. A link has propagation
-// latency, bandwidth (serialization delay = bits / bandwidth), and an
-// optional deterministic loss rate. Delivery is in-order per link.
+// latency, bandwidth (serialization delay = bits / bandwidth), an optional
+// transmit-queue bound, and a FaultPlan (faults.hpp), the one way a link
+// loses packets. Delivery is in-order per link.
 #pragma once
 
 #include <array>
@@ -14,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "dip/crypto/random.hpp"
 #include "dip/netsim/event_loop.hpp"
 #include "dip/netsim/faults.hpp"
 #include "dip/telemetry/exposition.hpp"
@@ -50,21 +50,21 @@ class Node {
 struct LinkParams {
   SimDuration latency = 1 * kMicrosecond;
   std::uint64_t bandwidth_bps = 10'000'000'000;  ///< 10 Gb/s default
-  double loss_rate = 0.0;                        ///< deterministic PRNG loss
   /// Tail-drop bound: a packet that would wait longer than this in the
   /// transmit queue is dropped (0 = infinite queue). Models the finite
   /// buffers the NetFence/CSFQ experiments congest against.
   SimDuration max_queue_delay = 0;
   /// Deterministic fault schedule (drop/duplicate/corrupt/reorder/blackout);
-  /// inactive by default. See faults.hpp and docs/FAULTS.md.
+  /// inactive by default. Its drop_rate is the link's random loss. See
+  /// faults.hpp and docs/FAULTS.md.
   FaultPlan faults;
 };
 
 class Network {
  public:
-  /// `seed` drives LinkParams::loss_rate and, mixed with each half-link's
-  /// ordinal, every link's FaultStream.
-  explicit Network(std::uint64_t seed = 1) : rng_(seed), seed_(seed) {}
+  /// `seed`, mixed with each half-link's ordinal, seeds every link's
+  /// FaultStream.
+  explicit Network(std::uint64_t seed = 1) : seed_(seed) {}
 
   /// Attach a node; the network does not own it.
   NodeId add_node(Node& node);
@@ -104,8 +104,8 @@ class Network {
   std::size_t run(SimTime deadline = ~SimTime{0}) { return loop_.run(deadline); }
 
   /// The transport ledger (faults.hpp) plus two series outside its
-  /// equation. `lost` counts loss_rate and FaultPlan::drop_rate drops;
-  /// `dropped` counts tail drops at full transmit queues.
+  /// equation. `lost` counts FaultPlan::drop_rate drops; `dropped` counts
+  /// tail drops at full transmit queues.
   struct Stats : TransportLedger {
     std::uint64_t dead_faced = 0;  ///< sent on an unconnected face
     std::uint64_t bytes = 0;
@@ -124,8 +124,6 @@ class Network {
   /// Render the transport ledger and per-fault-kind counters as
   /// `dip_net_*` series (catalogue in docs/OBSERVABILITY.md).
   void write_stats(telemetry::StatsWriter& w) const;
-  /// write_stats as a StatsRegistry section named "network".
-  void register_stats(telemetry::StatsRegistry& registry) const;
 
   /// Optional wiretap invoked on every delivered packet (tracing).
   using Tap = std::function<void(NodeId from, NodeId to, FaceId ingress,
@@ -150,7 +148,6 @@ class Network {
   std::vector<Node*> nodes_;
   // faces_[node][face] -> half link.
   std::vector<std::vector<HalfLink>> faces_;
-  crypto::Xoshiro256 rng_;
   std::uint64_t seed_;
   std::uint64_t next_link_ordinal_ = 0;
   std::vector<FaultEvent> fault_trace_;

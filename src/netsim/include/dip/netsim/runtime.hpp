@@ -75,6 +75,8 @@ class NodeRuntime {
   [[nodiscard]] core::RouterEnv& env() noexcept { return router_.env(); }
   [[nodiscard]] const core::RouterEnv& env() const noexcept { return router_.env(); }
   [[nodiscard]] NodePort& port() noexcept { return port_; }
+  /// The module registry the router runs.
+  [[nodiscard]] const core::OpRegistry& registry() const noexcept { return *registry_; }
 
   /// Install (or clear, with nullptr) the overlay; not owned.
   void set_overlay(NodeOverlay* overlay) noexcept { overlay_ = overlay; }

@@ -33,15 +33,4 @@ void DipRouterNode::write_stats(telemetry::StatsWriter& w) const {
   runtime_.write_drops(w, "dip_node_drops_total");
 }
 
-void DipRouterNode::register_stats(telemetry::StatsRegistry& registry) const {
-  registry.add("node " + std::to_string(runtime_.env().node_id),
-               [this](telemetry::StatsWriter& w) { write_stats(w); });
-}
-
-std::string DipRouterNode::dump_stats() const {
-  telemetry::StatsWriter w;
-  write_stats(w);
-  return w.take();
-}
-
 }  // namespace dip::netsim

@@ -62,11 +62,6 @@ void Network::send(const Node& from, FaceId face, PacketBytes packet) {
   ++stats_.transmitted;
   stats_.bytes += packet.size();
 
-  if (link->params.loss_rate > 0 && rng_.uniform() < link->params.loss_rate) {
-    ++stats_.lost;
-    return;
-  }
-
   // FaultPlan decisions: the half-link's own stream, in the fixed draw
   // order (faults.hpp), so the fault trace is a pure function of (seed,
   // topology, traffic). Corruption mutates the bytes now but is *counted*
@@ -151,10 +146,6 @@ void Network::write_stats(telemetry::StatsWriter& w) const {
         {"kind", to_string(static_cast<FaultKind>(k))}};
     w.counter("dip_net_faults_total", labels, faults_by_kind_[k]);
   }
-}
-
-void Network::register_stats(telemetry::StatsRegistry& registry) const {
-  registry.add("network", [this](telemetry::StatsWriter& w) { write_stats(w); });
 }
 
 }  // namespace dip::netsim

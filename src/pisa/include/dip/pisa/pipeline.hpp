@@ -3,7 +3,8 @@
 // Within a stage, tables run concurrently (stage cost = max of its tables);
 // stages run in sequence, at most the switch model's tna::kStages of them. A
 // bounded resubmit count models the Tofino behaviour the paper leaned on:
-// AES-style MACs need the packet re-injected, 2EM does not (§4.1).
+// AES-style MACs need the packet re-injected, 2EM does not (§4.1). The
+// bound is the switch model's: tna::kMaxPasses transits in all.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +28,6 @@ struct PipelineRun {
 
 class Pipeline {
  public:
-  static constexpr std::uint32_t kMaxResubmits = 4;  ///< runaway guard
-
   /// Append a stage; fails (returns false) past the hardware stage budget.
   bool add_stage(Stage stage) {
     if (stages_.size() >= tna::kStages) return false;
@@ -48,6 +47,7 @@ class Pipeline {
   [[nodiscard]] PipelineRun run(Phv& phv) const;
 
   /// Run with `resubmits` extra passes (models AES-style MAC execution).
+  /// Fails with kOverflow unless 1 + `resubmits` fits tna::kMaxPasses.
   [[nodiscard]] bytes::Result<PipelineRun> run_with_resubmits(
       Phv& phv, std::uint32_t resubmits) const;
 

@@ -30,7 +30,7 @@ PipelineRun Pipeline::run(Phv& phv) const {
 
 bytes::Result<PipelineRun> Pipeline::run_with_resubmits(Phv& phv,
                                                         std::uint32_t resubmits) const {
-  if (resubmits > kMaxResubmits) return bytes::Err(bytes::Error::kOverflow);
+  if (resubmits >= tna::kMaxPasses) return bytes::Err(bytes::Error::kOverflow);
 
   PipelineRun total = run(phv);
   for (std::uint32_t i = 0; i < resubmits && !total.dropped; ++i) {

@@ -4,9 +4,9 @@
 // whole snapshots (counters, histograms, a RouterStats snapshot); and
 // StatsRegistry collects named render callbacks so a process can compose
 // one exposition page from many sources (a RouterPool, simulator nodes,
-// app-level gauges) — the shape dump_stats() builds on.
+// app-level gauges): each section is a source's write_stats(StatsWriter&).
 //
-// Header-only on purpose: dip::core's RouterPool::dump_stats() uses these
+// Header-only on purpose: dip::core's RouterPool::write_stats() uses these
 // helpers, and dip_telemetry (the static lib) links dip_core — an
 // out-of-line implementation would cycle the link graph.
 //

@@ -234,7 +234,7 @@ TEST(SimulatorConservation, TransmitsEqualDeliveriesPlusLosses) {
     net.add_node(a);
     net.add_node(b);
     netsim::LinkParams params;
-    params.loss_rate = rng.uniform() * 0.5;
+    params.faults.drop_rate = rng.uniform() * 0.5;
     params.latency = rng.below(1000);
     const auto [fa, fb] = net.connect(a, b, params);
     (void)fb;

@@ -236,7 +236,7 @@ TEST(Chaos, NetworkStatsExpositionCarriesFaultKinds) {
   FaultyPair pair(21, all_faults_link());
   pair.send_burst(500);
   telemetry::StatsRegistry page;
-  pair.net.register_stats(page);
+  page.add("network", [&](telemetry::StatsWriter& w) { pair.net.write_stats(w); });
   const std::string text = page.render();
   EXPECT_NE(text.find("dip_net_transmitted_total 500"), std::string::npos) << text;
   EXPECT_NE(text.find("dip_net_faults_total{kind=\"drop\"}"), std::string::npos);
@@ -281,7 +281,9 @@ TEST(Chaos, LenientRouterQuarantinesCorruptedPackets) {
   // per quarantined packet.
   EXPECT_GE(router.env().stats->trace.pushed(), quarantined);
   // The quarantine reason renders in the drop ledger exposition.
-  EXPECT_NE(router.dump_stats().find("reason=\"corrupt-quarantine\""),
+  telemetry::StatsWriter exposition;
+  router.write_stats(exposition);
+  EXPECT_NE(exposition.take().find("reason=\"corrupt-quarantine\""),
             std::string::npos);
   // Strict-mode ledger untouched: quarantined packets still count as drops.
   EXPECT_EQ(router.env().counters.processed.load(), 400u);
@@ -386,7 +388,9 @@ TEST(Chaos, PoolShedsDeterministicallyWhenRingIsFull) {
   EXPECT_EQ(processed.load(), 3u);
   EXPECT_EQ(pool.counters().processed, 3u);
   // The shed ledger renders in the stats page.
-  const std::string page = pool.dump_stats();
+  telemetry::StatsWriter exposition;
+  pool.write_stats(exposition);
+  const std::string page = exposition.take();
   EXPECT_NE(page.find("dip_shed_total 5"), std::string::npos) << page;
   EXPECT_NE(page.find("dip_worker_shed_total{worker=\"0\"} 5"), std::string::npos);
 }

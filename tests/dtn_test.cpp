@@ -883,6 +883,28 @@ TEST(DtnMesh, DestinationHostPoisonsConflictingGeometry) {
   EXPECT_TRUE(net.ledger_balanced());
 }
 
+TEST(DtnMesh, EveryRouterAdvertisesTheCustodyFnsItRuns) {
+  // A mesh on the custody registry gossips F_custody and F_frag with the
+  // default FNs, so a host's capability query over the mesh finds them.
+  mesh::ManualClock clock;
+  mesh::MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  cfg.registry = dtn::MeshCustodyFleet::make_registry();
+  mesh::MeshNet net(cfg);
+  net.build_line(3);
+  ASSERT_TRUE(net.discover(kSecond));
+
+  const bootstrap::AsGraph graph = net.as_graph();
+  ASSERT_EQ(graph.as_count(), 3u);
+  const auto path = graph.end_to_end(1, 3);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_TRUE(path->supports(core::OpKey::kCustody));
+  EXPECT_TRUE(path->supports(core::OpKey::kBundleFrag));
+  EXPECT_TRUE(path->supports(core::OpKey::kMatch32));
+  EXPECT_EQ(path->size(), 15u);  // the default registry's 13 + 2
+}
+
 TEST(DtnMesh, HostSendsEnterTheirRouterOneLoopRoundLater) {
   // A mesh host's port defers every send to the next loop round, so the
   // ACK a destination host sends from inside its router's delivery never

@@ -304,7 +304,7 @@ TEST_F(NdnAppFixture, ConsumerRetransmitsThroughLoss) {
   // Rebuild the path with a lossy first link.
   netsim::Network lossy_net(/*seed=*/3);
   netsim::LinkParams lossy;
-  lossy.loss_rate = 0.5;
+  lossy.faults.drop_rate = 0.5;
   auto lossy_path =
       netsim::make_linear_path(lossy_net, 1, registry(), [](std::size_t i) {
         return netsim::make_basic_env(static_cast<std::uint32_t>(i));

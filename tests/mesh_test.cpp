@@ -5,7 +5,8 @@
 //     ManualClock + MockFabric (no real sleeps, fixed seeds);
 //   * MeshRouter/MeshNet — in-band discovery, SPF route publication,
 //     end-to-end forwarding, failed-link convergence, the §2.4
-//     FN-unsupported notification;
+//     FN-unsupported notification, one face per peer endpoint, and the
+//     advertised FNs as_graph() reads;
 //   * bundled LSA flooding — one frame per face per drain, split horizon,
 //     no copy back to a face that sent the same version, whole records
 //     under the frame bound, newest version only, every link of a torus
@@ -26,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -796,9 +798,10 @@ TEST(MeshFlood, ARecordWithTheMostCapabilitiesFramesTheOneBehindIt) {
 
 // A 9x12 torus floods its discovery in bundles and learns exactly the
 // state the one-frame-per-LSA flood did: every LSDB holds every origin at
-// version 2 (the TTL-64 round) with its four torus neighbours and the full
-// capability set, and every FIB follows the smallest-id shortest path. One
-// frame per LSA per face sent 35,532 frames here and 646 for the failure.
+// version 2 (the TTL-64 round) with its four torus neighbours and the 13
+// FNs the default registry runs, and every FIB follows the smallest-id
+// shortest path. One frame per LSA per face sent 35,532 frames here and
+// 646 for the failure.
 TEST(MeshFlood, TorusDiscoveryBundlesItsFloodAndLearnsTheSameState) {
   constexpr std::size_t kRows = 9, kCols = 12, kNodes = kRows * kCols;
   ManualClock clock;
@@ -822,7 +825,14 @@ TEST(MeshFlood, TorusDiscoveryBundlesItsFloodAndLearnsTheSameState) {
     }
     std::sort(neighbors.begin(), neighbors.end());
     expected[static_cast<std::uint32_t>(i + 1)] =
-        Lsa{2, std::move(neighbors), bootstrap::full_capability_set()};
+        Lsa{2, std::move(neighbors),
+            bootstrap::CapabilitySet{core::OpKey::kMatch32, core::OpKey::kMatch128,
+                                     core::OpKey::kSource, core::OpKey::kFib,
+                                     core::OpKey::kPit, core::OpKey::kParm,
+                                     core::OpKey::kMac, core::OpKey::kMark,
+                                     core::OpKey::kDag, core::OpKey::kIntent,
+                                     core::OpKey::kPass, core::OpKey::kHvf,
+                                     core::OpKey::kTelemetry}};
   }
   const auto expect_state = [&net](const LinkStateDb& want) {
     for (std::size_t i = 0; i < net.size(); ++i) {
@@ -919,7 +929,15 @@ TEST(MeshFlood, EveryTorusLinkFailsAndRestoresWithSmallFloodsAndTheSameState) {
   LinkStateDb torus;
   for (std::size_t n = 0; n < kNodes; ++n) {
     std::sort(neighbors[n].begin(), neighbors[n].end());
-    torus[static_cast<std::uint32_t>(n + 1)] = Lsa{2, neighbors[n], bootstrap::full_capability_set()};
+    torus[static_cast<std::uint32_t>(n + 1)] =
+        Lsa{2, neighbors[n],
+            bootstrap::CapabilitySet{core::OpKey::kMatch32, core::OpKey::kMatch128,
+                                     core::OpKey::kSource, core::OpKey::kFib,
+                                     core::OpKey::kPit, core::OpKey::kParm,
+                                     core::OpKey::kMac, core::OpKey::kMark,
+                                     core::OpKey::kDag, core::OpKey::kIntent,
+                                     core::OpKey::kPass, core::OpKey::kHvf,
+                                     core::OpKey::kTelemetry}};
   }
   std::vector<std::vector<std::optional<fib::NextHop>>> faces(kNodes);
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -1417,6 +1435,130 @@ TEST(MeshNetErrors, MissingPathCriticalFnNotifiesTheInjectingRouter) {
   const WireLedger total = net.aggregate_ledger();
   EXPECT_EQ(total.transmitted, 2u);  // the packet out, the notification back
   EXPECT_EQ(total.imbalance(), 0);
+}
+
+// ---- topology and advertised FNs ------------------------------------------
+
+// A 3x2 torus: its two columns make each row a ring of two, which
+// build_torus links once. Every wire face learns its peer (with a second
+// face toward one endpoint, the socket handed every frame to the later face
+// and the first never learned its peer), no LSA lists a neighbour twice,
+// and after a link fails its two routers still reach each other around
+// the ring with no route out of the dark face.
+TEST(MeshNetTopology, ATwoWideTorusLinksEachPairOnceAndEveryFaceLearnsItsPeer) {
+  constexpr std::size_t kNodes = 6;
+  ManualClock clock;
+  MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  MeshNet net(cfg);
+  net.build_torus(3, 2);
+  ASSERT_TRUE(net.discover(kSecond));
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    MeshRouter& router = net.router(i);
+    std::set<FaceId> learned;
+    for (std::uint32_t node = 1; node <= kNodes; ++node) {
+      if (const auto face = router.face_toward(node)) learned.insert(*face);
+    }
+    // face_count() includes the router's one local face.
+    EXPECT_EQ(learned.size(), router.face_count() - 1) << "router " << i << ": a wire face never learned its peer";
+    for (const auto& [origin, lsa] : router.lsdb()) {
+      EXPECT_EQ(std::adjacent_find(lsa.neighbors.begin(), lsa.neighbors.end()), lsa.neighbors.end())
+          << "router " << i << " origin " << origin;
+    }
+  }
+  ASSERT_EQ(net.recompute_routes(), kNodes * kNodes);
+
+  MeshRouter& r0 = net.router(0);
+  MeshRouter& r1 = net.router(1);
+  const std::optional<FaceId> dark0 = r0.face_toward(r1.node_id());
+  const std::optional<FaceId> dark1 = r1.face_toward(r0.node_id());
+  ASSERT_TRUE(dark0.has_value());
+  ASSERT_TRUE(dark1.has_value());
+  net.fail_link(0, 1);
+  net.loop().run_until_idle();
+  ASSERT_EQ(net.recompute_routes(), kNodes * kNodes);
+  for (const auto& [router, dark] : {std::pair{&r0, *dark0}, std::pair{&r1, *dark1}}) {
+    const fib::Ipv4Lpm* fib = router->env().control->fib32.read();
+    ASSERT_NE(fib, nullptr);
+    for (std::uint32_t node = 1; node <= kNodes; ++node) {
+      const auto hop = fib->lookup(addr_of(node));
+      ASSERT_TRUE(hop.has_value()) << "router " << router->node_id() << " to " << node;
+      EXPECT_NE(*hop, dark) << "router " << router->node_id() << " to " << node;
+    }
+  }
+
+  std::vector<std::size_t> delivered;
+  net.set_delivery([&](std::size_t node, std::span<const std::uint8_t>, std::uint64_t) {
+    delivered.push_back(node);
+  });
+  PacketBytes there = probe_packet(r1.node_id(), r0.node_id());
+  r0.inject(there, net.local_face_of(0));
+  PacketBytes back = probe_packet(r0.node_id(), r1.node_id());
+  r1.inject(back, net.local_face_of(1));
+  net.loop().run_until_idle();
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1}));
+  const WireLedger total = net.aggregate_ledger();
+  EXPECT_EQ(total.blackholed, 0u);
+  EXPECT_EQ(total.imbalance(), 0);
+}
+
+// One socket tells faces apart by the sender's endpoint alone, so a second
+// face toward an endpoint is refused and the router keeps the one it has.
+TEST(MeshNetTopology, ASecondFaceTowardOneEndpointThrows) {
+  ManualClock clock;
+  MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  MeshNet net(cfg);
+  net.build_line(2);
+  MeshRouter& a = net.router(0);
+  const std::size_t faces = a.face_count();
+  EXPECT_THROW((void)a.add_wire_face(net.router(1).endpoint(), 1000), std::invalid_argument);
+  EXPECT_EQ(a.face_count(), faces);
+  ASSERT_TRUE(net.discover(kSecond));
+  EXPECT_TRUE(a.face_toward(net.router(1).node_id()).has_value());
+}
+
+// The gossip exists for §2.3/§2.4 capability queries: each router
+// advertises the FNs it runs, its registry's modules minus the keys its env
+// disables, and MeshNet::as_graph() answers what survives a path. Node 5
+// disables F_MAC before discovery; F_ver is host-side and has no router
+// module, and F_hvf is one the default registry installs.
+TEST(MeshNetCapabilities, AsGraphCarriesTheFnsEachRouterRuns) {
+  ManualClock clock;
+  MeshConfig cfg;
+  cfg.use_mock = true;
+  cfg.clock = &clock;
+  MeshNet net(cfg);
+  net.build_torus(3, 3);
+  net.router(4).env().disabled_keys.insert(core::OpKey::kMac);
+  ASSERT_TRUE(net.discover(kSecond));
+
+  const bootstrap::AsGraph graph = net.as_graph();
+  ASSERT_EQ(graph.as_count(), 9u);
+  for (bootstrap::AsNumber as = 1; as <= 9; ++as) {
+    const bootstrap::CapabilitySet* caps = graph.capabilities(as);
+    ASSERT_NE(caps, nullptr) << "AS " << as;
+    EXPECT_FALSE(caps->supports(core::OpKey::kVer)) << "AS " << as;
+    EXPECT_TRUE(caps->supports(core::OpKey::kHvf)) << "AS " << as;
+    EXPECT_EQ(caps->supports(core::OpKey::kMac), as != 5) << "AS " << as;
+  }
+
+  // 6 -> 8 crosses node 5 (the smallest-id first hop of two); 4 -> 2 goes
+  // by way of node 1.
+  const std::vector<bootstrap::AsNumber> through = graph.shortest_path(6, 8);
+  ASSERT_EQ(through, (std::vector<bootstrap::AsNumber>{6, 5, 8}));
+  const auto via5 = graph.path_capabilities(through);
+  ASSERT_TRUE(via5.has_value());
+  EXPECT_FALSE(via5->supports(core::OpKey::kMac));
+  EXPECT_TRUE(via5->supports(core::OpKey::kParm));
+  const std::vector<bootstrap::AsNumber> around = graph.shortest_path(4, 2);
+  ASSERT_EQ(around, (std::vector<bootstrap::AsNumber>{4, 1, 2}));
+  const auto avoiding5 = graph.path_capabilities(around);
+  ASSERT_TRUE(avoiding5.has_value());
+  EXPECT_TRUE(avoiding5->supports(core::OpKey::kMac));
 }
 
 // ---- control helpers ------------------------------------------------------

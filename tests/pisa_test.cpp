@@ -182,7 +182,7 @@ TEST(Pipeline, ResubmitsCostFullTransits) {
   ASSERT_TRUE(twice);
   EXPECT_EQ(twice->cycles, 2 * once.cycles);
   EXPECT_EQ(twice->resubmissions, 1u);
-  EXPECT_FALSE(pipe.run_with_resubmits(phv, Pipeline::kMaxResubmits + 1));
+  EXPECT_FALSE(pipe.run_with_resubmits(phv, tna::kMaxPasses));
 }
 
 TEST(Pipeline, StageBudgetEnforced) {
@@ -492,7 +492,7 @@ TEST(Pipeline, DropShortCircuitsResubmissions) {
 
   // And the runaway guard still rejects over-budget resubmit requests.
   Phv phv2;
-  const auto over = pipe.run_with_resubmits(phv2, Pipeline::kMaxResubmits + 1);
+  const auto over = pipe.run_with_resubmits(phv2, tna::kMaxPasses);
   ASSERT_FALSE(over.has_value());
   EXPECT_EQ(over.error(), bytes::Error::kOverflow);
 }

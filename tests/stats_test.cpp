@@ -470,7 +470,9 @@ TEST(RouterPoolStats, PerWorkerSeriesSumToFleetSeries) {
   }
   pool.drain();
 
-  const std::string page = pool.dump_stats();
+  StatsWriter exposition;
+  pool.write_stats(exposition);
+  const std::string page = exposition.take();
   std::map<std::string, double> series;
   ASSERT_NO_FATAL_FAILURE(parse_exposition(page, series));
 
@@ -531,7 +533,9 @@ TEST(NodeStats, DumpCarriesNodeLabelAndDropLedger) {
   node.on_packet(0, dip32_packet(0x0A000001), 0);
   node.on_packet(0, std::vector<std::uint8_t>{0x00, 0x01}, 0);  // malformed
 
-  const std::string page = node.dump_stats();
+  StatsWriter exposition;
+  node.write_stats(exposition);
+  const std::string page = exposition.take();
   EXPECT_NE(page.find("dip_packets_processed_total{node=\"42\"} 2"),
             std::string::npos)
       << page;
